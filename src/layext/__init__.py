@@ -44,14 +44,10 @@ from .cancellative import (
     cone_report,
     diff_split,
     enclosure,
-    ext_add,
     ext_dimension,
-    ext_inverse,
-    ext_mul,
     kernel_contains,
     kernel_sample,
     positive_at_root,
-    ratfunc_eq,
     validate_generator,
 )
 from .tropical import (
@@ -61,12 +57,9 @@ from .tropical import (
     LayeredElem,
     ValueLattice,
     ghost_map,
-    lattice_contains,
     parse_layered,
     rebuild,
     sort_map,
-    trop_add,
-    trop_mul,
 )
 from .uniform import (
     AlgebraicSort,

@@ -230,12 +230,17 @@ def exponent_lattice(P: BipotentPresentation) -> ExponentLattice:
 
 @dataclass(frozen=True, slots=True)
 class SmithDecomposition:
-    """Diagonalization U·R·V = diag(d1, d2, ...) with the divisibility chain."""
+    """The quotient group Z^ncols / rowspan, diagonalized as U·R·V = diag(d1, d2, ...).
+
+    `Vinv` is the inverse of V: its rows are the quotient's generators in the
+    original coordinates, while `vec·V` gives a vector's Smith coordinates.
+    """
 
     U: tuple
     V: tuple
     diag: tuple
     ncols: int
+    Vinv: tuple
 
     @property
     def invariant_factors(self) -> tuple:
@@ -248,6 +253,18 @@ class SmithDecomposition:
     @property
     def torsion_invariants(self) -> tuple:
         return tuple(d for d in self.diag if d > 1)
+
+    def order(self, vec):
+        """Order of the class of `vec` in the quotient group, INFINITE if it has none."""
+        order = 1
+        for j, z in enumerate(la.vec_mat(list(vec), self.V)):
+            d = self.diag[j] if j < len(self.diag) else 0
+            if d == 0:
+                if z != 0:
+                    return INFINITE
+            elif z % d != 0:
+                order = math.lcm(order, d // math.gcd(d, z % d))
+        return order
 
 
 def smith_normal_form(rows, ncols: int | None = None) -> SmithDecomposition:
@@ -262,13 +279,46 @@ def smith_normal_form(rows, ncols: int | None = None) -> SmithDecomposition:
         if not rows:
             raise ValueError("ncols is required for an empty matrix")
         ncols = len(rows[0])
-    u, diag, v = la.smith(rows, ncols)
+    u, diag, v, vinv = la.smith(rows, ncols)
     return SmithDecomposition(
         tuple(tuple(r) for r in u),
         tuple(tuple(r) for r in v),
         tuple(diag),
         ncols,
+        tuple(tuple(r) for r in vinv),
     )
+
+
+# The last presentation queried, with its exponent lattice and Smith form.
+# Consecutive queries on one presentation share them; one entry keeps no
+# presentation alive beyond the next one queried.  The pair is read and
+# replaced whole, so concurrent callers at worst rebuild it, never mix two
+# presentations' data.
+_last = (None, None)
+
+
+def _quotient(P: BipotentPresentation):
+    """(exponent lattice, its Smith decomposition) of P, built once per run of queries on P."""
+    global _last
+    last, quotient = _last
+    if last is not P:
+        lat = exponent_lattice(P)
+        quotient = (lat, smith_normal_form(lat.basis, P.n))
+        _last = (P, quotient)
+    return quotient
+
+
+def _quotient_over(P: BipotentPresentation, subset):
+    """The lattice, and the Smith form of Z^n modulo it and the units of `subset`.
+
+    The rows are [unit rows; lattice basis], in that order, so U solves for
+    the subset exponents first.
+    """
+    lat, snf = _quotient(P)
+    if not subset:
+        return lat, snf
+    units = [tuple(1 if j == i else 0 for j in range(P.n)) for i in subset]
+    return lat, smith_normal_form(units + list(lat.basis), P.n)
 
 
 @dataclass(frozen=True, slots=True)
@@ -307,48 +357,22 @@ def decompose_extension(P: BipotentPresentation) -> ExtDecomposition:
     with invariant factor d > 1 give torsion monomials of order d, the columns
     beyond the lattice rank give the free monomials.
     """
-    lat = exponent_lattice(P)
-    n = P.n
-    if lat.rank == 0:
-        free = tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
-        coords = tuple((tuple(1 if j == i else 0 for j in range(n)), ()) for i in range(n))
-        return ExtDecomposition(P, lat, free, (), (), coords)
-    snf = smith_normal_form(lat.basis, n)
-    vinv = la.invert_unimodular([list(r) for r in snf.V])
+    lat, snf = _quotient(P)
     r = len(snf.diag)
     torsion_idx = [i for i in range(r) if snf.diag[i] > 1]
-    free_idx = list(range(r, n))
-    torsion = tuple(tuple(vinv[i]) for i in torsion_idx)
+    free_idx = list(range(r, P.n))
+    torsion = tuple(snf.Vinv[i] for i in torsion_idx)
     orders = tuple(snf.diag[i] for i in torsion_idx)
-    free = tuple(tuple(vinv[i]) for i in free_idx)
-    coords = []
-    for j in range(n):
-        row = snf.V[j]
-        coords.append((tuple(row[i] for i in free_idx), tuple(row[i] for i in torsion_idx)))
-    return ExtDecomposition(P, lat, free, torsion, orders, tuple(coords))
-
-
-def _order_in_quotient(rows, ncols: int, vec):
-    """Order of the class of `vec` in Z^ncols modulo the row span."""
-    if not rows:
-        return 1 if all(x == 0 for x in vec) else INFINITE
-    _, diag, v = la.smith([list(r) for r in rows], ncols)
-    z = la.vec_mat(list(vec), v)
-    order = 1
-    for j in range(ncols):
-        d = diag[j] if j < len(diag) else 0
-        if d == 0:
-            if z[j] != 0:
-                return INFINITE
-        elif z[j] % d != 0:
-            order = math.lcm(order, d // math.gcd(d, z[j] % d))
-    return order
+    free = tuple(snf.Vinv[i] for i in free_idx)
+    coords = tuple(
+        (tuple(row[i] for i in free_idx), tuple(row[i] for i in torsion_idx)) for row in snf.V
+    )
+    return ExtDecomposition(P, lat, free, torsion, orders, coords)
 
 
 def torsion_degree(P: BipotentPresentation, exps):
     """Minimal k >= 1 with k times the monomial landing in the base, else INFINITE."""
-    lat = exponent_lattice(P)
-    return _order_in_quotient(lat.basis, P.n, tuple(exps))
+    return _quotient(P)[1].order(exps)
 
 
 def torsion_subdomain_contains(P: BipotentPresentation, exps) -> bool:
@@ -365,7 +389,7 @@ def is_divisibly_dependent(P: BipotentPresentation, subset) -> bool:
     subset = sorted(set(subset))
     if not subset:
         raise ValueError("subset must be non-empty")
-    lat = exponent_lattice(P)
+    lat, _ = _quotient(P)
     if lat.rank == 0:
         return False
     complement = [j for j in range(P.n) if j not in subset]
@@ -392,15 +416,12 @@ def divisible_dependence_witness(P: BipotentPresentation, exps, subset=()) -> De
     power*exps = sum over subset of exponents*e_i + (lattice vector of value beta).
     """
     subset = sorted(set(subset))
-    lat = exponent_lattice(P)
-    unit_rows = [tuple(1 if j == i else 0 for j in range(P.n)) for i in subset]
-    k = _order_in_quotient(list(lat.basis) + unit_rows, P.n, tuple(exps))
+    lat, snf = _quotient_over(P, subset)
+    k = snf.order(exps)
     if k == INFINITE:
         return None
-    k = int(k)
     target = [k * e for e in exps]
-    rows = unit_rows + list(lat.basis)
-    sol = la.solve_left(rows, P.n, target)
+    sol = la.solve_diagonalized(snf.U, snf.diag, snf.V, target)
     assert sol is not None
     sub_exps = sol[: len(subset)]
     combo = sol[len(subset):]
@@ -419,17 +440,8 @@ def extension_rank(P: BipotentPresentation, over=()):
 
     With an empty subset this is the rank of the whole extension over the base.
     """
-    over = sorted(set(over))
-    lat = exponent_lattice(P)
-    rows = [list(r) for r in lat.basis]
-    rows += [[1 if j == i else 0 for j in range(P.n)] for i in over]
-    if not rows:
-        return 1 if P.n == 0 else INFINITE
-    _, diag, _ = la.smith(rows, P.n)
-    nonzero = [d for d in diag if d != 0]
-    if len(nonzero) < P.n:
-        return INFINITE
-    return math.prod(nonzero)
+    _, snf = _quotient_over(P, sorted(set(over)))
+    return INFINITE if snf.free_rank else math.prod(snf.invariant_factors)
 
 
 def is_bipotent_semifield(P: BipotentPresentation) -> bool:
@@ -444,7 +456,7 @@ def is_bipotent_semifield(P: BipotentPresentation) -> bool:
 
 def linearly_dependent_pair(P: BipotentPresentation, x_exps, y_exps) -> bool:
     """Whether the two monomials differ by a base factor (equal classes)."""
-    lat = exponent_lattice(P)
+    lat, _ = _quotient(P)
     diff = tuple(a - b for a, b in zip(x_exps, y_exps))
     return lat.contains(diff)
 
@@ -455,7 +467,7 @@ def monoid_contains(P: BipotentPresentation, exps, bound: int = 20) -> bool:
     Bounded search: looks for m in {0..bound}^n with exps - m in the exponent
     lattice.  Used to probe polynomial (non-fraction) extensions.
     """
-    lat = exponent_lattice(P)
+    lat, _ = _quotient(P)
     for m in product(range(bound + 1), repeat=P.n):
         if lat.contains(tuple(e - mi for e, mi in zip(exps, m))):
             return True
@@ -469,7 +481,7 @@ def canonical_coset_value(P: BipotentPresentation, exps) -> Fraction | None:
     symbolic coordinates, the class has a well-defined rational value modulo
     the base, and the representative in [0, base generator) is returned.
     """
-    lat = exponent_lattice(P)
+    lat, _ = _quotient(P)
     rem, beta = la.reduce_by_hnf(tuple(exps), lat.basis, lat.betas)
     value = P.value_of(rem)
     if value is None:

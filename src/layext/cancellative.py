@@ -319,6 +319,7 @@ class ExtElem:
         return out
 
     def inverse(self) -> "ExtElem":
+        """Multiplicative inverse via the extended Euclidean algorithm."""
         if self.is_zero:
             raise ZeroElement("zero has no inverse")
         g, s, _ = polys.xgcd_poly(polys.poly(self.coeffs), self.gen.m.to_coeffs())
@@ -337,21 +338,6 @@ class ExtElem:
             else:
                 parts.append(f"X^{i}" if c == 1 else f"{c}*X^{i}")
         return " + ".join(parts) if parts else "0"
-
-
-def ext_add(e1: ExtElem, e2: ExtElem) -> ExtElem:
-    """Coefficient-wise addition (same generator required)."""
-    return e1 + e2
-
-
-def ext_mul(e1: ExtElem, e2: ExtElem) -> ExtElem:
-    """Product reduced modulo the minimal polynomial."""
-    return e1 * e2
-
-
-def ext_inverse(e: ExtElem) -> ExtElem:
-    """Multiplicative inverse via the extended Euclidean algorithm."""
-    return e.inverse()
 
 
 def enclosure(e: ExtElem, lo, hi) -> tuple[Fraction, Fraction]:
@@ -416,11 +402,6 @@ class PosRationalFunction:
 
     def __str__(self) -> str:
         return f"({self.num}) / ({self.den})"
-
-
-def ratfunc_eq(r1: PosRationalFunction, r2: PosRationalFunction) -> bool:
-    """Equality of rational functions by cross-multiplication."""
-    return r1 == r2
 
 
 def kernel_sample(gen: AlgebraicGenerator, g1: PosPoly, g2: PosPoly | None = None,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import jsonio
@@ -35,24 +35,6 @@ from .uniform import (
     sort_is_semifield,
     uniform_closure,
 )
-
-
-@dataclass
-class Session:
-    """Named, immutable bindings of parsed inputs plus the command log."""
-
-    bound: int = 8
-    bindings: dict = field(default_factory=dict)
-    log: list = field(default_factory=list)
-
-    def bind(self, name: str, obj):
-        if name in self.bindings:
-            raise ValueError(f"binding {name!r} already exists")
-        self.bindings[name] = obj
-        return obj
-
-    def record(self, command: str):
-        self.log.append(command)
 
 
 @dataclass
@@ -85,8 +67,8 @@ def _fin(x) -> object:
     return "infinite" if x == INFINITE else int(x)
 
 
-def cmd_decompose(session: Session, args) -> Report:
-    P = session.bind("presentation", _load(args.presentation, jsonio.parse_presentation))
+def cmd_decompose(args) -> Report:
+    P = _load(args.presentation, jsonio.parse_presentation)
     dec = decompose_extension(P)
     payload = {
         "free_rank": dec.free_rank,
@@ -110,9 +92,9 @@ def cmd_decompose(session: Session, args) -> Report:
     return Report("decompose", payload, notes)
 
 
-def cmd_eval(session: Session, args) -> Report:
-    f = session.bind("poly", _load(args.poly, jsonio.parse_layered_poly))
-    a = session.bind("scalar", _load(args.scalar, jsonio.parse_scalar))
+def cmd_eval(args) -> Report:
+    f = _load(args.poly, jsonio.parse_layered_poly)
+    a = _load(args.scalar, jsonio.parse_scalar)
     layer, value = eval_layered_poly(f, a)
     ess = essential_indices(f, a)
     payload = {
@@ -129,13 +111,13 @@ def cmd_eval(session: Session, args) -> Report:
     return Report("eval", payload, notes)
 
 
-def cmd_closure(session: Session, args) -> Report:
-    H = session.bind("descriptor", _load(args.descriptor, jsonio.parse_descriptor))
-    a = session.bind("scalar", _load(args.scalar, jsonio.parse_scalar))
+def cmd_closure(args) -> Report:
+    H = _load(args.descriptor, jsonio.parse_descriptor)
+    a = _load(args.scalar, jsonio.parse_scalar)
     C = uniform_closure(H, a)
     payload = {
         "descriptor": jsonio.render_descriptor(C),
-        "layerset_semiring": is_layerset_semiring(H, a, bound=session.bound),
+        "layerset_semiring": is_layerset_semiring(H, a, bound=args.bound),
     }
     notes = [
         "the closure extends the sort part by the scalar layer and the value part by the scalar value",
@@ -144,17 +126,17 @@ def cmd_closure(session: Session, args) -> Report:
     return Report("closure", payload, notes)
 
 
-def cmd_kernel(session: Session, args) -> Report:
-    a = session.bind("a", _load(args.numerator, jsonio.parse_pos_poly))
-    b = session.bind("b", _load(args.denominator, jsonio.parse_pos_poly))
-    gen = session.bind("generator", _load(args.generator, jsonio.parse_generator))
+def cmd_kernel(args) -> Report:
+    a = _load(args.numerator, jsonio.parse_pos_poly)
+    b = _load(args.denominator, jsonio.parse_pos_poly)
+    gen = _load(args.generator, jsonio.parse_generator)
     payload = {"in_kernel": kernel_contains(a, b, gen)}
     notes = ["membership holds when the minimal polynomial divides numerator - denominator"]
     return Report("kernel", payload, notes)
 
 
-def cmd_semifield(session: Session, args) -> Report:
-    H = session.bind("descriptor", _load(args.descriptor, jsonio.parse_descriptor))
+def cmd_semifield(args) -> Report:
+    H = _load(args.descriptor, jsonio.parse_descriptor)
     payload = {
         "semifield": is_uniform_semifield(H),
         "sort_part_semifield": sort_is_semifield(H.sort_part),
@@ -178,16 +160,16 @@ def _parse_exps(text: str, n: int) -> tuple:
     return exps
 
 
-def cmd_torsion_degree(session: Session, args) -> Report:
-    P = session.bind("presentation", _load(args.presentation, jsonio.parse_presentation))
+def cmd_torsion_degree(args) -> Report:
+    P = _load(args.presentation, jsonio.parse_presentation)
     exps = _parse_exps(args.exps, P.n)
     payload = {"degree": _fin(torsion_degree(P, exps))}
     notes = ["the degree is the order of the monomial class in the quotient by the exponent lattice"]
     return Report("torsion-degree", payload, notes)
 
 
-def cmd_rank(session: Session, args) -> Report:
-    P = session.bind("presentation", _load(args.presentation, jsonio.parse_presentation))
+def cmd_rank(args) -> Report:
+    P = _load(args.presentation, jsonio.parse_presentation)
     over = ()
     if args.over:
         try:
@@ -286,10 +268,8 @@ def main(argv=None, out=None, err=None) -> int:
     for name, default in (("json", False), ("notes", False), ("bound", 8)):
         if not hasattr(args, name):
             setattr(args, name, default)
-    session = Session(bound=args.bound)
-    session.record(" ".join(argv if argv is not None else sys.argv[1:]))
     try:
-        report = args.run(session, args)
+        report = args.run(args)
     except LayextError as e:
         err.write(f"error: {type(e).__name__}: {e}\n")
         return 1

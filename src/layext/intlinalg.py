@@ -165,25 +165,29 @@ def kernel(rows, ncols: int) -> tuple[Vec, ...]:
 
 
 def smith(rows, ncols: int):
-    """Smith normal form: returns (U, diag, V) with U·A·V diagonal.
+    """Smith normal form: returns (U, diag, V, V⁻¹) with U·A·V diagonal.
 
     U and V are unimodular; diag lists the min(m, ncols) diagonal entries,
     non-negative and satisfying the divisibility chain d1 | d2 | ...
+    V⁻¹ is kept alongside V by mirroring every column operation on V as the
+    inverse row operation on V⁻¹.
     """
     m = len(rows)
     a = [list(r) for r in rows]
     u = identity(m)
     v = identity(ncols)
+    vinv = identity(ncols)
 
     def row_sub(i, j, q):  # row_i -= q * row_j
         a[i] = [x - q * y for x, y in zip(a[i], a[j])]
         u[i] = [x - q * y for x, y in zip(u[i], u[j])]
 
-    def col_sub(i, j, q):  # col_i -= q * col_j
+    def col_sub(i, j, q):  # col_i -= q * col_j, so row_j of V⁻¹ += q * row_i
         for r in a:
             r[i] -= q * r[j]
         for r in v:
             r[i] -= q * r[j]
+        vinv[j] = [x + q * y for x, y in zip(vinv[j], vinv[i])]
 
     def row_swap(i, j):
         a[i], a[j] = a[j], a[i]
@@ -194,6 +198,7 @@ def smith(rows, ncols: int):
             r[i], r[j] = r[j], r[i]
         for r in v:
             r[i], r[j] = r[j], r[i]
+        vinv[i], vinv[j] = vinv[j], vinv[i]
 
     def row_neg(i):
         a[i] = [-x for x in a[i]]
@@ -252,18 +257,20 @@ def smith(rows, ncols: int):
         t += 1
 
     diag = [a[i][i] for i in range(min(m, ncols))]
-    return u, diag, v
+    return u, diag, v, vinv
 
 
 def solve_left(rows, ncols: int, target) -> Vec | None:
     """Solve x·A = target for an integer row vector x, or return None."""
-    m = len(rows)
-    if m == 0:
-        return () if all(x == 0 for x in target) else None
-    u, diag, v = smith(rows, ncols)
+    u, diag, v, _ = smith(rows, ncols)
+    return solve_diagonalized(u, diag, v, target)
+
+
+def solve_diagonalized(u, diag, v, target) -> Vec | None:
+    """Solve x·A = target given the Smith form U·A·V = diag, or return None."""
     bv = vec_mat(list(target), v)
-    y = [0] * m
-    for j in range(ncols):
+    y = [0] * len(u)
+    for j in range(len(v)):
         d = diag[j] if j < len(diag) else 0
         if d == 0:
             if bv[j] != 0:
@@ -274,29 +281,3 @@ def solve_left(rows, ncols: int, target) -> Vec | None:
             y[j] = bv[j] // d
     return tuple(vec_mat(y, u))
 
-
-def invert_unimodular(mat) -> list[list[int]]:
-    """Inverse of a unimodular integer matrix (exact, result is integral)."""
-    n = len(mat)
-    aug = [[Fraction(mat[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if aug[i][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        p = aug[col][col]
-        aug[col] = [x / p for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    inv = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            x = aug[i][n + j]
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            row.append(int(x))
-        inv.append(row)
-    return inv

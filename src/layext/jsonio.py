@@ -34,6 +34,16 @@ def parse_rational(s) -> Fraction:
         raise ParseError(f"bad rational {s!r}: {e}") from None
 
 
+def parse_int(s) -> int:
+    """An integer given as a JSON integer or a decimal string; bools and floats are refused."""
+    if isinstance(s, bool) or not isinstance(s, (str, int)):
+        raise ParseError(f"expected an integer, got {s!r}")
+    try:
+        return int(s)
+    except ValueError:
+        raise ParseError(f"bad integer {s!r}") from None
+
+
 def render_rational(q: Fraction) -> str:
     return str(q)
 
@@ -52,9 +62,14 @@ def _require(cond: bool, msg: str):
 
 def parse_presentation(doc) -> BipotentPresentation:
     _require(isinstance(doc, dict), "presentation must be an object")
-    base = ValueLattice.of(*[parse_rational(g) for g in doc.get("base", ["1"])])
+    base = doc.get("base", ["1"])
+    generators = doc.get("generators", [])
+    relations = doc.get("relations", [])
+    for key, val in (("base", base), ("generators", generators), ("relations", relations)):
+        _require(isinstance(val, list), f"presentation {key} must be a list")
+    base = ValueLattice.of(*[parse_rational(g) for g in base])
     gens = []
-    for g in doc.get("generators", []):
+    for g in generators:
         _require(isinstance(g, dict) and len(g) == 1, f"bad generator {g!r}")
         if "num" in g:
             gens.append(Numeric(parse_rational(g["num"])))
@@ -64,9 +79,9 @@ def parse_presentation(doc) -> BipotentPresentation:
         else:
             raise ParseError(f"generator must have 'num' or 'sym': {g!r}")
     rels = []
-    for r in doc.get("relations", []):
-        _require(isinstance(r, dict) and "exps" in r and "beta" in r, f"bad relation {r!r}")
-        rels.append(Relation(tuple(int(e) for e in r["exps"]), parse_rational(r["beta"])))
+    for r in relations:
+        _require(isinstance(r, dict) and isinstance(r.get("exps"), list) and "beta" in r, f"bad relation {r!r}")
+        rels.append(Relation(tuple(parse_int(e) for e in r["exps"]), parse_rational(r["beta"])))
     try:
         return BipotentPresentation(base, tuple(gens), tuple(rels), bool(doc.get("monoid", False)))
     except (ValueError, TypeError) as e:
@@ -140,6 +155,7 @@ def render_generator(gen: AlgebraicGenerator) -> dict:
 def parse_descriptor(doc) -> UniformDescriptor:
     _require(isinstance(doc, dict) and "sort" in doc and "value" in doc, "descriptor needs 'sort' and 'value'")
     sort_doc = doc["sort"]
+    _require(isinstance(sort_doc, dict), "descriptor sort must be an object")
     kind = sort_doc.get("kind")
     if kind == "base":
         sort = BaseSort()
@@ -169,7 +185,7 @@ def parse_layered_poly(doc) -> LayeredPoly:
     triples = []
     for t in doc:
         _require(isinstance(t, dict) and {"layer", "value", "exp"} <= t.keys(), f"bad term {t!r}")
-        triples.append((parse_rational(t["layer"]), parse_rational(t["value"]), int(t["exp"])))
+        triples.append((parse_rational(t["layer"]), parse_rational(t["value"]), parse_int(t["exp"])))
     try:
         return LayeredPoly.from_triples(triples)
     except ValueError as e:

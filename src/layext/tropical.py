@@ -101,6 +101,7 @@ class LayeredElem:
         return self.layer is None
 
     def __add__(self, other: "LayeredElem") -> "LayeredElem":
+        """Layered addition: larger value wins, equal values sum their layers."""
         if self.is_zero:
             return other
         if other.is_zero:
@@ -112,6 +113,7 @@ class LayeredElem:
         return LayeredElem(self.layer + other.layer, self.value)
 
     def __mul__(self, other: "LayeredElem") -> "LayeredElem":
+        """Layered multiplication: layers multiply, values add; Zero absorbs."""
         if self.is_zero or other.is_zero:
             return ZERO
         return LayeredElem(self.layer * other.layer, self.value + other.value)
@@ -133,16 +135,6 @@ class LayeredElem:
 
 ZERO = LayeredElem(None, None)
 ONE = LayeredElem(Fraction(1), Fraction(0))
-
-
-def trop_add(x: LayeredElem, y: LayeredElem) -> LayeredElem:
-    """Layered addition: larger value wins, equal values sum their layers."""
-    return x + y
-
-
-def trop_mul(x: LayeredElem, y: LayeredElem) -> LayeredElem:
-    """Layered multiplication: layers multiply, values add; Zero absorbs."""
-    return x * y
 
 
 def sort_map(x: LayeredElem) -> Fraction:
@@ -230,8 +222,3 @@ class ValueLattice:
     def join(self, *extra) -> "ValueLattice":
         """The subgroup generated by this lattice together with extra rationals."""
         return ValueLattice(self.generators + tuple(as_fraction(x) for x in extra))
-
-
-def lattice_contains(lattice: ValueLattice, q) -> bool:
-    """Decide membership of a rational in the subgroup spanned by the generators."""
-    return lattice.contains(q)

@@ -31,7 +31,6 @@ from layext.cancellative import (
     SignedPoly,
     kernel_contains,
     kernel_sample,
-    ratfunc_eq,
     validate_generator,
 )
 from layext.tropical import LayeredElem, ONE, ValueLattice, ZERO

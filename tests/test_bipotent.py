@@ -5,7 +5,7 @@ from itertools import permutations, product
 import pytest
 from hypothesis import given, strategies as st
 
-from layext import intlinalg as la
+from layext import bipotent, intlinalg as la
 from layext.bipotent import (
     INFINITE,
     BipotentPresentation,
@@ -165,6 +165,79 @@ class TestSmith:
             for j in range(3):
                 want = snf.diag[i] if i == j and i < len(snf.diag) else 0
                 assert d[i][j] == want
+        assert la.mat_mul(v, [list(r) for r in snf.Vinv]) == la.identity(3)
+
+
+class TestSharedQuotient:
+    """Queries on one presentation share its lattice and its Smith form."""
+
+    def _counting(self, monkeypatch):
+        calls = {"lattice": 0, "smith": 0}
+        lattice, smith = bipotent.exponent_lattice, la.smith
+
+        def counted_lattice(P):
+            calls["lattice"] += 1
+            return lattice(P)
+
+        def counted_smith(rows, ncols):
+            calls["smith"] += 1
+            return smith(rows, ncols)
+
+        monkeypatch.setattr(bipotent, "exponent_lattice", counted_lattice)
+        monkeypatch.setattr(la, "smith", counted_smith)
+        return calls
+
+    def test_queries_build_lattice_and_smith_once(self, monkeypatch):
+        calls = self._counting(monkeypatch)
+        P = BipotentPresentation(Z, (Numeric.of("1/2"), Numeric.of("1/3"), Symbolic("g")))
+        for _ in range(3):
+            assert decompose_extension(P).torsion_orders == (6,)
+            assert extension_rank(P) == INFINITE
+            assert torsion_degree(P, (1, 0, 0)) == 2
+            assert torsion_subdomain_contains(P, (1, 1, 0))
+            assert is_divisibly_dependent(P, (0, 1))
+            assert divisible_dependence_witness(P, (1, 0, 0)).power == 2
+            assert linearly_dependent_pair(P, (2, 0, 1), (0, 3, 1))
+            assert monoid_contains(P, (-1, 0, 0), bound=2)
+            assert canonical_coset_value(P, (1, 1, 0)) == F(5, 6)
+        assert calls == {"lattice": 1, "smith": 1}
+
+    def test_subset_query_runs_one_smith_form(self, monkeypatch):
+        calls = self._counting(monkeypatch)
+        P = numeric("1/2", "1/6")
+        extension_rank(P)
+        calls["smith"] = 0
+        assert divisible_dependence_witness(P, (0, 1), subset=(0,)).power == 3
+        assert calls["smith"] == 1
+        assert extension_rank(P, over=(1,)) == 1
+        assert calls == {"lattice": 1, "smith": 2}
+
+    def test_alternating_presentations_keep_their_answers(self):
+        P1, P2 = numeric("1/2", "1/3"), numeric("1/4", "1/6")
+        for P, rank, degree in [(P1, 6, 2), (P2, 12, 4), (P1, 6, 2)]:
+            assert extension_rank(P) == rank
+            assert torsion_degree(P, (1, 0)) == degree
+            assert decompose_extension(P).torsion_orders == (rank,)
+        # an equal presentation built afresh is a different object, and still answers alike
+        assert extension_rank(numeric("1/2", "1/3")) == 6
+
+    def test_inconsistent_relations_raise_on_every_query(self):
+        P = BipotentPresentation(
+            Z,
+            (Numeric.of("1/3"), Symbolic("g")),
+            (Relation.of((1, 1), 0), Relation.of((2, 1), 0)),
+        )
+        queries = [
+            lambda: decompose_extension(P),
+            lambda: extension_rank(P),
+            lambda: torsion_degree(P, (1, 0)),
+            lambda: divisible_dependence_witness(P, (1, 0), subset=(1,)),
+            lambda: linearly_dependent_pair(P, (1, 0), (0, 1)),
+            lambda: canonical_coset_value(P, (1, 0)),
+        ]
+        for query in queries + queries:
+            with pytest.raises(InconsistentRelations):
+                query()
 
 
 class TestDecompose:

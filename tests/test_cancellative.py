@@ -14,14 +14,10 @@ from layext.cancellative import (
     cone_report,
     diff_split,
     enclosure,
-    ext_add,
     ext_dimension,
-    ext_inverse,
-    ext_mul,
     kernel_contains,
     kernel_sample,
     positive_at_root,
-    ratfunc_eq,
     validate_generator,
 )
 from layext.errors import (
@@ -124,31 +120,31 @@ class TestArithmetic:
 
     def test_identity(self):
         e = SQRT2.element([F(1, 3), F(-5, 7)])
-        assert ext_mul(e, SQRT2.one()) == e
-        assert ext_add(e, SQRT2.zero()) == e
+        assert e * SQRT2.one() == e
+        assert e + SQRT2.zero() == e
 
     def test_componentwise_addition(self):
-        got = ext_add(SQRT2.element([1, 1]), SQRT2.element([2, 1]))
+        got = SQRT2.element([1, 1]) + SQRT2.element([2, 1])
         assert got.coeffs == (F(3), F(2))
         assert got.in_cone
 
     def test_inverse_of_one(self):
-        assert ext_inverse(SQRT2.one()) == SQRT2.one()
+        assert SQRT2.one().inverse() == SQRT2.one()
 
     def test_inverse_of_root(self):
-        assert ext_inverse(SQRT2.xbar()).coeffs == (F(0), F(1, 2))
+        assert SQRT2.xbar().inverse().coeffs == (F(0), F(1, 2))
 
     def test_inverse_of_one_plus_root(self):
-        inv = ext_inverse(SQRT2.one() + SQRT2.xbar())
+        inv = (SQRT2.one() + SQRT2.xbar()).inverse()
         assert inv.coeffs == (F(-1), F(1))
 
     def test_zero_not_invertible(self):
         with pytest.raises(ZeroElement):
-            ext_inverse(SQRT2.zero())
+            SQRT2.zero().inverse()
 
     def test_generator_mismatch(self):
         with pytest.raises(GeneratorMismatch):
-            ext_add(SQRT2.one(), CBRT2.one())
+            SQRT2.one() + CBRT2.one()
 
     @given(st.sampled_from(MODULI), st.data())
     def test_field_laws(self, gen, data):
@@ -226,7 +222,7 @@ class TestKernel:
     def test_sample_unit(self):
         one = PosPoly.constant(1)
         s = kernel_sample(SQRT2, one, one)
-        assert ratfunc_eq(s, PosRationalFunction(one, one))
+        assert s == PosRationalFunction(one, one)
         assert str(s.num) == "x^2 + 2"
 
     def test_sample_defaults(self):
@@ -266,10 +262,10 @@ class TestRatFunc:
     def test_eq_examples(self):
         x = PosPoly.x()
         one = PosPoly.constant(1)
-        assert ratfunc_eq(PosRationalFunction(x, one), PosRationalFunction(x * x, x))
-        assert not ratfunc_eq(PosRationalFunction(x + one, one), PosRationalFunction(x, one))
+        assert PosRationalFunction(x, one) == PosRationalFunction(x * x, x)
+        assert PosRationalFunction(x + one, one) != PosRationalFunction(x, one)
         r = PosRationalFunction(x + one, x)
-        assert ratfunc_eq(r, r)
+        assert r == r
 
     @given(pos_polys(), pos_polys(), pos_polys())
     def test_scaling_invariance(self, a, b, c):

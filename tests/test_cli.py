@@ -298,17 +298,27 @@ class TestSessionAndStdin:
         assert rc == 0
         assert json.loads(out)["result"]["rank"] == 6
 
-    def test_session_bindings_are_unique(self):
-        from layext.cli import Session
 
-        s = Session()
-        s.bind("presentation", object())
-        with pytest.raises(ValueError):
-            s.bind("presentation", object())
+MALFORMED = {
+    "sort_not_object": (["semifield", "h.json"], {"h.json": {"sort": "base", "value": PRES_SIXTHS}}),
+    "generators_not_list": (["decompose", "p.json"], {"p.json": {"base": ["1"], "generators": 5}}),
+    "exps_not_integers": (["decompose", "p.json"], {"p.json": {
+        "base": ["1"], "generators": [{"num": "1/2"}, {"sym": "g"}],
+        "relations": [{"exps": ["a", 2], "beta": "1"}]}}),
+    "exps_float": (["decompose", "p.json"], {"p.json": {
+        "base": ["1"], "generators": [{"sym": "g"}], "relations": [{"exps": [2.7], "beta": "1"}]}}),
+    "exp_not_integer": (["eval", "f.json", "a.json"], {
+        "f.json": [{"layer": "1", "value": "0", "exp": "x"}], "a.json": SCALAR_3_0}),
+    "exp_float": (["eval", "f.json", "a.json"], {
+        "f.json": [{"layer": "1", "value": "0", "exp": 1.9}], "a.json": SCALAR_3_0}),
+}
 
-    def test_session_records_commands(self, tmp_path):
-        from layext.cli import Session
 
-        s = Session()
-        s.record("decompose p.json")
-        assert s.log == ["decompose p.json"]
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_input_is_one_error_line(tmp_path, name):
+    argv, files = MALFORMED[name]
+    paths = {f: write(tmp_path, f, doc) for f, doc in files.items()}
+    rc, out, err = run([paths.get(a, a) for a in argv])
+    assert rc == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ParseError: ")
