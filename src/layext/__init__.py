@@ -44,7 +44,6 @@ from .cancellative import (
     cone_report,
     diff_split,
     enclosure,
-    ext_dimension,
     kernel_contains,
     kernel_sample,
     positive_at_root,

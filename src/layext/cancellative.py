@@ -47,6 +47,26 @@ def _terms_from(obj) -> tuple:
     return tuple(items)
 
 
+def _dense(terms) -> polys.Poly:
+    """Coefficient vector of canonical sparse terms (sorted, nonzero)."""
+    out = [Fraction(0)] * (terms[-1][0] + 1 if terms else 0)
+    for d, c in terms:
+        out[d] = c
+    return tuple(out)
+
+
+def power(x, k: int, one):
+    """x**k for k >= 0 by repeated squaring; `one` is the identity of x's product."""
+    out = one
+    while k:
+        if k & 1:
+            out = out * x
+        k >>= 1
+        if k:
+            x = x * x
+    return out
+
+
 @dataclass(frozen=True, slots=True)
 class PosPoly:
     """A nonzero polynomial with strictly positive rational coefficients.
@@ -102,10 +122,7 @@ class PosPoly:
     def __pow__(self, k: int) -> "PosPoly":
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        out = PosPoly.constant(1)
-        for _ in range(k):
-            out = out * self
-        return out
+        return power(self, k, PosPoly.constant(1))
 
     def scale(self, c) -> "PosPoly":
         c = as_fraction(c)
@@ -114,13 +131,7 @@ class PosPoly:
         return PosPoly(tuple((d, c * x) for d, x in self.terms))
 
     def to_coeffs(self) -> polys.Poly:
-        out = [Fraction(0)] * (self.degree + 1)
-        for d, c in self.terms:
-            out[d] = c
-        return polys.poly(out)
-
-    def to_signed(self) -> "SignedPoly":
-        return SignedPoly(self.terms)
+        return _dense(self.terms)
 
     def __str__(self) -> str:
         return _render_terms(self.terms)
@@ -128,47 +139,41 @@ class PosPoly:
 
 @dataclass(frozen=True, slots=True)
 class SignedPoly:
-    """A polynomial over Q in sparse canonical form; may be zero (no terms)."""
+    """A polynomial over Q stored dense (a `polys.Poly`); may be zero (no coefficients)."""
 
-    terms: tuple
+    coeffs: polys.Poly
 
     @classmethod
     def of(cls, obj) -> "SignedPoly":
-        return cls(_terms_from(obj))
+        return cls(_dense(_terms_from(obj)))
 
     @classmethod
     def from_coeffs(cls, coeffs) -> "SignedPoly":
-        return cls.of({i: c for i, c in enumerate(coeffs)})
+        return cls(polys.poly(coeffs))
 
     @classmethod
     def diff(cls, a: PosPoly, b: PosPoly) -> "SignedPoly":
-        acc = dict(a.terms)
-        for d, c in b.terms:
-            acc[d] = acc.get(d, Fraction(0)) - c
-        return cls.of(acc)
+        return cls(polys.sub(a.to_coeffs(), b.to_coeffs()))
+
+    @property
+    def terms(self) -> tuple:
+        """The sparse canonical form: (degree, coefficient) pairs, nonzero, ascending."""
+        return tuple((d, c) for d, c in enumerate(self.coeffs) if c)
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.coeffs
 
     @property
     def degree(self) -> int:
-        return self.terms[-1][0] if self.terms else -1
+        return polys.degree(self.coeffs)
 
     @property
     def is_monic(self) -> bool:
-        return bool(self.terms) and self.terms[-1][1] == 1
-
-    def to_coeffs(self) -> polys.Poly:
-        if not self.terms:
-            return ()
-        out = [Fraction(0)] * (self.degree + 1)
-        for d, c in self.terms:
-            out[d] = c
-        return polys.poly(out)
+        return bool(self.coeffs) and self.coeffs[-1] == 1
 
     def __str__(self) -> str:
-        return _render_terms(self.terms) if self.terms else "0"
+        return _render_terms(self.terms) if self.coeffs else "0"
 
 
 def _render_terms(terms) -> str:
@@ -208,7 +213,11 @@ class AlgebraicGenerator:
     m: SignedPoly
     lo: Fraction
     hi: Fraction
-    n: int
+
+    @property
+    def n(self) -> int:
+        """Dimension of the extension over the base: the degree of the minimal polynomial."""
+        return self.m.degree
 
     def zero(self) -> "ExtElem":
         return ExtElem(self, (Fraction(0),) * self.n)
@@ -229,12 +238,12 @@ class AlgebraicGenerator:
 
     def from_poly(self, coeffs) -> "ExtElem":
         """Reduce an arbitrary polynomial in the root modulo the minimal polynomial."""
-        r = polys.rem(polys.poly(coeffs), self.m.to_coeffs())
+        r = polys.rem(polys.poly(coeffs), self.m.coeffs)
         return self.element(list(r))
 
     def refine(self, max_width) -> tuple[Fraction, Fraction]:
         """A sub-interval of the isolating interval no wider than max_width."""
-        return polys.bisect_root(self.m.to_coeffs(), self.lo, self.hi, max_width)
+        return polys.bisect_root(self.m.coeffs, self.lo, self.hi, max_width)
 
 
 def validate_generator(m: SignedPoly, interval) -> AlgebraicGenerator:
@@ -248,29 +257,23 @@ def validate_generator(m: SignedPoly, interval) -> AlgebraicGenerator:
     """
     if not m.is_monic or m.degree < 1:
         raise ValueError("the minimal polynomial must be monic of degree >= 1")
-    if all(c > 0 for _, c in m.terms):
+    if all(c >= 0 for c in m.coeffs):
         raise AllPositiveCoefficients(
             "a positive-coefficient polynomial cannot vanish at a positive root"
         )
     if m.degree == 1:
         raise TrivialExtension("a degree-one generator already lies in the base semifield")
-    dense = m.to_coeffs()
-    if not polys.is_irreducible(dense):
+    if not polys.is_irreducible(m.coeffs):
         raise Reducible(f"{m} factors over the rationals")
-    if polys.count_positive_roots(dense) == 0:
+    if polys.count_positive_roots(m.coeffs) == 0:
         raise NoPositiveRoot(f"{m} has no positive real root")
     lo, hi = (as_fraction(interval[0]), as_fraction(interval[1]))
     if not (0 < lo < hi):
         raise IntervalNotIsolating("the interval must satisfy 0 < lo < hi")
-    if polys.count_roots(dense, lo, hi) != 1:
+    if polys.count_roots(m.coeffs, lo, hi) != 1:
         raise IntervalNotIsolating(f"({lo}, {hi}) does not isolate exactly one root of {m}")
-    assert polys.eval_poly(dense, lo) * polys.eval_poly(dense, hi) < 0
-    return AlgebraicGenerator(m, lo, hi, m.degree)
-
-
-def ext_dimension(gen: AlgebraicGenerator) -> int:
-    """Dimension of the extension over the base: the degree of the minimal polynomial."""
-    return gen.n
+    assert polys.eval_poly(m.coeffs, lo) * polys.eval_poly(m.coeffs, hi) < 0
+    return AlgebraicGenerator(m, lo, hi)
 
 
 @dataclass(frozen=True, slots=True)
@@ -312,17 +315,14 @@ class ExtElem:
 
     def __pow__(self, k: int) -> "ExtElem":
         if k < 0:
-            return self.inverse() ** (-k)
-        out = self.gen.one()
-        for _ in range(k):
-            out = out * self
-        return out
+            return power(self.inverse(), -k, self.gen.one())
+        return power(self, k, self.gen.one())
 
     def inverse(self) -> "ExtElem":
         """Multiplicative inverse via the extended Euclidean algorithm."""
         if self.is_zero:
             raise ZeroElement("zero has no inverse")
-        g, s, _ = polys.xgcd_poly(polys.poly(self.coeffs), self.gen.m.to_coeffs())
+        g, s, _ = polys.xgcd_poly(polys.poly(self.coeffs), self.gen.m.coeffs)
         assert polys.degree(g) == 0
         return self.gen.from_poly(polys.scale(s, 1 / g[0]))
 
@@ -378,8 +378,7 @@ def cone_report(e: ExtElem) -> dict:
 
 def kernel_contains(a: PosPoly, b: PosPoly, gen: AlgebraicGenerator) -> bool:
     """Whether a/b is congruent to 1: the minimal polynomial divides a - b."""
-    d = polys.sub(a.to_coeffs(), b.to_coeffs())
-    return not polys.rem(d, gen.m.to_coeffs())
+    return not polys.rem(SignedPoly.diff(a, b).coeffs, gen.m.coeffs)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -416,19 +415,10 @@ def kernel_sample(gen: AlgebraicGenerator, g1: PosPoly, g2: PosPoly | None = Non
     (the positive polynomials have no zero, so omission is the degenerate case).
     """
     m_plus, m_minus = diff_split(gen.m)
-    num_terms = [m_plus * g1]
-    den_terms = [m_minus * g1]
+    num, den = m_plus * g1, m_minus * g1
     if g2 is not None:
-        num_terms.append(m_minus * g2)
-        den_terms.append(m_plus * g2)
+        num, den = num + m_minus * g2, den + m_plus * g2
     if h is not None:
-        both = (g1 + g2) if g2 is not None else g1
-        num_terms.append(h * both)
-        den_terms.append(h * both)
-    num = num_terms[0]
-    for t in num_terms[1:]:
-        num = num + t
-    den = den_terms[0]
-    for t in den_terms[1:]:
-        den = den + t
+        shared = h * (g1 + g2 if g2 is not None else g1)
+        num, den = num + shared, den + shared
     return PosRationalFunction(num, den)

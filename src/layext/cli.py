@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -117,7 +118,7 @@ def cmd_closure(args) -> Report:
     C = uniform_closure(H, a)
     payload = {
         "descriptor": jsonio.render_descriptor(C),
-        "layerset_semiring": is_layerset_semiring(H, a, bound=args.bound),
+        "layerset_semiring": is_layerset_semiring(H, a),
     }
     notes = [
         "the closure extends the sort part by the scalar layer and the value part by the scalar value",
@@ -150,19 +151,19 @@ def cmd_semifield(args) -> Report:
     return Report("semifield", payload, notes)
 
 
-def _parse_exps(text: str, n: int) -> tuple:
+def _int_list(text: str, what: str) -> tuple:
+    """A comma-separated list of integers; the empty string is the empty list."""
     try:
-        exps = tuple(int(x) for x in text.split(",")) if text else ()
+        return tuple(int(x) for x in text.split(",")) if text else ()
     except ValueError:
-        raise ParseError(f"bad exponent list {text!r}") from None
-    if len(exps) != n:
-        raise ParseError(f"expected {n} exponents, got {len(exps)}")
-    return exps
+        raise ParseError(f"bad {what} list {text!r}") from None
 
 
 def cmd_torsion_degree(args) -> Report:
     P = _load(args.presentation, jsonio.parse_presentation)
-    exps = _parse_exps(args.exps, P.n)
+    exps = _int_list(args.exps, "exponent")
+    if len(exps) != P.n:
+        raise ParseError(f"expected {P.n} exponents, got {len(exps)}")
     payload = {"degree": _fin(torsion_degree(P, exps))}
     notes = ["the degree is the order of the monomial class in the quotient by the exponent lattice"]
     return Report("torsion-degree", payload, notes)
@@ -170,14 +171,9 @@ def cmd_torsion_degree(args) -> Report:
 
 def cmd_rank(args) -> Report:
     P = _load(args.presentation, jsonio.parse_presentation)
-    over = ()
-    if args.over:
-        try:
-            over = tuple(int(x) for x in args.over.split(","))
-        except ValueError:
-            raise ParseError(f"bad index list {args.over!r}") from None
-        if any(i < 0 or i >= P.n for i in over):
-            raise ParseError("subset indices out of range")
+    over = _int_list(args.over, "index")
+    if any(i < 0 or i >= P.n for i in over):
+        raise ParseError("subset indices out of range")
     payload = {"rank": _fin(extension_rank(P, over=over))}
     notes = ["the rank is the size of the quotient group over the chosen sub-extension"]
     return Report("rank", payload, notes)
@@ -191,8 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="emit the machine-readable report")
     common.add_argument("--notes", action="store_true", default=argparse.SUPPRESS,
                         help="include derivation notes")
-    common.add_argument("--bound", type=int, default=argparse.SUPPRESS,
-                        help="sample bound for witness checks (default 8)")
 
     ap = argparse.ArgumentParser(
         prog="layext",
@@ -265,15 +259,20 @@ def main(argv=None, out=None, err=None) -> int:
     err = err if err is not None else sys.stderr
     ap = build_parser()
     args = ap.parse_args(argv)
-    for name, default in (("json", False), ("notes", False), ("bound", 8)):
-        if not hasattr(args, name):
-            setattr(args, name, default)
+    for name in ("json", "notes"):
+        vars(args).setdefault(name, False)
     try:
         report = args.run(args)
     except LayextError as e:
         err.write(f"error: {type(e).__name__}: {e}\n")
         return 1
-    _emit(report, args, out)
+    try:
+        _emit(report, args, out)
+        out.flush()
+    except BrokenPipeError:
+        # the reader has gone: send the unflushed rest to devnull so exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+        return 1
     return 0
 
 

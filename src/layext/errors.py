@@ -25,6 +25,10 @@ class Reducible(LayextError):
     """The candidate minimal polynomial factors over the rationals."""
 
 
+class DegreeTooLarge(LayextError):
+    """The irreducibility test is complete only up to degree 17 and refuses larger ones."""
+
+
 class NoPositiveRoot(LayextError):
     """The candidate minimal polynomial has no positive real root."""
 

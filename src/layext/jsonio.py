@@ -13,7 +13,7 @@ from fractions import Fraction
 from .bipotent import BipotentPresentation, Numeric, Relation, Symbolic
 from .cancellative import AlgebraicGenerator, ExtElem, PosPoly, SignedPoly, validate_generator
 from .errors import ParseError
-from .tropical import LayeredElem, ValueLattice
+from .tropical import ValueLattice
 from .uniform import (
     AlgebraicSort,
     BaseSort,
@@ -42,6 +42,12 @@ def parse_int(s) -> int:
         return int(s)
     except ValueError:
         raise ParseError(f"bad integer {s!r}") from None
+
+
+def parse_bool(s) -> bool:
+    """A JSON true or false; strings and numbers are refused."""
+    _require(isinstance(s, bool), f"expected true or false, got {s!r}")
+    return s
 
 
 def render_rational(q: Fraction) -> str:
@@ -83,7 +89,7 @@ def parse_presentation(doc) -> BipotentPresentation:
         _require(isinstance(r, dict) and isinstance(r.get("exps"), list) and "beta" in r, f"bad relation {r!r}")
         rels.append(Relation(tuple(parse_int(e) for e in r["exps"]), parse_rational(r["beta"])))
     try:
-        return BipotentPresentation(base, tuple(gens), tuple(rels), bool(doc.get("monoid", False)))
+        return BipotentPresentation(base, tuple(gens), tuple(rels), parse_bool(doc.get("monoid", False)))
     except (ValueError, TypeError) as e:
         raise ParseError(str(e)) from None
 
@@ -162,8 +168,8 @@ def parse_descriptor(doc) -> UniformDescriptor:
     elif kind == "algebraic":
         sort = AlgebraicSort(parse_generator(sort_doc))
     elif kind == "free":
-        _require("name" in sort_doc, "free sort needs a name")
-        sort = FreeSort(sort_doc["name"], bool(sort_doc.get("fractions", True)))
+        _require(isinstance(sort_doc.get("name"), str), "free sort needs a name string")
+        sort = FreeSort(sort_doc["name"], parse_bool(sort_doc.get("fractions", True)))
     else:
         raise ParseError(f"unknown sort kind {kind!r}")
     return UniformDescriptor(sort, parse_presentation(doc["value"]))
@@ -205,15 +211,17 @@ def parse_scalar(doc) -> ExtScalar:
     if isinstance(lay_doc, (str, int)):
         layer = parse_rational(lay_doc)
     else:
+        _require(isinstance(lay_doc, dict), f"scalar layer must be a rational or an object, got {lay_doc!r}")
         kind = lay_doc.get("kind")
         if kind == "rational":
+            _require("value" in lay_doc, "rational layer needs a value")
             layer = parse_rational(lay_doc["value"])
         elif kind == "algebraic":
             gen = parse_generator(lay_doc)
             coeffs = [parse_rational(c) for c in lay_doc.get("coeffs", ["0", "1"])]
             layer = gen.element(coeffs)
         elif kind == "free":
-            _require("name" in lay_doc, "free layer needs a name")
+            _require(isinstance(lay_doc.get("name"), str), "free layer needs a name string")
             layer = FreeLayer(lay_doc["name"], parse_pos_poly(lay_doc.get("poly", {"1": "1"})))
         else:
             raise ParseError(f"unknown layer kind {kind!r}")
@@ -243,7 +251,3 @@ def render_scalar(a: ExtScalar) -> dict:
         layer = {"kind": "free", "name": lay.name, "poly": render_poly(lay.poly.terms)}
     value = {"sym": a.value} if isinstance(a.value, str) else render_rational(a.value)
     return {"layer": layer, "value": value}
-
-
-def render_layered_elem(x: LayeredElem) -> str:
-    return str(x)

@@ -5,7 +5,8 @@ zeros; the empty tuple is the zero polynomial.  Includes the Euclidean
 toolkit (division, gcd, extended gcd), Sturm-chain real-root counting on
 rational intervals, bisection refinement of isolating intervals, and an
 irreducibility test over Q (rational-root screening plus a degree-bounded
-integer factor search).
+integer factor search), complete up to degree IRREDUCIBLE_MAX_DEGREE = 17
+and raising DegreeTooLarge above it.
 """
 
 from __future__ import annotations
@@ -14,9 +15,14 @@ import math
 from fractions import Fraction
 from itertools import product
 
+from .errors import DegreeTooLarge
 from .tropical import as_fraction
 
 Poly = tuple[Fraction, ...]
+
+# a factor of degree k needs k+1 sample points, so degrees up to 2*9-1 are covered
+_SAMPLES = (0, 1, -1, 2, -2, 3, -3, 4, -4)
+IRREDUCIBLE_MAX_DEGREE = 2 * len(_SAMPLES) - 1
 
 
 def poly(coeffs) -> Poly:
@@ -256,11 +262,14 @@ def is_irreducible(p: Poly) -> bool:
 
     The factor search interpolates candidate integer factors of each degree
     k <= deg/2 through divisors of the values at k+1 integer sample points
-    and tests exact division; complete for the degrees handled here.
+    and tests exact division.  With nine sample points it is complete up to
+    degree 17; higher degrees raise DegreeTooLarge instead of answering.
     """
     n = degree(p)
     if n <= 0:
         return False
+    if n > IRREDUCIBLE_MAX_DEGREE:
+        raise DegreeTooLarge(f"irreducibility is decided up to degree {IRREDUCIBLE_MAX_DEGREE}, got {n}")
     if n == 1:
         return True
     ints = clear_denominators(p)
@@ -269,9 +278,8 @@ def is_irreducible(p: Poly) -> bool:
     if n <= 3:
         return True
     f = poly(ints)
-    samples = [0, 1, -1, 2, -2, 3, -3, 4, -4]
     for k in range(2, n // 2 + 1):
-        pts = samples[: k + 1]
+        pts = _SAMPLES[: k + 1]
         vals = [eval_poly(f, x) for x in pts]
         assert all(v != 0 for v in vals)
         divisor_lists = [_int_divisors(int(v)) for v in vals]

@@ -215,10 +215,6 @@ class ValueLattice:
 
     __contains__ = contains
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.single_generator() == 0
-
     def join(self, *extra) -> "ValueLattice":
         """The subgroup generated by this lattice together with extra rationals."""
         return ValueLattice(self.generators + tuple(as_fraction(x) for x in extra))

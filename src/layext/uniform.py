@@ -184,11 +184,9 @@ def essential_indices(f: LayeredPoly, a: ExtScalar) -> tuple[int, ...]:
 
 
 def _layer_pow(layer, k: int):
-    if isinstance(layer, Fraction):
-        return layer**k
-    if isinstance(layer, ExtElem):
-        return layer**k
-    return FreeLayer(layer.name, layer.poly**k)
+    if isinstance(layer, FreeLayer):
+        return FreeLayer(layer.name, layer.poly**k)
+    return layer**k
 
 
 def _layer_scale(c: Fraction, layer):

@@ -257,7 +257,7 @@ def _naive_divides(diff_coeffs, m_coeffs):
 
 def test_criterion_08_kernel_correspondence():
     rng = random.Random(808)
-    m_coeffs = SQRT2.m.to_coeffs()
+    m_coeffs = SQRT2.m.coeffs
     for _ in range(1_000):
         a = _rand_pos_poly(rng)
         b = _rand_pos_poly(rng)

@@ -14,7 +14,6 @@ from layext.cancellative import (
     cone_report,
     diff_split,
     enclosure,
-    ext_dimension,
     kernel_contains,
     kernel_sample,
     positive_at_root,
@@ -22,6 +21,7 @@ from layext.cancellative import (
 )
 from layext.errors import (
     AllPositiveCoefficients,
+    DegreeTooLarge,
     GeneratorMismatch,
     IntervalNotIsolating,
     NoPositiveRoot,
@@ -82,8 +82,8 @@ class TestDiffSplit:
 class TestValidateGenerator:
     def test_sqrt2_valid(self):
         assert SQRT2.n == 2
-        assert ext_dimension(SQRT2) == 2
-        assert ext_dimension(CBRT2) == 3
+        assert SQRT2.m.degree == 2
+        assert CBRT2.n == 3
 
     def test_reducible(self):
         with pytest.raises(Reducible):
@@ -168,6 +168,55 @@ class TestArithmetic:
             assert a == b
 
 
+def fold_product(x, k, one):
+    """Reference power: k successive products, no squaring."""
+    out = one
+    for _ in range(k):
+        out = out * x
+    return out
+
+
+class TestPowers:
+    @given(st.sampled_from(MODULI), st.data(), st.integers(0, 20))
+    def test_power_is_repeated_product(self, gen, data, k):
+        e = data.draw(ext_elems(gen))
+        assert e ** k == fold_product(e, k, gen.one())
+
+    @given(st.sampled_from(MODULI), st.data(), st.integers(-20, -1))
+    def test_negative_power_is_power_of_inverse(self, gen, data, k):
+        e = data.draw(ext_elems(gen))
+        if e.is_zero:
+            with pytest.raises(ZeroElement):
+                e ** k
+            return
+        assert e ** k == e.inverse() ** -k
+        assert e ** k * e ** -k == gen.one()
+
+    @given(pos_polys(max_deg=3), st.integers(0, 6))
+    def test_pos_poly_power_is_repeated_product(self, p, k):
+        assert p ** k == fold_product(p, k, PosPoly.constant(1))
+
+    def test_pos_poly_negative_power_rejected(self):
+        with pytest.raises(ValueError):
+            PosPoly.x() ** -1
+
+
+class TestSignedPoly:
+    @given(st.dictionaries(st.integers(0, 8), st.builds(F, st.integers(-9, 9), st.integers(1, 4)), max_size=6))
+    def test_sparse_and_dense_forms_round_trip(self, raw):
+        m = SignedPoly.of(raw)
+        assert SignedPoly.of(dict(m.terms)) == m
+        assert SignedPoly.from_coeffs(m.coeffs) == m
+        assert m.terms == tuple(sorted((d, c) for d, c in raw.items() if c))
+        assert m.degree == (max(d for d, _ in m.terms) if m.terms else -1)
+        assert m.is_zero == (not m.terms)
+
+    def test_degree_beyond_the_irreducibility_limit_raises(self):
+        # (x^9 - 2)(x^9 - 3): the factor search has no sample points for degree-9 factors
+        with pytest.raises(DegreeTooLarge):
+            validate_generator(SignedPoly.of({18: 1, 9: -5, 0: 6}), (1, 2))
+
+
 class TestCone:
     def test_cone_closure_for_binomial_moduli(self):
         rng = random.Random(5)
@@ -242,7 +291,7 @@ class TestKernel:
     @given(st.sampled_from(MODULI), pos_polys(max_deg=6), pos_polys(max_deg=6))
     def test_membership_matches_naive_division(self, gen, a, b):
         # independent oracle: schoolbook synthetic remainder of a - b by m
-        m = list(gen.m.to_coeffs())
+        m = list(gen.m.coeffs)
         diff = [F(0)] * (max(a.degree, b.degree) + 1)
         for d, c in a.terms:
             diff[d] += c

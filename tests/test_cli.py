@@ -1,9 +1,12 @@
 import io
 import json
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import src_env
 from layext import jsonio
 from layext.cli import main
 from layext.errors import ParseError
@@ -298,6 +301,23 @@ class TestSessionAndStdin:
         assert rc == 0
         assert json.loads(out)["result"]["rank"] == 6
 
+    def test_closed_stdout_exits_1_without_traceback(self):
+        # the child blocks reading stdin, so its stdout is closed before it writes
+        child = subprocess.Popen(
+            [sys.executable, "-m", "layext.cli", "decompose", "-"],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=src_env(),
+        )
+        child.stdout.close()
+        _, err = child.communicate(json.dumps(PRES_SIXTHS).encode(), timeout=60)
+        assert child.returncode == 1
+        assert b"Traceback" not in err and b"BrokenPipeError" not in err
+
+    def test_bound_flag_is_gone(self, tmp_path):
+        path = write(tmp_path, "p.json", PRES_SIXTHS)
+        with pytest.raises(SystemExit) as exc:
+            run(["--bound", "5", "decompose", path])
+        assert exc.value.code == 2
+
 
 MALFORMED = {
     "sort_not_object": (["semifield", "h.json"], {"h.json": {"sort": "base", "value": PRES_SIXTHS}}),
@@ -311,7 +331,25 @@ MALFORMED = {
         "f.json": [{"layer": "1", "value": "0", "exp": "x"}], "a.json": SCALAR_3_0}),
     "exp_float": (["eval", "f.json", "a.json"], {
         "f.json": [{"layer": "1", "value": "0", "exp": 1.9}], "a.json": SCALAR_3_0}),
+    "monoid_string": (["decompose", "p.json"], {"p.json": {**PRES_SIXTHS, "monoid": "false"}}),
+    "fractions_string": (["semifield", "h.json"], {"h.json": {
+        "sort": {"kind": "free", "name": "t", "fractions": "no"}, "value": PRES_SIXTHS}}),
+    "free_sort_name_not_string": (["semifield", "h.json"], {"h.json": {
+        "sort": {"kind": "free", "name": 3}, "value": PRES_SIXTHS}}),
+    "rational_layer_without_value": (["eval", "f.json", "a.json"], {
+        "f.json": LPOLY, "a.json": {"layer": {"kind": "rational"}, "value": "0"}}),
+    "layer_list": (["eval", "f.json", "a.json"], {
+        "f.json": LPOLY, "a.json": {"layer": ["x"], "value": "0"}}),
 }
+
+
+def test_degree_above_irreducibility_limit_is_one_error_line(tmp_path):
+    gen = {"m": {"18": "1", "9": "-5", "0": "6"}, "interval": ["1", "2"]}
+    paths = [write(tmp_path, f, doc) for f, doc in (("a.json", {"1": "1"}), ("b.json", {"0": "1"}), ("g.json", gen))]
+    rc, out, err = run(["kernel", *paths])
+    assert rc == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: DegreeTooLarge: ")
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))

@@ -1,8 +1,10 @@
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, strategies as st
 
 from layext import polys as P
+from layext.errors import DegreeTooLarge
 
 
 def polys_st(max_deg=5, zero_ok=True):
@@ -82,6 +84,13 @@ class TestIrreducibility:
         assert not P.is_irreducible(P.poly([-4, 0, 0, 0, 1]))  # (x^2-2)(x^2+2)
         assert not P.is_irreducible(P.poly([4, 0, 0, 0, 1]))   # (x^2-2x+2)(x^2+2x+2)
         assert not P.is_irreducible(P.poly([1, 2, 1]))          # (x+1)^2
+
+    def test_degree_above_limit_raises(self):
+        # (x^9 - 2)(x^9 - 3) is reducible, but its degree-9 factors lie beyond the search
+        f = P.mul(P.poly([-2] + [0] * 8 + [1]), P.poly([-3] + [0] * 8 + [1]))
+        assert P.degree(f) == P.IRREDUCIBLE_MAX_DEGREE + 1
+        with pytest.raises(DegreeTooLarge):
+            P.is_irreducible(f)
 
     @given(polys_st(max_deg=2, zero_ok=False), polys_st(max_deg=2, zero_ok=False))
     def test_products_are_reducible(self, a, b):
