@@ -74,9 +74,11 @@ class Relation:
 class BipotentPresentation:
     """A bipotent extension base[a1, ..., an] given by generators and relations.
 
-    `monoid_exponents` distinguishes the polynomial extension (natural
-    exponents only) from the fraction semifield (integer exponents); it is
-    data used by membership helpers, the lattice itself always lives in Z^n.
+    `monoid_exponents` marks the polynomial extension (natural exponents
+    only) as opposed to the fraction semifield (integer exponents).  It is
+    parsed, carried through `permuted`/`with_generator` and echoed; no query
+    reads it, so every query, `is_bipotent_semifield` included, answers for
+    the lattice in Z^n.
     """
 
     base: ValueLattice
@@ -162,31 +164,33 @@ class ExponentLattice:
         return len(self.basis)
 
 
-def _numeric_kernel_rows(P: BipotentPresentation):
-    """Relation vectors supported on the numeric coordinates, with their values."""
-    num = P.numeric_indices()
-    if not num:
-        return []
-    values = [P.generators[i].value for i in num]
-    g = P.base.single_generator()
-    if g != 0:
-        scaled = [v / g for v in values]
-        m = math.lcm(*(s.denominator for s in scaled)) if scaled else 1
-        col = [[int(s * m)] for s in scaled] + [[m]]
-        ker = la.kernel(col, 1)
-        proj = [k[: len(num)] for k in ker]
-    else:
-        m = math.lcm(*(v.denominator for v in values))
-        col = [[int(v * m)] for v in values]
-        proj = list(la.kernel(col, 1))
-    rows = []
-    for k in proj:
-        full = [0] * P.n
-        for pos, i in enumerate(num):
-            full[i] = k[pos]
-        if any(full):
-            rows.append((tuple(full), sum(k[pos] * values[pos] for pos in range(len(num)))))
-    return rows
+def _columns_first(rows, first, ncols):
+    """The rows with the columns `first` moved, in that order, in front of the others.
+
+    A Hermite basis of the result starts with the rows that reach into those
+    columns; the rows after them span the lattice vectors that vanish there.
+    """
+    order = list(first) + [j for j in range(ncols) if j not in first]
+    return [[row[j] for j in order] for row in rows]
+
+
+def _check_relations(P: BipotentPresentation):
+    """Raise InconsistentRelations unless the declared relations fit the numeric values.
+
+    A relation's defect is the value of its numeric part minus its beta.  The
+    relations are consistent exactly when every integer combination of them
+    with no symbolic exponent left has defect 0, that is when the Hermite
+    form of the rows [symbolic exponents | scaled defect] has no row that is
+    zero on the symbolic columns.
+    """
+    sym, num = P.symbolic_indices(), P.numeric_indices()
+    defects = [
+        sum((r.exps[i] * P.generators[i].value for i in num), Fraction(0)) - r.beta for r in P.relations
+    ]
+    scale = math.lcm(*(d.denominator for d in defects))
+    rows = [[r.exps[i] for i in sym] + [int(d * scale)] for r, d in zip(P.relations, defects)]
+    if any(not any(row[: len(sym)]) for row in la.hnf(rows, len(sym) + 1)):
+        raise InconsistentRelations("declared relations give a numeric monomial a value other than its own")
 
 
 def exponent_lattice(P: BipotentPresentation) -> ExponentLattice:
@@ -194,38 +198,33 @@ def exponent_lattice(P: BipotentPresentation) -> ExponentLattice:
 
     Numeric generators contribute every relation implied by their values;
     symbolic generators contribute only the declared relations.  Raises
-    InconsistentRelations when a declared relation (or a combination of
-    declared relations) contradicts the numeric values.
+    InconsistentRelations when a combination of declared relations
+    contradicts the numeric values.
+
+    One Hermite pass over rows [t | exponents], t a value scaled to an
+    integer by the base generator: a unit row per numeric generator (t and
+    payload its value), one row for the base generator (payload 0; none for
+    a trivial base) and the declared relations (t = 0, payload beta).  The
+    rows left with t = 0 span the combinations whose value lands in the base:
+    without t they are the lattice's Hermite basis, their payloads its betas.
     """
-    rows = _numeric_kernel_rows(P)
-    rows += [(r.exps, Fraction(r.beta)) for r in P.relations]
-    if not rows:
-        return ExponentLattice(P.n, (), ())
-    vecs = [r[0] for r in rows]
-    betas = [r[1] for r in rows]
-
-    # Consistency: echelonize with symbolic columns first so that every
-    # numeric-supported lattice vector is a combination of numeric-pivot rows.
-    sym = P.symbolic_indices()
+    if P.relations:
+        _check_relations(P)
     num = P.numeric_indices()
-    order = sym + num
-    permuted = [tuple(v[i] for i in order) for v in vecs]
-    basis_p, betas_p, zero_pay = la.hnf_with_payload(permuted, P.n, betas)
-    for z in zero_pay:
-        if z != 0:
-            raise InconsistentRelations("declared relations combine to 0 = nonzero base element")
-    nsym = len(sym)
-    for row, beta in zip(basis_p, betas_p):
-        if any(row[:nsym]):
-            continue
-        value = sum(row[nsym + pos] * P.generators[i].value for pos, i in enumerate(num))
-        if value != beta:
-            raise InconsistentRelations(
-                f"declared relations force a numeric monomial to equal {beta}, but its value is {value}"
-            )
-
-    basis, out_betas, _ = la.hnf_with_payload(vecs, P.n, betas)
-    return ExponentLattice(P.n, basis, out_betas)
+    g = P.base.single_generator()
+    values = [P.generators[i].value for i in num]
+    scaled = [v / (g or 1) for v in values]
+    m = math.lcm(*(s.denominator for s in scaled))
+    rows = [[int(s * m)] + [1 if j == i else 0 for j in range(P.n)] for s, i in zip(scaled, num)]
+    payload = list(values)
+    if g != 0:
+        rows.append([m] + [0] * P.n)
+        payload.append(Fraction(0))
+    rows += [[0, *r.exps] for r in P.relations]
+    payload += [Fraction(r.beta) for r in P.relations]
+    basis, betas = la.hnf_with_payload(rows, P.n + 1, payload)
+    kept = [i for i, row in enumerate(basis) if row[0] == 0]
+    return ExponentLattice(P.n, tuple(basis[i][1:] for i in kept), tuple(betas[i] for i in kept))
 
 
 @dataclass(frozen=True, slots=True)
@@ -383,20 +382,17 @@ def torsion_subdomain_contains(P: BipotentPresentation, exps) -> bool:
 def is_divisibly_dependent(P: BipotentPresentation, subset) -> bool:
     """Whether the generators indexed by `subset` admit a monomial relation.
 
-    Equivalent to the exponent lattice restricted to those coordinates being
-    nontrivial.
+    Equivalent to the exponent lattice having a nonzero vector supported on
+    those coordinates: a Hermite row, complement columns first, that is zero
+    on the complement.
     """
     subset = sorted(set(subset))
     if not subset:
         raise ValueError("subset must be non-empty")
     lat, _ = _quotient(P)
-    if lat.rank == 0:
-        return False
     complement = [j for j in range(P.n) if j not in subset]
-    if not complement:
-        return lat.rank > 0
-    restricted = [[row[j] for j in complement] for row in lat.basis]
-    return len(la.kernel(restricted, len(complement))) > 0
+    basis = la.hnf(_columns_first(lat.basis, complement, P.n), P.n)
+    return any(not any(row[: len(complement)]) for row in basis)
 
 
 @dataclass(frozen=True, slots=True)
@@ -445,11 +441,13 @@ def extension_rank(P: BipotentPresentation, over=()):
 
 
 def is_bipotent_semifield(P: BipotentPresentation) -> bool:
-    """Whether the natural-exponent extension generated by P is a semifield.
+    """Whether every generator class of P is torsion over the base.
 
-    True exactly when every generator class is torsion, i.e. the quotient
-    group is finite (free rank zero); integer-exponent fraction extensions
-    are semifields unconditionally.
+    True exactly when the quotient group Z^n / lattice is finite (free rank
+    zero), which is when the natural-exponent extension is a semifield.  The
+    answer does not read `P.monoid_exponents`: it is the same whether P is
+    marked as the polynomial extension or, by default, as the fraction
+    semifield.
     """
     return extension_rank(P) != INFINITE
 
@@ -475,18 +473,21 @@ def monoid_contains(P: BipotentPresentation, exps, bound: int = 20) -> bool:
 
 
 def canonical_coset_value(P: BipotentPresentation, exps) -> Fraction | None:
-    """Smallest non-negative value in the monomial's base coset, if computable.
+    """Smallest non-negative value in the monomial's base coset, if it has a rational value.
 
-    Reduces the exponent vector by the lattice; when the reduction removes all
-    symbolic coordinates, the class has a well-defined rational value modulo
-    the base, and the representative in [0, base generator) is returned.
+    The class has one exactly when a lattice vector removes every symbolic
+    coordinate.  Reducing by the Hermite basis with the symbolic columns first
+    finds such a vector whenever there is one; the remainder's numeric value
+    plus the removed vector's beta is then taken modulo the base generator.
+    Returns None when symbolic coordinates remain.
     """
     lat, _ = _quotient(P)
-    rem, beta = la.reduce_by_hnf(tuple(exps), lat.basis, lat.betas)
-    value = P.value_of(rem)
-    if value is None:
+    sym, num = P.symbolic_indices(), P.numeric_indices()
+    basis, betas = la.hnf_with_payload(_columns_first(lat.basis, sym, P.n), P.n, lat.betas)
+    rem, beta = la.reduce_by_hnf(_columns_first([exps], sym, P.n)[0], basis, betas)
+    if any(rem[: len(sym)]):
         return None
-    value += beta
+    value = beta + sum(e * P.generators[i].value for e, i in zip(rem[len(sym):], num))
     g = P.base.single_generator()
     if g == 0:
         return value

@@ -61,12 +61,11 @@ def det(a) -> int:
 
 
 def _echelon(rows, ncols, payload):
-    """Row-style Hermite reduction; returns (rows, payload, zero_payloads).
+    """Row-style Hermite reduction; returns (basis, payloads of the basis rows).
 
     Row operations are unimodular, so the row span is preserved and the
-    payload column (if any) is carried along linearly.  `zero_payloads`
-    collects the payload values of rows that reduced to zero; for a
-    consistent payload they must all vanish.
+    payload column (if any) is carried along linearly.  Rows that reduce to
+    zero are dropped with their payloads.
     """
     rows = [list(r) for r in rows]
     pay = list(payload) if payload is not None else None
@@ -110,9 +109,7 @@ def _echelon(rows, ncols, payload):
             if top == m:
                 break
     basis = [tuple(r) for r in rows[:top]]
-    betas = pay[:top] if pay is not None else None
-    zero_pay = pay[top:] if pay is not None else []
-    return basis, betas, zero_pay
+    return basis, pay[:top] if pay is not None else None
 
 
 def hnf(rows, ncols: int) -> tuple[Vec, ...]:
@@ -121,14 +118,17 @@ def hnf(rows, ncols: int) -> tuple[Vec, ...]:
     Pivots are positive, entries above each pivot are reduced into
     [0, pivot); zero rows are dropped.
     """
-    basis, _, _ = _echelon(rows, ncols, None)
+    basis, _ = _echelon(rows, ncols, None)
     return tuple(basis)
 
 
 def hnf_with_payload(rows, ncols: int, payload):
-    """Hermite form carrying a parallel column of Fractions through the row ops."""
-    basis, betas, zero_pay = _echelon(rows, ncols, list(payload))
-    return tuple(basis), tuple(betas), tuple(zero_pay)
+    """Hermite form carrying a parallel column of Fractions through the row ops.
+
+    Returns (basis, betas) with betas[i] the payload combination of basis[i].
+    """
+    basis, betas = _echelon(rows, ncols, list(payload))
+    return tuple(basis), tuple(betas)
 
 
 def pivot_columns(basis) -> list[int]:
@@ -159,7 +159,7 @@ def kernel(rows, ncols: int) -> tuple[Vec, ...]:
     if m == 0:
         return ()
     aug = [list(rows[i]) + [1 if j == i else 0 for j in range(m)] for i in range(m)]
-    red, _, _ = _echelon(aug, ncols + m, None)
+    red, _ = _echelon(aug, ncols + m, None)
     ker = [tuple(r[ncols:]) for r in red if all(x == 0 for x in r[:ncols])]
     return hnf(ker, m)
 

@@ -218,8 +218,10 @@ def parse_scalar(doc) -> ExtScalar:
             layer = parse_rational(lay_doc["value"])
         elif kind == "algebraic":
             gen = parse_generator(lay_doc)
-            coeffs = [parse_rational(c) for c in lay_doc.get("coeffs", ["0", "1"])]
-            layer = gen.element(coeffs)
+            coeffs = lay_doc.get("coeffs", ["0", "1"])
+            _require(isinstance(coeffs, list) and len(coeffs) <= gen.n,
+                     f"algebraic layer coeffs must be a list of at most {gen.n} rationals")
+            layer = gen.element([parse_rational(c) for c in coeffs])
         elif kind == "free":
             _require(isinstance(lay_doc.get("name"), str), "free layer needs a name string")
             layer = FreeLayer(lay_doc["name"], parse_pos_poly(lay_doc.get("poly", {"1": "1"})))

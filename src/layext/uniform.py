@@ -40,6 +40,11 @@ class FreeLayer:
     name: str
     poly: PosPoly
 
+    def __add__(self, other: "FreeLayer") -> "FreeLayer":
+        if other.name != self.name:
+            raise DescriptorMismatch("free layers in different symbols")
+        return FreeLayer(self.name, self.poly + other.poly)
+
     def __str__(self) -> str:
         return str(self.poly).replace("x", self.name)
 
@@ -197,24 +202,6 @@ def _layer_scale(c: Fraction, layer):
     return FreeLayer(layer.name, layer.poly.scale(c))
 
 
-def _layer_add(x, y):
-    if isinstance(x, Fraction) and isinstance(y, Fraction):
-        return x + y
-    if isinstance(x, ExtElem) and isinstance(y, ExtElem):
-        return x + y
-    if isinstance(x, ExtElem) and isinstance(y, Fraction):
-        return x + x.gen.element([y])
-    if isinstance(x, Fraction) and isinstance(y, ExtElem):
-        return y + y.gen.element([x])
-    if isinstance(x, FreeLayer) and isinstance(y, FreeLayer) and x.name == y.name:
-        return FreeLayer(x.name, x.poly + y.poly)
-    if isinstance(x, FreeLayer) and isinstance(y, Fraction):
-        return FreeLayer(x.name, x.poly + PosPoly.constant(y))
-    if isinstance(x, Fraction) and isinstance(y, FreeLayer):
-        return _layer_add(y, x)
-    raise DescriptorMismatch("incompatible layer kinds")
-
-
 def eval_layered_poly(f: LayeredPoly, a: ExtScalar):
     """Evaluate f at the scalar; returns (layer, value).
 
@@ -230,7 +217,7 @@ def eval_layered_poly(f: LayeredPoly, a: ExtScalar):
         if e not in ess:
             continue
         term = _layer_scale(c.layer, _layer_pow(a.layer, e))
-        layer = term if layer is None else _layer_add(layer, term)
+        layer = term if layer is None else layer + term
     return layer, value
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 from itertools import permutations, product
@@ -132,6 +133,88 @@ class TestExponentLattice:
             BipotentPresentation(Z, (Numeric.of("1/2"),), (Relation.of((2,), 1),))
 
 
+def reference_lattice(P):
+    """The exponent lattice the long way: la.kernel of the value column, then la.hnf.
+
+    Returns (basis, betas), or None when the declared relations are inconsistent.
+    """
+    num, sym = P.numeric_indices(), P.symbolic_indices()
+    g = P.base.single_generator()
+    spanning = []  # (vector, beta) pairs spanning the lattice
+    if num:
+        scaled = [P.generators[i].value / (g or 1) for i in num]
+        m = math.lcm(*(s.denominator for s in scaled))
+        column = [[int(s * m)] for s in scaled] + ([[m]] if g else [])
+        for k in la.kernel(column, 1):
+            vec = [0] * P.n
+            for pos, i in enumerate(num):
+                vec[i] = k[pos]
+            spanning.append((tuple(vec), P.value_of(vec)))
+    spanning += [(r.exps, r.beta) for r in P.relations]
+    vecs = [v for v, _ in spanning]
+    # every combination of the spanning rows with no symbolic exponent must keep beta = value
+    for c in la.kernel([[v[i] for i in sym] for v in vecs], len(sym)):
+        vec = [sum(ci * v[j] for ci, v in zip(c, vecs)) for j in range(P.n)]
+        if P.value_of(vec) != sum(ci * b for ci, (_, b) in zip(c, spanning)):
+            return None
+    basis = la.hnf(vecs, P.n)
+    betas = tuple(
+        sum(x * b for x, (_, b) in zip(la.solve_left(vecs, P.n, row), spanning)) for row in basis
+    )
+    return basis, betas
+
+
+def reference_dependent(basis, n, subset):
+    complement = [j for j in range(n) if j not in subset]
+    return len(la.kernel([[row[j] for j in complement] for row in basis], len(complement))) > 0
+
+
+def random_presentation(rng, max_n=4):
+    """Mixed numeric/symbolic generators, any base (trivial one time in four), random relations."""
+    n = rng.randint(1, max_n)
+
+    def generator(i):
+        if rng.random() < 0.5:
+            return Numeric(F(rng.randint(-12, 12), rng.choice((1, 2, 3, 4, 6))))
+        return Symbolic(f"s{i}")
+
+    gens = tuple(generator(i) for i in range(n))
+    base = rng.choice([(), (1,), (F(1, 2),), (F(2, 3), F(1, 2))])
+    lattice = ValueLattice.of(*base)
+    rels = ()
+    if not all(isinstance(g, Numeric) for g in gens):
+        g = lattice.single_generator()
+        rels = tuple(
+            Relation.of([rng.randint(-3, 3) for _ in range(n)], rng.randint(-3, 3) * g)
+            for _ in range(rng.randint(0, 3))
+        )
+    return BipotentPresentation(lattice, gens, rels)
+
+
+class TestAgainstKernelReference:
+    """The one-pass lattice against a reference built from la.kernel and la.hnf."""
+
+    def test_seeded_presentations(self):
+        rng = random.Random(20261018)
+        seen = {"inconsistent": 0, "trivial_base": 0, "mixed": 0}
+        for _ in range(400):
+            P = random_presentation(rng)
+            want = reference_lattice(P)
+            if want is None:
+                seen["inconsistent"] += 1
+                with pytest.raises(InconsistentRelations):
+                    exponent_lattice(P)
+                continue
+            seen["trivial_base"] += P.base.single_generator() == 0
+            seen["mixed"] += bool(P.numeric_indices() and P.symbolic_indices())
+            lat = exponent_lattice(P)
+            assert (lat.basis, lat.betas) == want
+            for _ in range(3):
+                subset = [i for i in range(P.n) if rng.random() < 0.5] or [rng.randrange(P.n)]
+                assert is_divisibly_dependent(P, subset) == reference_dependent(lat.basis, P.n, subset)
+        assert all(count >= 20 for count in seen.values()), seen
+
+
 class TestSmith:
     def test_diag_2_3(self):
         snf = smith_normal_form([[2, 0], [0, 3]])
@@ -211,6 +294,30 @@ class TestSharedQuotient:
         assert calls["smith"] == 1
         assert extension_rank(P, over=(1,)) == 1
         assert calls == {"lattice": 1, "smith": 2}
+
+    def test_one_echelon_per_lattice_and_dependence_query(self, monkeypatch):
+        calls = []
+        echelon = la._echelon
+
+        def counted(rows, ncols, payload):
+            calls.append(ncols)
+            return echelon(rows, ncols, payload)
+
+        monkeypatch.setattr(la, "_echelon", counted)
+        for base in (Z, ValueLattice.of()):
+            calls.clear()
+            gens = (Numeric.of("1/2"), Numeric.of("1/3"), Symbolic("g"))
+            exponent_lattice(BipotentPresentation(base, gens))
+            assert len(calls) == 1
+            calls.clear()
+            exponent_lattice(BipotentPresentation(
+                base, (Numeric.of("1/3"), Symbolic("g")), (Relation.of((1, 1), 0), Relation.of((2, 2), 0))))
+            assert len(calls) <= 2
+        P = numeric("1/2", "1/3", "1/5")
+        extension_rank(P)
+        calls.clear()
+        assert is_divisibly_dependent(P, (0, 2))
+        assert len(calls) == 1
 
     def test_alternating_presentations_keep_their_answers(self):
         P1, P2 = numeric("1/2", "1/3"), numeric("1/4", "1/6")
@@ -492,6 +599,56 @@ class TestCosetValues:
         # 2g reduces to the base: computable; g itself does not
         assert canonical_coset_value(P, (2,)) == 0
         assert canonical_coset_value(P, (1,)) is None
+
+    def test_symbolic_generator_first_regression(self):
+        # s = 2 * (1/3): the class of (2, 0) has value 2/3 in either generator order
+        P = BipotentPresentation(Z, (Numeric.of("1/3"), Symbolic("s")), (Relation.of((-2, 1), 0),))
+        assert canonical_coset_value(P, (2, 0)) == F(2, 3)
+        assert canonical_coset_value(P.permuted((1, 0)), (0, 2)) == F(2, 3)
+        assert canonical_coset_value(P, (0, 1)) == F(2, 3)
+
+    @staticmethod
+    def _brute_force_offsets(P, lat, box=5):
+        """Oracle: symbolic part of a lattice vector -> its beta minus the value of its numeric part.
+
+        Enumerates the lattice combinations with coefficients in [-box, box].
+        """
+        sym = P.symbolic_indices()
+        table = {}
+        for c in product(range(-box, box + 1), repeat=lat.rank):
+            vec = [sum(ci * row[j] for ci, row in zip(c, lat.basis)) for j in range(P.n)]
+            beta = sum((ci * b for ci, b in zip(c, lat.betas)), F(0))
+            numeric_part = [0 if i in sym else x for i, x in enumerate(vec)]
+            table.setdefault(tuple(vec[i] for i in sym), beta - P.value_of(numeric_part))
+        return table
+
+    def test_matches_brute_force_and_ignores_generator_order(self):
+        rng = random.Random(1079)
+        answered = unanswered = 0
+        for _ in range(80):
+            P = random_presentation(rng, max_n=3)
+            try:
+                lat = exponent_lattice(P)
+            except InconsistentRelations:
+                continue
+            sym = P.symbolic_indices()
+            g = P.base.single_generator()
+            offsets = self._brute_force_offsets(P, lat)
+            for _ in range(5):
+                exps = tuple(rng.randint(-3, 3) for _ in range(P.n))
+                got = canonical_coset_value(P, exps)
+                offset = offsets.get(tuple(exps[i] for i in sym))
+                if offset is None:
+                    assert got is None
+                    unanswered += 1
+                    continue
+                # exps minus a lattice vector with the same symbolic part is numeric
+                value = P.value_of([0 if i in sym else e for i, e in enumerate(exps)]) + offset
+                assert got == (value if g == 0 else value - math.floor(value / g) * g)
+                answered += 1
+                for perm in permutations(range(P.n)):
+                    assert canonical_coset_value(P.permuted(perm), tuple(exps[p] for p in perm)) == got
+        assert answered >= 50 and unanswered >= 50
 
     def test_beta_of_rejects_non_members(self):
         lat = exponent_lattice(numeric("1/2"))

@@ -340,6 +340,15 @@ MALFORMED = {
         "f.json": LPOLY, "a.json": {"layer": {"kind": "rational"}, "value": "0"}}),
     "layer_list": (["eval", "f.json", "a.json"], {
         "f.json": LPOLY, "a.json": {"layer": ["x"], "value": "0"}}),
+    "coeffs_not_list": (["eval", "f.json", "a.json"], {
+        "f.json": LPOLY,
+        "a.json": {"layer": {"kind": "algebraic", **GEN_SQRT2, "coeffs": 5}, "value": "0"}}),
+    "coeffs_too_long": (["eval", "f.json", "a.json"], {
+        "f.json": LPOLY,
+        "a.json": {"layer": {"kind": "algebraic", **GEN_SQRT2, "coeffs": ["0", "1", "2"]}, "value": "0"}}),
+    "coeffs_string": (["eval", "f.json", "a.json"], {
+        "f.json": LPOLY,
+        "a.json": {"layer": {"kind": "algebraic", **GEN_SQRT2, "coeffs": "01"}, "value": "0"}}),
 }
 
 

@@ -89,6 +89,12 @@ class TestEssentialAndEval:
         layer, value = eval_layered_poly(f, a)
         assert layer == FreeLayer("y", PosPoly.of({0: 1, 1: 1, 2: 1}))
 
+    def test_free_layers_add_in_one_symbol_only(self):
+        y, y2 = FreeLayer("y", PosPoly.x()), FreeLayer("y", PosPoly.constant(2))
+        assert y + y2 == FreeLayer("y", PosPoly.of({0: 2, 1: 1}))
+        with pytest.raises(DescriptorMismatch):
+            y + FreeLayer("z", PosPoly.x())
+
     def test_symbolic_value_rejected(self):
         with pytest.raises(DescriptorMismatch):
             eval_layered_poly(unit_poly(), ExtScalar(F(3), "w"))
