@@ -55,9 +55,6 @@ class Symbolic:
     name: str
 
 
-Generator = "Numeric | Symbolic"
-
-
 @dataclass(frozen=True, slots=True)
 class Relation:
     """Asserts that the monomial with these exponents equals a base element."""
@@ -231,8 +228,8 @@ def exponent_lattice(P: BipotentPresentation) -> ExponentLattice:
 class SmithDecomposition:
     """The quotient group Z^ncols / rowspan, diagonalized as U·R·V = diag(d1, d2, ...).
 
-    `Vinv` is the inverse of V: its rows are the quotient's generators in the
-    original coordinates, while `vec·V` gives a vector's Smith coordinates.
+    Only `decompose_extension` needs one: the rows of `Vinv`, the inverse of V,
+    are its monomials, and the rows of V the generators' Smith coordinates.
     """
 
     U: tuple
@@ -252,18 +249,6 @@ class SmithDecomposition:
     @property
     def torsion_invariants(self) -> tuple:
         return tuple(d for d in self.diag if d > 1)
-
-    def order(self, vec):
-        """Order of the class of `vec` in the quotient group, INFINITE if it has none."""
-        order = 1
-        for j, z in enumerate(la.vec_mat(list(vec), self.V)):
-            d = self.diag[j] if j < len(self.diag) else 0
-            if d == 0:
-                if z != 0:
-                    return INFINITE
-            elif z % d != 0:
-                order = math.lcm(order, d // math.gcd(d, z % d))
-        return order
 
 
 def smith_normal_form(rows, ncols: int | None = None) -> SmithDecomposition:
@@ -288,36 +273,44 @@ def smith_normal_form(rows, ncols: int | None = None) -> SmithDecomposition:
     )
 
 
-# The last presentation queried, with its exponent lattice and Smith form.
-# Consecutive queries on one presentation share them; one entry keeps no
-# presentation alive beyond the next one queried.  The pair is read and
-# replaced whole, so concurrent callers at worst rebuild it, never mix two
+# The last presentation queried, its exponent lattice and, once decomposed,
+# the lattice's Smith form, shared by consecutive queries on it; one entry
+# keeps no presentation alive beyond the next one queried.  The triple is read
+# and replaced whole, so concurrent callers at worst rebuild it, never mix two
 # presentations' data.
-_last = (None, None)
+_last = (None, None, None)
 
 
-def _quotient(P: BipotentPresentation):
-    """(exponent lattice, its Smith decomposition) of P, built once per run of queries on P."""
+def _lattice(P: BipotentPresentation) -> ExponentLattice:
+    """The exponent lattice of P, built once per run of queries on P."""
     global _last
-    last, quotient = _last
-    if last is not P:
-        lat = exponent_lattice(P)
-        quotient = (lat, smith_normal_form(lat.basis, P.n))
-        _last = (P, quotient)
-    return quotient
+    entry = _last
+    if entry[0] is not P:
+        entry = _last = (P, exponent_lattice(P), None)
+    return entry[1]
 
 
-def _quotient_over(P: BipotentPresentation, subset):
-    """The lattice, and the Smith form of Z^n modulo it and the units of `subset`.
+def _basis_first(P: BipotentPresentation, cols):
+    """(basis, betas): the Hermite form of P's lattice with the columns `cols` first."""
+    lat = _lattice(P)
+    return la.hnf_with_payload(_columns_first(lat.basis, cols, P.n), P.n, lat.betas)
 
-    The rows are [unit rows; lattice basis], in that order, so U solves for
-    the subset exponents first.
+
+def _order(basis, vec):
+    """Order of the class of `vec` modulo the lattice of a Hermite basis, INFINITE if none.
+
+    Row by row: scale by the least factor making the pivot divide the entry, then
+    clear it; the rows from a pivot on span the lattice vectors zero before it.
     """
-    lat, snf = _quotient(P)
-    if not subset:
-        return lat, snf
-    units = [tuple(1 if j == i else 0 for j in range(P.n)) for i in subset]
-    return lat, smith_normal_form(units + list(lat.basis), P.n)
+    v = list(vec)
+    order = 1
+    for row in basis:
+        col = next(j for j, x in enumerate(row) if x != 0)
+        k = row[col] // math.gcd(row[col], v[col])
+        q = v[col] * k // row[col]
+        v = [k * x - q * y for x, y in zip(v, row)]
+        order *= k
+    return INFINITE if any(v) else order
 
 
 @dataclass(frozen=True, slots=True)
@@ -356,7 +349,12 @@ def decompose_extension(P: BipotentPresentation) -> ExtDecomposition:
     with invariant factor d > 1 give torsion monomials of order d, the columns
     beyond the lattice rank give the free monomials.
     """
-    lat, snf = _quotient(P)
+    global _last
+    lat = _lattice(P)
+    last, _, snf = _last
+    if last is not P or snf is None:
+        snf = smith_normal_form(lat.basis, P.n)
+        _last = (P, lat, snf)
     r = len(snf.diag)
     torsion_idx = [i for i in range(r) if snf.diag[i] > 1]
     free_idx = list(range(r, P.n))
@@ -371,7 +369,7 @@ def decompose_extension(P: BipotentPresentation) -> ExtDecomposition:
 
 def torsion_degree(P: BipotentPresentation, exps):
     """Minimal k >= 1 with k times the monomial landing in the base, else INFINITE."""
-    return _quotient(P)[1].order(exps)
+    return _order(_lattice(P).basis, exps)
 
 
 def torsion_subdomain_contains(P: BipotentPresentation, exps) -> bool:
@@ -389,9 +387,8 @@ def is_divisibly_dependent(P: BipotentPresentation, subset) -> bool:
     subset = sorted(set(subset))
     if not subset:
         raise ValueError("subset must be non-empty")
-    lat, _ = _quotient(P)
     complement = [j for j in range(P.n) if j not in subset]
-    basis = la.hnf(_columns_first(lat.basis, complement, P.n), P.n)
+    basis, _ = _basis_first(P, complement)
     return any(not any(row[: len(complement)]) for row in basis)
 
 
@@ -410,18 +407,20 @@ def divisible_dependence_witness(P: BipotentPresentation, exps, subset=()) -> De
     Returns None when no power of the monomial is a base multiple of a
     monomial in the subset generators.  The witness satisfies
     power*exps = sum over subset of exponents*e_i + (lattice vector of value beta).
+    The power is an order modulo the Hermite rows, complement columns first,
+    that reach into the complement; reducing by all rows gives the rest.
     """
     subset = sorted(set(subset))
-    lat, snf = _quotient_over(P, subset)
-    k = snf.order(exps)
+    complement = [j for j in range(P.n) if j not in subset]
+    c = len(complement)
+    basis, betas = _basis_first(P, complement)
+    k = _order([row[:c] for row in basis if any(row[:c])], [exps[j] for j in complement])
     if k == INFINITE:
         return None
     target = [k * e for e in exps]
-    sol = la.solve_diagonalized(snf.U, snf.diag, snf.V, target)
-    assert sol is not None
-    sub_exps = sol[: len(subset)]
-    combo = sol[len(subset):]
-    beta = sum((c * b for c, b in zip(combo, lat.betas)), Fraction(0))
+    rem, beta = la.reduce_by_hnf(_columns_first([target], complement, P.n)[0], basis, betas)
+    assert not any(rem[:c])
+    sub_exps = rem[c:]
     value = P.value_of(target)
     if value is not None and all(isinstance(P.generators[i], Numeric) for i in subset):
         check = value - sum(
@@ -436,8 +435,10 @@ def extension_rank(P: BipotentPresentation, over=()):
 
     With an empty subset this is the rank of the whole extension over the base.
     """
-    _, snf = _quotient_over(P, sorted(set(over)))
-    return INFINITE if snf.free_rank else math.prod(snf.invariant_factors)
+    over = set(over)
+    complement = [j for j in range(P.n) if j not in over]
+    basis, _ = _basis_first(P, complement)
+    return math.prod(basis[i][i] if i < len(basis) else 0 for i in range(len(complement))) or INFINITE
 
 
 def is_bipotent_semifield(P: BipotentPresentation) -> bool:
@@ -454,7 +455,7 @@ def is_bipotent_semifield(P: BipotentPresentation) -> bool:
 
 def linearly_dependent_pair(P: BipotentPresentation, x_exps, y_exps) -> bool:
     """Whether the two monomials differ by a base factor (equal classes)."""
-    lat, _ = _quotient(P)
+    lat = _lattice(P)
     diff = tuple(a - b for a, b in zip(x_exps, y_exps))
     return lat.contains(diff)
 
@@ -465,7 +466,7 @@ def monoid_contains(P: BipotentPresentation, exps, bound: int = 20) -> bool:
     Bounded search: looks for m in {0..bound}^n with exps - m in the exponent
     lattice.  Used to probe polynomial (non-fraction) extensions.
     """
-    lat, _ = _quotient(P)
+    lat = _lattice(P)
     for m in product(range(bound + 1), repeat=P.n):
         if lat.contains(tuple(e - mi for e, mi in zip(exps, m))):
             return True
@@ -481,9 +482,8 @@ def canonical_coset_value(P: BipotentPresentation, exps) -> Fraction | None:
     plus the removed vector's beta is then taken modulo the base generator.
     Returns None when symbolic coordinates remain.
     """
-    lat, _ = _quotient(P)
     sym, num = P.symbolic_indices(), P.numeric_indices()
-    basis, betas = la.hnf_with_payload(_columns_first(lat.basis, sym, P.n), P.n, lat.betas)
+    basis, betas = _basis_first(P, sym)
     rem, beta = la.reduce_by_hnf(_columns_first([exps], sym, P.n)[0], basis, betas)
     if any(rem[: len(sym)]):
         return None

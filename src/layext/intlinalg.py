@@ -1,12 +1,12 @@
 """Exact integer linear algebra on small dense matrices.
 
 Matrices are lists of rows of Python ints; vectors are row vectors.  The
-routines here back the lattice computations: Hermite form for canonical
-lattice bases and membership, Smith form with unimodular transforms for
-quotient-group structure, kernels and integer linear solving.  Everything is
-deterministic: pivots are chosen as the smallest absolute nonzero entry,
-scanning top-to-bottom then left-to-right, and diagonal entries are
-normalized positive.
+routines here back the lattice computations: Hermite form for lattice bases,
+membership, orders and indices, Smith form with unimodular transforms for the
+free/torsion basis of a quotient group, kernels and solving (test references).
+Everything is deterministic: pivots are chosen as the smallest absolute
+nonzero entry, scanning top-to-bottom then left-to-right, and diagonal
+entries are normalized positive.
 """
 
 from __future__ import annotations
@@ -263,11 +263,6 @@ def smith(rows, ncols: int):
 def solve_left(rows, ncols: int, target) -> Vec | None:
     """Solve x·A = target for an integer row vector x, or return None."""
     u, diag, v, _ = smith(rows, ncols)
-    return solve_diagonalized(u, diag, v, target)
-
-
-def solve_diagonalized(u, diag, v, target) -> Vec | None:
-    """Solve x·A = target given the Smith form U·A·V = diag, or return None."""
     bv = vec_mat(list(target), v)
     y = [0] * len(u)
     for j in range(len(v)):

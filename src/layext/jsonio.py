@@ -148,7 +148,10 @@ def parse_generator(doc) -> AlgebraicGenerator:
     m = parse_signed_poly(doc["m"])
     iv = doc["interval"]
     _require(isinstance(iv, list) and len(iv) == 2, "interval must be [lo, hi]")
-    return validate_generator(m, (parse_rational(iv[0]), parse_rational(iv[1])))
+    try:
+        return validate_generator(m, (parse_rational(iv[0]), parse_rational(iv[1])))
+    except ValueError as e:
+        raise ParseError(str(e)) from None
 
 
 def render_generator(gen: AlgebraicGenerator) -> dict:

@@ -215,6 +215,58 @@ class TestAgainstKernelReference:
         assert all(count >= 20 for count in seen.values()), seen
 
 
+def smith_order(snf, vec):
+    """Reference: the order of the class of `vec`, read off its Smith coordinates vec·V."""
+    order = 1
+    for j, z in enumerate(la.vec_mat(list(vec), snf.V)):
+        d = snf.diag[j] if j < len(snf.diag) else 0
+        if d == 0:
+            if z != 0:
+                return INFINITE
+        elif z % d != 0:
+            order = math.lcm(order, d // math.gcd(d, z % d))
+    return order
+
+
+class TestAgainstSmithReference:
+    """Orders, ranks and witnesses from the Hermite basis against the Smith form of
+    [units of the subset; lattice basis]."""
+
+    def test_seeded_presentations(self):
+        rng = random.Random(20261019)
+        seen = {"mixed": 0, "symbolic_with_relations": 0, "trivial_base": 0}
+        checked = 0
+        while checked < 300:
+            P = random_presentation(rng)
+            try:
+                lat = exponent_lattice(P)
+            except InconsistentRelations:
+                continue
+            checked += 1
+            seen["mixed"] += bool(P.numeric_indices() and P.symbolic_indices())
+            seen["symbolic_with_relations"] += bool(P.symbolic_indices() and P.relations)
+            seen["trivial_base"] += P.base.single_generator() == 0
+            exps = tuple(rng.randint(-4, 4) for _ in range(P.n))
+            assert torsion_degree(P, exps) == smith_order(smith_normal_form(lat.basis, P.n), exps)
+            for _ in range(3):
+                subset = [i for i in range(P.n) if rng.random() < 0.4]
+                snf = smith_normal_form([unit(P.n, i) for i in subset] + list(lat.basis), P.n)
+                want_rank = INFINITE if snf.free_rank else math.prod(snf.invariant_factors)
+                assert extension_rank(P, subset) == want_rank
+                exps = tuple(rng.randint(-4, 4) for _ in range(P.n))
+                w = divisible_dependence_witness(P, exps, subset)
+                power = smith_order(snf, exps)
+                if power == INFINITE:
+                    assert w is None
+                    continue
+                assert w.power == power
+                vec = [power * e for e in exps]
+                for x, i in zip(w.exponents, subset):
+                    vec[i] -= x
+                assert lat.beta_of(vec) == w.beta
+        assert all(count >= 30 for count in seen.values()), seen
+
+
 class TestSmith:
     def test_diag_2_3(self):
         snf = smith_normal_form([[2, 0], [0, 3]])
@@ -285,15 +337,17 @@ class TestSharedQuotient:
             assert canonical_coset_value(P, (1, 1, 0)) == F(5, 6)
         assert calls == {"lattice": 1, "smith": 1}
 
-    def test_subset_query_runs_one_smith_form(self, monkeypatch):
+    def test_only_decompose_runs_a_smith_form(self, monkeypatch):
         calls = self._counting(monkeypatch)
         P = numeric("1/2", "1/6")
-        extension_rank(P)
-        calls["smith"] = 0
         assert divisible_dependence_witness(P, (0, 1), subset=(0,)).power == 3
-        assert calls["smith"] == 1
         assert extension_rank(P, over=(1,)) == 1
-        assert calls == {"lattice": 1, "smith": 2}
+        assert extension_rank(P) == 6
+        assert torsion_degree(P, (0, 1)) == 6
+        assert is_bipotent_semifield(P)
+        assert calls == {"lattice": 1, "smith": 0}
+        assert decompose_extension(P).torsion_orders == (6,)
+        assert calls == {"lattice": 1, "smith": 1}
 
     def test_one_echelon_per_lattice_and_dependence_query(self, monkeypatch):
         calls = []

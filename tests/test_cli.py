@@ -349,6 +349,10 @@ MALFORMED = {
     "coeffs_string": (["eval", "f.json", "a.json"], {
         "f.json": LPOLY,
         "a.json": {"layer": {"kind": "algebraic", **GEN_SQRT2, "coeffs": "01"}, "value": "0"}}),
+    "generator_not_monic": (["kernel", "p.json", "p.json", "g.json"], {
+        "p.json": {"1": "1"}, "g.json": {"m": {"2": "2", "0": "-1"}, "interval": ["0", "1"]}}),
+    "generator_zero": (["kernel", "p.json", "p.json", "g.json"], {
+        "p.json": {"1": "1"}, "g.json": {"m": {}, "interval": ["0", "1"]}}),
 }
 
 

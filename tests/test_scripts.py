@@ -1,5 +1,6 @@
-"""Smoke tests: the example scripts run to completion against the public API."""
+"""Smoke tests: the example scripts and the benchmark's oracles run against the public API."""
 
+import json
 import subprocess
 import sys
 
@@ -8,11 +9,28 @@ import pytest
 from conftest import ROOT, src_env
 
 
+def run_script(argv):
+    return subprocess.run([sys.executable, *argv], cwd=ROOT, env=src_env(),
+                          capture_output=True, text=True, timeout=120)
+
+
 @pytest.mark.parametrize("argv", [
     ["scripts/decompose_demo.py"],
     ["scripts/law_census.py", "--trials", "200"],
 ])
 def test_script_exits_0(argv):
-    proc = subprocess.run([sys.executable, *argv], cwd=ROOT, env=src_env(),
-                          capture_output=True, text=True, timeout=120)
+    proc = run_script(argv)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_self_test_catches_every_corrupted_answer():
+    proc = run_script(["perfbench/run.py", "--self-test"])
+    assert proc.returncode == 0, proc.stderr
+    assert "self-test passed" in proc.stdout
+
+
+def test_benchmark_oracles_accept_every_lattice_answer():
+    proc = run_script(["perfbench/run.py", "--workload", "lattice", "--seed", "1", "--seconds", "1", "--trace", "0"])
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0
