@@ -141,7 +141,6 @@ class ExponentLattice:
     `basis[i]`; it is carried through all row operations.
     """
 
-    ngens: int
     basis: tuple
     betas: tuple
 
@@ -221,7 +220,7 @@ def exponent_lattice(P: BipotentPresentation) -> ExponentLattice:
     payload += [Fraction(r.beta) for r in P.relations]
     basis, betas = la.hnf_with_payload(rows, P.n + 1, payload)
     kept = [i for i, row in enumerate(basis) if row[0] == 0]
-    return ExponentLattice(P.n, tuple(basis[i][1:] for i in kept), tuple(betas[i] for i in kept))
+    return ExponentLattice(tuple(basis[i][1:] for i in kept), tuple(betas[i] for i in kept))
 
 
 @dataclass(frozen=True, slots=True)
@@ -293,6 +292,8 @@ def _lattice(P: BipotentPresentation) -> ExponentLattice:
 def _basis_first(P: BipotentPresentation, cols):
     """(basis, betas): the Hermite form of P's lattice with the columns `cols` first."""
     lat = _lattice(P)
+    if list(cols) == list(range(P.n)):
+        return lat.basis, lat.betas  # the natural order: the lattice's basis is this form already
     return la.hnf_with_payload(_columns_first(lat.basis, cols, P.n), P.n, lat.betas)
 
 

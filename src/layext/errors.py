@@ -26,7 +26,7 @@ class Reducible(LayextError):
 
 
 class DegreeTooLarge(LayextError):
-    """The irreducibility test is complete only up to degree 17 and refuses larger ones."""
+    """The factoriser (and so the irreducibility test) is complete up to degree 31 and refuses larger ones."""
 
 
 class NoPositiveRoot(LayextError):

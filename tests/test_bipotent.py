@@ -209,6 +209,9 @@ class TestAgainstKernelReference:
             seen["mixed"] += bool(P.numeric_indices() and P.symbolic_indices())
             lat = exponent_lattice(P)
             assert (lat.basis, lat.betas) == want
+            # a Hermite pass in the natural order leaves the basis as it is, so queries skip it
+            basis, betas = la.hnf_with_payload(lat.basis, P.n, lat.betas)
+            assert (tuple(map(tuple, basis)), betas) == (lat.basis, lat.betas)
             for _ in range(3):
                 subset = [i for i in range(P.n) if rng.random() < 0.5] or [rng.randrange(P.n)]
                 assert is_divisibly_dependent(P, subset) == reference_dependent(lat.basis, P.n, subset)
@@ -371,6 +374,25 @@ class TestSharedQuotient:
         extension_rank(P)
         calls.clear()
         assert is_divisibly_dependent(P, (0, 2))
+        assert len(calls) == 1
+
+    def test_natural_order_queries_run_no_hermite_pass(self, monkeypatch):
+        P = BipotentPresentation(
+            Z, (Numeric.of("1/2"), Numeric.of("1/6"), Symbolic("g")), (Relation.of((0, 1, 2), 1),))
+        extension_rank(P)
+        calls = []
+        hnf = la.hnf_with_payload
+
+        def counted(rows, ncols, payload):
+            calls.append(ncols)
+            return hnf(rows, ncols, payload)
+
+        monkeypatch.setattr(la, "hnf_with_payload", counted)
+        assert extension_rank(P) == 12
+        assert is_bipotent_semifield(P)
+        assert divisible_dependence_witness(P, (0, 0, 1)).power == 12
+        assert calls == []
+        assert extension_rank(P, over=(2,)) == 1
         assert len(calls) == 1
 
     def test_alternating_presentations_keep_their_answers(self):

@@ -211,10 +211,14 @@ class TestSignedPoly:
         assert m.degree == (max(d for d, _ in m.terms) if m.terms else -1)
         assert m.is_zero == (not m.terms)
 
-    def test_degree_beyond_the_irreducibility_limit_raises(self):
-        # (x^9 - 2)(x^9 - 3): the factor search has no sample points for degree-9 factors
-        with pytest.raises(DegreeTooLarge):
+    def test_degree_18_product_is_reducible(self):
+        # (x^9 - 2)(x^9 - 3): its degree-9 factors are found
+        with pytest.raises(Reducible):
             validate_generator(SignedPoly.of({18: 1, 9: -5, 0: 6}), (1, 2))
+
+    def test_degree_beyond_the_irreducibility_limit_raises(self):
+        with pytest.raises(DegreeTooLarge):
+            validate_generator(SignedPoly.of({32: 1, 0: -2}), (1, 2))
 
 
 class TestCone:

@@ -2,9 +2,11 @@ import io
 import json
 import subprocess
 import sys
+from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from conftest import src_env
 from layext import jsonio
@@ -356,13 +358,54 @@ MALFORMED = {
 }
 
 
-def test_degree_above_irreducibility_limit_is_one_error_line(tmp_path):
-    gen = {"m": {"18": "1", "9": "-5", "0": "6"}, "interval": ["1", "2"]}
+def run_kernel(tmp_path, gen):
     paths = [write(tmp_path, f, doc) for f, doc in (("a.json", {"1": "1"}), ("b.json", {"0": "1"}), ("g.json", gen))]
-    rc, out, err = run(["kernel", *paths])
+    return run(["kernel", *paths])
+
+
+def assert_one_error_line(tmp_path, m, kind):
+    rc, out, err = run_kernel(tmp_path, {"m": m, "interval": ["1", "2"]})
     assert rc == 1 and out == ""
     lines = err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: DegreeTooLarge: ")
+    assert len(lines) == 1 and lines[0].startswith(f"error: {kind}: ")
+
+
+def test_degree_above_irreducibility_limit_is_one_error_line(tmp_path):
+    assert_one_error_line(tmp_path, {"32": "1", "0": "-2"}, "DegreeTooLarge")
+
+
+def test_reducible_degree_18_generator_is_one_error_line(tmp_path):
+    # (x^9 - 2)(x^9 - 3), below the factoriser's degree limit
+    assert_one_error_line(tmp_path, {"18": "1", "9": "-5", "0": "6"}, "Reducible")
+
+
+small_rationals = st.builds(F, st.integers(-6, 6), st.sampled_from([1, 1, 1, 2, 3]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    degree=st.integers(0, 34),
+    data=st.data(),
+    lead=st.sampled_from([F(1), F(1), F(1), F(2), F(-1), F(1, 2)]),
+    interval=st.tuples(small_rationals, small_rationals),
+)
+def test_fuzzed_generators_give_a_result_or_one_error_line(tmp_path_factory, degree, data, lead, interval):
+    coeffs = data.draw(st.lists(small_rationals, min_size=degree, max_size=degree)) + [lead]
+    gen = {"m": {str(i): str(c) for i, c in enumerate(coeffs) if c}, "interval": [str(v) for v in interval]}
+    rc, out, err = run_kernel(tmp_path_factory.mktemp("gen"), gen)
+    lines = err.splitlines()
+    assert rc in (0, 1)
+    if rc == 1:
+        assert out == "" and len(lines) == 1 and lines[0].startswith("error: ")
+    checks_irreducibility = lead == 1 and 2 <= degree <= 31 and any(c < 0 for c in coeffs)
+    if rc == 0 or checks_irreducibility:
+        # validation reaches the irreducibility test exactly for these, and it must agree with sympy
+        m = sympy.Poly(list(reversed(coeffs)), sympy.Symbol("x"), domain="QQ")
+        reducible = rc == 1 and lines[0].startswith("error: Reducible: ")
+        assert checks_irreducibility and reducible != m.is_irreducible
+        assert rc == 0 or not lines[0].startswith("error: DegreeTooLarge: ")
+    if degree > 31 and lead == 1:
+        assert rc == 1 and lines[0].startswith(("error: DegreeTooLarge: ", "error: AllPositiveCoefficients: "))
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))

@@ -1,6 +1,9 @@
+import random
+import time
 from fractions import Fraction as F
 
 import pytest
+import sympy
 from hypothesis import given, strategies as st
 
 from layext import polys as P
@@ -85,15 +88,121 @@ class TestIrreducibility:
         assert not P.is_irreducible(P.poly([4, 0, 0, 0, 1]))   # (x^2-2x+2)(x^2+2x+2)
         assert not P.is_irreducible(P.poly([1, 2, 1]))          # (x+1)^2
 
+    def test_degree_18_product_is_reducible(self):
+        # (x^9 - 2)(x^9 - 3): degree-9 factors, out of reach of the former sample-point search
+        f = P.mul(x_n_minus(9, 2), x_n_minus(9, 3))
+        assert not P.is_irreducible(f)
+        assert P.factor(f) == [x_n_minus(9, 3), x_n_minus(9, 2)]
+
     def test_degree_above_limit_raises(self):
-        # (x^9 - 2)(x^9 - 3) is reducible, but its degree-9 factors lie beyond the search
-        f = P.mul(P.poly([-2] + [0] * 8 + [1]), P.poly([-3] + [0] * 8 + [1]))
-        assert P.degree(f) == P.IRREDUCIBLE_MAX_DEGREE + 1
-        with pytest.raises(DegreeTooLarge):
-            P.is_irreducible(f)
+        f = x_n_minus(P.MAX_DEGREE + 1, 2)
+        for call in (P.factor, P.is_irreducible):
+            with pytest.raises(DegreeTooLarge):
+                call(f)
 
     @given(polys_st(max_deg=2, zero_ok=False), polys_st(max_deg=2, zero_ok=False))
     def test_products_are_reducible(self, a, b):
         if P.degree(a) < 1 or P.degree(b) < 1:
             return
         assert not P.is_irreducible(P.mul(a, b))
+
+
+def x_n_minus(n, a):
+    return P.poly([-a] + [0] * (n - 1) + [1])
+
+
+def swinnerton_dyer(primes):
+    """The product of x - (±√p1 ± ... ± √pk), built one prime at a time as g(x+√p)·g(x-√p)."""
+    x = P.poly([0, 1])
+    g = x
+    for p in primes:
+        # g(x + √p) = a + √p·b by Horner over Q[x][√p]; the product is a² - p·b²
+        a, b = (), ()
+        for c in reversed(g):
+            a, b = P.add(P.add(P.mul(a, x), P.scale(b, p)), P.poly([c])), P.add(P.mul(b, x), a)
+        g = P.sub(P.mul(a, a), P.scale(P.mul(b, b), p))
+    return g
+
+
+def sympy_factors(f):
+    """sympy's factors of an integer polynomial, in the normal form of `factor`."""
+    _, pairs = sympy.Poly([int(c) for c in reversed(f)], sympy.Symbol("x"), domain="ZZ").factor_list()
+    out = []
+    for g, k in pairs:
+        cs = [F(int(c)) for c in reversed(g.all_coeffs())]
+        out += [tuple(cs if cs[-1] > 0 else [-c for c in cs])] * k
+    return sorted(out, key=lambda g: (len(g), g))
+
+
+class TestFactor:
+    def test_matches_sympy_on_seeded_products(self):
+        rng = random.Random(20240611)
+        checked = 0
+        while checked < 300:
+            f, total = P.poly([1]), 0
+            for _ in range(rng.randint(1, 4)):
+                d = rng.randint(1, 6)
+                if total + d > 20:
+                    break
+                total += d
+                lead = rng.choice([1, 1, 1, -1, 2, 3, 6])
+                f = P.mul(f, P.poly([rng.randint(-9, 9) for _ in range(d)] + [lead]))
+            if P.degree(f) < 1:
+                continue
+            assert P.factor(f) == sympy_factors(f), f
+            checked += 1
+
+    @pytest.mark.parametrize("primes", [(2, 3), (2, 3, 5), (2, 3, 5, 7)])
+    def test_swinnerton_dyer_is_irreducible(self, primes):
+        f = swinnerton_dyer(primes)
+        assert P.degree(f) == 2 ** len(primes) and f == sympy_factors(f)[0]
+        assert P.factor(f) == [f]
+        assert P.is_irreducible(f)
+
+    def test_swinnerton_dyer_product_splits_into_its_factors(self):
+        a, b = swinnerton_dyer((2, 3, 5)), swinnerton_dyer((2, 3, 7))
+        assert P.factor(P.mul(a, b)) == sorted([a, b])
+
+    @pytest.mark.parametrize("n, a", [(6, 210), (8, 2), (10, 2), (12, 2)])
+    def test_pure_powers_are_irreducible_quickly(self, n, a):
+        # the former divisor search took 4.4 s, 0.46 s, 24 s and over 65 s on these
+        start = time.process_time()
+        assert P.is_irreducible(x_n_minus(n, a))
+        assert time.process_time() - start < 1.0
+
+    def test_repeated_factors_keep_their_multiplicity(self):
+        x_minus_1, x2_minus_2 = P.poly([-1, 1]), x_n_minus(2, 2)
+        f = P.mul(P.mul(x_minus_1, x_minus_1), P.mul(x2_minus_2, P.mul(x2_minus_2, x2_minus_2)))
+        assert P.factor(f) == [x_minus_1, x_minus_1, x2_minus_2, x2_minus_2, x2_minus_2]
+        assert not P.is_irreducible(P.mul(x2_minus_2, x2_minus_2))
+
+    def test_zero_constant_term(self):
+        x = P.poly([0, 1])
+        assert P.factor(x) == [x]
+        assert P.factor(P.mul(x, x_n_minus(3, 2))) == [x, x_n_minus(3, 2)]
+        assert P.factor(P.mul(x, P.mul(x, P.poly([1, 1])))) == [x, x, P.poly([1, 1])]
+
+    def test_rational_coefficients(self):
+        # (x/2 - 1/3)(2/5·x^2 - 4/5) = (1/15)·(3x - 2)(x^2 - 2)
+        f = P.mul(P.poly([F(-1, 3), F(1, 2)]), P.poly([F(-4, 5), 0, F(2, 5)]))
+        assert P.factor(f) == [P.poly([-2, 3]), x_n_minus(2, 2)]
+
+    def test_constants_have_no_factors_and_zero_is_refused(self):
+        assert P.factor(P.poly([F(-3, 7)])) == []
+        assert not P.is_irreducible(P.poly([5]))
+        with pytest.raises(ValueError):
+            P.factor(())
+
+    @given(st.lists(polys_st(max_deg=4, zero_ok=False), min_size=1, max_size=4))
+    def test_product_times_content_is_the_input(self, parts):
+        f = P.poly([1])
+        for g in parts:
+            f = P.mul(f, g)
+        factors = P.factor(f)
+        prod = P.poly([1])
+        for g in factors:
+            assert all(c.denominator == 1 for c in g) and g[-1] > 0
+            assert P.is_irreducible(g)
+            prod = P.mul(prod, g)
+        assert P.scale(prod, f[-1] / prod[-1]) == f
+        assert factors == sorted(factors, key=lambda g: (len(g), g))

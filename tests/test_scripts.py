@@ -34,3 +34,11 @@ def test_benchmark_oracles_accept_every_lattice_answer():
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0
+
+
+def test_benchmark_oracles_accept_every_algebraic_answer():
+    # the workload's Eisenstein generators and reducible products, checked by the factoriser
+    proc = run_script(["perfbench/run.py", "--workload", "algebraic", "--seed", "1", "--seconds", "1", "--trace", "0"])
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0
