@@ -6,7 +6,11 @@ out by a monic irreducible polynomial with an isolated positive real root and
 at least one negative coefficient (a single-signed annihilator would collapse
 the extension to a field).  Elements are coefficient vectors on the basis
 1, X, ..., X^(n-1) of Q[x] modulo the minimal polynomial; the positive cone
-is tracked by the coefficient signs.
+is tracked by the coefficient signs.  Products, powers and inverses run on
+integers: each generator stores one reduction table (x^n, ..., x^(2n-2)
+modulo the minimal polynomial over a common denominator), each operand is
+brought to one common denominator, and each result coefficient becomes a
+Fraction once.
 
 Kernels of the extension correspond to divisibility by the minimal
 polynomial: a quotient a(x)/b(x) of positive polynomials is congruent to 1
@@ -15,7 +19,8 @@ exactly when the minimal polynomial divides a - b.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import polys
@@ -207,12 +212,26 @@ class AlgebraicGenerator:
     """A validated extension generator: minimal polynomial plus isolating interval.
 
     Use `validate_generator` to construct one; the constructor itself only
-    stores the data.
+    stores the data and builds the reduction table `table` = (D, rows): row
+    k holds the integer coefficients of D·x^(n+k) modulo m, for k = 0 ..
+    n-2, so every product of two reduced elements folds back through it.
+    The table takes no part in equality or repr.
     """
 
     m: SignedPoly
     lo: Fraction
     hi: Fraction
+    table: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        n, low = self.n, [-c for c in self.m.coeffs[:-1]]
+        rows = [low]  # x^n = -(m_0 + ... + m_(n-1)·x^(n-1)) modulo m
+        for _ in range(n - 2):
+            prev = rows[-1]
+            rows.append([(prev[i - 1] if i else 0) + prev[-1] * c for i, c in enumerate(low)])
+        den = math.lcm(*(c.denominator for row in rows for c in row))
+        table = (den, tuple(tuple(c.numerator * (den // c.denominator) for c in row) for row in rows))
+        object.__setattr__(self, "table", table)
 
     @property
     def n(self) -> int:
@@ -236,10 +255,17 @@ class AlgebraicGenerator:
         cs += [Fraction(0)] * (self.n - len(cs))
         return ExtElem(self, tuple(cs))
 
-    def from_poly(self, coeffs) -> "ExtElem":
-        """Reduce an arbitrary polynomial in the root modulo the minimal polynomial."""
-        r = polys.rem(polys.poly(coeffs), self.m.coeffs)
-        return self.element(list(r))
+    def _fold(self, c) -> list[int]:
+        """D·(c mod m) on the basis, for integer coefficients c of degree below 2n-1."""
+        den, rows = self.table
+        n = self.n
+        out = [den * x for x in c[:n]]
+        out += [0] * (n - len(out))
+        for row, top in zip(rows, c[n:]):
+            if top:
+                for i, r in enumerate(row):
+                    out[i] += top * r
+        return out
 
     def refine(self, max_width) -> tuple[Fraction, Fraction]:
         """A sub-interval of the isolating interval no wider than max_width."""
@@ -265,12 +291,13 @@ def validate_generator(m: SignedPoly, interval) -> AlgebraicGenerator:
         raise TrivialExtension("a degree-one generator already lies in the base semifield")
     if not polys.is_irreducible(m.coeffs):
         raise Reducible(f"{m} factors over the rationals")
-    if polys.count_positive_roots(m.coeffs) == 0:
+    chain = polys.sturm_chain(m.coeffs)
+    if polys.count_positive_roots(chain) == 0:
         raise NoPositiveRoot(f"{m} has no positive real root")
     lo, hi = (as_fraction(interval[0]), as_fraction(interval[1]))
     if not (0 < lo < hi):
         raise IntervalNotIsolating("the interval must satisfy 0 < lo < hi")
-    if polys.count_roots(m.coeffs, lo, hi) != 1:
+    if polys.count_roots(chain, lo, hi) != 1:
         raise IntervalNotIsolating(f"({lo}, {hi}) does not isolate exactly one root of {m}")
     assert polys.eval_poly(m.coeffs, lo) * polys.eval_poly(m.coeffs, hi) < 0
     return AlgebraicGenerator(m, lo, hi)
@@ -306,8 +333,10 @@ class ExtElem:
 
     def __mul__(self, other: "ExtElem") -> "ExtElem":
         self._check(other)
-        prod = polys.mul(polys.poly(self.coeffs), polys.poly(other.coeffs))
-        return self.gen.from_poly(prod)
+        a, da = _cleared(self.coeffs)
+        b, db = _cleared(other.coeffs)
+        den = self.gen.table[0] * da * db
+        return ExtElem(self.gen, tuple(Fraction(c, den) for c in self.gen._fold(polys._mul(a, b))))
 
     def scale(self, c) -> "ExtElem":
         c = as_fraction(c)
@@ -319,12 +348,20 @@ class ExtElem:
         return power(self, k, self.gen.one())
 
     def inverse(self) -> "ExtElem":
-        """Multiplicative inverse via the extended Euclidean algorithm."""
+        """Multiplicative inverse: the solution y of M·y = e_0, M the matrix of multiplication by self.
+
+        M's columns are self·x^j, built with the reduction table; with a the
+        integer numerators of self over their common denominator d, the
+        integer matrix D·d·M is solved by fraction-free elimination.
+        """
         if self.is_zero:
             raise ZeroElement("zero has no inverse")
-        g, s, _ = polys.xgcd_poly(polys.poly(self.coeffs), self.gen.m.coeffs)
-        assert polys.degree(g) == 0
-        return self.gen.from_poly(polys.scale(s, 1 / g[0]))
+        gen = self.gen
+        a, d = _cleared(self.coeffs)
+        cols = [gen._fold([0] * j + a) for j in range(gen.n)]
+        y, det = _solve_fraction_free(zip(*cols), [1] + [0] * (gen.n - 1))
+        scale = gen.table[0] * d
+        return ExtElem(gen, tuple(Fraction(scale * c, det) for c in y))
 
     def __str__(self) -> str:
         parts = []
@@ -338,6 +375,42 @@ class ExtElem:
             else:
                 parts.append(f"X^{i}" if c == 1 else f"{c}*X^{i}")
         return " + ".join(parts) if parts else "0"
+
+
+def _cleared(coeffs) -> tuple[list[int], int]:
+    """The integer numerators of Fractions over their least common denominator, and that denominator."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _solve_fraction_free(rows, rhs) -> tuple[list[int], int]:
+    """(det·y, det) with rows·y = rhs, for a nonsingular integer matrix and integer rhs.
+
+    Bareiss' fraction-free elimination (Math. Comp. 22, 1968): every
+    division is exact, the last pivot is the determinant (of the row-swapped
+    matrix), and det·y is integral by Cramer's rule, so back-substitution
+    divides exactly too.
+    """
+    aug = [[*row, b] for row, b in zip(rows, rhs)]
+    n = len(aug)
+    prev = 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if aug[i][k]), None)
+        assert p is not None, "the system is singular"
+        aug[k], aug[p] = aug[p], aug[k]
+        pivot_row = aug[k]
+        pivot = pivot_row[k]
+        for row in aug[k + 1:]:
+            f = row[k]
+            row[k] = 0
+            for j in range(k + 1, n + 1):
+                row[j] = (pivot * row[j] - f * pivot_row[j]) // prev
+        prev = pivot
+    y = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = aug[i]
+        y[i] = (prev * row[n] - sum(row[j] * y[j] for j in range(i + 1, n))) // row[i]
+    return y, prev
 
 
 def enclosure(e: ExtElem, lo, hi) -> tuple[Fraction, Fraction]:

@@ -1,14 +1,16 @@
 """Dense univariate polynomial arithmetic over exact rationals.
 
 Polynomials are tuples of Fractions indexed by degree, with no trailing
-zeros; the empty tuple is the zero polynomial.  Includes the Euclidean
-toolkit (division, gcd, extended gcd), Sturm-chain real-root counting on
-rational intervals, bisection refinement of isolating intervals, and a
-modular factoriser over Q (square-free parts, distinct-degree factorisation
-modulo small primes, Cantor-Zassenhaus, Hensel lifting and recombination;
-von zur Gathen & Gerhard, Modern Computer Algebra, chs. 14-16) that also
-decides irreducibility.  It is complete up to degree MAX_DEGREE = 31 and
-raises DegreeTooLarge above it.
+zeros; the empty tuple is the zero polynomial.  Includes division with
+remainder, bisection refinement of isolating intervals, and on integer
+polynomials: a modular factoriser over Q (square-free parts,
+distinct-degree factorisation modulo small primes, Cantor-Zassenhaus,
+Hensel lifting and recombination; von zur Gathen & Gerhard, Modern
+Computer Algebra, chs. 14-16) that also decides irreducibility, complete up
+to degree MAX_DEGREE = 31 and raising DegreeTooLarge above it; and
+real-root counting on rational intervals by a fraction-free Sturm chain
+(signed pseudo-remainders divided by their positive content), with no
+square-free pre-pass.
 """
 
 from __future__ import annotations
@@ -55,22 +57,6 @@ def sub(p: Poly, q: Poly) -> Poly:
     return add(p, neg(q))
 
 
-def mul(p: Poly, q: Poly) -> Poly:
-    if not p or not q:
-        return ()
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return poly(out)
-
-
-def scale(p: Poly, c) -> Poly:
-    c = as_fraction(c)
-    return poly([c * x for x in p])
-
-
 def divmod_poly(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
@@ -101,87 +87,6 @@ def eval_poly(p: Poly, x) -> Fraction:
     for c in reversed(p):
         acc = acc * x + c
     return acc
-
-
-def derivative(p: Poly) -> Poly:
-    return poly([i * p[i] for i in range(1, len(p))])
-
-
-def monic(p: Poly) -> Poly:
-    if not p:
-        return p
-    return scale(p, 1 / p[-1])
-
-
-def gcd_poly(a: Poly, b: Poly) -> Poly:
-    while b:
-        a, b = b, rem(a, b)
-    return monic(a)
-
-
-def xgcd_poly(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
-    """Extended gcd: returns monic (g, s, t) with s*a + t*b = g."""
-    r0, r1 = a, b
-    s0, s1 = poly([1]), ()
-    t0, t1 = (), poly([1])
-    while r1:
-        q, r = divmod_poly(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, sub(s0, mul(q, s1))
-        t0, t1 = t1, sub(t0, mul(q, t1))
-    if not r0:
-        return (), s0, t0
-    lead = r0[-1]
-    return monic(r0), scale(s0, 1 / lead), scale(t0, 1 / lead)
-
-
-def squarefree_part(p: Poly) -> Poly:
-    g = gcd_poly(p, derivative(p))
-    if degree(g) <= 0:
-        return monic(p)
-    return monic(divmod_poly(p, g)[0])
-
-
-def sign_variations(values) -> int:
-    signs = [1 if v > 0 else -1 for v in values if v != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def sturm_chain(p: Poly) -> list[Poly]:
-    p = squarefree_part(p)
-    chain = [p, derivative(p)]
-    while chain[-1]:
-        chain.append(neg(rem(chain[-2], chain[-1])))
-    chain.pop()
-    return chain
-
-
-def _variations_at(chain, x) -> int:
-    return sign_variations([eval_poly(f, x) for f in chain])
-
-
-def _variations_at_plus_inf(chain) -> int:
-    return sign_variations([f[-1] for f in chain if f])
-
-
-def count_roots(p: Poly, lo, hi) -> int:
-    """Number of distinct real roots in the open interval (lo, hi).
-
-    Endpoints must not be roots.
-    """
-    lo, hi = as_fraction(lo), as_fraction(hi)
-    if eval_poly(p, lo) == 0 or eval_poly(p, hi) == 0:
-        raise ValueError("interval endpoints must not be roots")
-    chain = sturm_chain(p)
-    return _variations_at(chain, lo) - _variations_at(chain, hi)
-
-
-def count_positive_roots(p: Poly) -> int:
-    """Number of distinct real roots in (0, +infinity); 0 must not be a root."""
-    if eval_poly(p, 0) == 0:
-        raise ValueError("zero must not be a root")
-    chain = sturm_chain(p)
-    return _variations_at(chain, 0) - _variations_at_plus_inf(chain)
 
 
 def bisect_root(p: Poly, lo, hi, max_width) -> tuple[Fraction, Fraction]:
@@ -367,12 +272,17 @@ def _squarefree_mod(f, p) -> bool:
 
 
 def _pseudo_rem(a, b) -> list[int]:
-    """The remainder of lc(b)^k·a by b in Z[x], k the number of division steps."""
+    """The remainder of |lc(b)|^k·a by b in Z[x], k the number of division steps.
+
+    A positive multiple of the remainder over Q, so its signs are those of
+    the remainder (`sturm_chain` needs them).
+    """
     r = list(a)
     db = len(b) - 1
-    lc = b[-1]
+    lc = abs(b[-1])
+    sign = 1 if b[-1] > 0 else -1
     while len(r) > db:
-        c = r[-1]
+        c = sign * r[-1]
         r = [lc * x for x in r[:-1]]
         for i, y in enumerate(b[:-1]):
             r[len(r) - db + i] -= c * y
@@ -572,3 +482,65 @@ def factor(p: Poly) -> list[Poly]:
 def is_irreducible(p: Poly) -> bool:
     """Irreducibility over Q: degree at least 1 and a single factor (see `factor`)."""
     return degree(p) > 0 and len(factor(p)) == 1
+
+
+# Real-root counting, on the integer polynomials of the factoriser.
+
+
+def sign_variations(values) -> int:
+    signs = [1 if v > 0 else -1 for v in values if v != 0]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def sturm_chain(p: Poly) -> list[list[int]]:
+    """The signed remainder sequence of p and p' on integers, ending at their gcd.
+
+    Each term is a positive multiple of the term over Q: -prem(a, b), the
+    pseudo-remainder scaled by a power of |lc(b)|, divided by its positive
+    content.  The roots are counted by `count_roots` and
+    `count_positive_roots`; p need not be square-free.
+    """
+    f = list(clear_denominators(p))
+    chain = [f, _positive_primitive(_derivative_int(f))]
+    while chain[-1]:
+        chain.append(_positive_primitive([-c for c in _pseudo_rem(chain[-2], chain[-1])]))
+    chain.pop()
+    return chain
+
+
+def _positive_primitive(a) -> list[int]:
+    """a divided by its positive content (signs kept)."""
+    g = math.gcd(*a)
+    return [c // g for c in a] if g > 1 else a
+
+
+def _homogeneous_value(f, u, v) -> int:
+    """v^deg(f)·f(u/v), which has the sign of f(u/v) for v > 0, by Horner on integers."""
+    acc, vp = 0, 1
+    for c in reversed(f):
+        acc = acc * u + c * vp
+        vp *= v
+    return acc
+
+
+def _variations_at(chain, x) -> int:
+    x = as_fraction(x)
+    values = [_homogeneous_value(f, x.numerator, x.denominator) for f in chain]
+    if values[0] == 0:
+        raise ValueError("interval endpoints must not be roots")
+    return sign_variations(values)
+
+
+def count_roots(chain, lo, hi) -> int:
+    """Number of distinct real roots in the open interval (lo, hi) of the polynomial of a `sturm_chain`.
+
+    Sturm's theorem needs no square-free hypothesis when neither endpoint
+    is a root (Basu, Pollack & Roy, Algorithms in Real Algebraic Geometry,
+    ch. 2); an endpoint that is a root raises ValueError.
+    """
+    return _variations_at(chain, lo) - _variations_at(chain, hi)
+
+
+def count_positive_roots(chain) -> int:
+    """Number of distinct real roots in (0, +infinity) of the polynomial of a `sturm_chain`; 0 must not be a root."""
+    return _variations_at(chain, 0) - sign_variations([f[-1] for f in chain])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import positive_rationals
+from layext import polys
 from layext.cancellative import (
     AlgebraicGenerator,
     ExtElem,
@@ -199,6 +200,138 @@ class TestPowers:
     def test_pos_poly_negative_power_rejected(self):
         with pytest.raises(ValueError):
             PosPoly.x() ** -1
+
+
+def positive_root_interval(m):
+    """(lo, hi) around the one positive root of a monic m with m(0) < 0 and one sign change, by bisection."""
+    def value(x):
+        acc = F(0)
+        for c in reversed(m):
+            acc = acc * x + c
+        return acc
+
+    lo, hi = F(0), F(1)
+    while value(hi) <= 0:
+        hi *= 2
+    while lo == 0 or hi - lo > F(1, 8):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if value(mid) < 0 else (lo, mid)
+    return lo, hi
+
+
+def eisenstein_scaled(n, s):
+    """f(s·x)/s^n for f = x^n + ... - 6, Eisenstein at 2 with one sign change: monic, irreducible, over Q."""
+    f = [F(-6)] + [F(2 * (i % 3)) * (1 if 2 * i >= n else -1) for i in range(1, n)] + [F(1)]
+    return [c * F(s) ** (i - n) for i, c in enumerate(f)]
+
+
+def generator(m):
+    return validate_generator(SignedPoly.from_coeffs(m), positive_root_interval(m))
+
+
+# degrees 2-7; the scaled ones and x^2 - x/2 - 1/3 have non-integer coefficients,
+# so their reduction tables have a denominator D > 1
+KERNEL_GENS = [generator([F(-1, 3), F(-1, 2), F(1)])] + [
+    generator(eisenstein_scaled(n, s))
+    for n, s in [(2, 1), (3, F(2, 3)), (4, F(3, 2)), (5, 1), (5, F(1, 2)), (6, F(2, 3)), (7, F(3, 2)), (7, 1)]
+]
+
+
+def ref_mul(a, b, m):
+    """Schoolbook product on Fractions, reduced top-down by the monic m."""
+    n = len(m) - 1
+    prod = [F(0)] * (2 * n - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    for k in range(2 * n - 2, n - 1, -1):
+        c = prod[k]
+        for i, mi in enumerate(m):
+            prod[k - n + i] -= c * mi
+    return tuple(prod[:n])
+
+
+def ref_inverse(a, m):
+    """Gauss-Jordan on Fractions: the y with a·y = 1, columns of the system a·x^j."""
+    n = len(m) - 1
+    cols = [ref_mul(a, tuple(F(int(i == j)) for i in range(n)), m) for j in range(n)]
+    rows = [[cols[j][i] for j in range(n)] + [F(int(i == 0))] for i in range(n)]
+    for k in range(n):
+        p = next(i for i in range(k, n) if rows[i][k])
+        rows[k], rows[p] = rows[p], rows[k]
+        rows[k] = [v / rows[k][k] for v in rows[k]]
+        for i in range(n):
+            if i != k and rows[i][k]:
+                rows[i] = [v - rows[i][k] * w for v, w in zip(rows[i], rows[k])]
+    return tuple(row[n] for row in rows)
+
+
+def ref_pow(a, k, m):
+    if k < 0:
+        a, k = ref_inverse(a, m), -k
+    out = tuple(F(int(i == 0)) for i in range(len(m) - 1))
+    for _ in range(k):
+        out = ref_mul(out, a, m)
+    return out
+
+
+class TestIntegerKernels:
+    """Products, powers and inverses on integers against Fraction references written here."""
+
+    def test_tables_with_non_integer_denominators(self):
+        dens = [gen.table[0] for gen in KERNEL_GENS]
+        assert sorted({gen.n for gen in KERNEL_GENS}) == [2, 3, 4, 5, 6, 7]
+        assert dens[0] == 6 and sum(d > 1 for d in dens) >= 5
+        assert all(len(gen.table[1]) == gen.n - 1 for gen in KERNEL_GENS)
+
+    def test_table_takes_no_part_in_equality_or_repr(self):
+        gen = KERNEL_GENS[0]
+        again = validate_generator(gen.m, (gen.lo, gen.hi))
+        assert again == gen and hash(again) == hash(gen) and again.table == gen.table
+        assert "table" not in repr(gen)
+
+    @given(st.sampled_from(KERNEL_GENS), st.data(), st.integers(-5, 60))
+    def test_against_schoolbook(self, gen, data, k):
+        m = gen.m.coeffs
+        a = data.draw(ext_elems(gen))
+        b = data.draw(ext_elems(gen))
+        prod = a * b
+        assert prod.coeffs == ref_mul(a.coeffs, b.coeffs, m)
+        assert all(type(c) is F for c in prod.coeffs)
+        assert (a ** 0) == gen.one() and (a ** 1) == a
+        if a.is_zero:
+            with pytest.raises(ZeroElement):
+                a.inverse()
+            if k < 0:
+                with pytest.raises(ZeroElement):
+                    a ** k
+            else:
+                assert (a ** k).coeffs == ref_pow(a.coeffs, k, m)
+            return
+        assert a.inverse().coeffs == ref_inverse(a.coeffs, m)
+        assert (a ** k).coeffs == ref_pow(a.coeffs, k, m)
+
+    def test_mismatched_generators_raise(self):
+        a, b = KERNEL_GENS[0], KERNEL_GENS[1]
+        with pytest.raises(GeneratorMismatch):
+            a.xbar() * b.xbar()
+        with pytest.raises(GeneratorMismatch):
+            SQRT2.xbar() * validate_generator(SQRT2.m, (1, F(3, 2))).xbar()
+
+    def test_zero_has_no_inverse_in_any_degree(self):
+        for gen in KERNEL_GENS:
+            with pytest.raises(ZeroElement):
+                gen.zero().inverse()
+            with pytest.raises(ZeroElement):
+                gen.zero() ** -1
+
+
+def test_validation_builds_one_sturm_chain(monkeypatch):
+    calls = []
+    build = polys.sturm_chain
+    monkeypatch.setattr(polys, "sturm_chain", lambda p: calls.append(p) or build(p))
+    validate_generator(SignedPoly.of({3: 1, 1: -3, 0: -1}), (1, 2))
+    assert len(calls) == 1
 
 
 class TestSignedPoly:

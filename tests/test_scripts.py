@@ -42,3 +42,11 @@ def test_benchmark_oracles_accept_every_algebraic_answer():
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0
+
+
+def test_benchmark_oracles_accept_every_layered_answer():
+    # its algebraic scalars go through validate_generator and positive_at_root
+    proc = run_script(["perfbench/run.py", "--workload", "layered", "--seed", "1", "--seconds", "1", "--trace", "0"])
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0
