@@ -43,7 +43,6 @@ from .cancellative import (
     SignedPoly,
     cone_report,
     diff_split,
-    enclosure,
     kernel_contains,
     kernel_sample,
     positive_at_root,

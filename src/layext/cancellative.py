@@ -10,11 +10,14 @@ is tracked by the coefficient signs.  Products, powers and inverses run on
 integers: each generator stores one reduction table (x^n, ..., x^(2n-2)
 modulo the minimal polynomial over a common denominator), each operand is
 brought to one common denominator, and each result coefficient becomes a
-Fraction once.
+Fraction once.  The sign of an element at the adjoined root, which decides
+membership in the semifield, is one Sturm-Tarski query on the isolating
+interval (`polys.tarski_query`), with no numeric refinement.
 
 Kernels of the extension correspond to divisibility by the minimal
 polynomial: a quotient a(x)/b(x) of positive polynomials is congruent to 1
-exactly when the minimal polynomial divides a - b.
+exactly when the minimal polynomial divides a - b, which one integer
+pseudo-remainder decides.
 """
 
 from __future__ import annotations
@@ -135,9 +138,6 @@ class PosPoly:
             raise ValueError("scaling factor must be positive")
         return PosPoly(tuple((d, c * x) for d, x in self.terms))
 
-    def to_coeffs(self) -> polys.Poly:
-        return _dense(self.terms)
-
     def __str__(self) -> str:
         return _render_terms(self.terms)
 
@@ -155,10 +155,6 @@ class SignedPoly:
     @classmethod
     def from_coeffs(cls, coeffs) -> "SignedPoly":
         return cls(polys.poly(coeffs))
-
-    @classmethod
-    def diff(cls, a: PosPoly, b: PosPoly) -> "SignedPoly":
-        return cls(polys.sub(a.to_coeffs(), b.to_coeffs()))
 
     @property
     def terms(self) -> tuple:
@@ -266,10 +262,6 @@ class AlgebraicGenerator:
                 for i, r in enumerate(row):
                     out[i] += top * r
         return out
-
-    def refine(self, max_width) -> tuple[Fraction, Fraction]:
-        """A sub-interval of the isolating interval no wider than max_width."""
-        return polys.bisect_root(self.m.coeffs, self.lo, self.hi, max_width)
 
 
 def validate_generator(m: SignedPoly, interval) -> AlgebraicGenerator:
@@ -413,29 +405,19 @@ def _solve_fraction_free(rows, rhs) -> tuple[list[int], int]:
     return y, prev
 
 
-def enclosure(e: ExtElem, lo, hi) -> tuple[Fraction, Fraction]:
-    """Rational bounds on the real value of e over a root enclosure [lo, hi]."""
-    return polys.interval_eval(polys.poly(e.coeffs), lo, hi)
-
-
-def positive_at_root(e: ExtElem, start_width=Fraction(1, 2**10)) -> bool:
+def positive_at_root(e: ExtElem) -> bool:
     """Exact sign of the represented real number (False for zero).
 
-    Refines the root enclosure until the interval evaluation has a definite
-    sign; terminates because a nonzero element has nonzero value (the basis
-    powers of the root are linearly independent over Q).
+    One Sturm-Tarski query on the isolating interval: the sum of the signs
+    of e at the roots of m in (lo, hi).  The interval holds the single root,
+    where a nonzero element is nonzero (the basis powers of the root are
+    linearly independent over Q), so the query is 1 or -1.  e is cleared
+    over a positive denominator, which keeps its sign.
     """
     if e.is_zero:
         return False
-    width = as_fraction(start_width)
-    while True:
-        lo, hi = e.gen.refine(width)
-        lo_v, hi_v = enclosure(e, lo, hi)
-        if lo_v > 0:
-            return True
-        if hi_v < 0:
-            return False
-        width /= 2**8
+    g, _ = _cleared(e.coeffs)
+    return polys.tarski_query(polys.clear_denominators(e.gen.m.coeffs), g, e.gen.lo, e.gen.hi) > 0
 
 
 def cone_report(e: ExtElem) -> dict:
@@ -444,14 +426,25 @@ def cone_report(e: ExtElem) -> dict:
     The coefficient test is sufficient for membership in the positive span of
     the basis; the sign test is necessary for membership in the semifield.
     They can disagree for non-binomial minimal polynomials, and this report
-    presents both rather than deciding.
+    presents both rather than deciding.  The sign is exact (see
+    `positive_at_root`).
     """
     return {"coefficient_cone": e.in_cone, "positive_at_root": positive_at_root(e)}
 
 
 def kernel_contains(a: PosPoly, b: PosPoly, gen: AlgebraicGenerator) -> bool:
-    """Whether a/b is congruent to 1: the minimal polynomial divides a - b."""
-    return not polys.rem(SignedPoly.diff(a, b).coeffs, gen.m.coeffs)
+    """Whether a/b is congruent to 1: the minimal polynomial divides a - b.
+
+    a - b is cleared to integers over one positive denominator; its
+    pseudo-remainder by the primitive integer multiple of m is a nonzero
+    multiple of the remainder over Q.
+    """
+    diff = [Fraction(0)] * (max(a.degree, b.degree) + 1)
+    for sign, p in ((1, a), (-1, b)):
+        for d, c in p.terms:
+            diff[d] += sign * c
+    num, _ = _cleared(diff)
+    return not polys._pseudo_rem(polys._trim(num), polys.clear_denominators(gen.m.coeffs))
 
 
 @dataclass(frozen=True, eq=False, slots=True)

@@ -1,16 +1,16 @@
-"""Dense univariate polynomial arithmetic over exact rationals.
+"""Dense univariate polynomials over Q, and integer remainder sequences.
 
 Polynomials are tuples of Fractions indexed by degree, with no trailing
-zeros; the empty tuple is the zero polynomial.  Includes division with
-remainder, bisection refinement of isolating intervals, and on integer
-polynomials: a modular factoriser over Q (square-free parts,
+zeros; the empty tuple is the zero polynomial.  The algorithms run on
+integer polynomials: a modular factoriser over Q (square-free parts,
 distinct-degree factorisation modulo small primes, Cantor-Zassenhaus,
 Hensel lifting and recombination; von zur Gathen & Gerhard, Modern
 Computer Algebra, chs. 14-16) that also decides irreducibility, complete up
-to degree MAX_DEGREE = 31 and raising DegreeTooLarge above it; and
-real-root counting on rational intervals by a fraction-free Sturm chain
-(signed pseudo-remainders divided by their positive content), with no
-square-free pre-pass.
+to degree MAX_DEGREE = 31 and raising DegreeTooLarge above it; and one
+fraction-free signed remainder sequence (signed pseudo-remainders divided
+by their positive content) that serves both real-root counting on rational
+intervals (the Sturm chain, with no square-free pre-pass) and the sign of a
+polynomial at the roots in an interval (a Sturm-Tarski query).
 """
 
 from __future__ import annotations
@@ -44,43 +44,6 @@ def degree(p: Poly) -> int:
     return len(p) - 1
 
 
-def add(p: Poly, q: Poly) -> Poly:
-    n = max(len(p), len(q))
-    return poly([(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)])
-
-
-def neg(p: Poly) -> Poly:
-    return tuple(-c for c in p)
-
-
-def sub(p: Poly, q: Poly) -> Poly:
-    return add(p, neg(q))
-
-
-def divmod_poly(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    r = list(a)
-    db = degree(b)
-    lead = b[-1]
-    while len(r) - 1 >= db and any(r):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) - 1 < db:
-            break
-        k = len(r) - 1 - db
-        f = r[-1] / lead
-        q[k] = f
-        for i in range(len(b)):
-            r[k + i] -= f * b[i]
-    return poly(q), poly(r)
-
-
-def rem(a: Poly, b: Poly) -> Poly:
-    return divmod_poly(a, b)[1]
-
-
 def eval_poly(p: Poly, x) -> Fraction:
     x = as_fraction(x)
     acc = Fraction(0)
@@ -89,54 +52,12 @@ def eval_poly(p: Poly, x) -> Fraction:
     return acc
 
 
-def bisect_root(p: Poly, lo, hi, max_width) -> tuple[Fraction, Fraction]:
-    """Shrink an isolating interval of a simple root by bisection.
-
-    Requires a sign change on (lo, hi) and no rational root inside it.
-    """
-    lo, hi = as_fraction(lo), as_fraction(hi)
-    max_width = as_fraction(max_width)
-    s_lo = eval_poly(p, lo)
-    assert s_lo != 0 and eval_poly(p, hi) != 0
-    while hi - lo > max_width:
-        mid = (lo + hi) / 2
-        v = eval_poly(p, mid)
-        if v == 0:
-            raise ValueError("hit an exact rational root while refining")
-        if (v > 0) == (s_lo > 0):
-            lo = mid
-            s_lo = v
-        else:
-            hi = mid
-    return lo, hi
-
-
-def interval_eval(p: Poly, lo, hi) -> tuple[Fraction, Fraction]:
-    """Bounds of p over [lo, hi] with 0 < lo <= hi, by per-term monotonicity."""
-    lo, hi = as_fraction(lo), as_fraction(hi)
-    assert 0 < lo <= hi
-    low = Fraction(0)
-    high = Fraction(0)
-    for i, c in enumerate(p):
-        if c >= 0:
-            low += c * lo**i
-            high += c * hi**i
-        else:
-            low += c * hi**i
-            high += c * lo**i
-    return low, high
-
-
 def clear_denominators(p: Poly) -> tuple[int, ...]:
     """Primitive integer-coefficient multiple of p (positive leading sign)."""
     if not p:
         return ()
     m = math.lcm(*(c.denominator for c in p))
     return tuple(_primitive([int(c * m) for c in p]))
-
-
-
-
 
 
 # Factorisation over Q.  Below, polynomials are lists of ints indexed by
@@ -484,7 +405,8 @@ def is_irreducible(p: Poly) -> bool:
     return degree(p) > 0 and len(factor(p)) == 1
 
 
-# Real-root counting, on the integer polynomials of the factoriser.
+# Real-root counting and signs at roots, on the integer polynomials of the
+# factoriser.
 
 
 def sign_variations(values) -> int:
@@ -492,20 +414,41 @@ def sign_variations(values) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def sturm_chain(p: Poly) -> list[list[int]]:
-    """The signed remainder sequence of p and p' on integers, ending at their gcd.
+def _remainder_sequence(a, b) -> list[list[int]]:
+    """The signed remainder sequence of integer polynomials a and b, ending at their gcd.
 
-    Each term is a positive multiple of the term over Q: -prem(a, b), the
-    pseudo-remainder scaled by a power of |lc(b)|, divided by its positive
-    content.  The roots are counted by `count_roots` and
-    `count_positive_roots`; p need not be square-free.
+    Each term after a is a positive multiple of the term over Q: -prem(a, b),
+    the pseudo-remainder scaled by a power of |lc(b)|, divided by its
+    positive content.  A zero b gives [a].
     """
-    f = list(clear_denominators(p))
-    chain = [f, _positive_primitive(_derivative_int(f))]
+    chain = [a, _positive_primitive(b)]
     while chain[-1]:
         chain.append(_positive_primitive([-c for c in _pseudo_rem(chain[-2], chain[-1])]))
     chain.pop()
     return chain
+
+
+def sturm_chain(p: Poly) -> list[list[int]]:
+    """The signed remainder sequence of p and p' on integers (see `_remainder_sequence`).
+
+    The roots are counted by `count_roots` and `count_positive_roots`; p
+    need not be square-free.
+    """
+    f = list(clear_denominators(p))
+    return _remainder_sequence(f, _derivative_int(f))
+
+
+def tarski_query(f, g, lo, hi) -> int:
+    """The sum of the signs of g at the distinct real roots of f in the open interval (lo, hi).
+
+    f is a nonzero and g any integer polynomial (lists of ints indexed by
+    degree).  By the Sturm-Tarski theorem this is Var(lo) - Var(hi) on the
+    signed remainder sequence of f and f'·g (Basu, Pollack & Roy, Algorithms
+    in Real Algebraic Geometry, ch. 2); an endpoint that is a root of f
+    raises ValueError.
+    """
+    chain = _remainder_sequence(list(f), _trim(_mul(_derivative_int(f), g)))
+    return _variations_at(chain, lo) - _variations_at(chain, hi)
 
 
 def _positive_primitive(a) -> list[int]:

@@ -1,13 +1,56 @@
 """Polynomial arithmetic over Q that only the tests use, as references for the library.
 
-The library multiplies, inverts and counts roots on integers; these are the
-plain Fraction versions, written on top of `layext.polys`' Poly type.
+The library multiplies, inverts, divides and counts roots on integers; these
+are the plain Fraction versions, written on top of `layext.polys`' Poly type.
 """
 
 from fractions import Fraction
 
-from layext.polys import Poly, divmod_poly, poly, sub
+from layext.cancellative import PosPoly, SignedPoly
+from layext.polys import Poly, degree, poly
 from layext.tropical import as_fraction
+
+
+def add(p: Poly, q: Poly) -> Poly:
+    n = max(len(p), len(q))
+    return poly([(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)])
+
+
+def neg(p: Poly) -> Poly:
+    return tuple(-c for c in p)
+
+
+def sub(p: Poly, q: Poly) -> Poly:
+    return add(p, neg(q))
+
+
+def divmod_poly(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    r = list(a)
+    db = degree(b)
+    lead = b[-1]
+    while len(r) - 1 >= db and any(r):
+        while r and r[-1] == 0:
+            r.pop()
+        if len(r) - 1 < db:
+            break
+        k = len(r) - 1 - db
+        f = r[-1] / lead
+        q[k] = f
+        for i in range(len(b)):
+            r[k + i] -= f * b[i]
+    return poly(q), poly(r)
+
+
+def rem(a: Poly, b: Poly) -> Poly:
+    return divmod_poly(a, b)[1]
+
+
+def diff(a: PosPoly, b: PosPoly) -> SignedPoly:
+    """a - b as a signed polynomial."""
+    return SignedPoly(sub(SignedPoly.of(a.terms).coeffs, SignedPoly.of(b.terms).coeffs))
 
 
 def mul(p: Poly, q: Poly) -> Poly:

@@ -1,9 +1,13 @@
 import random
+import time
+from decimal import Decimal, localcontext
 from fractions import Fraction as F
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, strategies as st
 
+import reference as R
 from conftest import positive_rationals
 from layext import polys
 from layext.cancellative import (
@@ -14,7 +18,6 @@ from layext.cancellative import (
     SignedPoly,
     cone_report,
     diff_split,
-    enclosure,
     kernel_contains,
     kernel_sample,
     positive_at_root,
@@ -76,7 +79,7 @@ class TestDiffSplit:
                 diff_split(m)
             return
         plus, minus = diff_split(m)
-        assert SignedPoly.diff(plus, minus) == m
+        assert R.diff(plus, minus) == m
         assert not ({d for d, _ in plus.terms} & {d for d, _ in minus.terms})
 
 
@@ -382,20 +385,110 @@ class TestCone:
         assert positive_at_root(SQRT2.zero()) is False
 
 
+def sign(e):
+    return 0 if e.is_zero else 1 if positive_at_root(e) else -1
+
+
 class TestNumericConsistency:
     @given(st.sampled_from(MODULI), st.data())
-    def test_enclosures_overlap_under_arithmetic(self, gen, data):
-        # the reduced product/sum and the interval arithmetic on the factors
-        # both enclose the same real number, so the intervals must intersect
+    def test_signs_respect_arithmetic(self, gen, data):
+        # evaluation at the root is a ring homomorphism to the reals, so the signs
+        # of reduced products, negations and sums follow those of the factors
         a = data.draw(ext_elems(gen))
         b = data.draw(ext_elems(gen))
-        lo, hi = gen.refine(F(1, 2**24))
-        pa, pb = enclosure(a, lo, hi), enclosure(b, lo, hi)
-        prod = enclosure(a * b, lo, hi)
-        cands = [pa[0] * pb[0], pa[0] * pb[1], pa[1] * pb[0], pa[1] * pb[1]]
-        assert prod[0] <= max(cands) and min(cands) <= prod[1]
-        tot = enclosure(a + b, lo, hi)
-        assert tot[0] <= pa[1] + pb[1] and pa[0] + pb[0] <= tot[1]
+        assert sign(a * b) == sign(a) * sign(b)
+        assert sign(a.scale(-1)) == -sign(a)
+        if sign(a) > 0 and sign(b) > 0:
+            assert sign(a + b) > 0
+
+
+def _to_decimal(q):
+    return Decimal(q.numerator) / Decimal(q.denominator)
+
+
+def _horner(cs, x):
+    acc = Decimal(0)
+    for c in reversed(cs):
+        acc = acc * x + c
+    return acc
+
+
+@lru_cache(maxsize=None)
+def _decimal_root(m, lo, hi, digits):
+    """The root of m in (lo, hi) to within 10^-digits, by bisection at digits + 10 digits."""
+    with localcontext() as ctx:
+        ctx.prec = digits + 10
+        dm = [_to_decimal(c) for c in m]
+        a, b = _to_decimal(lo), _to_decimal(hi)
+        negative_at_a = _horner(dm, a) < 0
+        while b - a > Decimal(10) ** -digits:
+            mid = (a + b) / 2
+            if (_horner(dm, mid) < 0) == negative_at_a:
+                a = mid
+            else:
+                b = mid
+        return a
+
+
+def decimal_sign(e):
+    """The sign of e at the root by `decimal` bisection, independent of polys: -1, 0 or 1.
+
+    The digits double until the value exceeds a bound on its error, the root's
+    uncertainty times the derivative's size on the interval, with rounding slack.
+    """
+    if e.is_zero:
+        return 0
+    gen = e.gen
+    for digits in (40, 80, 160, 320, 640, 1280):
+        root = _decimal_root(gen.m.coeffs, gen.lo, gen.hi, digits)
+        with localcontext() as ctx:
+            ctx.prec = digits + 10
+            cs = [_to_decimal(c) for c in e.coeffs]
+            v = _horner(cs, root)
+            bound = 4 * sum((i + 1) * abs(c) for i, c in enumerate(cs)) * max(_to_decimal(gen.hi), 1) ** len(cs)
+            if abs(v) > bound * Decimal(10) ** -digits:
+                return 1 if v > 0 else -1
+    raise ArithmeticError("too close to zero for the oracle")
+
+
+def sqrt2_convergents():
+    p, q = 1, 1
+    while True:
+        yield p, q
+        p, q = p + 2 * q, p + q
+
+
+class TestSignAtRoot:
+    def test_against_decimal_bisection(self):
+        rng = random.Random(20261020)
+        seen = set()
+        for trial in range(240):
+            gen = KERNEL_GENS[trial % len(KERNEL_GENS)]
+            a = gen.element([F(rng.randint(-9, 9), rng.choice([1, 1, 2, 3])) for _ in range(gen.n)])
+            k = rng.choice([1, 1, 2, 3, 7, 12, 20, -1, -3])
+            if a.is_zero and k < 0:
+                continue
+            e = a ** k
+            assert sign(e) == decimal_sign(e), (gen.m, a.coeffs, k)
+            seen.add((gen.n, sign(e)))
+        assert {n for n, _ in seen} == {2, 3, 4, 5, 6, 7} and {s for _, s in seen} == {-1, 1}
+
+    def test_convergents_of_sqrt2_at_508_bits(self):
+        # x - p/q for the convergents p/q of √2 around a 508-bit q: the value is
+        # below 2^-1000 in size, so numeric refinement would need over 1000 bits
+        convergents = sqrt2_convergents()
+        p, q = next((p, q) for p, q in convergents if q.bit_length() >= 508)
+        pairs = [(p, q), next(convergents)]
+        start = time.process_time()
+        signs = [positive_at_root(SQRT2.element([F(-p, q), 1])) for p, q in pairs]
+        assert time.process_time() - start < 0.1
+        assert signs == [p * p < 2 * q * q for p, q in pairs]
+        assert signs in ([True, False], [False, True])
+
+    def test_zero_is_not_positive_in_any_degree(self):
+        for gen in KERNEL_GENS + MODULI:
+            assert positive_at_root(gen.zero()) is False
+            assert cone_report(gen.zero()) == {"coefficient_cone": False, "positive_at_root": False}
 
 
 class TestKernel:

@@ -2,6 +2,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -98,6 +99,23 @@ class TestEval:
         scalar = write(tmp_path, "a.json", {"layer": "3", "value": {"sym": "w"}})
         rc, _, err = run(["eval", poly, scalar])
         assert rc == 1 and "DescriptorMismatch" in err
+
+    def test_algebraic_layer_with_a_508_bit_coefficient(self, tmp_path):
+        # x - p/q for a convergent p/q < √2 with q of 509 bits: positive, below 2^-1000
+        p, q = 1, 1
+        while q.bit_length() < 508 or p * p > 2 * q * q:
+            p, q = p + 2 * q, p + q
+        poly = write(tmp_path, "f.json", LPOLY)
+        layer = {"kind": "algebraic", **GEN_SQRT2, "coeffs": [f"-{p}/{q}", "1"]}
+        scalar = write(tmp_path, "a.json", {"layer": layer, "value": "0"})
+        start = time.process_time()
+        rc, out, err = run(["--json", "eval", poly, scalar])
+        assert time.process_time() - start < 1.0
+        assert rc == 0 and not err
+        # 1 + a + a^2 with a = X - r, r = p/q, reduced by X^2 = 2
+        r = F(p, q)
+        res = json.loads(out)["result"]
+        assert res == {"layer": f"{3 - r + r * r} + {1 - 2 * r}*X", "value": "0", "essential": [0, 1, 2]}
 
 
 class TestClosure:
@@ -351,6 +369,9 @@ MALFORMED = {
     "coeffs_string": (["eval", "f.json", "a.json"], {
         "f.json": LPOLY,
         "a.json": {"layer": {"kind": "algebraic", **GEN_SQRT2, "coeffs": "01"}, "value": "0"}}),
+    "algebraic_layer_negative_at_root": (["eval", "f.json", "a.json"], {
+        "f.json": LPOLY,
+        "a.json": {"layer": {"kind": "algebraic", **GEN_SQRT2, "coeffs": ["1", "-1"]}, "value": "0"}}),
     "generator_not_monic": (["kernel", "p.json", "p.json", "g.json"], {
         "p.json": {"1": "1"}, "g.json": {"m": {"2": "2", "0": "-1"}, "interval": ["0", "1"]}}),
     "generator_zero": (["kernel", "p.json", "p.json", "g.json"], {

@@ -24,25 +24,25 @@ def polys_st(max_deg=5, zero_ok=True):
 
 @given(polys_st(), polys_st())
 def test_ring_laws(a, b):
-    assert P.add(a, b) == P.add(b, a)
+    assert R.add(a, b) == R.add(b, a)
     assert R.mul(a, b) == R.mul(b, a)
-    assert P.sub(P.add(a, b), b) == a
+    assert R.sub(R.add(a, b), b) == a
 
 
 @given(polys_st(), polys_st())
 def test_divmod_identity(a, b):
     if not b:
         return
-    q, r = P.divmod_poly(a, b)
-    assert P.add(R.mul(q, b), r) == a
+    q, r = R.divmod_poly(a, b)
+    assert R.add(R.mul(q, b), r) == a
     assert P.degree(r) < P.degree(b)
 
 
 @given(polys_st(zero_ok=False), polys_st(zero_ok=False))
 def test_xgcd(a, b):
     g, s, t = R.xgcd_poly(a, b)
-    assert P.add(R.mul(s, a), R.mul(t, b)) == g
-    assert not P.rem(a, g) and not P.rem(b, g)
+    assert R.add(R.mul(s, a), R.mul(t, b)) == g
+    assert not R.rem(a, g) and not R.rem(b, g)
 
 
 def count_roots(p, lo, hi):
@@ -137,17 +137,57 @@ class TestSturmAgainstSympy:
         assert time.process_time() - start < 1.0
 
 
-def test_bisect_narrows():
-    x2m2 = P.poly([-2, 0, 1])
-    lo, hi = P.bisect_root(x2m2, 1, 2, F(1, 10**6))
-    assert hi - lo <= F(1, 10**6)
-    assert lo * lo < 2 < hi * hi
+def random_int_poly(rng, max_deg, bound=9):
+    return [rng.randint(-bound, bound) for _ in range(rng.randint(0, max_deg))] + [rng.choice([1, 2, -1, -3])]
 
 
-def test_interval_eval_bounds():
-    p = P.poly([-2, 0, 1])
-    lo, hi = P.interval_eval(p, F(14, 10), F(15, 10))
-    assert lo <= P.eval_poly(p, F(141421, 100000)) <= hi
+class TestTarskiQueryAgainstSympy:
+    """The sum of sign g(r) over the roots r of f in (lo, hi), against sympy's exact real roots."""
+
+    def test_seeded_polynomials(self):
+        x = sympy.Symbol("x")
+        rng = random.Random(20261019)
+        zero_signs = 0
+        for trial in range(160):
+            a = sympy.Poly(list(reversed(random_int_poly(rng, 5))), x)
+            b = sympy.Poly(list(reversed(random_int_poly(rng, 3))), x)
+            f = (a * b).sqf_part()
+            if f.degree() < 1:
+                continue
+            if trial % 3 == 0:  # g shares the roots of b with f, where its sign is 0
+                g = b * sympy.Poly(list(reversed(random_int_poly(rng, 4))), x)
+            elif trial % 3 == 1:  # g of higher degree than f
+                g = sympy.Poly(list(reversed(random_int_poly(rng, 12))), x)
+            else:
+                g = sympy.Poly(list(reversed(random_int_poly(rng, 3))), x)
+            f_int = [int(c) for c in reversed(f.all_coeffs())]
+            g_int = [int(c) for c in reversed(g.all_coeffs())] + [0] * (trial % 2)  # untrimmed too
+            lo, hi = sorted(F(rng.randint(-40, 40), rng.randint(1, 6)) for _ in range(2))
+            if lo == hi or f.eval(lo) == 0 or f.eval(hi) == 0:
+                continue
+            # the roots of f shared with g are those of h; g is nonzero at the others
+            h = sympy.gcd(f, g)
+            k = sympy.quo(f, h)
+            expected = 0
+            for r in k.real_roots():
+                if lo < r < hi:
+                    v = g.as_expr().subs(x, r).evalf(60)
+                    assert abs(v) > 1e-30
+                    expected += 1 if v > 0 else -1
+            zero_signs += sum(1 for r in h.real_roots() if lo < r < hi) if h.degree() > 0 else 0
+            assert P.tarski_query(f_int, g_int, lo, hi) == expected, (f, g, lo, hi)
+        assert zero_signs > 0
+
+    def test_constant_and_zero_g(self):
+        f = [-2, 0, 0, 1]  # x^3 - 2 has one real root
+        assert P.tarski_query(f, [1], 0, 2) == 1 == P.count_roots(P.sturm_chain(P.poly(f)), 0, 2)
+        assert P.tarski_query(f, [-5], 0, 2) == -1
+        assert P.tarski_query(f, [], 0, 2) == 0
+        assert P.tarski_query(f, [1], 2, 3) == 0
+
+    def test_roots_at_the_endpoints_are_refused(self):
+        with pytest.raises(ValueError):
+            P.tarski_query([-1, 0, 1], [1], 1, 2)
 
 
 class TestIrreducibility:
@@ -192,8 +232,8 @@ def swinnerton_dyer(primes):
         # g(x + √p) = a + √p·b by Horner over Q[x][√p]; the product is a² - p·b²
         a, b = (), ()
         for c in reversed(g):
-            a, b = P.add(P.add(R.mul(a, x), R.scale(b, p)), P.poly([c])), P.add(R.mul(b, x), a)
-        g = P.sub(R.mul(a, a), R.scale(R.mul(b, b), p))
+            a, b = R.add(R.add(R.mul(a, x), R.scale(b, p)), P.poly([c])), R.add(R.mul(b, x), a)
+        g = R.sub(R.mul(a, a), R.scale(R.mul(b, b), p))
     return g
 
 
