@@ -137,15 +137,17 @@ class BipotentPresentation:
 class ExponentLattice:
     """Hermite basis of the monomial-relation lattice, with base values attached.
 
-    `betas[i]` is the base element equal to the monomial with exponents
-    `basis[i]`; it is carried through all row operations.
+    `betas[i] / den` is the base element equal to the monomial with exponents
+    `basis[i]`: the betas are integers over one positive denominator, carried
+    through all row operations.
     """
 
     basis: tuple
     betas: tuple
+    den: int
 
     def contains(self, exps) -> bool:
-        rem, _ = la.reduce_by_hnf(tuple(exps), self.basis, self.betas)
+        rem, _ = la.reduce_by_hnf(tuple(exps), self.basis)
         return all(x == 0 for x in rem)
 
     def beta_of(self, exps) -> Fraction:
@@ -153,7 +155,7 @@ class ExponentLattice:
         rem, beta = la.reduce_by_hnf(tuple(exps), self.basis, self.betas)
         if any(x != 0 for x in rem):
             raise ValueError("vector is not in the exponent lattice")
-        return beta
+        return Fraction(beta, self.den)
 
     @property
     def rank(self) -> int:
@@ -203,6 +205,7 @@ def exponent_lattice(P: BipotentPresentation) -> ExponentLattice:
     a trivial base) and the declared relations (t = 0, payload beta).  The
     rows left with t = 0 span the combinations whose value lands in the base:
     without t they are the lattice's Hermite basis, their payloads its betas.
+    The payloads are scaled once to integers over their common denominator.
     """
     if P.relations:
         _check_relations(P)
@@ -218,9 +221,11 @@ def exponent_lattice(P: BipotentPresentation) -> ExponentLattice:
         payload.append(Fraction(0))
     rows += [[0, *r.exps] for r in P.relations]
     payload += [Fraction(r.beta) for r in P.relations]
+    den = math.lcm(*(b.denominator for b in payload))
+    payload = [b.numerator * (den // b.denominator) for b in payload]
     basis, betas = la.hnf_with_payload(rows, P.n + 1, payload)
     kept = [i for i, row in enumerate(basis) if row[0] == 0]
-    return ExponentLattice(tuple(basis[i][1:] for i in kept), tuple(betas[i] for i in kept))
+    return ExponentLattice(tuple(basis[i][1:] for i in kept), tuple(betas[i] for i in kept), den)
 
 
 @dataclass(frozen=True, slots=True)
@@ -290,7 +295,10 @@ def _lattice(P: BipotentPresentation) -> ExponentLattice:
 
 
 def _basis_first(P: BipotentPresentation, cols):
-    """(basis, betas): the Hermite form of P's lattice with the columns `cols` first."""
+    """(basis, betas): the Hermite form of P's lattice with the columns `cols` first.
+
+    The betas are integers over the lattice's denominator `_lattice(P).den`.
+    """
     lat = _lattice(P)
     if list(cols) == list(range(P.n)):
         return lat.basis, lat.betas  # the natural order: the lattice's basis is this form already
@@ -421,6 +429,7 @@ def divisible_dependence_witness(P: BipotentPresentation, exps, subset=()) -> De
     target = [k * e for e in exps]
     rem, beta = la.reduce_by_hnf(_columns_first([target], complement, P.n)[0], basis, betas)
     assert not any(rem[:c])
+    beta = Fraction(beta, _lattice(P).den)
     sub_exps = rem[c:]
     value = P.value_of(target)
     if value is not None and all(isinstance(P.generators[i], Numeric) for i in subset):
@@ -479,16 +488,17 @@ def canonical_coset_value(P: BipotentPresentation, exps) -> Fraction | None:
 
     The class has one exactly when a lattice vector removes every symbolic
     coordinate.  Reducing by the Hermite basis with the symbolic columns first
-    finds such a vector whenever there is one; the remainder's numeric value
-    plus the removed vector's beta is then taken modulo the base generator.
-    Returns None when symbolic coordinates remain.
+    finds such a vector whenever there is one.  Its beta lies in the base (it
+    is 0 over a trivial base), so the class's value modulo the base generator
+    is the remainder's numeric value modulo it.  Returns None when symbolic
+    coordinates remain.
     """
     sym, num = P.symbolic_indices(), P.numeric_indices()
-    basis, betas = _basis_first(P, sym)
-    rem, beta = la.reduce_by_hnf(_columns_first([exps], sym, P.n)[0], basis, betas)
+    basis, _ = _basis_first(P, sym)
+    rem, _ = la.reduce_by_hnf(_columns_first([exps], sym, P.n)[0], basis)
     if any(rem[: len(sym)]):
         return None
-    value = beta + sum(e * P.generators[i].value for e, i in zip(rem[len(sym):], num))
+    value = sum((e * P.generators[i].value for e, i in zip(rem[len(sym):], num)), Fraction(0))
     g = P.base.single_generator()
     if g == 0:
         return value

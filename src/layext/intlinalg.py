@@ -2,8 +2,9 @@
 
 Matrices are lists of rows of Python ints; vectors are row vectors.  The
 routines here back the lattice computations: Hermite form for lattice bases,
-membership, orders and indices, Smith form with unimodular transforms for the
-free/torsion basis of a quotient group, kernels and solving (test references).
+carrying an integer payload per row through the row operations (the caller
+keeps the denominator), membership by reduction, and Smith form with
+unimodular transforms for the free/torsion basis of a quotient group.
 Everything is deterministic: pivots are chosen as the smallest absolute
 nonzero entry, scanning top-to-bottom then left-to-right, and diagonal
 entries are normalized positive.
@@ -11,53 +12,11 @@ entries are normalized positive.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 Vec = tuple[int, ...]
 
 
 def identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a, b) -> list[list[int]]:
-    if not a:
-        return []
-    cols = len(b[0]) if b else 0
-    return [[sum(ra[k] * b[k][j] for k in range(len(ra))) for j in range(cols)] for ra in a]
-
-
-def vec_mat(v, a) -> list[int]:
-    """Row vector times matrix."""
-    if not a:
-        return []
-    cols = len(a[0])
-    return [sum(v[i] * a[i][j] for i in range(len(v))) for j in range(cols)]
-
-
-def det(a) -> int:
-    """Determinant via fraction-free Bareiss elimination."""
-    n = len(a)
-    if n == 0:
-        return 1
-    m = [list(r) for r in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
 
 
 def _echelon(rows, ncols, payload):
@@ -123,7 +82,7 @@ def hnf(rows, ncols: int) -> tuple[Vec, ...]:
 
 
 def hnf_with_payload(rows, ncols: int, payload):
-    """Hermite form carrying a parallel column of Fractions through the row ops.
+    """Hermite form carrying a parallel column of integers through the row ops.
 
     Returns (basis, betas) with betas[i] the payload combination of basis[i].
     """
@@ -131,18 +90,15 @@ def hnf_with_payload(rows, ncols: int, payload):
     return tuple(basis), tuple(betas)
 
 
-def pivot_columns(basis) -> list[int]:
-    return [next(j for j, x in enumerate(row) if x != 0) for row in basis]
-
-
 def reduce_by_hnf(vec, basis, betas=None):
     """Reduce a vector by an HNF basis; returns (remainder, payload_combination).
 
     The remainder is zero iff the vector lies in the lattice, in which case the
-    payload combination is the payload value of the vector.
+    payload combination (an integer, as the payloads are) is the payload value
+    of the vector.
     """
     v = list(vec)
-    acc = Fraction(0)
+    acc = 0
     for idx, row in enumerate(basis):
         col = next(j for j, x in enumerate(row) if x != 0)
         q = v[col] // row[col]
@@ -151,17 +107,6 @@ def reduce_by_hnf(vec, basis, betas=None):
             if betas is not None:
                 acc += q * betas[idx]
     return tuple(v), acc
-
-
-def kernel(rows, ncols: int) -> tuple[Vec, ...]:
-    """Basis of the left kernel {x : x·A = 0} of the matrix with the given rows."""
-    m = len(rows)
-    if m == 0:
-        return ()
-    aug = [list(rows[i]) + [1 if j == i else 0 for j in range(m)] for i in range(m)]
-    red, _ = _echelon(aug, ncols + m, None)
-    ker = [tuple(r[ncols:]) for r in red if all(x == 0 for x in r[:ncols])]
-    return hnf(ker, m)
 
 
 def smith(rows, ncols: int):
@@ -258,21 +203,3 @@ def smith(rows, ncols: int):
 
     diag = [a[i][i] for i in range(min(m, ncols))]
     return u, diag, v, vinv
-
-
-def solve_left(rows, ncols: int, target) -> Vec | None:
-    """Solve x·A = target for an integer row vector x, or return None."""
-    u, diag, v, _ = smith(rows, ncols)
-    bv = vec_mat(list(target), v)
-    y = [0] * len(u)
-    for j in range(len(v)):
-        d = diag[j] if j < len(diag) else 0
-        if d == 0:
-            if bv[j] != 0:
-                return None
-        else:
-            if bv[j] % d != 0:
-                return None
-            y[j] = bv[j] // d
-    return tuple(vec_mat(y, u))
-

@@ -102,35 +102,49 @@ class LayeredElem:
 
     def __add__(self, other: "LayeredElem") -> "LayeredElem":
         """Layered addition: larger value wins, equal values sum their layers."""
-        if self.is_zero:
+        if self.layer is None:
             return other
-        if other.is_zero:
+        if other.layer is None:
             return self
-        if self.value > other.value:
-            return self
-        if self.value < other.value:
-            return other
-        return LayeredElem(self.layer + other.layer, self.value)
+        if self.value == other.value:
+            return _positive(self.layer + other.layer, self.value)
+        return self if self.value > other.value else other
 
     def __mul__(self, other: "LayeredElem") -> "LayeredElem":
         """Layered multiplication: layers multiply, values add; Zero absorbs."""
-        if self.is_zero or other.is_zero:
+        if self.layer is None or other.layer is None:
             return ZERO
-        return LayeredElem(self.layer * other.layer, self.value + other.value)
+        return _positive(self.layer * other.layer, self.value + other.value)
 
     def __pow__(self, n: int) -> "LayeredElem":
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a natural number")
         if n == 0:
             return ONE
-        if self.is_zero:
+        if self.layer is None:
             return ZERO
-        return LayeredElem(self.layer**n, n * self.value)
+        return _positive(self.layer**n, n * self.value)
 
     def __str__(self) -> str:
         if self.is_zero:
             return "Zero"
         return f"[{self.layer}]{self.value}"
+
+
+_set_layer = LayeredElem.layer.__set__
+_set_value = LayeredElem.value.__set__
+
+
+def _positive(layer, value) -> LayeredElem:
+    """A nonzero element built without validation, for the operations' results.
+
+    Sums, products and powers of positive layers are positive, so they need
+    no check; the public constructor keeps validating its input.
+    """
+    x = object.__new__(LayeredElem)
+    _set_layer(x, layer)
+    _set_value(x, value)
+    return x
 
 
 ZERO = LayeredElem(None, None)

@@ -1,12 +1,17 @@
-"""Polynomial arithmetic over Q that only the tests use, as references for the library.
+"""Arithmetic that only the tests use, as references for the library.
 
-The library multiplies, inverts, divides and counts roots on integers; these
-are the plain Fraction versions, written on top of `layext.polys`' Poly type.
+Two kinds live here.  Polynomial arithmetic over Q: the library multiplies,
+inverts, divides and counts roots on integers; these are the plain Fraction
+versions, written on top of `layext.polys`' Poly type.  Integer matrix
+arithmetic: products, determinants, pivots, kernels and solving, written on
+top of `layext.intlinalg`, which keeps only the Hermite and Smith forms the
+library itself uses.
 """
 
 from fractions import Fraction
 
 from layext.cancellative import PosPoly, SignedPoly
+from layext.intlinalg import Vec, _echelon, hnf, smith
 from layext.polys import Poly, degree, poly
 from layext.tropical import as_fraction
 
@@ -89,3 +94,75 @@ def xgcd_poly(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
         return (), s0, t0
     lead = r0[-1]
     return monic(r0), scale(s0, 1 / lead), scale(t0, 1 / lead)
+
+
+def mat_mul(a, b) -> list[list[int]]:
+    if not a:
+        return []
+    cols = len(b[0]) if b else 0
+    return [[sum(ra[k] * b[k][j] for k in range(len(ra))) for j in range(cols)] for ra in a]
+
+
+def vec_mat(v, a) -> list[int]:
+    """Row vector times matrix."""
+    if not a:
+        return []
+    cols = len(a[0])
+    return [sum(v[i] * a[i][j] for i in range(len(v))) for j in range(cols)]
+
+
+def det(a) -> int:
+    """Determinant via fraction-free Bareiss elimination."""
+    n = len(a)
+    if n == 0:
+        return 1
+    m = [list(r) for r in a]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def pivot_columns(basis) -> list[int]:
+    return [next(j for j, x in enumerate(row) if x != 0) for row in basis]
+
+
+def kernel(rows, ncols: int) -> tuple[Vec, ...]:
+    """Basis of the left kernel {x : x·A = 0} of the matrix with the given rows."""
+    m = len(rows)
+    if m == 0:
+        return ()
+    aug = [list(rows[i]) + [1 if j == i else 0 for j in range(m)] for i in range(m)]
+    red, _ = _echelon(aug, ncols + m, None)
+    ker = [tuple(r[ncols:]) for r in red if all(x == 0 for x in r[:ncols])]
+    return hnf(ker, m)
+
+
+def solve_left(rows, ncols: int, target) -> Vec | None:
+    """Solve x·A = target for an integer row vector x, or return None."""
+    u, diag, v, _ = smith(rows, ncols)
+    bv = vec_mat(list(target), v)
+    y = [0] * len(u)
+    for j in range(len(v)):
+        d = diag[j] if j < len(diag) else 0
+        if d == 0:
+            if bv[j] != 0:
+                return None
+        else:
+            if bv[j] % d != 0:
+                return None
+            y[j] = bv[j] // d
+    return tuple(vec_mat(y, u))

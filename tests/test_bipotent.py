@@ -6,6 +6,7 @@ from itertools import permutations, product
 import pytest
 from hypothesis import given, strategies as st
 
+import reference as R
 from layext import bipotent, intlinalg as la
 from layext.bipotent import (
     INFINITE,
@@ -74,7 +75,7 @@ class TestExponentLattice:
         P = numeric("1/2", "1/3")
         lat = exponent_lattice(P)
         for row, beta in zip(lat.basis, lat.betas):
-            assert P.value_of(row) == beta
+            assert P.value_of(row) == F(beta, lat.den)
 
     def test_declared_relation_gives_torsion(self):
         P = BipotentPresentation(Z, (Symbolic("g"),), (Relation.of((2,), 1),))
@@ -134,7 +135,7 @@ class TestExponentLattice:
 
 
 def reference_lattice(P):
-    """The exponent lattice the long way: la.kernel of the value column, then la.hnf.
+    """The exponent lattice the long way: R.kernel of the value column, then la.hnf.
 
     Returns (basis, betas), or None when the declared relations are inconsistent.
     """
@@ -145,7 +146,7 @@ def reference_lattice(P):
         scaled = [P.generators[i].value / (g or 1) for i in num]
         m = math.lcm(*(s.denominator for s in scaled))
         column = [[int(s * m)] for s in scaled] + ([[m]] if g else [])
-        for k in la.kernel(column, 1):
+        for k in R.kernel(column, 1):
             vec = [0] * P.n
             for pos, i in enumerate(num):
                 vec[i] = k[pos]
@@ -153,20 +154,20 @@ def reference_lattice(P):
     spanning += [(r.exps, r.beta) for r in P.relations]
     vecs = [v for v, _ in spanning]
     # every combination of the spanning rows with no symbolic exponent must keep beta = value
-    for c in la.kernel([[v[i] for i in sym] for v in vecs], len(sym)):
+    for c in R.kernel([[v[i] for i in sym] for v in vecs], len(sym)):
         vec = [sum(ci * v[j] for ci, v in zip(c, vecs)) for j in range(P.n)]
         if P.value_of(vec) != sum(ci * b for ci, (_, b) in zip(c, spanning)):
             return None
     basis = la.hnf(vecs, P.n)
     betas = tuple(
-        sum(x * b for x, (_, b) in zip(la.solve_left(vecs, P.n, row), spanning)) for row in basis
+        sum(x * b for x, (_, b) in zip(R.solve_left(vecs, P.n, row), spanning)) for row in basis
     )
     return basis, betas
 
 
 def reference_dependent(basis, n, subset):
     complement = [j for j in range(n) if j not in subset]
-    return len(la.kernel([[row[j] for j in complement] for row in basis], len(complement))) > 0
+    return len(R.kernel([[row[j] for j in complement] for row in basis], len(complement))) > 0
 
 
 def random_presentation(rng, max_n=4):
@@ -192,7 +193,7 @@ def random_presentation(rng, max_n=4):
 
 
 class TestAgainstKernelReference:
-    """The one-pass lattice against a reference built from la.kernel and la.hnf."""
+    """The one-pass lattice against a reference built from R.kernel and la.hnf."""
 
     def test_seeded_presentations(self):
         rng = random.Random(20261018)
@@ -208,7 +209,7 @@ class TestAgainstKernelReference:
             seen["trivial_base"] += P.base.single_generator() == 0
             seen["mixed"] += bool(P.numeric_indices() and P.symbolic_indices())
             lat = exponent_lattice(P)
-            assert (lat.basis, lat.betas) == want
+            assert (lat.basis, tuple(F(b, lat.den) for b in lat.betas)) == want
             # a Hermite pass in the natural order leaves the basis as it is, so queries skip it
             basis, betas = la.hnf_with_payload(lat.basis, P.n, lat.betas)
             assert (tuple(map(tuple, basis)), betas) == (lat.basis, lat.betas)
@@ -218,10 +219,58 @@ class TestAgainstKernelReference:
         assert all(count >= 20 for count in seen.values()), seen
 
 
+class TestIntegerBetas:
+    """The lattice keeps its betas as integers over one denominator; queries return Fractions."""
+
+    # base (1/6)Z, a = 1/4, b = 1/9 and a symbolic s with a + 2s = 1/6, so s = -1/24 in a model
+    P = BipotentPresentation(
+        ValueLattice.of("1/6"),
+        (Numeric.of("1/4"), Numeric.of("1/9"), Symbolic("s")),
+        (Relation.of((1, 0, 2), "1/6"),),
+    )
+
+    def test_a_denominator_above_one_gives_exact_values(self):
+        lat = exponent_lattice(self.P)
+        assert lat.den > 1
+        for exps, beta in [((1, 0, 2), F(1, 6)), ((2, 0, 0), F(1, 2)), ((0, 3, 0), F(1, 3)),
+                           ((1, 3, 2), F(1, 2)), ((0, 0, 4), F(-1, 6))]:
+            got = lat.beta_of(exps)
+            assert type(got) is F and got == beta
+        cases = [((0, 0, 1), (), (4, (), F(-1, 6))),
+                 ((0, 0, 1), (0,), (2, (1,), F(-1, 3))),
+                 ((0, 1, 0), (0,), (3, (0,), F(1, 3))),
+                 ((1, 1, 0), (), (6, (), F(13, 6)))]
+        for exps, subset, want in cases:
+            w = divisible_dependence_witness(self.P, exps, subset)
+            assert type(w.beta) is F and (w.power, w.exponents, w.beta) == want
+        for exps, value in [((1, 1, 0), F(1, 36)), ((0, 0, 2), F(1, 12)), ((0, 1, 2), F(1, 36)),
+                            ((3, -2, 6), F(1, 9)), ((0, 0, 1), None)]:
+            got = canonical_coset_value(self.P, exps)
+            assert got == value and (got is None or type(got) is F)
+
+    def test_betas_are_ints_over_a_positive_denominator(self):
+        rng = random.Random(20261020)
+        checked = 0
+        for _ in range(200):
+            P = random_presentation(rng)
+            try:
+                lat = exponent_lattice(P)
+            except InconsistentRelations:
+                continue
+            checked += 1
+            assert type(lat.den) is int and lat.den > 0
+            assert all(type(b) is int for b in lat.betas)
+            cols = list(range(P.n))
+            rng.shuffle(cols)
+            _, betas = la.hnf_with_payload(bipotent._columns_first(lat.basis, cols, P.n), P.n, lat.betas)
+            assert all(type(b) is int for b in betas)
+        assert checked >= 100
+
+
 def smith_order(snf, vec):
     """Reference: the order of the class of `vec`, read off its Smith coordinates vec·V."""
     order = 1
-    for j, z in enumerate(la.vec_mat(list(vec), snf.V)):
+    for j, z in enumerate(R.vec_mat(list(vec), snf.V)):
         d = snf.diag[j] if j < len(snf.diag) else 0
         if d == 0:
             if z != 0:
@@ -298,12 +347,12 @@ class TestSmith:
         snf = smith_normal_form(rows, ncols=3)
         u = [list(r) for r in snf.U]
         v = [list(r) for r in snf.V]
-        d = la.mat_mul(la.mat_mul(u, [list(r) for r in rows]), v) if rows else []
+        d = R.mat_mul(R.mat_mul(u, [list(r) for r in rows]), v) if rows else []
         for i in range(len(rows)):
             for j in range(3):
                 want = snf.diag[i] if i == j and i < len(snf.diag) else 0
                 assert d[i][j] == want
-        assert la.mat_mul(v, [list(r) for r in snf.Vinv]) == la.identity(3)
+        assert R.mat_mul(v, [list(r) for r in snf.Vinv]) == la.identity(3)
 
 
 class TestSharedQuotient:
@@ -462,7 +511,7 @@ class TestDecompose:
         # free monomials lands in the lattice
         if dec.free_monomials:
             stacked = [list(m) for m in dec.free_monomials] + [list(r) for r in lat.basis]
-            for kvec in la.kernel(stacked, n):
+            for kvec in R.kernel(stacked, n):
                 assert all(c == 0 for c in kvec[: len(dec.free_monomials)])
         # torsion orders are the invariant factors > 1 of the lattice
         if lat.basis:
@@ -593,7 +642,7 @@ class TestDegreesAndRanks:
         P = numeric(*values)
         basis = exponent_lattice(P).basis
         assert len(basis) == P.n
-        assert extension_rank(P) == abs(la.det([list(r) for r in basis]))
+        assert extension_rank(P) == abs(R.det([list(r) for r in basis]))
 
 
 class TestSemifieldAndSubdomain:
@@ -693,7 +742,7 @@ class TestCosetValues:
         table = {}
         for c in product(range(-box, box + 1), repeat=lat.rank):
             vec = [sum(ci * row[j] for ci, row in zip(c, lat.basis)) for j in range(P.n)]
-            beta = sum((ci * b for ci, b in zip(c, lat.betas)), F(0))
+            beta = sum((ci * F(b, lat.den) for ci, b in zip(c, lat.betas)), F(0))
             numeric_part = [0 if i in sym else x for i, x in enumerate(vec)]
             table.setdefault(tuple(vec[i] for i in sym), beta - P.value_of(numeric_part))
         return table
@@ -774,7 +823,7 @@ def test_mixed_lattice_is_sound_for_a_hidden_model(hidden, data):
     lat = exponent_lattice(P)
     for row, beta in zip(lat.basis, lat.betas):
         value = sum(r * h for r, h in zip(row, hidden))
-        assert value == beta
+        assert value == F(beta, lat.den)
         assert P.base.contains(value)
     for _ in range(5):
         k = tuple(data.draw(st.integers(-3, 3)) for _ in range(n))

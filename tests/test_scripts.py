@@ -50,3 +50,16 @@ def test_benchmark_oracles_accept_every_layered_answer():
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0
+
+
+def test_benchmark_traced_pass_finds_the_lattice_layers():
+    # the traced pass counts `intlinalg._echelon` and `bipotent.exponent_lattice` by name,
+    # so a rename of either would make these counters read 0
+    proc = run_script(["perfbench/run.py", "--workload", "lattice", "--seed", "1", "--seconds", "1", "--trace", "1"])
+    assert proc.returncode == 0, proc.stderr
+    details, result = (json.loads(line) for line in proc.stdout.splitlines()[-2:])
+    assert result["correct"] is True
+    assert details["answers_match_untraced"] is True and details["self_within_wall"] is True
+    metrics = result["metrics"]
+    assert metrics["intlinalg.echelon_calls"]["value"] > 0
+    assert metrics["bipotent.lattice_builds"]["value"] > 0

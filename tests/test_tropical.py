@@ -190,3 +190,28 @@ class TestLaws:
             assert x == ONE
         if x != ONE:
             assert x**n != ONE
+
+
+@given(layered_elems(allow_zero=False), layered_elems(allow_zero=False), st.integers(1, 8))
+def test_results_equal_validated_elements(x, y, n):
+    # sums, products and powers skip validation; they must match the checked constructor
+    if x.value == y.value:
+        total = (x.layer + y.layer, x.value)
+    else:
+        total = max((x.layer, x.value), (y.layer, y.value), key=lambda pair: pair[1])
+    cases = [
+        (x + y, total),
+        (x * y, (x.layer * y.layer, x.value + y.value)),
+        (x**n, (x.layer**n, n * x.value)),
+    ]
+    for got, (layer, value) in cases:
+        want = LayeredElem.make(layer, value)
+        assert got == want and hash(got) == hash(want)
+        assert got.layer > 0
+
+
+def test_public_constructor_still_validates():
+    with pytest.raises(ValueError):
+        LayeredElem(F(0), F(1))
+    with pytest.raises(ValueError):
+        LayeredElem(None, F(1))
