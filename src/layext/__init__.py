@@ -20,7 +20,6 @@ from .bipotent import (
     ExtDecomposition,
     Numeric,
     Relation,
-    SmithDecomposition,
     Symbolic,
     canonical_coset_value,
     decompose_extension,
@@ -30,8 +29,6 @@ from .bipotent import (
     is_bipotent_semifield,
     is_divisibly_dependent,
     linearly_dependent_pair,
-    monoid_contains,
-    smith_normal_form,
     torsion_degree,
     torsion_subdomain_contains,
 )
@@ -74,7 +71,6 @@ from .uniform import (
     is_layerset_semiring,
     is_uniform_semifield,
     layer_fibre_sample,
-    layerset_obstruction,
     pure_layer_ext,
     pure_value_ext,
     sort_is_semifield,

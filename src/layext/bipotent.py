@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from . import intlinalg as la
 from .errors import InconsistentRelations
@@ -228,57 +227,8 @@ def exponent_lattice(P: BipotentPresentation) -> ExponentLattice:
     return ExponentLattice(tuple(basis[i][1:] for i in kept), tuple(betas[i] for i in kept), den)
 
 
-@dataclass(frozen=True, slots=True)
-class SmithDecomposition:
-    """The quotient group Z^ncols / rowspan, diagonalized as U·R·V = diag(d1, d2, ...).
-
-    Only `decompose_extension` needs one: the rows of `Vinv`, the inverse of V,
-    are its monomials, and the rows of V the generators' Smith coordinates.
-    """
-
-    U: tuple
-    V: tuple
-    diag: tuple
-    ncols: int
-    Vinv: tuple
-
-    @property
-    def invariant_factors(self) -> tuple:
-        return tuple(d for d in self.diag if d != 0)
-
-    @property
-    def free_rank(self) -> int:
-        return self.ncols - len(self.invariant_factors)
-
-    @property
-    def torsion_invariants(self) -> tuple:
-        return tuple(d for d in self.diag if d > 1)
-
-
-def smith_normal_form(rows, ncols: int | None = None) -> SmithDecomposition:
-    """Smith normal form of an integer relation matrix.
-
-    The quotient Z^ncols / rowspan is Z^free_rank plus one cyclic factor per
-    torsion invariant.  Output is deterministic: smallest-entry pivoting and
-    positive diagonal.
-    """
-    rows = [tuple(r) for r in rows]
-    if ncols is None:
-        if not rows:
-            raise ValueError("ncols is required for an empty matrix")
-        ncols = len(rows[0])
-    u, diag, v, vinv = la.smith(rows, ncols)
-    return SmithDecomposition(
-        tuple(tuple(r) for r in u),
-        tuple(tuple(r) for r in v),
-        tuple(diag),
-        ncols,
-        tuple(tuple(r) for r in vinv),
-    )
-
-
 # The last presentation queried, its exponent lattice and, once decomposed,
-# the lattice's Smith form, shared by consecutive queries on it; one entry
+# its finished decomposition, shared by consecutive queries on it; one entry
 # keeps no presentation alive beyond the next one queried.  The triple is read
 # and replaced whole, so concurrent callers at worst rebuild it, never mix two
 # presentations' data.
@@ -294,15 +244,28 @@ def _lattice(P: BipotentPresentation) -> ExponentLattice:
     return entry[1]
 
 
-def _basis_first(P: BipotentPresentation, cols):
-    """(basis, betas): the Hermite form of P's lattice with the columns `cols` first.
+def _checked_subset(P: BipotentPresentation, vectors, subset) -> list[int]:
+    """The distinct generator indices of `subset`, sorted, once a query's arguments check out.
 
-    The betas are integers over the lattice's denominator `_lattice(P).den`.
+    Raises ValueError when one of the exponent vectors does not have one
+    entry per generator of P, or an index lies outside range(P.n).
     """
+    n = len(P.generators)
+    for v in vectors:
+        if len(v) != n:
+            raise ValueError(f"an exponent vector needs {n} entries, one per generator")
+    subset = sorted(set(subset))
+    if subset and not (0 <= subset[0] and subset[-1] < n):
+        raise ValueError(f"generator indices must lie in range({n})")
+    return subset
+
+
+def _basis_first(P: BipotentPresentation, cols):
+    """The Hermite basis of P's lattice with the columns `cols` first."""
     lat = _lattice(P)
     if list(cols) == list(range(P.n)):
-        return lat.basis, lat.betas  # the natural order: the lattice's basis is this form already
-    return la.hnf_with_payload(_columns_first(lat.basis, cols, P.n), P.n, lat.betas)
+        return lat.basis  # the natural order: the lattice's basis is this form already
+    return la.hnf(_columns_first(lat.basis, cols, P.n), P.n)
 
 
 def _order(basis, vec):
@@ -333,8 +296,6 @@ class ExtDecomposition:
     (free monomials, torsion monomials) modulo the exponent lattice.
     """
 
-    presentation: BipotentPresentation
-    lattice: ExponentLattice
     free_monomials: tuple
     torsion_monomials: tuple
     torsion_orders: tuple
@@ -354,30 +315,33 @@ class ExtDecomposition:
 def decompose_extension(P: BipotentPresentation) -> ExtDecomposition:
     """Split the extension into a divisibly free part and a torsion part.
 
-    Computed from the Smith normal form of the exponent lattice: the columns
-    with invariant factor d > 1 give torsion monomials of order d, the columns
-    beyond the lattice rank give the free monomials.
+    Read off the Smith form U·B·V = diag(d1, ..., dr) of the exponent
+    lattice's basis B: the rows of V⁻¹ with d > 1 are torsion monomials of
+    order d, those beyond the lattice rank r the free monomials, and the rows
+    of V the generators' coordinates.  Built once per run of queries on P;
+    repeated calls return the same object.
     """
     global _last
     lat = _lattice(P)
-    last, _, snf = _last
-    if last is not P or snf is None:
-        snf = smith_normal_form(lat.basis, P.n)
-        _last = (P, lat, snf)
-    r = len(snf.diag)
-    torsion_idx = [i for i in range(r) if snf.diag[i] > 1]
-    free_idx = list(range(r, P.n))
-    torsion = tuple(snf.Vinv[i] for i in torsion_idx)
-    orders = tuple(snf.diag[i] for i in torsion_idx)
-    free = tuple(snf.Vinv[i] for i in free_idx)
-    coords = tuple(
-        (tuple(row[i] for i in free_idx), tuple(row[i] for i in torsion_idx)) for row in snf.V
+    last, _, dec = _last
+    if last is P and dec is not None:
+        return dec
+    _, diag, v, vinv = la.smith(lat.basis, P.n)
+    torsion_idx = [i for i, d in enumerate(diag) if d > 1]
+    free_idx = list(range(len(diag), P.n))
+    dec = ExtDecomposition(
+        tuple(tuple(vinv[i]) for i in free_idx),
+        tuple(tuple(vinv[i]) for i in torsion_idx),
+        tuple(diag[i] for i in torsion_idx),
+        tuple((tuple(row[i] for i in free_idx), tuple(row[i] for i in torsion_idx)) for row in v),
     )
-    return ExtDecomposition(P, lat, free, torsion, orders, coords)
+    _last = (P, lat, dec)
+    return dec
 
 
 def torsion_degree(P: BipotentPresentation, exps):
     """Minimal k >= 1 with k times the monomial landing in the base, else INFINITE."""
+    _checked_subset(P, (exps,), ())
     return _order(_lattice(P).basis, exps)
 
 
@@ -393,11 +357,11 @@ def is_divisibly_dependent(P: BipotentPresentation, subset) -> bool:
     those coordinates: a Hermite row, complement columns first, that is zero
     on the complement.
     """
-    subset = sorted(set(subset))
+    subset = _checked_subset(P, (), subset)
     if not subset:
         raise ValueError("subset must be non-empty")
     complement = [j for j in range(P.n) if j not in subset]
-    basis, _ = _basis_first(P, complement)
+    basis = _basis_first(P, complement)
     return any(not any(row[: len(complement)]) for row in basis)
 
 
@@ -419,17 +383,20 @@ def divisible_dependence_witness(P: BipotentPresentation, exps, subset=()) -> De
     The power is an order modulo the Hermite rows, complement columns first,
     that reach into the complement; reducing by all rows gives the rest.
     """
-    subset = sorted(set(subset))
+    subset = _checked_subset(P, (exps,), subset)
     complement = [j for j in range(P.n) if j not in subset]
     c = len(complement)
-    basis, betas = _basis_first(P, complement)
+    lat = _lattice(P)
+    basis, betas = lat.basis, lat.betas
+    if subset:
+        basis, betas = la.hnf_with_payload(_columns_first(basis, complement, P.n), P.n, betas)
     k = _order([row[:c] for row in basis if any(row[:c])], [exps[j] for j in complement])
     if k == INFINITE:
         return None
     target = [k * e for e in exps]
     rem, beta = la.reduce_by_hnf(_columns_first([target], complement, P.n)[0], basis, betas)
     assert not any(rem[:c])
-    beta = Fraction(beta, _lattice(P).den)
+    beta = Fraction(beta, lat.den)
     sub_exps = rem[c:]
     value = P.value_of(target)
     if value is not None and all(isinstance(P.generators[i], Numeric) for i in subset):
@@ -445,9 +412,9 @@ def extension_rank(P: BipotentPresentation, over=()):
 
     With an empty subset this is the rank of the whole extension over the base.
     """
-    over = set(over)
+    over = _checked_subset(P, (), over)
     complement = [j for j in range(P.n) if j not in over]
-    basis, _ = _basis_first(P, complement)
+    basis = _basis_first(P, complement)
     return math.prod(basis[i][i] if i < len(basis) else 0 for i in range(len(complement))) or INFINITE
 
 
@@ -465,22 +432,8 @@ def is_bipotent_semifield(P: BipotentPresentation) -> bool:
 
 def linearly_dependent_pair(P: BipotentPresentation, x_exps, y_exps) -> bool:
     """Whether the two monomials differ by a base factor (equal classes)."""
-    lat = _lattice(P)
-    diff = tuple(a - b for a, b in zip(x_exps, y_exps))
-    return lat.contains(diff)
-
-
-def monoid_contains(P: BipotentPresentation, exps, bound: int = 20) -> bool:
-    """Whether the monomial class is hit by natural exponents up to `bound`.
-
-    Bounded search: looks for m in {0..bound}^n with exps - m in the exponent
-    lattice.  Used to probe polynomial (non-fraction) extensions.
-    """
-    lat = _lattice(P)
-    for m in product(range(bound + 1), repeat=P.n):
-        if lat.contains(tuple(e - mi for e, mi in zip(exps, m))):
-            return True
-    return False
+    _checked_subset(P, (x_exps, y_exps), ())
+    return _lattice(P).contains(tuple(a - b for a, b in zip(x_exps, y_exps)))
 
 
 def canonical_coset_value(P: BipotentPresentation, exps) -> Fraction | None:
@@ -493,8 +446,9 @@ def canonical_coset_value(P: BipotentPresentation, exps) -> Fraction | None:
     is the remainder's numeric value modulo it.  Returns None when symbolic
     coordinates remain.
     """
+    _checked_subset(P, (exps,), ())
     sym, num = P.symbolic_indices(), P.numeric_indices()
-    basis, _ = _basis_first(P, sym)
+    basis = _basis_first(P, sym)
     rem, _ = la.reduce_by_hnf(_columns_first([exps], sym, P.n)[0], basis)
     if any(rem[: len(sym)]):
         return None

@@ -221,11 +221,6 @@ def eval_layered_poly(f: LayeredPoly, a: ExtScalar):
     return layer, value
 
 
-def essential_layer_poly(f: LayeredPoly, a: ExtScalar) -> dict:
-    """The layer polynomial determined by the essential terms: exponent -> layer."""
-    return {e: c.layer for e, c in f.terms if e in set(essential_indices(f, a))}
-
-
 def _constant_layer(layer) -> Fraction | None:
     """The rational a degenerate extension layer stands for, if any."""
     if isinstance(layer, Fraction):
@@ -349,45 +344,15 @@ def fibres_coincide(H: UniformDescriptor, elems, alpha, beta) -> bool:
     return _closed_fibre(H, elems, alpha) == _closed_fibre(H, elems, beta)
 
 
-@dataclass(frozen=True, slots=True)
-class LayersetObstruction:
-    """Witness that the layer set of a simple extension is not closed under sums.
-
-    The formal layers at exponents `pair` of the scalar can only sum inside
-    the layer set if the corresponding values match, which needs
-    (pair[1] - pair[0]) times the scalar value to fall into the base value
-    group; `checked_multiples` lists the multiples k verified to stay outside
-    (up to the requested bound for a torsion-free certificate).
-    """
-
-    pair: tuple
-    checked_multiples: tuple
-
-
-def layerset_obstruction(H: UniformDescriptor, a: ExtScalar, bound: int = 8):
-    """A verified obstruction pair when the scalar's value leaves the base group."""
-    if value_group_contains(H.value_part, a.value):
-        return None
-    checked = []
-    for k in range(1, max(bound, 1) + 1):
-        if a.has_rational_value and value_group_contains(H.value_part, k * a.value):
-            break
-        checked.append(k)
-    return LayersetObstruction((0, 1), tuple(checked))
-
-
-def is_layerset_semiring(H: UniformDescriptor, a: ExtScalar, bound: int = 8) -> bool:
+def is_layerset_semiring(H: UniformDescriptor, a: ExtScalar) -> bool:
     """Whether the layer set of the simple extension by the scalar is a semiring.
 
-    Holds exactly when the scalar's value lies in the base value group; when
-    it does not, an obstruction witness (two formal layers whose sum needs
-    value matching that fails) is constructed and verified up to the bound.
+    Holds exactly when the scalar's value lies in the base value group.  When
+    it does not, the formal layers at exponents 0 and 1 of the scalar cannot
+    sum inside the layer set: their sum needs the two values to match, and
+    they differ by the scalar's value, which the base group does not contain.
     """
-    if value_group_contains(H.value_part, a.value):
-        return True
-    witness = layerset_obstruction(H, a, bound)
-    assert witness is not None and 1 in witness.checked_multiples
-    return False
+    return value_group_contains(H.value_part, a.value)
 
 
 def sort_is_semifield(part) -> bool:

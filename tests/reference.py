@@ -1,11 +1,12 @@
 """Arithmetic that only the tests use, as references for the library.
 
-Two kinds live here.  Polynomial arithmetic over Q: the library multiplies,
-inverts, divides and counts roots on integers; these are the plain Fraction
-versions, written on top of `layext.polys`' Poly type.  Integer matrix
-arithmetic: products, determinants, pivots, kernels and solving, written on
-top of `layext.intlinalg`, which keeps only the Hermite and Smith forms the
-library itself uses.
+Polynomial arithmetic over Q: the library multiplies, inverts, divides and
+counts roots on integers; these are the plain Fraction versions, written on
+top of `layext.polys`' Poly type.  Integer matrix arithmetic: products,
+determinants, pivots, kernels, solving and the invariants of a Smith form,
+written on top of `layext.intlinalg`, which keeps only the Hermite and Smith
+forms the library itself uses.  And the layer polynomial behind an evaluation
+in `layext.uniform`.
 """
 
 from fractions import Fraction
@@ -14,6 +15,7 @@ from layext.cancellative import PosPoly, SignedPoly
 from layext.intlinalg import Vec, _echelon, hnf, smith
 from layext.polys import Poly, degree, poly
 from layext.tropical import as_fraction
+from layext.uniform import essential_indices
 
 
 def add(p: Poly, q: Poly) -> Poly:
@@ -166,3 +168,21 @@ def solve_left(rows, ncols: int, target) -> Vec | None:
                 return None
             y[j] = bv[j] // d
     return tuple(vec_mat(y, u))
+
+
+def smith_invariants(rows, ncols: int) -> tuple[tuple, int, tuple]:
+    """(invariant factors, free rank, torsion invariants) of Z^ncols / rowspan.
+
+    The invariant factors are the nonzero diagonal entries of `smith`; the
+    free rank counts the columns without one, the torsion invariants are the
+    factors above 1.
+    """
+    _, diag, _, _ = smith(rows, ncols)
+    factors = tuple(d for d in diag if d != 0)
+    return factors, ncols - len(factors), tuple(d for d in factors if d > 1)
+
+
+def essential_layer_poly(f, a) -> dict:
+    """The layer polynomial of f's essential terms at the scalar: exponent -> layer."""
+    ess = set(essential_indices(f, a))
+    return {e: c.layer for e, c in f.terms if e in ess}

@@ -22,8 +22,6 @@ from layext.bipotent import (
     is_bipotent_semifield,
     is_divisibly_dependent,
     linearly_dependent_pair,
-    monoid_contains,
-    smith_normal_form,
     torsion_degree,
     torsion_subdomain_contains,
 )
@@ -267,11 +265,11 @@ class TestIntegerBetas:
         assert checked >= 100
 
 
-def smith_order(snf, vec):
+def smith_order(diag, V, vec):
     """Reference: the order of the class of `vec`, read off its Smith coordinates vec·V."""
     order = 1
-    for j, z in enumerate(R.vec_mat(list(vec), snf.V)):
-        d = snf.diag[j] if j < len(snf.diag) else 0
+    for j, z in enumerate(R.vec_mat(list(vec), V)):
+        d = diag[j] if j < len(diag) else 0
         if d == 0:
             if z != 0:
                 return INFINITE
@@ -299,15 +297,17 @@ class TestAgainstSmithReference:
             seen["symbolic_with_relations"] += bool(P.symbolic_indices() and P.relations)
             seen["trivial_base"] += P.base.single_generator() == 0
             exps = tuple(rng.randint(-4, 4) for _ in range(P.n))
-            assert torsion_degree(P, exps) == smith_order(smith_normal_form(lat.basis, P.n), exps)
+            _, diag, V, _ = la.smith(lat.basis, P.n)
+            assert torsion_degree(P, exps) == smith_order(diag, V, exps)
             for _ in range(3):
                 subset = [i for i in range(P.n) if rng.random() < 0.4]
-                snf = smith_normal_form([unit(P.n, i) for i in subset] + list(lat.basis), P.n)
-                want_rank = INFINITE if snf.free_rank else math.prod(snf.invariant_factors)
+                _, diag, V, _ = la.smith([unit(P.n, i) for i in subset] + list(lat.basis), P.n)
+                factors = [d for d in diag if d != 0]
+                want_rank = INFINITE if len(factors) < P.n else math.prod(factors)
                 assert extension_rank(P, subset) == want_rank
                 exps = tuple(rng.randint(-4, 4) for _ in range(P.n))
                 w = divisible_dependence_witness(P, exps, subset)
-                power = smith_order(snf, exps)
+                power = smith_order(diag, V, exps)
                 if power == INFINITE:
                     assert w is None
                     continue
@@ -321,22 +321,22 @@ class TestAgainstSmithReference:
 
 class TestSmith:
     def test_diag_2_3(self):
-        snf = smith_normal_form([[2, 0], [0, 3]])
-        assert snf.invariant_factors == (1, 6)
-        assert snf.free_rank == 0
-        assert snf.torsion_invariants == (6,)
+        factors, free_rank, torsion = R.smith_invariants([[2, 0], [0, 3]], 2)
+        assert factors == (1, 6)
+        assert free_rank == 0
+        assert torsion == (6,)
         # oracle: explicit coset enumeration of Z^2 / <(2,0),(0,3)>
         assert coset_count(la.hnf([[2, 0], [0, 3]], 2), 2) == 6
 
     def test_empty_matrix(self):
-        snf = smith_normal_form([], ncols=2)
-        assert snf.free_rank == 2
-        assert snf.torsion_invariants == ()
+        _, free_rank, torsion = R.smith_invariants([], 2)
+        assert free_rank == 2
+        assert torsion == ()
 
     def test_single_row(self):
-        snf = smith_normal_form([[2, 0]])
-        assert snf.free_rank == 1
-        assert snf.torsion_invariants == (2,)
+        _, free_rank, torsion = R.smith_invariants([[2, 0]], 2)
+        assert free_rank == 1
+        assert torsion == (2,)
         # oracle: classes (x mod 2, y) -> two classes per y value
         rem = {la.reduce_by_hnf(v, la.hnf([[2, 0]], 2))[0] for v in product(range(-4, 5), repeat=2)}
         assert len({r[0] for r in rem}) == 2
@@ -344,15 +344,13 @@ class TestSmith:
 
     @given(st.lists(st.lists(st.integers(-6, 6), min_size=3, max_size=3), min_size=0, max_size=4))
     def test_transform_identity(self, rows):
-        snf = smith_normal_form(rows, ncols=3)
-        u = [list(r) for r in snf.U]
-        v = [list(r) for r in snf.V]
+        u, diag, v, vinv = la.smith(rows, 3)
         d = R.mat_mul(R.mat_mul(u, [list(r) for r in rows]), v) if rows else []
         for i in range(len(rows)):
             for j in range(3):
-                want = snf.diag[i] if i == j and i < len(snf.diag) else 0
+                want = diag[i] if i == j and i < len(diag) else 0
                 assert d[i][j] == want
-        assert R.mat_mul(v, [list(r) for r in snf.Vinv]) == la.identity(3)
+        assert R.mat_mul(v, vinv) == la.identity(3)
 
 
 class TestSharedQuotient:
@@ -385,9 +383,25 @@ class TestSharedQuotient:
             assert is_divisibly_dependent(P, (0, 1))
             assert divisible_dependence_witness(P, (1, 0, 0)).power == 2
             assert linearly_dependent_pair(P, (2, 0, 1), (0, 3, 1))
-            assert monoid_contains(P, (-1, 0, 0), bound=2)
             assert canonical_coset_value(P, (1, 1, 0)) == F(5, 6)
         assert calls == {"lattice": 1, "smith": 1}
+
+    def test_repeated_decomposition_is_the_cached_object(self, monkeypatch):
+        calls = self._counting(monkeypatch)
+        P = BipotentPresentation(Z, (Numeric.of("1/2"), Numeric.of("1/3"), Symbolic("g")))
+        first = decompose_extension(P)
+        assert decompose_extension(P) is first
+        assert calls == {"lattice": 1, "smith": 1}
+
+    def test_decomposition_is_rebuilt_after_another_presentation(self, monkeypatch):
+        calls = self._counting(monkeypatch)
+        P = BipotentPresentation(Z, (Numeric.of("1/2"), Numeric.of("1/3"), Symbolic("g")))
+        first = decompose_extension(P)
+        assert extension_rank(numeric("1/4")) == 4
+        again = decompose_extension(P)
+        assert again is not first
+        assert again == first
+        assert calls == {"lattice": 3, "smith": 2}
 
     def test_only_decompose_runs_a_smith_form(self, monkeypatch):
         calls = self._counting(monkeypatch)
@@ -430,13 +444,13 @@ class TestSharedQuotient:
             Z, (Numeric.of("1/2"), Numeric.of("1/6"), Symbolic("g")), (Relation.of((0, 1, 2), 1),))
         extension_rank(P)
         calls = []
-        hnf = la.hnf_with_payload
+        echelon = la._echelon
 
         def counted(rows, ncols, payload):
             calls.append(ncols)
-            return hnf(rows, ncols, payload)
+            return echelon(rows, ncols, payload)
 
-        monkeypatch.setattr(la, "hnf_with_payload", counted)
+        monkeypatch.setattr(la, "_echelon", counted)
         assert extension_rank(P) == 12
         assert is_bipotent_semifield(P)
         assert divisible_dependence_witness(P, (0, 0, 1)).power == 12
@@ -505,7 +519,7 @@ class TestDecompose:
 
     def _check_roundtrip(self, P):
         dec = decompose_extension(P)
-        lat = dec.lattice
+        lat = exponent_lattice(P)
         n = P.n
         # free part divisibly independent: only the zero combination of the
         # free monomials lands in the lattice
@@ -515,8 +529,7 @@ class TestDecompose:
                 assert all(c == 0 for c in kvec[: len(dec.free_monomials)])
         # torsion orders are the invariant factors > 1 of the lattice
         if lat.basis:
-            snf = smith_normal_form(lat.basis, n)
-            assert dec.torsion_orders == snf.torsion_invariants
+            assert dec.torsion_orders == R.smith_invariants(lat.basis, n)[2]
         # each torsion monomial's order is minimal
         for mono, order in zip(dec.torsion_monomials, dec.torsion_orders):
             assert torsion_degree(P, mono) == order
@@ -685,18 +698,28 @@ class TestLinearDependence:
         assert linearly_dependent_pair(Q, (1, 0), (1, 0))
 
 
-class TestMonoidRestriction:
-    def test_inverse_powers_stay_outside(self):
-        # a free generator's inverse powers never enter the natural-exponent extension
-        P = BipotentPresentation(Z, (Symbolic("g"),), monoid_exponents=True)
-        for k in range(1, 21):
-            assert not monoid_contains(P, (-k,))
-        assert monoid_contains(P, (3,))
-
-    def test_torsion_generator_inverse_is_inside(self):
-        # with 2g = 1 declared, g^-1 has the class of g
-        P = BipotentPresentation(Z, (Symbolic("g"),), (Relation.of((2,), 1),), monoid_exponents=True)
-        assert monoid_contains(P, (-1,))
+@pytest.mark.parametrize(
+    "query, args",
+    [
+        (torsion_degree, ((0, 0, 5),)),
+        (torsion_degree, ((1,),)),
+        (torsion_subdomain_contains, ((1,),)),
+        (linearly_dependent_pair, ((0, 0, 5), (0, 0))),
+        (linearly_dependent_pair, ((1, 0), (1,))),
+        (canonical_coset_value, ((1, 1, 7),)),
+        (extension_rank, ((5,),)),
+        (extension_rank, ((-1,),)),
+        (is_divisibly_dependent, ((5,),)),
+        (is_divisibly_dependent, ((0, 2),)),
+        (divisible_dependence_witness, ((1, 1), (7,))),
+        (divisible_dependence_witness, ((1, 1, 0), (0,))),
+    ],
+    ids=lambda v: getattr(v, "__name__", None),
+)
+def test_malformed_vectors_and_subsets_raise(query, args):
+    # every vector needs one entry per generator, every index must name one
+    with pytest.raises(ValueError):
+        query(numeric("1/2", "1/3"), *args)
 
 
 class TestCosetValues:
