@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from . import intlinalg as la
 from .errors import InconsistentRelations
@@ -156,10 +157,6 @@ class ExponentLattice:
             raise ValueError("vector is not in the exponent lattice")
         return Fraction(beta, self.den)
 
-    @property
-    def rank(self) -> int:
-        return len(self.basis)
-
 
 def _columns_first(rows, first, ncols):
     """The rows with the columns `first` moved, in that order, in front of the others.
@@ -248,12 +245,17 @@ def _checked_subset(P: BipotentPresentation, vectors, subset) -> list[int]:
     """The distinct generator indices of `subset`, sorted, once a query's arguments check out.
 
     Raises ValueError when one of the exponent vectors does not have one
-    entry per generator of P, or an index lies outside range(P.n).
+    entry per generator of P, when an entry or an index is not an int (bools
+    are refused), or when an index lies outside range(P.n).
     """
     n = len(P.generators)
     for v in vectors:
         if len(v) != n:
             raise ValueError(f"an exponent vector needs {n} entries, one per generator")
+    subset = tuple(subset)
+    for x in chain(*vectors, subset):
+        if type(x) is not int:  # bools and floats are refused
+            raise ValueError("exponents and generator indices must be ints")
     subset = sorted(set(subset))
     if subset and not (0 <= subset[0] and subset[-1] < n):
         raise ValueError(f"generator indices must lie in range({n})")

@@ -14,10 +14,13 @@ Fraction once.  The sign of an element at the adjoined root, which decides
 membership in the semifield, is one Sturm-Tarski query on the isolating
 interval (`polys.tarski_query`), with no numeric refinement.
 
-Kernels of the extension correspond to divisibility by the minimal
-polynomial: a quotient a(x)/b(x) of positive polynomials is congruent to 1
-exactly when the minimal polynomial divides a - b, which one integer
-pseudo-remainder decides.
+Every polynomial over Q is stored dense, as one `polys.Poly` coefficient
+tuple: `SignedPoly` for minimal polynomials, and its checked subtype
+`PosPoly` for the positive polynomials of the layer semifield, whose sums,
+products and scalings run on the same tuples.  Kernels of the extension
+correspond to divisibility by the minimal polynomial: a quotient a(x)/b(x)
+of positive polynomials is congruent to 1 exactly when the minimal
+polynomial divides a - b, which one integer pseudo-remainder decides.
 """
 
 from __future__ import annotations
@@ -40,25 +43,17 @@ from .errors import (
 from .tropical import as_fraction
 
 
-def _terms_from(obj) -> tuple:
-    if isinstance(obj, dict):
-        items = [(int(k), as_fraction(v)) for k, v in obj.items()]
-    else:
-        items = [(int(k), as_fraction(v)) for k, v in obj]
+def _dense(obj) -> polys.Poly:
+    """The coefficient tuple of a dict or a list of (degree, coefficient) pairs; zeros are dropped."""
+    items = [(int(k), as_fraction(v)) for k, v in (obj.items() if isinstance(obj, dict) else obj)]
     items = [(d, c) for d, c in items if c != 0]
-    items.sort()
     degs = [d for d, _ in items]
     if len(set(degs)) != len(degs):
         raise ValueError("duplicate degrees")
     if any(d < 0 for d in degs):
         raise ValueError("negative degrees are not allowed")
-    return tuple(items)
-
-
-def _dense(terms) -> polys.Poly:
-    """Coefficient vector of canonical sparse terms (sorted, nonzero)."""
-    out = [Fraction(0)] * (terms[-1][0] + 1 if terms else 0)
-    for d, c in terms:
+    out = [Fraction(0)] * (max(degs) + 1 if degs else 0)
+    for d, c in items:
         out[d] = c
     return tuple(out)
 
@@ -76,73 +71,6 @@ def power(x, k: int, one):
 
 
 @dataclass(frozen=True, slots=True)
-class PosPoly:
-    """A nonzero polynomial with strictly positive rational coefficients.
-
-    The zero polynomial is not representable: the positive polynomials form
-    the polynomial semiring over the positive rationals, which has no zero.
-    """
-
-    terms: tuple
-
-    def __post_init__(self):
-        if not self.terms:
-            raise ValueError("the zero polynomial is not a PosPoly")
-        for _, c in self.terms:
-            if c <= 0:
-                raise ValueError("PosPoly coefficients must be positive")
-
-    @classmethod
-    def of(cls, obj) -> "PosPoly":
-        return cls(_terms_from(obj))
-
-    @classmethod
-    def constant(cls, c) -> "PosPoly":
-        return cls.of({0: c})
-
-    @classmethod
-    def x(cls, k: int = 1, coeff=1) -> "PosPoly":
-        return cls.of({k: coeff})
-
-    @property
-    def degree(self) -> int:
-        return self.terms[-1][0]
-
-    def coeff(self, d: int) -> Fraction:
-        for deg, c in self.terms:
-            if deg == d:
-                return c
-        return Fraction(0)
-
-    def __add__(self, other: "PosPoly") -> "PosPoly":
-        acc = dict(self.terms)
-        for d, c in other.terms:
-            acc[d] = acc.get(d, Fraction(0)) + c
-        return PosPoly.of(acc)
-
-    def __mul__(self, other: "PosPoly") -> "PosPoly":
-        acc: dict = {}
-        for d1, c1 in self.terms:
-            for d2, c2 in other.terms:
-                acc[d1 + d2] = acc.get(d1 + d2, Fraction(0)) + c1 * c2
-        return PosPoly.of(acc)
-
-    def __pow__(self, k: int) -> "PosPoly":
-        if k < 0:
-            raise ValueError("negative power of a polynomial")
-        return power(self, k, PosPoly.constant(1))
-
-    def scale(self, c) -> "PosPoly":
-        c = as_fraction(c)
-        if c <= 0:
-            raise ValueError("scaling factor must be positive")
-        return PosPoly(tuple((d, c * x) for d, x in self.terms))
-
-    def __str__(self) -> str:
-        return _render_terms(self.terms)
-
-
-@dataclass(frozen=True, slots=True)
 class SignedPoly:
     """A polynomial over Q stored dense (a `polys.Poly`); may be zero (no coefficients)."""
 
@@ -150,7 +78,7 @@ class SignedPoly:
 
     @classmethod
     def of(cls, obj) -> "SignedPoly":
-        return cls(_dense(_terms_from(obj)))
+        return cls(_dense(obj))
 
     @classmethod
     def from_coeffs(cls, coeffs) -> "SignedPoly":
@@ -175,6 +103,48 @@ class SignedPoly:
 
     def __str__(self) -> str:
         return _render_terms(self.terms) if self.coeffs else "0"
+
+
+@dataclass(frozen=True, slots=True)
+class PosPoly(SignedPoly):
+    """A nonzero polynomial with positive rational coefficients: a checked `SignedPoly`.
+
+    It stores the inherited dense tuple, whose entries are positive except
+    for zeros at the degrees it skips.  The zero polynomial is not
+    representable: the positive polynomials form the polynomial semiring over
+    the positive rationals, which has no zero.
+    """
+
+    def __post_init__(self):
+        if not self.coeffs:
+            raise ValueError("the zero polynomial is not a PosPoly")
+        if any(c < 0 for c in self.coeffs):
+            raise ValueError("PosPoly coefficients must be positive")
+
+    @classmethod
+    def constant(cls, c) -> "PosPoly":
+        return cls.of({0: c})
+
+    @classmethod
+    def x(cls, k: int = 1, coeff=1) -> "PosPoly":
+        return cls.of({k: coeff})
+
+    def __add__(self, other: "PosPoly") -> "PosPoly":
+        return PosPoly.from_coeffs(polys._add(self.coeffs, other.coeffs))
+
+    def __mul__(self, other: "PosPoly") -> "PosPoly":
+        return PosPoly.from_coeffs(polys._mul(self.coeffs, other.coeffs))
+
+    def __pow__(self, k: int) -> "PosPoly":
+        if k < 0:
+            raise ValueError("negative power of a polynomial")
+        return power(self, k, PosPoly.constant(1))
+
+    def scale(self, c) -> "PosPoly":
+        c = as_fraction(c)
+        if c <= 0:
+            raise ValueError("scaling factor must be positive")
+        return PosPoly(tuple(c * x for x in self.coeffs))
 
 
 def _render_terms(terms) -> str:
@@ -211,15 +181,18 @@ class AlgebraicGenerator:
     stores the data and builds the reduction table `table` = (D, rows): row
     k holds the integer coefficients of D·x^(n+k) modulo m, for k = 0 ..
     n-2, so every product of two reduced elements folds back through it.
-    The table takes no part in equality or repr.
+    `m_int` is the primitive integer multiple of m that sign and kernel
+    queries divide by.  Neither takes part in equality or repr.
     """
 
     m: SignedPoly
     lo: Fraction
     hi: Fraction
     table: tuple = field(init=False, repr=False, compare=False)
+    m_int: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "m_int", polys.clear_denominators(self.m.coeffs))
         n, low = self.n, [-c for c in self.m.coeffs[:-1]]
         rows = [low]  # x^n = -(m_0 + ... + m_(n-1)·x^(n-1)) modulo m
         for _ in range(n - 2):
@@ -417,7 +390,7 @@ def positive_at_root(e: ExtElem) -> bool:
     if e.is_zero:
         return False
     g, _ = _cleared(e.coeffs)
-    return polys.tarski_query(polys.clear_denominators(e.gen.m.coeffs), g, e.gen.lo, e.gen.hi) > 0
+    return polys.tarski_query(e.gen.m_int, g, e.gen.lo, e.gen.hi) > 0
 
 
 def cone_report(e: ExtElem) -> dict:
@@ -439,12 +412,8 @@ def kernel_contains(a: PosPoly, b: PosPoly, gen: AlgebraicGenerator) -> bool:
     pseudo-remainder by the primitive integer multiple of m is a nonzero
     multiple of the remainder over Q.
     """
-    diff = [Fraction(0)] * (max(a.degree, b.degree) + 1)
-    for sign, p in ((1, a), (-1, b)):
-        for d, c in p.terms:
-            diff[d] += sign * c
-    num, _ = _cleared(diff)
-    return not polys._pseudo_rem(polys._trim(num), polys.clear_denominators(gen.m.coeffs))
+    num, _ = _cleared(polys._sub(a.coeffs, b.coeffs))
+    return not polys._pseudo_rem(polys._trim(num), gen.m_int)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -457,7 +426,7 @@ class PosRationalFunction:
     def __eq__(self, other) -> bool:
         if not isinstance(other, PosRationalFunction):
             return NotImplemented
-        return (self.num * other.den).terms == (other.num * self.den).terms
+        return (self.num * other.den).coeffs == (other.num * self.den).coeffs
 
     def __add__(self, other: "PosRationalFunction") -> "PosRationalFunction":
         return PosRationalFunction(self.num * other.den + other.num * self.den, self.den * other.den)

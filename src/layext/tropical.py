@@ -25,8 +25,6 @@ from math import gcd
 
 from .errors import BottomValue, ZeroHasNoLayer
 
-Rational = "Fraction | int | str"
-
 
 def as_fraction(x) -> Fraction:
     """Coerce an int, string or Fraction to an exact Fraction; floats are rejected."""
@@ -55,9 +53,6 @@ class _Bottom:
 
 
 BOTTOM = _Bottom()
-
-# A tropical value: either BOTTOM or an exact Fraction.
-TropValue = "Fraction | _Bottom"
 
 
 def value_max(x, y):

@@ -35,23 +35,29 @@ from .tropical import LayeredElem, ValueLattice, as_fraction
 @dataclass(frozen=True, slots=True)
 class FreeLayer:
     """A layer in a free (transcendental) sort extension: a positive polynomial
-    in the named symbol."""
+    in the named symbol.  Like `ExtElem` it answers `+`, `**`, `scale` and
+    `coeffs` (its polynomial's), each result in the same symbol."""
 
     name: str
     poly: PosPoly
+
+    @property
+    def coeffs(self) -> tuple:
+        return self.poly.coeffs
 
     def __add__(self, other: "FreeLayer") -> "FreeLayer":
         if other.name != self.name:
             raise DescriptorMismatch("free layers in different symbols")
         return FreeLayer(self.name, self.poly + other.poly)
 
+    def __pow__(self, k: int) -> "FreeLayer":
+        return FreeLayer(self.name, self.poly**k)
+
+    def scale(self, c) -> "FreeLayer":
+        return FreeLayer(self.name, self.poly.scale(c))
+
     def __str__(self) -> str:
         return str(self.poly).replace("x", self.name)
-
-
-# A sort-part element: a positive rational, an algebraic extension element,
-# or a positive polynomial in a free symbol.
-SortElement = "Fraction | ExtElem | FreeLayer"
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,9 +83,6 @@ class FreeSort:
 
     name: str
     with_fractions: bool = True
-
-
-SortPart = "BaseSort | AlgebraicSort | FreeSort"
 
 
 @dataclass(frozen=True, slots=True)
@@ -188,20 +191,6 @@ def essential_indices(f: LayeredPoly, a: ExtScalar) -> tuple[int, ...]:
     return tuple(e for e, v in term_values if v == best)
 
 
-def _layer_pow(layer, k: int):
-    if isinstance(layer, FreeLayer):
-        return FreeLayer(layer.name, layer.poly**k)
-    return layer**k
-
-
-def _layer_scale(c: Fraction, layer):
-    if isinstance(layer, Fraction):
-        return c * layer
-    if isinstance(layer, ExtElem):
-        return layer.scale(c)
-    return FreeLayer(layer.name, layer.poly.scale(c))
-
-
 def eval_layered_poly(f: LayeredPoly, a: ExtScalar):
     """Evaluate f at the scalar; returns (layer, value).
 
@@ -216,7 +205,8 @@ def eval_layered_poly(f: LayeredPoly, a: ExtScalar):
     for e, c in f.terms:
         if e not in ess:
             continue
-        term = _layer_scale(c.layer, _layer_pow(a.layer, e))
+        power = a.layer**e
+        term = c.layer * power if isinstance(power, Fraction) else power.scale(c.layer)
         layer = term if layer is None else layer + term
     return layer, value
 
@@ -225,22 +215,18 @@ def _constant_layer(layer) -> Fraction | None:
     """The rational a degenerate extension layer stands for, if any."""
     if isinstance(layer, Fraction):
         return layer
-    if isinstance(layer, ExtElem) and all(c == 0 for c in layer.coeffs[1:]):
-        return layer.coeffs[0]
-    if isinstance(layer, FreeLayer) and layer.poly.degree == 0:
-        return layer.poly.coeff(0)
-    return None
+    return None if any(layer.coeffs[1:]) else layer.coeffs[0]
 
 
 def sort_contains(part, layer) -> bool:
     """Whether a layer already lies in the sort part."""
+    if not isinstance(layer, (Fraction, ExtElem, FreeLayer)):
+        raise TypeError(f"not a layer: {layer!r}")
     if _constant_layer(layer) is not None:
         return True
     if isinstance(layer, ExtElem):
         return isinstance(part, AlgebraicSort) and part.gen == layer.gen
-    if isinstance(layer, FreeLayer):
-        return isinstance(part, FreeSort) and part.name == layer.name
-    raise TypeError(f"not a layer: {layer!r}")
+    return isinstance(part, FreeSort) and part.name == layer.name
 
 
 def extend_sort(part, layer):
@@ -315,11 +301,8 @@ def _orbit_rep(layer):
     """Canonical representative of the positive-rational scaling orbit of a layer."""
     if isinstance(layer, Fraction):
         return Fraction(1)
-    if isinstance(layer, ExtElem):
-        first = next(c for c in layer.coeffs if c != 0)
-        return layer.scale(1 / abs(first))
-    first = layer.poly.terms[0][1]
-    return FreeLayer(layer.name, layer.poly.scale(1 / first))
+    first = next(c for c in layer.coeffs if c != 0)
+    return layer.scale(1 / abs(first))
 
 
 def _closed_fibre(H: UniformDescriptor, elems, alpha: Fraction) -> frozenset:

@@ -713,6 +713,14 @@ class TestLinearDependence:
         (is_divisibly_dependent, ((0, 2),)),
         (divisible_dependence_witness, ((1, 1), (7,))),
         (divisible_dependence_witness, ((1, 1, 0), (0,))),
+        # entries and indices must be ints: no floats, no bools
+        (canonical_coset_value, ((0.5, 0),)),
+        (linearly_dependent_pair, ((2.5, 0), (0.5, 0))),
+        (extension_rank, ((0.5,),)),
+        (is_divisibly_dependent, ((1.0,),)),
+        (torsion_degree, ((True, 0),)),
+        (torsion_degree, ((0.5, 0),)),
+        (divisible_dependence_witness, ((1, 0), (True,))),
     ],
     ids=lambda v: getattr(v, "__name__", None),
 )
@@ -763,7 +771,7 @@ class TestCosetValues:
         """
         sym = P.symbolic_indices()
         table = {}
-        for c in product(range(-box, box + 1), repeat=lat.rank):
+        for c in product(range(-box, box + 1), repeat=len(lat.basis)):
             vec = [sum(ci * row[j] for ci, row in zip(c, lat.basis)) for j in range(P.n)]
             beta = sum((ci * F(b, lat.den) for ci, b in zip(c, lat.betas)), F(0))
             numeric_part = [0 if i in sym else x for i, x in enumerate(vec)]

@@ -337,6 +337,21 @@ def test_validation_builds_one_sturm_chain(monkeypatch):
     assert len(calls) == 1
 
 
+def test_sign_and_kernel_queries_reuse_the_cleared_minimal_polynomial(monkeypatch):
+    # m = x^2 - x/2 - 1/3 has denominators; its integer form is built once, at validation
+    gen = KERNEL_GENS[0]
+
+    def refuse(p):
+        raise AssertionError("the minimal polynomial was cleared again")
+
+    monkeypatch.setattr(polys, "clear_denominators", refuse)
+    assert positive_at_root(gen.xbar())
+    assert not positive_at_root(gen.xbar().scale(-1))
+    s = kernel_sample(gen, PosPoly.x(), PosPoly.constant(1))
+    assert kernel_contains(s.num, s.den, gen)
+    assert not kernel_contains(PosPoly.x(), PosPoly.constant(1), gen)
+
+
 class TestSignedPoly:
     @given(st.dictionaries(st.integers(0, 8), st.builds(F, st.integers(-9, 9), st.integers(1, 4)), max_size=6))
     def test_sparse_and_dense_forms_round_trip(self, raw):
@@ -346,6 +361,17 @@ class TestSignedPoly:
         assert m.terms == tuple(sorted((d, c) for d, c in raw.items() if c))
         assert m.degree == (max(d for d, _ in m.terms) if m.terms else -1)
         assert m.is_zero == (not m.terms)
+        # the same dict with every coefficient made non-negative, as a PosPoly
+        positive = {d: abs(c) for d, c in raw.items()}
+        if not any(positive.values()):
+            with pytest.raises(ValueError, match="zero polynomial"):
+                PosPoly.of(positive)
+            return
+        p = PosPoly.of(positive)
+        assert PosPoly.of(dict(p.terms)) == p
+        assert PosPoly.from_coeffs(p.coeffs) == p
+        assert p.terms == tuple(sorted((d, c) for d, c in positive.items() if c))
+        assert p.degree == max(d for d, _ in p.terms)
 
     def test_degree_18_product_is_reducible(self):
         # (x^9 - 2)(x^9 - 3): its degree-9 factors are found
@@ -576,3 +602,17 @@ class TestPosPoly:
     def test_semiring_laws(self, a, b):
         assert a + b == b + a
         assert a * b == b * a
+
+    def test_from_coeffs_refuses_negative_and_zero(self):
+        with pytest.raises(ValueError, match="must be positive"):
+            PosPoly.from_coeffs([1, -1])
+        with pytest.raises(ValueError, match="zero polynomial"):
+            PosPoly.from_coeffs([0, 0])
+
+    @given(pos_polys(max_deg=6), pos_polys(max_deg=6), positive_rationals(max_num=9, max_den=4))
+    def test_arithmetic_matches_the_dense_reference(self, a, b, c):
+        assert (a + b).coeffs == R.add(a.coeffs, b.coeffs)
+        assert (a * b).coeffs == R.mul(a.coeffs, b.coeffs)
+        assert a.scale(c).coeffs == R.scale(a.coeffs, c)
+        # the gaps of a product are Fraction zeros too
+        assert all(type(x) is F for x in (a * b).coeffs)

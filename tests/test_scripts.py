@@ -65,3 +65,18 @@ def test_benchmark_traced_pass_finds_the_lattice_layers():
     assert metrics["intlinalg.echelon_calls"]["value"] > 0
     assert metrics["bipotent.lattice_builds"]["value"] > 0
     assert 0 < metrics["intlinalg.smith_calls"]["value"] <= metrics["bipotent.lattice_builds"]["value"]
+
+
+def test_benchmark_traced_pass_finds_the_cancellative_layers():
+    # the traced pass finds `polys.is_irreducible`, `polys.sturm_chain` and
+    # `ExtElem.__mul__` by name and the `uniform` layer's functions and class
+    # methods by module and class `__dict__`, so a rename or a reshaped class
+    # would make a counter read 0
+    proc = run_script(["perfbench/run.py", "--workload", "algebraic", "--seed", "1", "--seconds", "1", "--trace", "1"])
+    assert proc.returncode == 0, proc.stderr
+    details, result = (json.loads(line) for line in proc.stdout.splitlines()[-2:])
+    assert result["correct"] is True
+    assert details["answers_match_untraced"] is True and details["self_within_wall"] is True
+    metrics = result["metrics"]
+    for name in ("polys.irreducible_calls", "polys.sturm_calls", "cancellative.ext_mul_calls", "uniform.calls"):
+        assert metrics[name]["value"] > 0, name

@@ -88,6 +88,13 @@ class TestEssentialAndEval:
         layer, value = eval_layered_poly(f, a)
         assert layer == FreeLayer("y", PosPoly.of({0: 1, 1: 1, 2: 1}))
 
+    def test_eval_free_layer_scales_by_coefficient_layers(self):
+        # 2 + 3·y^2 from the layers 2 and 3 of the two essential terms; the middle term is not essential
+        f = LayeredPoly.from_triples([(2, 0, 0), (5, -1, 1), (3, 0, 2)])
+        a = ExtScalar(FreeLayer("y", PosPoly.x()), F(0))
+        layer, value = eval_layered_poly(f, a)
+        assert (layer, value) == (FreeLayer("y", PosPoly.of({0: 2, 2: 3})), 0)
+
     def test_free_layers_add_in_one_symbol_only(self):
         y, y2 = FreeLayer("y", PosPoly.x()), FreeLayer("y", PosPoly.constant(2))
         assert y + y2 == FreeLayer("y", PosPoly.of({0: 2, 1: 1}))
@@ -247,6 +254,28 @@ class TestFibres:
         # base translate of 0, so its layer never reaches the fibre at 0
         elems = [ExtScalar(SQRT2.xbar(), F(1, 2)), ExtScalar.of(1, 0)]
         assert not fibres_coincide(H, elems, 0, F(1, 2))
+
+
+    @pytest.mark.parametrize("first, second, coincide", [
+        ([2, 2], [3, 3], True),
+        ([1, 1], [1, 2], False),
+    ])
+    def test_algebraic_layers_compare_by_scaling_orbit(self, first, second, coincide):
+        # over sqrt(2): the second layer sits at 3/2, a base translate of 1/2,
+        # so each fibre holds one orbit and they agree iff the layers are proportional
+        Hs = UniformDescriptor(AlgebraicSort(SQRT2), H.value_part)
+        elems = [ExtScalar(SQRT2.element(first), F(0)), ExtScalar(SQRT2.element(second), F(3, 2))]
+        assert fibres_coincide(Hs, elems, 0, F(1, 2)) is coincide
+
+    @pytest.mark.parametrize("first, second, coincide", [
+        ({0: 1, 1: 1}, {0: 2, 1: 2}, True),
+        ({1: 1}, {0: 1, 1: 1}, False),
+    ])
+    def test_free_layers_compare_by_scaling_orbit(self, first, second, coincide):
+        Hy = UniformDescriptor(FreeSort("y"), H.value_part)
+        elems = [ExtScalar(FreeLayer("y", PosPoly.of(first)), F(0)),
+                 ExtScalar(FreeLayer("y", PosPoly.of(second)), F(3, 2))]
+        assert fibres_coincide(Hy, elems, 0, F(1, 2)) is coincide
 
 
 class TestLayersetSemiring:
