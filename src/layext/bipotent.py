@@ -32,7 +32,7 @@ from itertools import chain
 
 from . import intlinalg as la
 from .errors import InconsistentRelations
-from .tropical import ValueLattice, as_fraction
+from .tropical import ValueLattice, _cleared, as_fraction
 
 INFINITE = math.inf
 
@@ -42,6 +42,10 @@ class Numeric:
     """A generator with an explicit rational value."""
 
     value: Fraction
+
+    def __post_init__(self):
+        if not isinstance(self.value, Fraction):
+            raise TypeError("a numeric generator's value must be a Fraction; use Numeric.of")
 
     @classmethod
     def of(cls, value) -> "Numeric":
@@ -62,9 +66,13 @@ class Relation:
     exps: tuple[int, ...]
     beta: Fraction
 
+    def __post_init__(self):
+        if any(type(e) is not int for e in self.exps):  # bools and floats are refused
+            raise ValueError("relation exponents must be ints")
+
     @classmethod
     def of(cls, exps, beta) -> "Relation":
-        return cls(tuple(int(e) for e in exps), as_fraction(beta))
+        return cls(tuple(exps), as_fraction(beta))
 
 
 @dataclass(frozen=True, slots=True)
@@ -159,13 +167,14 @@ class ExponentLattice:
 
 
 def _columns_first(rows, first, ncols):
-    """The rows with the columns `first` moved, in that order, in front of the others.
+    """The rows with the columns `first` moved, in that order, in front of the others of range(ncols).
 
-    A Hermite basis of the result starts with the rows that reach into those
-    columns; the rows after them span the lattice vectors that vanish there.
+    Columns past `ncols` stay at the end.  A Hermite basis of the result
+    starts with the rows that reach into those columns; the rows after them
+    span the lattice vectors that vanish there.
     """
     order = list(first) + [j for j in range(ncols) if j not in first]
-    return [[row[j] for j in order] for row in rows]
+    return [[row[j] for j in order] + list(row[ncols:]) for row in rows]
 
 
 def _check_relations(P: BipotentPresentation):
@@ -181,8 +190,7 @@ def _check_relations(P: BipotentPresentation):
     defects = [
         sum((r.exps[i] * P.generators[i].value for i in num), Fraction(0)) - r.beta for r in P.relations
     ]
-    scale = math.lcm(*(d.denominator for d in defects))
-    rows = [[r.exps[i] for i in sym] + [int(d * scale)] for r, d in zip(P.relations, defects)]
+    rows = [[r.exps[i] for i in sym] + [d] for r, d in zip(P.relations, _cleared(defects)[0])]
     if any(not any(row[: len(sym)]) for row in la.hnf(rows, len(sym) + 1)):
         raise InconsistentRelations("declared relations give a numeric monomial a value other than its own")
 
@@ -195,33 +203,29 @@ def exponent_lattice(P: BipotentPresentation) -> ExponentLattice:
     InconsistentRelations when a combination of declared relations
     contradicts the numeric values.
 
-    One Hermite pass over rows [t | exponents], t a value scaled to an
-    integer by the base generator: a unit row per numeric generator (t and
-    payload its value), one row for the base generator (payload 0; none for
-    a trivial base) and the declared relations (t = 0, payload beta).  The
-    rows left with t = 0 span the combinations whose value lands in the base:
-    without t they are the lattice's Hermite basis, their payloads its betas.
-    The payloads are scaled once to integers over their common denominator.
+    One Hermite pass over rows [t | exponents | beta], t a value scaled to
+    an integer by the base generator and beta a payload column: a unit row
+    per numeric generator (t and beta its value), one row for the base
+    generator (beta 0; none for a trivial base) and the declared relations
+    (t = 0, beta theirs).  The rows left with t = 0 span the combinations
+    whose value lands in the base: their exponents are the lattice's Hermite
+    basis, their betas its betas.  Both value columns are cleared once to
+    integers over their own common denominator.
     """
     if P.relations:
         _check_relations(P)
     num = P.numeric_indices()
     g = P.base.single_generator()
     values = [P.generators[i].value for i in num]
-    scaled = [v / (g or 1) for v in values]
-    m = math.lcm(*(s.denominator for s in scaled))
-    rows = [[int(s * m)] + [1 if j == i else 0 for j in range(P.n)] for s, i in zip(scaled, num)]
-    payload = list(values)
+    ts, m = _cleared([v / (g or 1) for v in values])
+    rows = [[t] + [1 if j == i else 0 for j in range(P.n)] + [v] for t, i, v in zip(ts, num, values)]
     if g != 0:
-        rows.append([m] + [0] * P.n)
-        payload.append(Fraction(0))
-    rows += [[0, *r.exps] for r in P.relations]
-    payload += [Fraction(r.beta) for r in P.relations]
-    den = math.lcm(*(b.denominator for b in payload))
-    payload = [b.numerator * (den // b.denominator) for b in payload]
-    basis, betas = la.hnf_with_payload(rows, P.n + 1, payload)
-    kept = [i for i, row in enumerate(basis) if row[0] == 0]
-    return ExponentLattice(tuple(basis[i][1:] for i in kept), tuple(betas[i] for i in kept), den)
+        rows.append([m] + [0] * P.n + [0])
+    rows += [[0, *r.exps, r.beta] for r in P.relations]
+    betas, den = _cleared([row[-1] for row in rows])
+    rows = [row[:-1] + [b] for row, b in zip(rows, betas)]
+    kept = [row for row in la.hnf(rows, P.n + 1) if row[0] == 0]
+    return ExponentLattice(tuple(row[1:-1] for row in kept), tuple(row[-1] for row in kept), den)
 
 
 # The last presentation queried, its exponent lattice and, once decomposed,
@@ -391,7 +395,8 @@ def divisible_dependence_witness(P: BipotentPresentation, exps, subset=()) -> De
     lat = _lattice(P)
     basis, betas = lat.basis, lat.betas
     if subset:
-        basis, betas = la.hnf_with_payload(_columns_first(basis, complement, P.n), P.n, betas)
+        rows = la.hnf(_columns_first([(*row, b) for row, b in zip(basis, betas)], complement, P.n), P.n)
+        basis, betas = [row[:-1] for row in rows], [row[-1] for row in rows]
     k = _order([row[:c] for row in basis if any(row[:c])], [exps[j] for j in complement])
     if k == INFINITE:
         return None

@@ -40,12 +40,14 @@ from .errors import (
     TrivialExtension,
     ZeroElement,
 )
-from .tropical import as_fraction
+from .tropical import _cleared, as_fraction
 
 
 def _dense(obj) -> polys.Poly:
     """The coefficient tuple of a dict or a list of (degree, coefficient) pairs; zeros are dropped."""
-    items = [(int(k), as_fraction(v)) for k, v in (obj.items() if isinstance(obj, dict) else obj)]
+    items = [(k, as_fraction(v)) for k, v in (obj.items() if isinstance(obj, dict) else obj)]
+    if any(type(d) is not int for d, _ in items):  # bools and floats are refused
+        raise ValueError("degrees must be ints")
     items = [(d, c) for d, c in items if c != 0]
     degs = [d for d, _ in items]
     if len(set(degs)) != len(degs):
@@ -340,12 +342,6 @@ class ExtElem:
             else:
                 parts.append(f"X^{i}" if c == 1 else f"{c}*X^{i}")
         return " + ".join(parts) if parts else "0"
-
-
-def _cleared(coeffs) -> tuple[list[int], int]:
-    """The integer numerators of Fractions over their least common denominator, and that denominator."""
-    den = math.lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 def _solve_fraction_free(rows, rhs) -> tuple[list[int], int]:

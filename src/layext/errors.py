@@ -62,7 +62,12 @@ class LayerNotInBase(LayextError):
 
 
 class DescriptorMismatch(LayextError):
-    """The inputs of an evaluation do not fit together (e.g. symbolic values)."""
+    """Inputs of a uniform-extension operation do not fit together.
+
+    Raised when evaluation meets a symbolic scalar value, when `extend_sort`
+    would take a second sort extension step, and when free layers in
+    different symbols are added.
+    """
 
 
 class ParseError(LayextError):

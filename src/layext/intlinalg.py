@@ -2,9 +2,10 @@
 
 Matrices are lists of rows of Python ints; vectors are row vectors.  The
 routines here back the lattice computations: Hermite form for lattice bases,
-carrying an integer payload per row through the row operations (the caller
-keeps the denominator), membership by reduction, and Smith form with
-unimodular transforms for the free/torsion basis of a quotient group.
+with any columns past the pivoted ones carried through the row operations as
+integer payload (the caller keeps their denominator), membership by
+reduction, and Smith form with unimodular transforms for the free/torsion
+basis of a quotient group.
 Everything is deterministic: pivots are chosen as the smallest absolute
 nonzero entry, scanning top-to-bottom then left-to-right, and diagonal
 entries are normalized positive.
@@ -19,15 +20,14 @@ def identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _echelon(rows, ncols, payload):
-    """Row-style Hermite reduction; returns (basis, payloads of the basis rows).
+def _echelon(rows, ncols):
+    """Row-style Hermite reduction on the first `ncols` columns; returns the basis rows.
 
-    Row operations are unimodular, so the row span is preserved and the
-    payload column (if any) is carried along linearly.  Rows that reduce to
-    zero are dropped with their payloads.
+    Row operations are unimodular, so the row span is preserved; columns
+    past `ncols` are carried through them as payload.  Rows that reduce to
+    zero on the first `ncols` columns are dropped, payload and all.
     """
     rows = [list(r) for r in rows]
-    pay = list(payload) if payload is not None else None
     m = len(rows)
     top = 0
     for col in range(ncols):
@@ -36,18 +36,13 @@ def _echelon(rows, ncols, payload):
             if not nz:
                 break
             i0 = min(nz, key=lambda i: (abs(rows[i][col]), i))
-            if i0 != top:
-                rows[top], rows[i0] = rows[i0], rows[top]
-                if pay is not None:
-                    pay[top], pay[i0] = pay[i0], pay[top]
+            rows[top], rows[i0] = rows[i0], rows[top]
             p = rows[top][col]
             done = True
             for i in range(top + 1, m):
                 if rows[i][col] != 0:
                     q = rows[i][col] // p
                     rows[i] = [x - q * y for x, y in zip(rows[i], rows[top])]
-                    if pay is not None:
-                        pay[i] -= q * pay[top]
                     if rows[i][col] != 0:
                         done = False
             if done:
@@ -55,39 +50,26 @@ def _echelon(rows, ncols, payload):
         if top < m and rows[top][col] != 0:
             if rows[top][col] < 0:
                 rows[top] = [-x for x in rows[top]]
-                if pay is not None:
-                    pay[top] = -pay[top]
             p = rows[top][col]
             for i in range(top):
                 q = rows[i][col] // p
                 if q:
                     rows[i] = [x - q * y for x, y in zip(rows[i], rows[top])]
-                    if pay is not None:
-                        pay[i] -= q * pay[top]
             top += 1
             if top == m:
                 break
-    basis = [tuple(r) for r in rows[:top]]
-    return basis, pay[:top] if pay is not None else None
+    return tuple(tuple(r) for r in rows[:top])
 
 
 def hnf(rows, ncols: int) -> tuple[Vec, ...]:
-    """Hermite normal form of the lattice spanned by the given rows.
+    """Hermite normal form, on the first `ncols` columns, of the lattice spanned by the rows.
 
     Pivots are positive, entries above each pivot are reduced into
-    [0, pivot); zero rows are dropped.
+    [0, pivot); rows that are zero on the first `ncols` columns are dropped.
+    Columns past `ncols` ride along: each output row carries the same
+    integer combination of them as of the first `ncols` columns.
     """
-    basis, _ = _echelon(rows, ncols, None)
-    return tuple(basis)
-
-
-def hnf_with_payload(rows, ncols: int, payload):
-    """Hermite form carrying a parallel column of integers through the row ops.
-
-    Returns (basis, betas) with betas[i] the payload combination of basis[i].
-    """
-    basis, betas = _echelon(rows, ncols, list(payload))
-    return tuple(basis), tuple(betas)
+    return _echelon(rows, ncols)
 
 
 def reduce_by_hnf(vec, basis, betas=None):

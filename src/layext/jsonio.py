@@ -123,20 +123,20 @@ def parse_poly_terms(doc) -> dict:
     return out
 
 
-def parse_signed_poly(doc) -> SignedPoly:
+def _parse_poly(doc, cls):
     body = doc.get("poly", doc) if isinstance(doc, dict) else doc
     try:
-        return SignedPoly.of(parse_poly_terms(body))
+        return cls.of(parse_poly_terms(body))
     except ValueError as e:
         raise ParseError(str(e)) from None
+
+
+def parse_signed_poly(doc) -> SignedPoly:
+    return _parse_poly(doc, SignedPoly)
 
 
 def parse_pos_poly(doc) -> PosPoly:
-    body = doc.get("poly", doc) if isinstance(doc, dict) else doc
-    try:
-        return PosPoly.of(parse_poly_terms(body))
-    except ValueError as e:
-        raise ParseError(str(e)) from None
+    return _parse_poly(doc, PosPoly)
 
 
 def render_poly(terms) -> dict:

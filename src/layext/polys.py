@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations, islice
 
 from .errors import DegreeTooLarge
-from .tropical import as_fraction
+from .tropical import _cleared, as_fraction
 
 Poly = tuple[Fraction, ...]
 
@@ -54,10 +54,7 @@ def eval_poly(p: Poly, x) -> Fraction:
 
 def clear_denominators(p: Poly) -> tuple[int, ...]:
     """Primitive integer-coefficient multiple of p (positive leading sign)."""
-    if not p:
-        return ()
-    m = math.lcm(*(c.denominator for c in p))
-    return tuple(_primitive([int(c * m) for c in p]))
+    return tuple(_primitive(_cleared(p)[0])) if p else ()
 
 
 # Factorisation over Q.  Below, polynomials are lists of ints indexed by
@@ -212,12 +209,8 @@ def _pseudo_rem(a, b) -> list[int]:
 
 
 def _gcd_int(a, b) -> list[int]:
-    """Primitive gcd in Z[x] with a positive leading coefficient, by the primitive remainder sequence."""
-    while b:
-        a, b = b, _pseudo_rem(a, b)
-        if b:
-            b = _primitive(b)
-    return _primitive(a)
+    """Primitive gcd in Z[x] with a positive leading coefficient: the last term of `_remainder_sequence`."""
+    return _primitive(_remainder_sequence(a, b)[-1])
 
 
 def _squarefree_parts(f) -> list[tuple[int, list[int]]]:
@@ -447,8 +440,7 @@ def tarski_query(f, g, lo, hi) -> int:
     in Real Algebraic Geometry, ch. 2); an endpoint that is a root of f
     raises ValueError.
     """
-    chain = _remainder_sequence(list(f), _trim(_mul(_derivative_int(f), g)))
-    return _variations_at(chain, lo) - _variations_at(chain, hi)
+    return count_roots(_remainder_sequence(list(f), _trim(_mul(_derivative_int(f), g))), lo, hi)
 
 
 def _positive_primitive(a) -> list[int]:

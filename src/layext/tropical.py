@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import BottomValue, ZeroHasNoLayer
 
@@ -35,6 +35,12 @@ def as_fraction(x) -> Fraction:
     if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
+
+
+def _cleared(coeffs) -> tuple[list[int], int]:
+    """The integer numerators of Fractions over their least common denominator, and that denominator."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 class _Bottom:
@@ -76,6 +82,7 @@ class LayeredElem:
     """A layered element: Zero, or a pair (layer, value) with layer > 0.
 
     `layer is None` exactly when the element is the zero of the semiring.
+    The constructor takes Fractions only; `make` coerces ints and strings.
     """
 
     layer: Fraction | None
@@ -84,7 +91,11 @@ class LayeredElem:
     def __post_init__(self):
         if (self.layer is None) != (self.value is None):
             raise ValueError("layer and value must both be present or both absent")
-        if self.layer is not None and self.layer <= 0:
+        if self.layer is None:
+            return
+        if not (isinstance(self.layer, Fraction) and isinstance(self.value, Fraction)):
+            raise TypeError("layer and value must be Fractions; use LayeredElem.make")
+        if self.layer <= 0:
             raise ValueError("layer must be a positive rational")
 
     @staticmethod
@@ -112,7 +123,7 @@ class LayeredElem:
         return _positive(self.layer * other.layer, self.value + other.value)
 
     def __pow__(self, n: int) -> "LayeredElem":
-        if not isinstance(n, int) or n < 0:
+        if type(n) is not int or n < 0:  # bools are refused
             raise ValueError("exponent must be a natural number")
         if n == 0:
             return ONE

@@ -160,6 +160,8 @@ class LayeredPoly:
         if not self.terms:
             raise ValueError("a layered polynomial has at least one term")
         exps = [e for e, _ in self.terms]
+        if any(type(e) is not int for e in exps):  # bools and floats are refused
+            raise ValueError("exponents must be ints")
         if len(set(exps)) != len(exps) or any(e < 0 for e in exps):
             raise ValueError("exponents must be distinct naturals")
         for _, c in self.terms:
@@ -168,8 +170,7 @@ class LayeredPoly:
 
     @classmethod
     def of(cls, pairs) -> "LayeredPoly":
-        items = sorted(((int(e), c) for e, c in pairs), key=lambda t: t[0])
-        return cls(tuple(items))
+        return cls(tuple(sorted(pairs, key=lambda t: t[0])))
 
     @classmethod
     def from_triples(cls, triples) -> "LayeredPoly":
@@ -199,11 +200,11 @@ def eval_layered_poly(f: LayeredPoly, a: ExtScalar):
     element of the sort part extended by the scalar's layer.
     """
     nu = _rational_value(a)
-    ess = set(essential_indices(f, a))
-    value = max(c.value + e * nu for e, c in f.terms)
+    values = [c.value + e * nu for e, c in f.terms]
+    value = max(values)
     layer = None
-    for e, c in f.terms:
-        if e not in ess:
+    for (e, c), v in zip(f.terms, values):
+        if v != value:
             continue
         power = a.layer**e
         term = c.layer * power if isinstance(power, Fraction) else power.scale(c.layer)

@@ -148,7 +148,7 @@ def kernel(rows, ncols: int) -> tuple[Vec, ...]:
     if m == 0:
         return ()
     aug = [list(rows[i]) + [1 if j == i else 0 for j in range(m)] for i in range(m)]
-    red, _ = _echelon(aug, ncols + m, None)
+    red = _echelon(aug, ncols + m)
     ker = [tuple(r[ncols:]) for r in red if all(x == 0 for x in r[:ncols])]
     return hnf(ker, m)
 

@@ -209,8 +209,8 @@ class TestAgainstKernelReference:
             lat = exponent_lattice(P)
             assert (lat.basis, tuple(F(b, lat.den) for b in lat.betas)) == want
             # a Hermite pass in the natural order leaves the basis as it is, so queries skip it
-            basis, betas = la.hnf_with_payload(lat.basis, P.n, lat.betas)
-            assert (tuple(map(tuple, basis)), betas) == (lat.basis, lat.betas)
+            rows = la.hnf([(*row, b) for row, b in zip(lat.basis, lat.betas)], P.n)
+            assert (tuple(row[:-1] for row in rows), tuple(row[-1] for row in rows)) == (lat.basis, lat.betas)
             for _ in range(3):
                 subset = [i for i in range(P.n) if rng.random() < 0.5] or [rng.randrange(P.n)]
                 assert is_divisibly_dependent(P, subset) == reference_dependent(lat.basis, P.n, subset)
@@ -260,8 +260,9 @@ class TestIntegerBetas:
             assert all(type(b) is int for b in lat.betas)
             cols = list(range(P.n))
             rng.shuffle(cols)
-            _, betas = la.hnf_with_payload(bipotent._columns_first(lat.basis, cols, P.n), P.n, lat.betas)
-            assert all(type(b) is int for b in betas)
+            rows = [(*row, b) for row, b in zip(lat.basis, lat.betas)]
+            rows = la.hnf(bipotent._columns_first(rows, cols, P.n), P.n)
+            assert all(type(row[-1]) is int for row in rows)
         assert checked >= 100
 
 
@@ -419,9 +420,9 @@ class TestSharedQuotient:
         calls = []
         echelon = la._echelon
 
-        def counted(rows, ncols, payload):
+        def counted(rows, ncols):
             calls.append(ncols)
-            return echelon(rows, ncols, payload)
+            return echelon(rows, ncols)
 
         monkeypatch.setattr(la, "_echelon", counted)
         for base in (Z, ValueLattice.of()):
@@ -446,9 +447,9 @@ class TestSharedQuotient:
         calls = []
         echelon = la._echelon
 
-        def counted(rows, ncols, payload):
+        def counted(rows, ncols):
             calls.append(ncols)
-            return echelon(rows, ncols, payload)
+            return echelon(rows, ncols)
 
         monkeypatch.setattr(la, "_echelon", counted)
         assert extension_rank(P) == 12
@@ -880,3 +881,9 @@ def test_dependence_matches_bounded_oracle(values, data):
         )
     )
     assert is_divisibly_dependent(P, subset) == brute_force_dependent(P, subset)
+
+
+@pytest.mark.parametrize("value", [0.5, 1, "1/2"])
+def test_numeric_generator_refuses_non_fractions(value):
+    with pytest.raises(TypeError):
+        Numeric(value)

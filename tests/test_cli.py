@@ -437,3 +437,16 @@ def test_malformed_input_is_one_error_line(tmp_path, name):
     assert rc == 1 and out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ParseError: ")
+
+
+def test_cli_imports_only_the_standard_library():
+    # diff against a snapshot: the interpreter's site hooks may load
+    # third-party modules before any user code runs
+    code = (
+        "import sys; before = set(sys.modules); import layext.cli; "
+        "print(*sorted({m.partition('.')[0] for m in set(sys.modules) - before}))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True, text=True, check=True)
+    loaded = out.stdout.split()
+    assert "layext" in loaded
+    assert [m for m in loaded if m not in sys.stdlib_module_names and m != "layext"] == []

@@ -99,3 +99,18 @@ def test_smith_diagonal_matches_sympy():
         _, diag, _, _ = la.smith(rows, n)
         want = smith_normal_form(sympy.Matrix(rows), domain=sympy.ZZ)
         assert diag == [abs(want[i, i]) for i in range(min(m, n))]
+
+
+@given(matrices(), st.data())
+def test_hnf_carries_columns_past_ncols(mat, data):
+    # a trailing column rides through the row operations: pivots ignore it,
+    # and every output row keeps it equal to the row's dot product with w
+    rows, n = mat
+    w = data.draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
+
+    def dot(row):
+        return sum(x * y for x, y in zip(row, w))
+
+    out = la.hnf([(*row, dot(row)) for row in rows], n)
+    assert tuple(row[:n] for row in out) == la.hnf(rows, n)
+    assert all(row[n] == dot(row[:n]) for row in out)

@@ -141,6 +141,17 @@ def random_int_poly(rng, max_deg, bound=9):
     return [rng.randint(-bound, bound) for _ in range(rng.randint(0, max_deg))] + [rng.choice([1, 2, -1, -3])]
 
 
+def test_gcd_int_matches_sympy_on_products_with_shared_factors():
+    x = sympy.Symbol("x")
+    rng = random.Random(20261021)
+    for _ in range(120):
+        shared = random_int_poly(rng, 3)
+        a, b = (P._mul(shared, random_int_poly(rng, 4)) for _ in range(2))
+        want = sympy.Poly(list(reversed(a)), x, domain="ZZ").gcd(sympy.Poly(list(reversed(b)), x, domain="ZZ"))
+        want = [int(c) for c in reversed(want.primitive()[1].all_coeffs())]
+        assert P._gcd_int(a, b) == want, (a, b)
+
+
 class TestTarskiQueryAgainstSympy:
     """The sum of sign g(r) over the roots r of f in (lo, hi), against sympy's exact real roots."""
 

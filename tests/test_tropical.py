@@ -215,3 +215,7 @@ def test_public_constructor_still_validates():
         LayeredElem(F(0), F(1))
     with pytest.raises(ValueError):
         LayeredElem(None, F(1))
+    for layer, value in [(1.5, F(2)), (F(1), 0.5), (2, F(1))]:  # Fractions only; `make` coerces
+        with pytest.raises(TypeError):
+            LayeredElem(layer, value)
+    assert LayeredElem(None, None).is_zero

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 import reference as R
 from conftest import positive_rationals, rationals
-from layext.bipotent import BipotentPresentation, Numeric, Symbolic, extension_rank
+from layext.bipotent import BipotentPresentation, Numeric, Relation, Symbolic, extension_rank
 from layext.cancellative import PosPoly, SignedPoly, validate_generator
 from layext.errors import DescriptorMismatch, LayerNotInBase, ValueNotInBase
 from layext.tropical import LayeredElem, ValueLattice
@@ -353,3 +353,31 @@ class TestDegenerateLayers:
         from layext.uniform import sort_contains
 
         assert sort_contains(BaseSort(), FreeLayer("y", PosPoly.constant(2)))
+
+
+C = LayeredElem.make(2, 3)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Relation.of((2.5,), 1),
+        lambda: Relation.of((True,), 1),
+        lambda: Relation((2.5,), F(1)),
+        lambda: LayeredPoly.of([(1.5, C)]),
+        lambda: LayeredPoly.of([(True, C)]),
+        lambda: LayeredPoly(((1.5, C),)),
+        lambda: SignedPoly.of({1.5: 1}),
+        lambda: PosPoly.of({True: 1}),
+        lambda: PosPoly.x(2.5),
+        lambda: C ** True,
+    ],
+    ids=[
+        "relation-float", "relation-bool", "relation-direct", "layered-poly-float", "layered-poly-bool",
+        "layered-poly-direct", "signed-poly-float", "pos-poly-bool", "pos-poly-x-float", "layered-elem-pow-bool",
+    ],
+)
+def test_non_int_exponents_and_degrees_are_refused(build):
+    # truncating 2.5 to 2 or reading True as 1 would answer for another input
+    with pytest.raises(ValueError):
+        build()
