@@ -1,11 +1,11 @@
 """Command-line front end: parse JSON inputs, run the algebra, emit reports.
 
-Subcommands: decompose, eval, closure, kernel, semifield, torsion-degree,
-rank.  Inputs are JSON files ("-" reads stdin); output is a human-readable
-report, or the machine payload with --json.  --notes adds one line per
-derived field naming the operation that produced it.  Output is deterministic
-byte for byte for identical inputs, and the exit code is 0 exactly when no
-error occurred.
+Subcommands (`COMMANDS`): decompose, eval, closure, kernel, semifield,
+torsion-degree, rank.  Inputs are JSON files ("-" reads stdin) read through
+`jsonio`; output is a human-readable report, or the machine payload with
+--json.  --notes adds one line per derived field naming the operation that
+produced it.  Output is deterministic byte for byte for identical inputs, and
+the exit code is 0 exactly when no error occurred; an error is one `error:` line.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import jsonio
@@ -38,18 +37,6 @@ from .uniform import (
 )
 
 
-@dataclass
-class Report:
-    """A command echo, a machine-readable payload, and derivation notes."""
-
-    command: str
-    payload: dict
-    notes: list
-
-    def to_json(self) -> dict:
-        return {"command": self.command, "result": self.payload, "notes": self.notes}
-
-
 def _read(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -58,6 +45,8 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise ParseError(f"cannot decode {path} as UTF-8: {e.reason} at byte {e.start}") from None
 
 
 def _load(path: str, parse):
@@ -68,7 +57,7 @@ def _fin(x) -> object:
     return "infinite" if x == INFINITE else int(x)
 
 
-def cmd_decompose(args) -> Report:
+def cmd_decompose(args) -> tuple:
     P = _load(args.presentation, jsonio.parse_presentation)
     dec = decompose_extension(P)
     payload = {
@@ -90,10 +79,10 @@ def cmd_decompose(args) -> Report:
         "monomials are rows of the inverse column transform, one per invariant factor > 1 or free column",
         "rank is the product of the torsion orders, infinite when a free part exists",
     ]
-    return Report("decompose", payload, notes)
+    return payload, notes
 
 
-def cmd_eval(args) -> Report:
+def cmd_eval(args) -> tuple:
     f = _load(args.poly, jsonio.parse_layered_poly)
     a = _load(args.scalar, jsonio.parse_scalar)
     layer, value = eval_layered_poly(f, a)
@@ -109,10 +98,10 @@ def cmd_eval(args) -> Report:
         "value is the maximum of coefficient value + exponent * scalar value",
         "layer sums coefficient layer * scalar layer^exponent over the essential exponents",
     ]
-    return Report("eval", payload, notes)
+    return payload, notes
 
 
-def cmd_closure(args) -> Report:
+def cmd_closure(args) -> tuple:
     H = _load(args.descriptor, jsonio.parse_descriptor)
     a = _load(args.scalar, jsonio.parse_scalar)
     C = uniform_closure(H, a)
@@ -124,19 +113,19 @@ def cmd_closure(args) -> Report:
         "the closure extends the sort part by the scalar layer and the value part by the scalar value",
         "layerset_semiring is the membership of the scalar value in the base value group",
     ]
-    return Report("closure", payload, notes)
+    return payload, notes
 
 
-def cmd_kernel(args) -> Report:
+def cmd_kernel(args) -> tuple:
     a = _load(args.numerator, jsonio.parse_pos_poly)
     b = _load(args.denominator, jsonio.parse_pos_poly)
     gen = _load(args.generator, jsonio.parse_generator)
     payload = {"in_kernel": kernel_contains(a, b, gen)}
     notes = ["membership holds when the minimal polynomial divides numerator - denominator"]
-    return Report("kernel", payload, notes)
+    return payload, notes
 
 
-def cmd_semifield(args) -> Report:
+def cmd_semifield(args) -> tuple:
     H = _load(args.descriptor, jsonio.parse_descriptor)
     payload = {
         "semifield": is_uniform_semifield(H),
@@ -148,35 +137,44 @@ def cmd_semifield(args) -> Report:
         "a uniform layered domain is a semifield when both its parts are",
         "the value part qualifies exactly when its quotient group is finite (all generators torsion)",
     ]
-    return Report("semifield", payload, notes)
+    return payload, notes
 
 
-def _int_list(text: str, what: str) -> tuple:
+def _int_list(text: str) -> tuple:
     """A comma-separated list of integers; the empty string is the empty list."""
-    try:
-        return tuple(int(x) for x in text.split(",")) if text else ()
-    except ValueError:
-        raise ParseError(f"bad {what} list {text!r}") from None
+    return tuple(jsonio.parse_int(x) for x in text.split(",")) if text else ()
 
 
-def cmd_torsion_degree(args) -> Report:
+def cmd_torsion_degree(args) -> tuple:
     P = _load(args.presentation, jsonio.parse_presentation)
-    exps = _int_list(args.exps, "exponent")
+    exps = _int_list(args.exps)
     if len(exps) != P.n:
         raise ParseError(f"expected {P.n} exponents, got {len(exps)}")
     payload = {"degree": _fin(torsion_degree(P, exps))}
     notes = ["the degree is the order of the monomial class in the quotient by the exponent lattice"]
-    return Report("torsion-degree", payload, notes)
+    return payload, notes
 
 
-def cmd_rank(args) -> Report:
+def cmd_rank(args) -> tuple:
     P = _load(args.presentation, jsonio.parse_presentation)
-    over = _int_list(args.over, "index")
+    over = _int_list(args.over)
     if any(i < 0 or i >= P.n for i in over):
         raise ParseError("subset indices out of range")
     payload = {"rank": _fin(extension_rank(P, over=over))}
     notes = ["the rank is the size of the quotient group over the chosen sub-extension"]
-    return Report("rank", payload, notes)
+    return payload, notes
+
+
+COMMANDS = (
+    ("decompose", cmd_decompose, ("presentation",), "free/torsion decomposition of a bipotent presentation"),
+    ("eval", cmd_eval, ("poly", "scalar"), "evaluate a layered polynomial at a scalar"),
+    ("closure", cmd_closure, ("descriptor", "scalar"), "uniform closure of a descriptor by a scalar"),
+    ("kernel", cmd_kernel, ("numerator", "denominator", "generator"),
+     "kernel membership of a quotient of positive polynomials"),
+    ("semifield", cmd_semifield, ("descriptor",), "semifield test for a uniform descriptor"),
+    ("torsion-degree", cmd_torsion_degree, ("presentation",), "minimal power of a monomial landing in the base"),
+    ("rank", cmd_rank, ("presentation",), "extension rank over a sub-presentation"),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -194,80 +192,48 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("decompose", parents=[common],
-                       help="free/torsion decomposition of a bipotent presentation")
-    p.add_argument("presentation")
-    p.set_defaults(run=cmd_decompose)
-
-    p = sub.add_parser("eval", parents=[common], help="evaluate a layered polynomial at a scalar")
-    p.add_argument("poly")
-    p.add_argument("scalar")
-    p.set_defaults(run=cmd_eval)
-
-    p = sub.add_parser("closure", parents=[common],
-                       help="uniform closure of a descriptor by a scalar")
-    p.add_argument("descriptor")
-    p.add_argument("scalar")
-    p.set_defaults(run=cmd_closure)
-
-    p = sub.add_parser("kernel", parents=[common],
-                       help="kernel membership of a quotient of positive polynomials")
-    p.add_argument("numerator")
-    p.add_argument("denominator")
-    p.add_argument("generator")
-    p.set_defaults(run=cmd_kernel)
-
-    p = sub.add_parser("semifield", parents=[common], help="semifield test for a uniform descriptor")
-    p.add_argument("descriptor")
-    p.set_defaults(run=cmd_semifield)
-
-    p = sub.add_parser("torsion-degree", parents=[common],
-                       help="minimal power of a monomial landing in the base")
-    p.add_argument("presentation")
-    p.add_argument("--exps", required=True, help="comma-separated exponent vector")
-    p.set_defaults(run=cmd_torsion_degree)
-
-    p = sub.add_parser("rank", parents=[common], help="extension rank over a sub-presentation")
-    p.add_argument("presentation")
-    p.add_argument("--over", default="", help="comma-separated generator indices of the sub-extension")
-    p.set_defaults(run=cmd_rank)
-
+    for name, run, inputs, help_text in COMMANDS:
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        for arg in inputs:
+            p.add_argument(arg)
+        p.set_defaults(run=run)
+    sub.choices["torsion-degree"].add_argument("--exps", required=True, help="comma-separated exponent vector")
+    sub.choices["rank"].add_argument("--over", default="",
+                                     help="comma-separated generator indices of the sub-extension")
     return ap
 
 
-def _emit(report: Report, args, out):
+def _emit(payload: dict, notes: list, args, out):
     if args.json:
-        doc = report.to_json()
-        if not args.notes:
-            doc.pop("notes")
+        doc = {"command": args.command, "result": payload}
+        if args.notes:
+            doc["notes"] = notes
         out.write(json.dumps(doc, sort_keys=True, separators=(", ", ": ")) + "\n")
         return
-    out.write(f"command: {report.command}\n")
-    for key, val in report.payload.items():
+    out.write(f"command: {args.command}\n")
+    for key, val in payload.items():
         if isinstance(val, (dict, list)):
             out.write(f"{key}: {json.dumps(val, sort_keys=True)}\n")
         else:
             out.write(f"{key}: {val}\n")
     if args.notes:
-        for note in report.notes:
+        for note in notes:
             out.write(f"note: {note}\n")
 
 
 def main(argv=None, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     for name in ("json", "notes"):
         vars(args).setdefault(name, False)
     try:
-        report = args.run(args)
+        payload, notes = args.run(args)
     except LayextError as e:
         err.write(f"error: {type(e).__name__}: {e}\n")
         return 1
     try:
-        _emit(report, args, out)
+        _emit(payload, notes, args, out)
         out.flush()
     except BrokenPipeError:
         # the reader has gone: send the unflushed rest to devnull so exit stays quiet

@@ -1,8 +1,10 @@
 """JSON encodings of the library's objects, shared by the CLI and fixtures.
 
-All rationals travel as strings in lowest terms ("5", "-1/2").  The concrete
-shapes are documented in schemas/README.md with one example file per format;
-parse/render are inverse to each other on every well-formed document.
+Numbers are JSON integers or exactly the text layext writes for them: rationals
+in lowest terms ("5", "-1/2"), integers in decimal.  Any other input, and any
+`ValueError` or `TypeError` the library raises while building an object, is a
+`ParseError`.  schemas/README.md documents the shapes with one sample file per
+format; parse/render are inverse to each other on every well-formed document.
 """
 
 from __future__ import annotations
@@ -25,23 +27,28 @@ from .uniform import (
 )
 
 
-def parse_rational(s) -> Fraction:
-    if isinstance(s, bool) or not isinstance(s, (str, int)):
-        raise ParseError(f"expected a rational string, got {s!r}")
+def _parse_number(s, kind, what: str):
+    """A JSON integer, or a string `s` with `str(kind(s)) == s`; bools and floats are refused."""
+    if isinstance(s, int) and not isinstance(s, bool):
+        return kind(s)
+    _require(isinstance(s, str), f"expected {what} text or a JSON integer, got {s!r}")
     try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError) as e:
-        raise ParseError(f"bad rational {s!r}: {e}") from None
+        # characters first: kind() would expand an exponent ("1e999999999") before str() could refuse it
+        x = kind(s) if set(s) <= set("-/0123456789") else None
+    except (ValueError, ZeroDivisionError):
+        x = None
+    _require(x is not None and str(x) == s, f"bad {what} {s!r}")
+    return x
+
+
+def parse_rational(s) -> Fraction:
+    """A rational given as a JSON integer or a string in lowest terms ("5", "-1/2")."""
+    return _parse_number(s, Fraction, "rational")
 
 
 def parse_int(s) -> int:
-    """An integer given as a JSON integer or a decimal string; bools and floats are refused."""
-    if isinstance(s, bool) or not isinstance(s, (str, int)):
-        raise ParseError(f"expected an integer, got {s!r}")
-    try:
-        return int(s)
-    except ValueError:
-        raise ParseError(f"bad integer {s!r}") from None
+    """An integer given as a JSON integer or a decimal string ("-3")."""
+    return _parse_number(s, int, "integer")
 
 
 def parse_bool(s) -> bool:
@@ -59,11 +66,22 @@ def load_document(text: str, source: str = "<input>") -> object:
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"{source}: line {e.lineno} column {e.colno}: {e.msg}") from None
+    except (ValueError, RecursionError) as e:
+        # an integer over the interpreter's digit limit, or nesting too deep to decode
+        raise ParseError(f"{source}: {e}") from None
 
 
 def _require(cond: bool, msg: str):
     if not cond:
         raise ParseError(msg)
+
+
+def _built(make, *args):
+    """`make(*args)`, with a `ValueError` or `TypeError` of the library raised as a `ParseError`."""
+    try:
+        return make(*args)
+    except (ValueError, TypeError) as e:
+        raise ParseError(str(e)) from None
 
 
 def parse_presentation(doc) -> BipotentPresentation:
@@ -88,10 +106,7 @@ def parse_presentation(doc) -> BipotentPresentation:
     for r in relations:
         _require(isinstance(r, dict) and isinstance(r.get("exps"), list) and "beta" in r, f"bad relation {r!r}")
         rels.append(Relation(tuple(parse_int(e) for e in r["exps"]), parse_rational(r["beta"])))
-    try:
-        return BipotentPresentation(base, tuple(gens), tuple(rels), parse_bool(doc.get("monoid", False)))
-    except (ValueError, TypeError) as e:
-        raise ParseError(str(e)) from None
+    return _built(BipotentPresentation, base, tuple(gens), tuple(rels), parse_bool(doc.get("monoid", False)))
 
 
 def render_presentation(P: BipotentPresentation) -> dict:
@@ -113,22 +128,12 @@ def render_presentation(P: BipotentPresentation) -> dict:
 
 def parse_poly_terms(doc) -> dict:
     _require(isinstance(doc, dict), "polynomial must be an object of degree -> coefficient")
-    out = {}
-    for k, v in doc.items():
-        try:
-            deg = int(k)
-        except ValueError:
-            raise ParseError(f"bad degree {k!r}") from None
-        out[deg] = parse_rational(v)
-    return out
+    return {parse_int(k): parse_rational(v) for k, v in doc.items()}
 
 
 def _parse_poly(doc, cls):
     body = doc.get("poly", doc) if isinstance(doc, dict) else doc
-    try:
-        return cls.of(parse_poly_terms(body))
-    except ValueError as e:
-        raise ParseError(str(e)) from None
+    return _built(cls.of, parse_poly_terms(body))
 
 
 def parse_signed_poly(doc) -> SignedPoly:
@@ -148,10 +153,7 @@ def parse_generator(doc) -> AlgebraicGenerator:
     m = parse_signed_poly(doc["m"])
     iv = doc["interval"]
     _require(isinstance(iv, list) and len(iv) == 2, "interval must be [lo, hi]")
-    try:
-        return validate_generator(m, (parse_rational(iv[0]), parse_rational(iv[1])))
-    except ValueError as e:
-        raise ParseError(str(e)) from None
+    return _built(validate_generator, m, (parse_rational(iv[0]), parse_rational(iv[1])))
 
 
 def render_generator(gen: AlgebraicGenerator) -> dict:
@@ -195,10 +197,7 @@ def parse_layered_poly(doc) -> LayeredPoly:
     for t in doc:
         _require(isinstance(t, dict) and {"layer", "value", "exp"} <= t.keys(), f"bad term {t!r}")
         triples.append((parse_rational(t["layer"]), parse_rational(t["value"]), parse_int(t["exp"])))
-    try:
-        return LayeredPoly.from_triples(triples)
-    except ValueError as e:
-        raise ParseError(str(e)) from None
+    return _built(LayeredPoly.from_triples, triples)
 
 
 def render_layered_poly(f: LayeredPoly) -> list:
@@ -236,10 +235,7 @@ def parse_scalar(doc) -> ExtScalar:
         value = val_doc["sym"]
     else:
         value = parse_rational(val_doc)
-    try:
-        return ExtScalar(layer, value)
-    except (ValueError, TypeError) as e:
-        raise ParseError(str(e)) from None
+    return _built(ExtScalar, layer, value)
 
 
 def render_scalar(a: ExtScalar) -> dict:

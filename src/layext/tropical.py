@@ -179,7 +179,7 @@ def rebuild(layer, value) -> LayeredElem:
     return LayeredElem.make(layer, value)
 
 
-_LAYERED_RE = re.compile(r"^\[(?P<layer>-?\d+(?:/\d+)?)\](?P<value>-?\d+(?:/\d+)?)$")
+_LAYERED_RE = re.compile(r"^\[(?P<layer>-?\d+(?:/\d+)?)\](?P<value>-?\d+(?:/\d+)?)$", re.ASCII)
 
 
 def parse_layered(text: str) -> LayeredElem:

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 import sympy
@@ -11,8 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import src_env
 from layext import jsonio
-from layext.cli import main
+from layext.cli import COMMANDS, main
 from layext.errors import ParseError
+from test_cli_golden import CASES, ROOT
 
 
 def run(args, tmp_path=None):
@@ -22,8 +24,12 @@ def run(args, tmp_path=None):
 
 
 def write(tmp_path, name, doc):
+    """A JSON document, or raw bytes written as they are."""
     p = tmp_path / name
-    p.write_text(json.dumps(doc), encoding="utf-8")
+    if isinstance(doc, bytes):
+        p.write_bytes(doc)
+    else:
+        p.write_text(json.dumps(doc), encoding="utf-8")
     return str(p)
 
 
@@ -252,6 +258,12 @@ class TestJsonRoundTrips:
             a = jsonio.parse_scalar(doc)
             assert jsonio.parse_scalar(jsonio.render_scalar(a)) == a
 
+    def test_exponent_text_is_refused_before_it_is_expanded(self):
+        start = time.process_time()
+        with pytest.raises(ParseError):
+            jsonio.parse_rational("1e9999999")
+        assert time.process_time() - start < 1.0
+
     def test_bad_inputs_raise_parse_error(self):
         for fn, doc in [
             (jsonio.parse_presentation, {"generators": [{"zzz": 1}]}),
@@ -261,6 +273,7 @@ class TestJsonRoundTrips:
             (jsonio.parse_layered_poly, []),
             (jsonio.parse_scalar, {"layer": {"kind": "?"}, "value": "0"}),
             (jsonio.parse_pos_poly, {"poly": {"2": "-1"}}),
+            (jsonio.parse_signed_poly, {"2": "1", " 2": "-3", "0": "1"}),
         ]:
             with pytest.raises(ParseError):
                 fn(doc)
@@ -376,6 +389,28 @@ MALFORMED = {
         "p.json": {"1": "1"}, "g.json": {"m": {"2": "2", "0": "-1"}, "interval": ["0", "1"]}}),
     "generator_zero": (["kernel", "p.json", "p.json", "g.json"], {
         "p.json": {"1": "1"}, "g.json": {"m": {}, "interval": ["0", "1"]}}),
+    "nesting_too_deep": (["decompose", "p.json"], {"p.json": b"[" * 200_000}),
+    "integer_over_the_digit_limit": (["decompose", "p.json"], {
+        "p.json": b'{"base": ["1"], "generators": [{"num": ' + b"7" * 5000 + b"}]}"}),
+    "utf16_byte_order_mark": (["decompose", "p.json"], {
+        "p.json": b"\xff\xfe" + json.dumps(PRES_SIXTHS).encode("utf-16-le")}),
+    # number text other than what layext writes for the value
+    "degree_key_with_leading_zero": (["kernel", "a.json", "b.json", "g.json"], {
+        "a.json": {"poly": {"2": "1", "02": "5"}}, "b.json": {"poly": {"0": "2"}}, "g.json": GEN_SQRT2}),
+    "degree_key_with_space": (["kernel", "a.json", "a.json", "g.json"], {
+        "a.json": {"poly": {"0": "2"}},
+        "g.json": {"m": {"2": "1", " 2": "1", "0": "-2"}, "interval": ["1", "2"]}}),
+    "exps_non_ascii_digits": (["decompose", "p.json"], {"p.json": {
+        "base": ["1"], "generators": [{"num": "1/2"}, {"sym": "g"}],
+        "relations": [{"exps": ["\u0662", " 1"], "beta": "1"}]}}),
+    "exps_flag_non_ascii_digit": (["torsion-degree", "p.json", "--exps=\u0661,0"], {"p.json": PRES_SIXTHS}),
+    "over_flag_underscore": (["rank", "p.json", "--over=0_0"], {"p.json": PRES_SIXTHS}),
+    "rational_not_in_lowest_terms": (["decompose", "p.json"], {
+        "p.json": {"base": ["1"], "generators": [{"num": "2/4"}]}}),
+    "rational_decimal": (["decompose", "p.json"], {
+        "p.json": {"base": ["1"], "generators": [{"num": "1.5"}]}}),
+    "rational_exponent": (["decompose", "p.json"], {
+        "p.json": {"base": ["1"], "generators": [{"num": "1e3"}]}}),
 }
 
 
@@ -437,6 +472,69 @@ def test_malformed_input_is_one_error_line(tmp_path, name):
     assert rc == 1 and out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ParseError: ")
+
+
+# Arbitrary JSON for the fuzz tests: small leaves, the schema's own keys
+# among the object keys so that documents get past the first checks.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-20, 20) | st.floats() | st.text(max_size=4)
+    | st.sampled_from(["0", "1", "2", "-1/2", "base", "rational", "algebraic", "free"]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(["base", "generators", "relations", "num", "sym", "exps", "beta", "m", "interval",
+                         "poly", "layer", "value", "exp", "kind", "coeffs", "name", "sort", "0", "1", "2"])
+        | st.text(max_size=3), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def assert_result_or_one_error_line(argv):
+    """Plain and --json, twice each: exit 0 and no stderr, or exit 1, no stdout and one error line."""
+    for flags in ([], ["--json"]):
+        first = run(flags + argv)
+        assert run(flags + argv) == first
+        rc, out, err = first
+        assert rc in (0, 1)
+        if rc == 0:
+            assert err == ""
+        else:
+            assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@settings(max_examples=150, deadline=None)
+@given(command=st.sampled_from(COMMANDS), data=st.data(), indices=st.text("0123456789,-", max_size=5))
+def test_fuzzed_documents_give_a_result_or_one_error_line(tmp_path_factory, command, data, indices):
+    name, _, inputs, _ = command
+    base = tmp_path_factory.mktemp("fuzz")
+    argv = [name] + [write(base, f"{arg}.json", data.draw(json_values)) for arg in inputs]
+    flag = {"torsion-degree": "--exps", "rank": "--over"}.get(name)
+    assert_result_or_one_error_line(argv + ([f"{flag}={indices}"] if flag else []))
+
+
+def json_paths(doc, path=()):
+    """The path of every node of a JSON document, the root first."""
+    yield path
+    children = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, child in children:
+        yield from json_paths(child, path + (key,))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=st.sampled_from(CASES), data=st.data())
+def test_mutated_samples_give_a_result_or_one_error_line(tmp_path_factory, case, data):
+    argv = [str(ROOT / a) if a.startswith("schemas/") else a for a in case]
+    slot = data.draw(st.sampled_from([i for i, a in enumerate(case) if a.startswith("schemas/")]))
+    doc = json.loads(Path(argv[slot]).read_text(encoding="utf-8"))
+    path = data.draw(st.sampled_from(list(json_paths(doc))))
+    value = data.draw(json_values)
+    if path:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    else:
+        doc = value
+    argv[slot] = write(tmp_path_factory.mktemp("mutated"), "doc.json", doc)
+    assert_result_or_one_error_line(argv)
 
 
 def test_cli_imports_only_the_standard_library():

@@ -10,10 +10,11 @@ when an output change is intended) with
 
 import io
 import os
+import re
 import sys
 from pathlib import Path
 
-from layext.cli import main
+from layext.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden" / "cli_schemas.txt"
@@ -55,6 +56,11 @@ def render() -> str:
 def test_cli_output_matches_golden(monkeypatch):
     monkeypatch.chdir(ROOT)
     assert render().encode("utf-8") == GOLDEN.read_bytes()
+
+
+def test_every_subcommand_has_a_golden_case():
+    subcommands = re.search(r"\{([\w,-]+)\}", build_parser().format_usage()).group(1).split(",")
+    assert subcommands and set(subcommands) <= {case[0] for case in CASES}
 
 
 if __name__ == "__main__":

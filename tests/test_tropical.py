@@ -82,6 +82,10 @@ class TestRendering:
     def test_parse_round_trip(self, x):
         assert parse_layered(str(x)) == x
 
+    def test_parse_refuses_non_ascii_digits(self):
+        with pytest.raises(ValueError):
+            parse_layered("[\u0663]5")
+
 
 class TestTropValue:
     @given(rationals())
