@@ -155,15 +155,14 @@ class ExponentLattice:
     den: int
 
     def contains(self, exps) -> bool:
-        rem, _ = la.reduce_by_hnf(tuple(exps), self.basis)
-        return all(x == 0 for x in rem)
+        return not any(la.reduce_by_hnf(exps, self.basis))
 
     def beta_of(self, exps) -> Fraction:
         """The base value of a lattice vector (raises if not in the lattice)."""
-        rem, beta = la.reduce_by_hnf(tuple(exps), self.basis, self.betas)
-        if any(x != 0 for x in rem):
+        rem = la.reduce_by_hnf((*exps, 0), [(*row, b) for row, b in zip(self.basis, self.betas)])
+        if any(rem[:-1]):
             raise ValueError("vector is not in the exponent lattice")
-        return Fraction(beta, self.den)
+        return Fraction(-rem[-1], self.den)
 
 
 def _columns_first(rows, first, ncols):
@@ -393,18 +392,17 @@ def divisible_dependence_witness(P: BipotentPresentation, exps, subset=()) -> De
     complement = [j for j in range(P.n) if j not in subset]
     c = len(complement)
     lat = _lattice(P)
-    basis, betas = lat.basis, lat.betas
+    rows = [(*row, b) for row, b in zip(lat.basis, lat.betas)]
     if subset:
-        rows = la.hnf(_columns_first([(*row, b) for row, b in zip(basis, betas)], complement, P.n), P.n)
-        basis, betas = [row[:-1] for row in rows], [row[-1] for row in rows]
-    k = _order([row[:c] for row in basis if any(row[:c])], [exps[j] for j in complement])
+        rows = la.hnf(_columns_first(rows, complement, P.n), P.n)
+    k = _order([row[:c] for row in rows if any(row[:c])], [exps[j] for j in complement])
     if k == INFINITE:
         return None
     target = [k * e for e in exps]
-    rem, beta = la.reduce_by_hnf(_columns_first([target], complement, P.n)[0], basis, betas)
+    rem = la.reduce_by_hnf(_columns_first([target + [0]], complement, P.n)[0], rows)
     assert not any(rem[:c])
-    beta = Fraction(beta, lat.den)
-    sub_exps = rem[c:]
+    beta = Fraction(-rem[-1], lat.den)
+    sub_exps = rem[c:-1]
     value = P.value_of(target)
     if value is not None and all(isinstance(P.generators[i], Numeric) for i in subset):
         check = value - sum(
@@ -456,7 +454,7 @@ def canonical_coset_value(P: BipotentPresentation, exps) -> Fraction | None:
     _checked_subset(P, (exps,), ())
     sym, num = P.symbolic_indices(), P.numeric_indices()
     basis = _basis_first(P, sym)
-    rem, _ = la.reduce_by_hnf(_columns_first([exps], sym, P.n)[0], basis)
+    rem = la.reduce_by_hnf(_columns_first([exps], sym, P.n)[0], basis)
     if any(rem[: len(sym)]):
         return None
     value = sum((e * P.generators[i].value for e, i in zip(rem[len(sym):], num)), Fraction(0))

@@ -25,7 +25,7 @@ from .bipotent import (
     torsion_degree,
 )
 from .cancellative import kernel_contains
-from .errors import LayextError, ParseError
+from .errors import LayextError, ParseError, ResultTooLarge
 from .tropical import LayeredElem
 from .uniform import (
     essential_indices,
@@ -87,13 +87,9 @@ def cmd_eval(args) -> tuple:
     a = _load(args.scalar, jsonio.parse_scalar)
     layer, value = eval_layered_poly(f, a)
     ess = essential_indices(f, a)
-    payload = {
-        "layer": str(layer),
-        "value": jsonio.render_rational(value),
-        "essential": list(ess),
-    }
+    payload = {"layer": layer, "value": value, "essential": list(ess)}
     if isinstance(layer, Fraction):
-        payload["rendered"] = str(LayeredElem(layer, value))
+        payload["rendered"] = LayeredElem(layer, value)
     notes = [
         "value is the maximum of coefficient value + exponent * scalar value",
         "layer sums coefficient layer * scalar layer^exponent over the essential exponents",
@@ -203,22 +199,25 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _emit(payload: dict, notes: list, args, out):
-    if args.json:
-        doc = {"command": args.command, "result": payload}
+def _render(payload: dict, notes: list, args) -> str:
+    """The whole report as one string; a payload value that is not JSON becomes its str() here.
+
+    Raises ResultTooLarge when the interpreter's int-to-str digit limit refuses a value.
+    """
+    try:
+        if args.json:
+            doc = {"command": args.command, "result": payload}
+            if args.notes:
+                doc["notes"] = notes
+            return json.dumps(doc, sort_keys=True, separators=(", ", ": "), default=str) + "\n"
+        lines = [f"command: {args.command}"]
+        for key, val in payload.items():
+            lines.append(f"{key}: {json.dumps(val, sort_keys=True) if isinstance(val, (dict, list)) else val}")
         if args.notes:
-            doc["notes"] = notes
-        out.write(json.dumps(doc, sort_keys=True, separators=(", ", ": ")) + "\n")
-        return
-    out.write(f"command: {args.command}\n")
-    for key, val in payload.items():
-        if isinstance(val, (dict, list)):
-            out.write(f"{key}: {json.dumps(val, sort_keys=True)}\n")
-        else:
-            out.write(f"{key}: {val}\n")
-    if args.notes:
-        for note in notes:
-            out.write(f"note: {note}\n")
+            lines += [f"note: {note}" for note in notes]
+        return "".join(line + "\n" for line in lines)
+    except ValueError:
+        raise ResultTooLarge(f"a number in the result has more than {sys.get_int_max_str_digits()} digits") from None
 
 
 def main(argv=None, out=None, err=None) -> int:
@@ -228,12 +227,12 @@ def main(argv=None, out=None, err=None) -> int:
     for name in ("json", "notes"):
         vars(args).setdefault(name, False)
     try:
-        payload, notes = args.run(args)
+        text = _render(*args.run(args), args)
     except LayextError as e:
         err.write(f"error: {type(e).__name__}: {e}\n")
         return 1
     try:
-        _emit(payload, notes, args, out)
+        out.write(text)
         out.flush()
     except BrokenPipeError:
         # the reader has gone: send the unflushed rest to devnull so exit stays quiet

@@ -72,3 +72,7 @@ class DescriptorMismatch(LayextError):
 
 class ParseError(LayextError):
     """Malformed input file or JSON document."""
+
+
+class ResultTooLarge(LayextError):
+    """A number in a result is longer than the interpreter will write as decimal text."""

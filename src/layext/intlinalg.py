@@ -6,6 +6,9 @@ with any columns past the pivoted ones carried through the row operations as
 integer payload (the caller keeps their denominator), membership by
 reduction, and Smith form with unimodular transforms for the free/torsion
 basis of a quotient group.
+Each reduction works on one matrix, and whatever must follow its operations
+rides along in it: payload columns past the pivots in `hnf` and
+`reduce_by_hnf`, and U and V beside and below A in `smith`.
 Everything is deterministic: pivots are chosen as the smallest absolute
 nonzero entry, scanning top-to-bottom then left-to-right, and diagonal
 entries are normalized positive.
@@ -72,23 +75,20 @@ def hnf(rows, ncols: int) -> tuple[Vec, ...]:
     return _echelon(rows, ncols)
 
 
-def reduce_by_hnf(vec, basis, betas=None):
-    """Reduce a vector by an HNF basis; returns (remainder, payload_combination).
+def reduce_by_hnf(vec, rows) -> Vec:
+    """Reduce a vector by Hermite rows; the pivot columns end at zero iff it lies in their lattice.
 
-    The remainder is zero iff the vector lies in the lattice, in which case the
-    payload combination (an integer, as the payloads are) is the payload value
-    of the vector.
+    Columns past the pivots ride along, as in `hnf`: with payload columns on
+    the rows and zeros appended to the vector, the result ends in minus the
+    payload of the lattice vector removed.
     """
     v = list(vec)
-    acc = 0
-    for idx, row in enumerate(basis):
+    for row in rows:
         col = next(j for j, x in enumerate(row) if x != 0)
         q = v[col] // row[col]
         if q:
             v = [x - q * y for x, y in zip(v, row)]
-            if betas is not None:
-                acc += q * betas[idx]
-    return tuple(v), acc
+    return tuple(v)
 
 
 def smith(rows, ncols: int):
@@ -96,44 +96,22 @@ def smith(rows, ncols: int):
 
     U and V are unimodular; diag lists the min(m, ncols) diagonal entries,
     non-negative and satisfying the divisibility chain d1 | d2 | ...
-    V⁻¹ is kept alongside V by mirroring every column operation on V as the
-    inverse row operation on V⁻¹.
+    The work is on one block matrix [[A, I_m], [I_ncols, 0]]: row operations
+    act on its top m rows, so U rides to the right of A, and column
+    operations on its first ncols columns, so V rides below A.  V⁻¹ is kept
+    beside it by mirroring every column operation as the inverse row
+    operation.
     """
     m = len(rows)
-    a = [list(r) for r in rows]
-    u = identity(m)
-    v = identity(ncols)
+    a = [list(r) + e for r, e in zip(rows, identity(m))] + [e + [0] * m for e in identity(ncols)]
     vinv = identity(ncols)
 
     def row_sub(i, j, q):  # row_i -= q * row_j
         a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-
-    def col_sub(i, j, q):  # col_i -= q * col_j, so row_j of V⁻¹ += q * row_i
-        for r in a:
-            r[i] -= q * r[j]
-        for r in v:
-            r[i] -= q * r[j]
-        vinv[j] = [x + q * y for x, y in zip(vinv[j], vinv[i])]
-
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def col_swap(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-        vinv[i], vinv[j] = vinv[j], vinv[i]
-
-    def row_neg(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
 
     t = 0
     while t < m and t < ncols:
-        # smallest absolute nonzero entry of the trailing submatrix
+        # smallest absolute nonzero entry of the trailing block of A
         pivot = None
         best = None
         for i in range(t, m):
@@ -145,43 +123,38 @@ def smith(rows, ncols: int):
         if pivot is None:
             break
         pi, pj = pivot
-        if pi != t:
-            row_swap(t, pi)
+        a[t], a[pi] = a[pi], a[t]
         if pj != t:
-            col_swap(t, pj)
+            for r in a:
+                r[t], r[pj] = r[pj], r[t]
+            vinv[t], vinv[pj] = vinv[pj], vinv[t]
         if a[t][t] < 0:
-            row_neg(t)
+            a[t] = [-x for x in a[t]]
         restart = False
         p = a[t][t]
         for i in range(t + 1, m):
             if a[i][t]:
-                q = a[i][t] // p
-                row_sub(i, t, q)
+                row_sub(i, t, a[i][t] // p)
                 if a[i][t]:
                     restart = True
         if restart:
             continue
         for j in range(t + 1, ncols):
             if a[t][j]:
-                q = a[t][j] // p
-                col_sub(j, t, q)
+                q = a[t][j] // p  # col_j -= q * col_t, so row_t of V⁻¹ += q * row_j
+                for r in a:
+                    r[j] -= q * r[t]
+                vinv[t] = [x + q * y for x, y in zip(vinv[t], vinv[j])]
                 if a[t][j]:
                     restart = True
         if restart:
             continue
         # pivot row/column are clear; enforce divisibility on the rest
-        offender = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, ncols):
-                if a[i][j] % p != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
+        offender = next((i for i in range(t + 1, m) for j in range(t + 1, ncols) if a[i][j] % p), None)
         if offender is not None:
             row_sub(t, offender, -1)  # add the offending row, then redo the pivot
             continue
         t += 1
 
     diag = [a[i][i] for i in range(min(m, ncols))]
-    return u, diag, v, vinv
+    return [r[ncols:] for r in a[:m]], diag, [r[:ncols] for r in a[m:]], vinv

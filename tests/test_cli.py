@@ -123,6 +123,14 @@ class TestEval:
         res = json.loads(out)["result"]
         assert res == {"layer": f"{3 - r + r * r} + {1 - 2 * r}*X", "value": "0", "essential": [0, 1, 2]}
 
+    def test_free_layer_prints_its_polynomial(self, tmp_path):
+        # 1 + a + a^2 at a = [y/2 + 1](1/3): only the square is essential
+        scalar = write(tmp_path, "a.json", {
+            "layer": {"kind": "free", "name": "y", "poly": {"1": "1/2", "0": "1"}}, "value": "1/3"})
+        rc, out, err = run(["eval", str(ROOT / "schemas" / "layered_poly.json"), scalar])
+        assert (rc, err) == (0, "")
+        assert out == "command: eval\nlayer: 1/4*y^2 + y + 1\nvalue: 2/3\nessential: [2]\n"
+
 
 class TestClosure:
     def test_sqrt2_half(self, tmp_path):
@@ -201,6 +209,14 @@ class TestOutputContract:
         _, without, _ = run(["--json", "decompose", p])
         assert "notes" in json.loads(with_notes)
         assert "notes" not in json.loads(without)
+
+    def test_plain_notes_follow_the_fields(self, tmp_path):
+        p = write(tmp_path, "p.json", PRES_SIXTHS)
+        rc, with_notes, _ = run(["--notes", "decompose", p])
+        _, without, _ = run(["decompose", p])
+        assert rc == 0 and with_notes.startswith(without)
+        notes = with_notes[len(without):].splitlines()
+        assert len(notes) == 3 and all(line.startswith("note: ") for line in notes)
 
     def test_human_output_lists_fields(self, tmp_path):
         p = write(tmp_path, "p.json", PRES_SIXTHS)
@@ -411,6 +427,7 @@ MALFORMED = {
         "p.json": {"base": ["1"], "generators": [{"num": "1.5"}]}}),
     "rational_exponent": (["decompose", "p.json"], {
         "p.json": {"base": ["1"], "generators": [{"num": "1e3"}]}}),
+    "missing_file": (["decompose", "no-such-dir/p.json"], {}),
 }
 
 
@@ -472,6 +489,20 @@ def test_malformed_input_is_one_error_line(tmp_path, name):
     assert rc == 1 and out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ParseError: ")
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_result_over_the_digit_limit_is_one_error_line(tmp_path, flags):
+    # two generators 1/(10^k + 1), 1/(10^k + 3) with coprime denominators:
+    # the rank is their product, twice as many digits as either input
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("the interpreter has no int-to-str digit limit")
+    k = limit // 2 + 100
+    doc = {"base": ["1"], "generators": [{"num": f"1/{10**k + 1}"}, {"num": f"1/{10**k + 3}"}]}
+    rc, out, err = run(flags + ["rank", write(tmp_path, "p.json", doc)])
+    assert (rc, out) == (1, "")
+    assert err == f"error: ResultTooLarge: a number in the result has more than {limit} digits\n"
 
 
 # Arbitrary JSON for the fuzz tests: small leaves, the schema's own keys

@@ -1,10 +1,15 @@
+import hashlib
+import math
 import random
+from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, strategies as st
 
 import reference as R
 from layext import intlinalg as la
+from layext.bipotent import BipotentPresentation, Numeric, Relation, Symbolic, exponent_lattice
+from layext.tropical import ValueLattice
 
 
 def matrices(max_rows=4, max_cols=4, lo=-8, hi=8):
@@ -44,7 +49,7 @@ def test_hnf_preserves_span(mat, data):
     coeffs = data.draw(st.lists(st.integers(-4, 4), min_size=len(rows), max_size=len(rows)))
     if rows:
         vec = R.vec_mat(coeffs, rows)
-        rem, _ = la.reduce_by_hnf(vec, basis)
+        rem = la.reduce_by_hnf(vec, basis)
         assert all(x == 0 for x in rem)
     # basis rows are in echelon with positive pivots
     pivots = R.pivot_columns(basis)
@@ -114,3 +119,64 @@ def test_hnf_carries_columns_past_ncols(mat, data):
     out = la.hnf([(*row, dot(row)) for row in rows], n)
     assert tuple(row[:n] for row in out) == la.hnf(rows, n)
     assert all(row[n] == dot(row[:n]) for row in out)
+
+
+@given(matrices(), st.data())
+def test_reduce_by_hnf_carries_the_payload(mat, data):
+    # rows with a payload column w·row: a vector c·rows + r, with r reduced,
+    # comes back as r on the pivot columns and minus w·(c·rows) at the end
+    rows, n = mat
+    w = data.draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
+    c = data.draw(st.lists(st.integers(-4, 4), min_size=len(rows), max_size=len(rows)))
+    combo = R.vec_mat(c, rows) if rows else [0] * n
+    r = la.reduce_by_hnf(data.draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n)), la.hnf(rows, n))
+    basis = la.hnf([(*row, sum(x * y for x, y in zip(row, w))) for row in rows], n)
+    out = la.reduce_by_hnf((*(x + y for x, y in zip(combo, r)), 0), basis)
+    assert out[:n] == r
+    assert out[n] == -sum(x * y for x, y in zip(combo, w))
+
+
+def _smith_pin_inputs():
+    """300 seeded random matrices up to 7x7, then the exponent-lattice bases
+    of 200 seeded presentations with 2-10 generators, some symbolic."""
+    rng = random.Random("smith-pin")
+    for _ in range(300):
+        m, n = rng.randint(0, 7), rng.randint(1, 7)
+        yield [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)], n
+    for _ in range(200):
+        n = rng.randint(2, 10)
+        base = rng.choice([(), (1,), (F(1, 2),), (2,), (F(1, 6),), (3,)])
+        gens = []
+        for _ in range(n):
+            d = math.prod(p ** rng.randint(1, 2) for p in rng.sample((2, 3, 5, 7), rng.randint(1, 3)))
+            gens.append(Numeric(F(rng.choice([i for i in range(-30, 31) if i]), d)))
+        rels = []
+        if rng.random() < 0.35:
+            # symbolic generators with upper-triangular declared relations on them:
+            # independent symbolic parts, so any base value is a consistent beta
+            sym = rng.sample(range(n), rng.randint(1, min(3, n)))
+            for i in sym:
+                gens[i] = Symbolic(f"s{i}")
+            for r, i in enumerate(sym[: rng.randint(0, len(sym))]):
+                exps = [0 if j in sym else rng.randint(-3, 3) for j in range(n)]
+                exps[i] = rng.randint(1, 4)
+                for j in sym[r + 1:]:
+                    exps[j] = rng.randint(-2, 2)
+                g = base[0] if base else 0
+                rels.append(Relation.of(exps, rng.randint(-3, 3) * g))
+        P = BipotentPresentation(ValueLattice.of(*base), tuple(gens), tuple(rels))
+        yield exponent_lattice(P).basis, n
+
+
+def test_smith_transforms_are_pinned():
+    # SHA-256 of repr((U, diag, V, V⁻¹)) plus a newline per input of
+    # `_smith_pin_inputs`, computed with the earlier `smith` that kept U and V
+    # as matrices of their own beside A.  A change to the pivot rule or to
+    # the order of operations changes the digest.
+    h = hashlib.sha256()
+    count = 0
+    for rows, n in _smith_pin_inputs():
+        h.update((repr(la.smith(rows, n)) + "\n").encode())
+        count += 1
+    assert count == 500
+    assert h.hexdigest() == "4f13eac65525c69ca2fc6082b35cfbb083d18d1c1500079b1718acb6b2bb3998"

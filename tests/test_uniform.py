@@ -27,6 +27,7 @@ from layext.uniform import (
     layer_fibre_sample,
     pure_layer_ext,
     pure_value_ext,
+    sort_contains,
     uniform_closure,
 )
 
@@ -190,6 +191,34 @@ class TestClosure:
         assert C.value_part.base == Z
         # sort part generated by the scalar layer only
         assert C.sort_part == AlgebraicSort(SQRT2)
+
+    def test_closure_by_a_free_layer(self):
+        y = FreeLayer("y", PosPoly.of({0: 1, 1: F(1, 2)}))
+        a = ExtScalar(y, F(1, 2))
+        C = uniform_closure(H, a)
+        assert C == UniformDescriptor(FreeSort("y"), BipotentPresentation(Z, (Numeric.of("1/2"),)))
+        assert sort_contains(C.sort_part, y)
+        assert not sort_contains(C.sort_part, FreeLayer("z", PosPoly.x()))
+        assert uniform_closure(C, a) == C
+
+    @pytest.mark.parametrize("sort, layer", [
+        (AlgebraicSort(SQRT2), FreeLayer("y", PosPoly.x())),
+        (FreeSort("y"), FreeLayer("z", PosPoly.x())),
+        (FreeSort("y"), SQRT2.xbar()),
+    ])
+    def test_second_sort_step_is_refused(self, sort, layer):
+        with pytest.raises(DescriptorMismatch):
+            uniform_closure(UniformDescriptor(sort, H.value_part), ExtScalar(layer, F(0)))
+
+    @pytest.mark.parametrize("sort, text", [
+        (BaseSort(), "Q>0 (x) <1>[1/2, w]"),
+        (AlgebraicSort(SQRT2), "Q>0[root of x^2 - 2] (x) <1>[1/2, w]"),
+        (FreeSort("y"), "Q>0[y] (x) <1>[1/2, w]"),
+        (FreeSort("y", with_fractions=False), "Q>0[y] (no fractions) (x) <1>[1/2, w]"),
+    ])
+    def test_descriptor_text(self, sort, text):
+        P = BipotentPresentation(Z, (Numeric.of("1/2"), Symbolic("w")))
+        assert str(UniformDescriptor(sort, P)) == text
 
     def test_closure_with_symbolic_value(self):
         a = ExtScalar(F(2), "w")
