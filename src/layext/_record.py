@@ -1,0 +1,60 @@
+"""`record`: the frozen, slotted value classes of layext.
+
+It builds what `@dataclass(frozen=True, slots=True)` built, with one `exec` per class and
+without importing `dataclasses`, which loads `inspect`, `ast` and `dis`.
+"""
+
+_NO_DEFAULT = object()
+
+
+def _frozen_setattr(self, name, value):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name):
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _reduce(self):
+    return type(self), tuple(getattr(self, f) for f in self._fields)
+
+
+def record(cls):
+    """`cls` rebuilt as a frozen value class with one slot per field.
+
+    The fields are a parent record's fields, then the annotated names of the
+    body in order; a value in the body is the field's default.  Unless the
+    body defines them, the class gets `__init__(self, *fields)`, which stores
+    the fields and then calls `__post_init__` if the class has one; `__eq__`,
+    true for the same class and equal field tuples; `__hash__`, the hash of
+    the field tuple (a body `__eq__` leaves the class unhashable); and
+    `__repr__`, `Name(field=value!r, ...)`.  Assignment and deletion raise
+    `AttributeError`.  A body `__slots__` names extra slots outside all of
+    these, for `__post_init__` to fill with `object.__setattr__`.
+    """
+    body = cls.__dict__
+    own, extra = tuple(body.get("__annotations__", ())), tuple(body.get("__slots__", ()))
+    fields = {**getattr(cls, "_fields", {}), **{f: body.get(f, _NO_DEFAULT) for f in own}}
+    ns = {k: v for k, v in body.items() if k not in {*own, *extra, "__dict__", "__weakref__"}}
+    ns.update(__slots__=own + extra, _fields=fields, __qualname__=cls.__qualname__,
+              __setattr__=_frozen_setattr, __delattr__=_frozen_delattr, __reduce__=_reduce)
+    params = "".join(f", {f}" if d is _NO_DEFAULT else f", {f}=_dflt[{f!r}]" for f, d in fields.items())
+    init = [f"_set(self, {f!r}, {f})" for f in fields]
+    if hasattr(cls, "__post_init__"):
+        init.append("self.__post_init__()")
+    selfs, others = (f"({''.join(f'{obj}.{f},' for f in fields)})" for obj in ("self", "other"))
+    shown = ", ".join(f"{f}={{self.{f}!r}}" for f in fields)
+    src = "\n".join([
+        f"def __init__(self{params}):", *(f" {line}" for line in init or ["pass"]),
+        "def __eq__(self, other):", " if other.__class__ is self.__class__:",
+        f"  return {selfs} == {others}", " return NotImplemented",
+        "def __hash__(self):", f" return hash({selfs})",
+        "def __repr__(self):", f" return self.__class__.__qualname__ + f\"({shown})\"",
+    ])
+    made = {"_set": object.__setattr__, "_dflt": fields}
+    exec(src, made)
+    for name in ("__init__", "__eq__", "__hash__", "__repr__"):
+        if name not in body:  # a body `__eq__` also puts `__hash__ = None` there
+            ns[name] = made[name]
+            ns[name].__qualname__ = f"{cls.__qualname__}.{name}"
+    return type(cls)(cls.__name__, cls.__bases__, ns)

@@ -26,18 +26,18 @@ power in the base.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
 from . import intlinalg as la
+from ._record import record
 from .errors import InconsistentRelations
 from .tropical import ValueLattice, _cleared, as_fraction
 
 INFINITE = math.inf
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Numeric:
     """A generator with an explicit rational value."""
 
@@ -52,14 +52,14 @@ class Numeric:
         return cls(as_fraction(value))
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Symbolic:
     """A named free generator; its only relations are the declared ones."""
 
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Relation:
     """Asserts that the monomial with these exponents equals a base element."""
 
@@ -75,7 +75,7 @@ class Relation:
         return cls(tuple(exps), as_fraction(beta))
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class BipotentPresentation:
     """A bipotent extension base[a1, ..., an] given by generators and relations.
 
@@ -141,7 +141,7 @@ class BipotentPresentation:
         return BipotentPresentation(self.base, self.generators + (gen,), rels, self.monoid_exponents)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ExponentLattice:
     """Hermite basis of the monomial-relation lattice, with base values attached.
 
@@ -290,7 +290,7 @@ def _order(basis, vec):
     return INFINITE if any(v) else order
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ExtDecomposition:
     """Free-by-torsion decomposition of a bipotent extension.
 
@@ -370,7 +370,7 @@ def is_divisibly_dependent(P: BipotentPresentation, subset) -> bool:
     return any(not any(row[: len(complement)]) for row in basis)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class DependenceWitness:
     """k, exponents and base element with k*elem = sum(exponents_i * a_i) + beta."""
 

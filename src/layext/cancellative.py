@@ -26,10 +26,10 @@ polynomial divides a - b, which one integer pseudo-remainder decides.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import polys
+from ._record import record
 from .errors import (
     AllPositiveCoefficients,
     GeneratorMismatch,
@@ -72,7 +72,7 @@ def power(x, k: int, one):
     return out
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class SignedPoly:
     """A polynomial over Q stored dense (a `polys.Poly`); may be zero (no coefficients)."""
 
@@ -107,7 +107,7 @@ class SignedPoly:
         return _render_terms(self.terms) if self.coeffs else "0"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class PosPoly(SignedPoly):
     """A nonzero polynomial with positive rational coefficients: a checked `SignedPoly`.
 
@@ -175,7 +175,7 @@ def diff_split(m: SignedPoly) -> tuple[PosPoly, PosPoly]:
     return PosPoly.of(pos), PosPoly.of(neg)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class AlgebraicGenerator:
     """A validated extension generator: minimal polynomial plus isolating interval.
 
@@ -190,8 +190,7 @@ class AlgebraicGenerator:
     m: SignedPoly
     lo: Fraction
     hi: Fraction
-    table: tuple = field(init=False, repr=False, compare=False)
-    m_int: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("table", "m_int")  # filled in by __post_init__
 
     def __post_init__(self):
         object.__setattr__(self, "m_int", polys.clear_denominators(self.m.coeffs))
@@ -270,7 +269,7 @@ def validate_generator(m: SignedPoly, interval) -> AlgebraicGenerator:
     return AlgebraicGenerator(m, lo, hi)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ExtElem:
     """An element of the extension, as coefficients on 1, X, ..., X^(n-1)."""
 
@@ -412,7 +411,7 @@ def kernel_contains(a: PosPoly, b: PosPoly, gen: AlgebraicGenerator) -> bool:
     return not polys._pseudo_rem(polys._trim(num), gen.m_int)
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@record
 class PosRationalFunction:
     """A quotient of positive polynomials; equality by cross-multiplication."""
 

@@ -19,10 +19,10 @@ Everything is an immutable value; no floats are accepted anywhere.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
+from ._record import record
 from .errors import BottomValue, ZeroHasNoLayer
 
 
@@ -77,7 +77,7 @@ def value_plus(x, y):
     return x + y
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class LayeredElem:
     """A layered element: Zero, or a pair (layer, value) with layer > 0.
 
@@ -183,14 +183,21 @@ _LAYERED_RE = re.compile(r"^\[(?P<layer>-?\d+(?:/\d+)?)\](?P<value>-?\d+(?:/\d+)
 
 
 def parse_layered(text: str) -> LayeredElem:
-    """Parse the canonical rendering "[l]v" (or "Zero")."""
-    text = text.strip()
+    """Parse the canonical rendering "[l]v" (or "Zero"): exactly what `str` writes.
+
+    Any other spelling of an element, such as "[2/4]1", "[02]5" or one with
+    surrounding blanks, raises `ValueError`, as does a zero denominator.
+    """
     if text == "Zero":
         return ZERO
     m = _LAYERED_RE.match(text)
-    if m is None:
+    try:
+        x = LayeredElem.make(m.group("layer"), m.group("value")) if m else None
+    except ZeroDivisionError:
+        x = None
+    if x is None or str(x) != text:
         raise ValueError(f"not a layered element: {text!r}")
-    return LayeredElem.make(m.group("layer"), m.group("value"))
+    return x
 
 
 def _rational_gcd(a: Fraction, b: Fraction) -> Fraction:
@@ -201,7 +208,7 @@ def _rational_gcd(a: Fraction, b: Fraction) -> Fraction:
     )
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ValueLattice:
     """A finitely generated subgroup of (Q, +), given by rational generators.
 

@@ -18,9 +18,9 @@ single-part extensions commute.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import record
 from .bipotent import (
     BipotentPresentation,
     Numeric,
@@ -32,7 +32,7 @@ from .errors import DescriptorMismatch, LayerNotInBase, ValueNotInBase
 from .tropical import LayeredElem, ValueLattice, as_fraction
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class FreeLayer:
     """A layer in a free (transcendental) sort extension: a positive polynomial
     in the named symbol.  Like `ExtElem` it answers `+`, `**`, `scale` and
@@ -60,19 +60,19 @@ class FreeLayer:
         return str(self.poly).replace("x", self.name)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class BaseSort:
     """The unextended sort semifield: the positive rationals."""
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class AlgebraicSort:
     """Sort semifield extended by one validated algebraic generator."""
 
     gen: AlgebraicGenerator
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class FreeSort:
     """Sort semifield extended by one free generator.
 
@@ -85,7 +85,7 @@ class FreeSort:
     with_fractions: bool = True
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class UniformDescriptor:
     """A uniform layered domain: sort part and value part, independently queryable."""
 
@@ -112,7 +112,7 @@ def _render_value(P: BipotentPresentation) -> str:
     return f"<{base}>[{gens}]" if gens else f"<{base}>"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ExtScalar:
     """A layered scalar: a sort-part layer and a value.
 
@@ -150,7 +150,7 @@ class ExtScalar:
         return isinstance(self.value, Fraction)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class LayeredPoly:
     """A polynomial with nonzero layered coefficients, sparse in the exponent."""
 

@@ -579,3 +579,4 @@ def test_cli_imports_only_the_standard_library():
     loaded = out.stdout.split()
     assert "layext" in loaded
     assert [m for m in loaded if m not in sys.stdlib_module_names and m != "layext"] == []
+    assert {"dataclasses", "inspect"} & set(loaded) == set()

@@ -1,0 +1,176 @@
+"""Parity of the 21 value classes: fields, construction, equality, hash, repr, immutability."""
+
+import copy
+import pickle
+from fractions import Fraction as F
+
+import pytest
+
+from layext.bipotent import (
+    BipotentPresentation,
+    DependenceWitness,
+    ExponentLattice,
+    ExtDecomposition,
+    Numeric,
+    Relation,
+    Symbolic,
+)
+from layext.cancellative import (
+    AlgebraicGenerator,
+    ExtElem,
+    PosPoly,
+    PosRationalFunction,
+    SignedPoly,
+    validate_generator,
+)
+from layext.tropical import LayeredElem, ValueLattice
+from layext.uniform import (
+    AlgebraicSort,
+    BaseSort,
+    ExtScalar,
+    FreeLayer,
+    FreeSort,
+    LayeredPoly,
+    UniformDescriptor,
+)
+
+Z = ValueLattice((F(1),))
+Z_REPR = "ValueLattice(generators=(Fraction(1, 1),))"
+SQRT2 = validate_generator(SignedPoly.of({2: 1, 0: -2}), (1, 2))
+SQRT2_REPR = (
+    "AlgebraicGenerator(m=SignedPoly(coeffs=(Fraction(-2, 1), Fraction(0, 1), Fraction(1, 1))), "
+    "lo=Fraction(1, 1), hi=Fraction(2, 1))"
+)
+ONE_PLUS_X = PosPoly((F(1), F(1)))
+ONE_PLUS_X_REPR = "PosPoly(coeffs=(Fraction(1, 1), Fraction(1, 1)))"
+P = BipotentPresentation(Z, (Symbolic("g"),))
+P_REPR = (
+    f"BipotentPresentation(base={Z_REPR}, generators=(Symbolic(name='g'),), relations=(), "
+    "monoid_exponents=False)"
+)
+ELEM = LayeredElem(F(2), F(5))
+ELEM_REPR = "LayeredElem(layer=Fraction(2, 1), value=Fraction(5, 1))"
+
+# (instance, field names in order, exact repr)
+CASES = [
+    (ELEM, ("layer", "value"), ELEM_REPR),
+    (Z, ("generators",), Z_REPR),
+    (Numeric(F(1, 2)), ("value",), "Numeric(value=Fraction(1, 2))"),
+    (Symbolic("g"), ("name",), "Symbolic(name='g')"),
+    (Relation((2,), F(1)), ("exps", "beta"), "Relation(exps=(2,), beta=Fraction(1, 1))"),
+    (P, ("base", "generators", "relations", "monoid_exponents"), P_REPR),
+    (
+        ExponentLattice(((2,),), (1,), 3),
+        ("basis", "betas", "den"),
+        "ExponentLattice(basis=((2,),), betas=(1,), den=3)",
+    ),
+    (
+        ExtDecomposition(((1,),), (), (), ((1,),)),
+        ("free_monomials", "torsion_monomials", "torsion_orders", "generator_coords"),
+        "ExtDecomposition(free_monomials=((1,),), torsion_monomials=(), torsion_orders=(), "
+        "generator_coords=((1,),))",
+    ),
+    (
+        DependenceWitness(2, (1,), F(1, 3)),
+        ("power", "exponents", "beta"),
+        "DependenceWitness(power=2, exponents=(1,), beta=Fraction(1, 3))",
+    ),
+    (SignedPoly((F(-1), F(1))), ("coeffs",), "SignedPoly(coeffs=(Fraction(-1, 1), Fraction(1, 1)))"),
+    (ONE_PLUS_X, ("coeffs",), ONE_PLUS_X_REPR),
+    (SQRT2, ("m", "lo", "hi"), SQRT2_REPR),
+    (
+        ExtElem(SQRT2, (F(0), F(1))),
+        ("gen", "coeffs"),
+        f"ExtElem(gen={SQRT2_REPR}, coeffs=(Fraction(0, 1), Fraction(1, 1)))",
+    ),
+    (
+        PosRationalFunction(ONE_PLUS_X, ONE_PLUS_X),
+        ("num", "den"),
+        f"PosRationalFunction(num={ONE_PLUS_X_REPR}, den={ONE_PLUS_X_REPR})",
+    ),
+    (FreeLayer("t", ONE_PLUS_X), ("name", "poly"), f"FreeLayer(name='t', poly={ONE_PLUS_X_REPR})"),
+    (BaseSort(), (), "BaseSort()"),
+    (AlgebraicSort(SQRT2), ("gen",), f"AlgebraicSort(gen={SQRT2_REPR})"),
+    (FreeSort("t"), ("name", "with_fractions"), "FreeSort(name='t', with_fractions=True)"),
+    (
+        UniformDescriptor(BaseSort(), P),
+        ("sort_part", "value_part"),
+        f"UniformDescriptor(sort_part=BaseSort(), value_part={P_REPR})",
+    ),
+    (ExtScalar(F(2), "s"), ("layer", "value"), "ExtScalar(layer=Fraction(2, 1), value='s')"),
+    (LayeredPoly(((0, ELEM),)), ("terms",), f"LayeredPoly(terms=((0, {ELEM_REPR}),))"),
+]
+
+HASHABLE = [case for case in CASES if type(case[0]) is not PosRationalFunction]
+
+
+def _values(x, names):
+    return tuple(getattr(x, f) for f in names)
+
+
+def test_every_value_class_has_a_case():
+    assert len({type(x) for x, _, _ in CASES}) == len(CASES) == 21
+
+
+@pytest.mark.parametrize("x, names, text", CASES, ids=[type(x).__name__ for x, _, _ in CASES])
+def test_fields_construction_repr_and_immutability(x, names, text):
+    cls = type(x)
+    assert cls(*_values(x, names)) == x
+    assert cls(**dict(zip(names, _values(x, names)))) == x
+    assert not (x != cls(*_values(x, names)))
+    assert x != object()
+    assert repr(x) == text
+    assert copy.copy(x) == x
+    assert pickle.loads(pickle.dumps(x)) == x
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(x, name, None)
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+
+
+@pytest.mark.parametrize("x, names, text", HASHABLE, ids=[type(x).__name__ for x, _, _ in HASHABLE])
+def test_hash_is_the_hash_of_the_field_tuple(x, names, text):
+    assert hash(x) == hash(_values(x, names))
+
+
+def test_equal_fields_of_another_class_are_not_equal():
+    coeffs = ONE_PLUS_X.coeffs
+    assert SignedPoly(coeffs) != PosPoly(coeffs)
+    assert PosPoly(coeffs) != SignedPoly(coeffs)
+    assert SignedPoly(coeffs) == SignedPoly(coeffs)
+
+
+def test_defaults():
+    assert BipotentPresentation(Z, ()).relations == ()
+    assert BipotentPresentation(Z, ()).monoid_exponents is False
+    assert FreeSort("t").with_fractions is True
+    assert BipotentPresentation(base=Z, generators=(), monoid_exponents=True).monoid_exponents is True
+    assert FreeSort(name="t", with_fractions=False) == FreeSort("t", False)
+
+
+def test_generator_table_and_m_int_stay_out_of_equality_hash_and_repr():
+    g = AlgebraicGenerator(m=SQRT2.m, lo=SQRT2.lo, hi=SQRT2.hi)
+    assert g.table == SQRT2.table and g.m_int == SQRT2.m_int
+    object.__setattr__(g, "table", None)
+    object.__setattr__(g, "m_int", None)
+    assert g == SQRT2 and hash(g) == hash(SQRT2) and repr(g) == SQRT2_REPR
+    with pytest.raises(TypeError):
+        AlgebraicGenerator(SQRT2.m, SQRT2.lo, SQRT2.hi, SQRT2.table)
+    with pytest.raises(AttributeError):
+        SQRT2.table = None
+
+
+def test_rational_function_equality_is_its_own_and_unhashable():
+    two = PosPoly((F(2), F(2)))
+    assert PosRationalFunction(ONE_PLUS_X, ONE_PLUS_X) == PosRationalFunction(two, two)
+    with pytest.raises(TypeError):
+        hash(PosRationalFunction(ONE_PLUS_X, ONE_PLUS_X))
+
+
+def test_pos_poly_keeps_its_validation():
+    with pytest.raises(ValueError):
+        PosPoly(())
+    with pytest.raises(ValueError):
+        PosPoly((F(1), F(-1)))
+    assert SignedPoly(()).is_zero

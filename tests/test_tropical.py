@@ -86,6 +86,11 @@ class TestRendering:
         with pytest.raises(ValueError):
             parse_layered("[\u0663]5")
 
+    @pytest.mark.parametrize("text", ["[1/0]5", "[2]1/0", "[2/4]1", "[02]5", " [2]5"])
+    def test_parse_refuses_zero_denominators_and_non_canonical_text(self, text):
+        with pytest.raises(ValueError):
+            parse_layered(text)
+
 
 class TestTropValue:
     @given(rationals())
