@@ -36,25 +36,17 @@ from .cancellative import (
     AlgebraicGenerator,
     ExtElem,
     PosPoly,
-    PosRationalFunction,
     SignedPoly,
-    cone_report,
-    diff_split,
     kernel_contains,
-    kernel_sample,
     positive_at_root,
     validate_generator,
 )
 from .tropical import (
-    BOTTOM,
     ONE,
     ZERO,
     LayeredElem,
     ValueLattice,
-    ghost_map,
     parse_layered,
-    rebuild,
-    sort_map,
 )
 from .uniform import (
     AlgebraicSort,
@@ -67,10 +59,8 @@ from .uniform import (
     base_descriptor,
     essential_indices,
     eval_layered_poly,
-    fibres_coincide,
     is_layerset_semiring,
     is_uniform_semifield,
-    layer_fibre_sample,
     pure_layer_ext,
     pure_value_ext,
     sort_is_semifield,

@@ -23,11 +23,10 @@ def record(cls):
     """`cls` rebuilt as a frozen value class with one slot per field.
 
     The fields are a parent record's fields, then the annotated names of the
-    body in order; a value in the body is the field's default.  Unless the
-    body defines them, the class gets `__init__(self, *fields)`, which stores
-    the fields and then calls `__post_init__` if the class has one; `__eq__`,
-    true for the same class and equal field tuples; `__hash__`, the hash of
-    the field tuple (a body `__eq__` leaves the class unhashable); and
+    body in order; a value in the body is the field's default.  The class
+    gets `__init__(self, *fields)`, which stores the fields and then calls
+    `__post_init__` if the class has one; `__eq__`, true for the same class
+    and equal field tuples; `__hash__`, the hash of the field tuple; and
     `__repr__`, `Name(field=value!r, ...)`.  Assignment and deletion raise
     `AttributeError`.  A body `__slots__` names extra slots outside all of
     these, for `__post_init__` to fill with `object.__setattr__`.
@@ -54,7 +53,6 @@ def record(cls):
     made = {"_set": object.__setattr__, "_dflt": fields}
     exec(src, made)
     for name in ("__init__", "__eq__", "__hash__", "__repr__"):
-        if name not in body:  # a body `__eq__` also puts `__hash__ = None` there
-            ns[name] = made[name]
-            ns[name].__qualname__ = f"{cls.__qualname__}.{name}"
+        ns[name] = made[name]
+        ns[name].__qualname__ = f"{cls.__qualname__}.{name}"
     return type(cls)(cls.__name__, cls.__bases__, ns)

@@ -4,15 +4,17 @@ The positive rationals under ordinary (+, *) form a cancellative semifield
 whose ring of differences is Q.  A simple proper algebraic extension is cut
 out by a monic irreducible polynomial with an isolated positive real root and
 at least one negative coefficient (a single-signed annihilator would collapse
-the extension to a field).  Elements are coefficient vectors on the basis
-1, X, ..., X^(n-1) of Q[x] modulo the minimal polynomial; the positive cone
-is tracked by the coefficient signs.  Products, powers and inverses run on
-integers: each generator stores one reduction table (x^n, ..., x^(2n-2)
-modulo the minimal polynomial over a common denominator), each operand is
-brought to one common denominator, and each result coefficient becomes a
-Fraction once.  The sign of an element at the adjoined root, which decides
-membership in the semifield, is one Sturm-Tarski query on the isolating
-interval (`polys.tarski_query`), with no numeric refinement.
+the extension to a field).  Elements are coefficient vectors on the basis 1,
+X, ..., X^(n-1) of Q[x] modulo the minimal polynomial.  Products, powers and
+inverses run on integers: each generator stores one reduction table (x^n,
+..., x^(2n-2) modulo the minimal polynomial over a common denominator), each
+operand is brought to one common denominator, and each result coefficient
+becomes a Fraction once.  The sign of an element at the adjoined root is one
+Sturm-Tarski query on the isolating interval (`polys.tarski_query`), with no
+numeric refinement.  A positive sign is necessary for membership in the
+semifield, and it decides membership when the minimal polynomial has exactly
+one positive root; with a second positive root the element must be positive
+at every one of them (ROADMAP item 16).
 
 Every polynomial over Q is stored dense, as one `polys.Poly` coefficient
 tuple: `SignedPoly` for minimal polynomials, and its checked subtype
@@ -35,7 +37,6 @@ from .errors import (
     GeneratorMismatch,
     IntervalNotIsolating,
     NoPositiveRoot,
-    NoSignChange,
     Reducible,
     TrivialExtension,
     ZeroElement,
@@ -166,15 +167,6 @@ def _render_terms(terms) -> str:
     return out
 
 
-def diff_split(m: SignedPoly) -> tuple[PosPoly, PosPoly]:
-    """Split into positive part minus negated-negative part, supports disjoint."""
-    pos = {d: c for d, c in m.terms if c > 0}
-    neg = {d: -c for d, c in m.terms if c < 0}
-    if not pos or not neg:
-        raise NoSignChange("the polynomial has coefficients of a single sign")
-    return PosPoly.of(pos), PosPoly.of(neg)
-
-
 @record
 class AlgebraicGenerator:
     """A validated extension generator: minimal polynomial plus isolating interval.
@@ -284,11 +276,6 @@ class ExtElem:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    @property
-    def in_cone(self) -> bool:
-        """All coefficients non-negative and not all zero."""
-        return all(c >= 0 for c in self.coeffs) and not self.is_zero
-
     def _check(self, other: "ExtElem"):
         if self.gen != other.gen:
             raise GeneratorMismatch("elements belong to different extensions")
@@ -388,18 +375,6 @@ def positive_at_root(e: ExtElem) -> bool:
     return polys.tarski_query(e.gen.m_int, g, e.gen.lo, e.gen.hi) > 0
 
 
-def cone_report(e: ExtElem) -> dict:
-    """Both positivity views: the coefficient cone and the sign at the root.
-
-    The coefficient test is sufficient for membership in the positive span of
-    the basis; the sign test is necessary for membership in the semifield.
-    They can disagree for non-binomial minimal polynomials, and this report
-    presents both rather than deciding.  The sign is exact (see
-    `positive_at_root`).
-    """
-    return {"coefficient_cone": e.in_cone, "positive_at_root": positive_at_root(e)}
-
-
 def kernel_contains(a: PosPoly, b: PosPoly, gen: AlgebraicGenerator) -> bool:
     """Whether a/b is congruent to 1: the minimal polynomial divides a - b.
 
@@ -409,46 +384,3 @@ def kernel_contains(a: PosPoly, b: PosPoly, gen: AlgebraicGenerator) -> bool:
     """
     num, _ = _cleared(polys._sub(a.coeffs, b.coeffs))
     return not polys._pseudo_rem(polys._trim(num), gen.m_int)
-
-
-@record
-class PosRationalFunction:
-    """A quotient of positive polynomials; equality by cross-multiplication."""
-
-    num: PosPoly
-    den: PosPoly
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PosRationalFunction):
-            return NotImplemented
-        return (self.num * other.den).coeffs == (other.num * self.den).coeffs
-
-    def __add__(self, other: "PosRationalFunction") -> "PosRationalFunction":
-        return PosRationalFunction(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __mul__(self, other: "PosRationalFunction") -> "PosRationalFunction":
-        return PosRationalFunction(self.num * other.num, self.den * other.den)
-
-    def __str__(self) -> str:
-        return f"({self.num}) / ({self.den})"
-
-
-def kernel_sample(gen: AlgebraicGenerator, g1: PosPoly, g2: PosPoly | None = None,
-                  h: PosPoly | None = None) -> PosRationalFunction:
-    """A kernel element built from the sign split of the minimal polynomial.
-
-    With m = m_plus - m_minus, the quotient
-
-        (m_plus*g1 + m_minus*g2 + h*(g1+g2)) / (m_plus*g2 + m_minus*g1 + h*(g1+g2))
-
-    is always congruent to 1; omitted g2 or h drop the corresponding terms
-    (the positive polynomials have no zero, so omission is the degenerate case).
-    """
-    m_plus, m_minus = diff_split(gen.m)
-    num, den = m_plus * g1, m_minus * g1
-    if g2 is not None:
-        num, den = num + m_minus * g2, den + m_plus * g2
-    if h is not None:
-        shared = h * (g1 + g2 if g2 is not None else g1)
-        num, den = num + shared, den + shared
-    return PosRationalFunction(num, den)

@@ -5,20 +5,8 @@ class LayextError(Exception):
     """Base class for every error raised by layext."""
 
 
-class ZeroHasNoLayer(LayextError):
-    """The zero element carries no layer; asking for one is an error."""
-
-
-class BottomValue(LayextError):
-    """A layered element cannot be built on the bottom (minus infinity) value."""
-
-
 class InconsistentRelations(LayextError):
     """Declared monomial relations contradict each other or the numeric values."""
-
-
-class NoSignChange(LayextError):
-    """The polynomial has coefficients of one sign only and cannot be split."""
 
 
 class Reducible(LayextError):

@@ -1,10 +1,12 @@
 """Exact max-plus arithmetic with layered elements.
 
-Values live in (Q ∪ {Bottom}, max, +): "addition" is maximum, "multiplication"
-is ordinary rational addition, and Bottom is the absorbing additive zero
-standing in for minus infinity.  A layered element pairs a value with a layer,
-a positive rational that records summation multiplicity: adding two elements
-with equal values adds their layers, otherwise the larger value wins outright.
+Values are rationals under (max, +): "addition" is maximum and
+"multiplication" is ordinary rational addition.  A layered element pairs a
+value with a layer, a positive rational that records summation multiplicity:
+adding two elements with equal values adds their layers, otherwise the larger
+value wins outright.  The additive zero (minus infinity) is `ZERO`, the one
+element with no layer and no value: it is neutral for addition and absorbing
+for multiplication.
 
 >>> x = LayeredElem.make(2, 5)
 >>> y = LayeredElem.make(3, 5)
@@ -23,7 +25,6 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from ._record import record
-from .errors import BottomValue, ZeroHasNoLayer
 
 
 def as_fraction(x) -> Fraction:
@@ -41,40 +42,6 @@ def _cleared(coeffs) -> tuple[list[int], int]:
     """The integer numerators of Fractions over their least common denominator, and that denominator."""
     den = lcm(*(c.denominator for c in coeffs))
     return [c.numerator * (den // c.denominator) for c in coeffs], den
-
-
-class _Bottom:
-    """The additive zero of the value model (minus infinity). A singleton."""
-
-    __slots__ = ()
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "Bottom"
-
-
-BOTTOM = _Bottom()
-
-
-def value_max(x, y):
-    """Tropical addition of values: max, with BOTTOM strictly minimal."""
-    if x is BOTTOM:
-        return y
-    if y is BOTTOM:
-        return x
-    return x if x >= y else y
-
-
-def value_plus(x, y):
-    """Tropical multiplication of values: rational addition, BOTTOM absorbing."""
-    if x is BOTTOM or y is BOTTOM:
-        return BOTTOM
-    return x + y
 
 
 @record
@@ -155,28 +122,6 @@ def _positive(layer, value) -> LayeredElem:
 
 ZERO = LayeredElem(None, None)
 ONE = LayeredElem(Fraction(1), Fraction(0))
-
-
-def sort_map(x: LayeredElem) -> Fraction:
-    """Project a non-zero element to its layer."""
-    if x.is_zero:
-        raise ZeroHasNoLayer("the zero element has no layer")
-    return x.layer
-
-
-def ghost_map(x: LayeredElem):
-    """Project an element to its value; Zero maps to BOTTOM."""
-    return BOTTOM if x.is_zero else x.value
-
-
-def rebuild(layer, value) -> LayeredElem:
-    """Assemble a layered element from a layer and a non-bottom value.
-
-    Inverse of (sort_map, ghost_map) on non-zero elements.
-    """
-    if value is BOTTOM:
-        raise BottomValue("cannot attach a layer to the bottom value")
-    return LayeredElem.make(layer, value)
 
 
 _LAYERED_RE = re.compile(r"^\[(?P<layer>-?\d+(?:/\d+)?)\](?P<value>-?\d+(?:/\d+)?)$", re.ASCII)

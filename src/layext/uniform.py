@@ -292,42 +292,6 @@ def uniform_closure(H: UniformDescriptor, a: ExtScalar) -> UniformDescriptor:
     )
 
 
-def layer_fibre_sample(elems, alpha) -> set:
-    """The layers of the sampled elements whose value equals alpha."""
-    alpha = alpha if isinstance(alpha, str) else as_fraction(alpha)
-    return {e.layer for e in elems if e.value == alpha}
-
-
-def _orbit_rep(layer):
-    """Canonical representative of the positive-rational scaling orbit of a layer."""
-    if isinstance(layer, Fraction):
-        return Fraction(1)
-    first = next(c for c in layer.coeffs if c != 0)
-    return layer.scale(1 / abs(first))
-
-
-def _closed_fibre(H: UniformDescriptor, elems, alpha: Fraction) -> frozenset:
-    reps = set()
-    for e in elems:
-        if not e.has_rational_value:
-            continue
-        if value_group_contains(H.value_part, alpha - e.value):
-            reps.add(_orbit_rep(e.layer))
-    return frozenset(reps)
-
-
-def fibres_coincide(H: UniformDescriptor, elems, alpha, beta) -> bool:
-    """Whether the sampled layer fibres at two values agree after closure.
-
-    Each sampled element is closed under multiplication by base units
-    (arbitrary positive rational layer, any base value), so it contributes
-    its scaling orbit to every fibre reachable by a base translation; the
-    two closed fibres are then compared as sets of orbit representatives.
-    """
-    alpha, beta = as_fraction(alpha), as_fraction(beta)
-    return _closed_fibre(H, elems, alpha) == _closed_fibre(H, elems, beta)
-
-
 def is_layerset_semiring(H: UniformDescriptor, a: ExtScalar) -> bool:
     """Whether the layer set of the simple extension by the scalar is a semiring.
 

@@ -5,8 +5,10 @@ counts roots on integers; these are the plain Fraction versions, written on
 top of `layext.polys`' Poly type.  Integer matrix arithmetic: products,
 determinants, pivots, kernels, solving and the invariants of a Smith form,
 written on top of `layext.intlinalg`, which keeps only the Hermite and Smith
-forms the library itself uses.  And the layer polynomial behind an evaluation
-in `layext.uniform`.
+forms the library itself uses.  The kernel witnesses that `kernel_contains`
+is checked against, built from the sign split of a minimal polynomial, and
+the coefficient cone of an extension element.  And the layer polynomial
+behind an evaluation in `layext.uniform`.
 """
 
 from fractions import Fraction
@@ -180,6 +182,40 @@ def smith_invariants(rows, ncols: int) -> tuple[tuple, int, tuple]:
     _, diag, _, _ = smith(rows, ncols)
     factors = tuple(d for d in diag if d != 0)
     return factors, ncols - len(factors), tuple(d for d in factors if d > 1)
+
+
+def diff_split(m: SignedPoly) -> tuple[PosPoly, PosPoly]:
+    """Split into positive part minus negated-negative part, supports disjoint."""
+    pos = {d: c for d, c in m.terms if c > 0}
+    neg = {d: -c for d, c in m.terms if c < 0}
+    if not pos or not neg:
+        raise ValueError("the polynomial has coefficients of a single sign")
+    return PosPoly.of(pos), PosPoly.of(neg)
+
+
+def kernel_sample(gen, g1: PosPoly, g2: PosPoly | None = None, h: PosPoly | None = None) -> tuple[PosPoly, PosPoly]:
+    """A kernel element (num, den) built from the sign split of the minimal polynomial.
+
+    With m = m_plus - m_minus, the quotient
+
+        (m_plus*g1 + m_minus*g2 + h*(g1+g2)) / (m_plus*g2 + m_minus*g1 + h*(g1+g2))
+
+    is always congruent to 1; omitted g2 or h drop the corresponding terms
+    (the positive polynomials have no zero, so omission is the degenerate case).
+    """
+    m_plus, m_minus = diff_split(gen.m)
+    num, den = m_plus * g1, m_minus * g1
+    if g2 is not None:
+        num, den = num + m_minus * g2, den + m_plus * g2
+    if h is not None:
+        shared = h * (g1 + g2 if g2 is not None else g1)
+        num, den = num + shared, den + shared
+    return num, den
+
+
+def in_cone(e) -> bool:
+    """All coefficients of the extension element non-negative and not all zero."""
+    return all(c >= 0 for c in e.coeffs) and not e.is_zero
 
 
 def essential_layer_poly(f, a) -> dict:

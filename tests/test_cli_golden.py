@@ -1,23 +1,27 @@
-"""Byte-for-byte comparison of the CLI's output on schemas/ with a golden file.
+"""Byte-for-byte comparison of the CLI's output with golden files.
 
 Every subcommand runs over the sample files in schemas/, once plain and once
-with --json --notes.  The golden file records, per invocation, the command
-line, the exit code, standard output and standard error.  Regenerate it (only
-when an output change is intended) with
+with --json --notes.  cli_schemas.txt records, per invocation, the command
+line, the exit code, standard output and standard error.  cli_help.txt records
+`layext --help` and each subcommand's --help, formatted for an 80-column
+terminal.  Regenerate them (only when an output change is intended) with
 
     PYTHONPATH=src python tests/test_cli_golden.py > tests/golden/cli_schemas.txt
+    PYTHONPATH=src COLUMNS=80 python tests/test_cli_golden.py --help-text > tests/golden/cli_help.txt
 """
 
+import contextlib
 import io
 import os
 import re
 import sys
 from pathlib import Path
 
-from layext.cli import build_parser, main
+from layext.cli import COMMANDS, build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden" / "cli_schemas.txt"
+GOLDEN_HELP = ROOT / "tests" / "golden" / "cli_help.txt"
 
 P, PS = "schemas/presentation.json", "schemas/presentation_symbolic.json"
 D, G = "schemas/descriptor.json", "schemas/generator.json"
@@ -53,9 +57,25 @@ def render() -> str:
     return "".join(parts)
 
 
+def render_help() -> str:
+    """`layext --help` and every subcommand's --help, each under its command line."""
+    parts = []
+    for argv in [["--help"], *([name, "--help"] for name, *_ in COMMANDS)]:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.suppress(SystemExit):
+            build_parser().parse_args(argv)
+        parts.append(f"$ layext {' '.join(argv)}\n{out.getvalue()}")
+    return "".join(parts)
+
+
 def test_cli_output_matches_golden(monkeypatch):
     monkeypatch.chdir(ROOT)
     assert render().encode("utf-8") == GOLDEN.read_bytes()
+
+
+def test_cli_help_matches_golden(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert render_help().encode("utf-8") == GOLDEN_HELP.read_bytes()
 
 
 def test_every_subcommand_has_a_golden_case():
@@ -65,4 +85,4 @@ def test_every_subcommand_has_a_golden_case():
 
 if __name__ == "__main__":
     os.chdir(ROOT)
-    sys.stdout.write(render())
+    sys.stdout.write(render_help() if sys.argv[1:] == ["--help-text"] else render())

@@ -1,4 +1,4 @@
-"""Parity of the 21 value classes: fields, construction, equality, hash, repr, immutability."""
+"""Parity of the 20 value classes: fields, construction, equality, hash, repr, immutability."""
 
 import copy
 import pickle
@@ -19,7 +19,6 @@ from layext.cancellative import (
     AlgebraicGenerator,
     ExtElem,
     PosPoly,
-    PosRationalFunction,
     SignedPoly,
     validate_generator,
 )
@@ -83,11 +82,6 @@ CASES = [
         ("gen", "coeffs"),
         f"ExtElem(gen={SQRT2_REPR}, coeffs=(Fraction(0, 1), Fraction(1, 1)))",
     ),
-    (
-        PosRationalFunction(ONE_PLUS_X, ONE_PLUS_X),
-        ("num", "den"),
-        f"PosRationalFunction(num={ONE_PLUS_X_REPR}, den={ONE_PLUS_X_REPR})",
-    ),
     (FreeLayer("t", ONE_PLUS_X), ("name", "poly"), f"FreeLayer(name='t', poly={ONE_PLUS_X_REPR})"),
     (BaseSort(), (), "BaseSort()"),
     (AlgebraicSort(SQRT2), ("gen",), f"AlgebraicSort(gen={SQRT2_REPR})"),
@@ -101,15 +95,12 @@ CASES = [
     (LayeredPoly(((0, ELEM),)), ("terms",), f"LayeredPoly(terms=((0, {ELEM_REPR}),))"),
 ]
 
-HASHABLE = [case for case in CASES if type(case[0]) is not PosRationalFunction]
-
-
 def _values(x, names):
     return tuple(getattr(x, f) for f in names)
 
 
 def test_every_value_class_has_a_case():
-    assert len({type(x) for x, _, _ in CASES}) == len(CASES) == 21
+    assert len({type(x) for x, _, _ in CASES}) == len(CASES) == 20
 
 
 @pytest.mark.parametrize("x, names, text", CASES, ids=[type(x).__name__ for x, _, _ in CASES])
@@ -129,7 +120,7 @@ def test_fields_construction_repr_and_immutability(x, names, text):
             delattr(x, name)
 
 
-@pytest.mark.parametrize("x, names, text", HASHABLE, ids=[type(x).__name__ for x, _, _ in HASHABLE])
+@pytest.mark.parametrize("x, names, text", CASES, ids=[type(x).__name__ for x, _, _ in CASES])
 def test_hash_is_the_hash_of_the_field_tuple(x, names, text):
     assert hash(x) == hash(_values(x, names))
 
@@ -159,13 +150,6 @@ def test_generator_table_and_m_int_stay_out_of_equality_hash_and_repr():
         AlgebraicGenerator(SQRT2.m, SQRT2.lo, SQRT2.hi, SQRT2.table)
     with pytest.raises(AttributeError):
         SQRT2.table = None
-
-
-def test_rational_function_equality_is_its_own_and_unhashable():
-    two = PosPoly((F(2), F(2)))
-    assert PosRationalFunction(ONE_PLUS_X, ONE_PLUS_X) == PosRationalFunction(two, two)
-    with pytest.raises(TypeError):
-        hash(PosRationalFunction(ONE_PLUS_X, ONE_PLUS_X))
 
 
 def test_pos_poly_keeps_its_validation():

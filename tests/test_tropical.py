@@ -3,19 +3,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import layered_elems, positive_rationals, rationals
-from layext.errors import BottomValue, ZeroHasNoLayer
-from layext.tropical import (
-    BOTTOM,
-    ONE,
-    ZERO,
-    LayeredElem,
-    ValueLattice,
-    ghost_map,
-    parse_layered,
-    rebuild,
-    sort_map,
-)
+from conftest import layered_elems, rationals
+from layext.tropical import ONE, ZERO, LayeredElem, ValueLattice, parse_layered
 
 
 def L(layer, value):
@@ -47,29 +36,24 @@ class TestTropMul:
 
 
 class TestProjections:
+    # the sort map is `.layer` and the ghost (value) map is `.value`; ZERO has neither
     def test_sort_map(self):
-        assert sort_map(L(2, 5)) == 2
+        assert L(2, 5).layer == 2
 
     def test_sort_map_multiplicative(self):
-        assert sort_map(L(3, 5) * L(2, 1)) == 6
+        assert (L(3, 5) * L(2, 1)).layer == 6
 
-    def test_sort_map_zero_errors(self):
-        with pytest.raises(ZeroHasNoLayer):
-            sort_map(ZERO)
+    def test_zero_has_no_layer_and_no_value(self):
+        assert ZERO.is_zero and ZERO.layer is None and ZERO.value is None
+        assert not L(2, 5).is_zero
 
     def test_ghost_map(self):
-        assert ghost_map(L(2, 5)) == 5
-        assert ghost_map(L(2, 5) + L(3, 5)) == 5
-        assert ghost_map(ZERO) is BOTTOM
+        assert L(2, 5).value == 5
+        assert (L(2, 5) + L(3, 5)).value == 5
 
     def test_rebuild(self):
-        assert rebuild(2, 5) == L(2, 5)
         x = L(F(7, 2), -3)
-        assert rebuild(sort_map(x), ghost_map(x)) == x
-
-    def test_rebuild_bottom_errors(self):
-        with pytest.raises(BottomValue):
-            rebuild(1, BOTTOM)
+        assert LayeredElem.make(x.layer, x.value) == x
 
 
 class TestRendering:
@@ -93,21 +77,17 @@ class TestRendering:
 
 
 class TestTropValue:
-    @given(rationals())
-    def test_bottom_is_neutral_and_absorbing(self, q):
-        from layext.tropical import value_max, value_plus
+    @given(layered_elems())
+    def test_bottom_is_neutral_and_absorbing(self, x):
+        assert ZERO + x == x
+        assert x + ZERO == x
+        assert (ZERO * x).is_zero
+        assert (x * ZERO).is_zero
+        assert (ZERO + ZERO).is_zero
 
-        assert value_max(BOTTOM, q) == q
-        assert value_max(q, BOTTOM) == q
-        assert value_plus(BOTTOM, q) is BOTTOM
-        assert value_plus(q, BOTTOM) is BOTTOM
-        assert value_max(BOTTOM, BOTTOM) is BOTTOM
-
-    @given(rationals(), rationals())
+    @given(layered_elems(allow_zero=False), layered_elems(allow_zero=False))
     def test_value_addition_is_bipotent(self, x, y):
-        from layext.tropical import value_max
-
-        assert value_max(x, y) in (x, y)
+        assert (x + y).value in (x.value, y.value)
 
 
 class TestLattice:
@@ -181,16 +161,18 @@ class TestLaws:
 
     @given(layered_elems(), layered_elems())
     def test_ghost_is_a_morphism(self, x, y):
-        gx, gy = ghost_map(x), ghost_map(y)
-        from layext.tropical import value_max, value_plus
-
-        assert ghost_map(x + y) == value_max(gx, gy)
-        assert ghost_map(x * y) == value_plus(gx, gy)
+        # ZERO's missing value stands for minus infinity
+        if x.is_zero or y.is_zero:
+            assert (x + y).value == (y.value if x.is_zero else x.value)
+            assert (x * y).is_zero
+        else:
+            assert (x + y).value == max(x.value, y.value)
+            assert (x * y).value == x.value + y.value
 
     @given(layered_elems(allow_zero=False), layered_elems(allow_zero=False))
     def test_sort_is_multiplicative(self, x, y):
-        assert sort_map(ONE) == 1
-        assert sort_map(x * y) == sort_map(x) * sort_map(y)
+        assert ONE.layer == 1
+        assert (x * y).layer == x.layer * y.layer
 
     @given(layered_elems(allow_zero=False), st.integers(1, 12))
     def test_torsion_free(self, x, n):

@@ -21,10 +21,8 @@ from layext.uniform import (
     base_descriptor,
     essential_indices,
     eval_layered_poly,
-    fibres_coincide,
     is_layerset_semiring,
     is_uniform_semifield,
-    layer_fibre_sample,
     pure_layer_ext,
     pure_value_ext,
     sort_contains,
@@ -249,62 +247,6 @@ class TestLayeredElemClosureLaws:
         b = LayeredElem(F(1), vb)
         assert unit_s * (a + b) == unit_s * a + unit_s * b
         assert (LayeredElem(s, F(0)) + LayeredElem(t, F(0))) * a == unit_s * a + LayeredElem(t, F(0)) * a
-
-
-class TestFibres:
-    def test_sample_filter(self):
-        elems = [ExtScalar.of(2, 5), ExtScalar.of(3, 5), ExtScalar.of(7, 1)]
-        assert layer_fibre_sample(elems, 5) == {F(2), F(3)}
-
-    def test_empty_fibre(self):
-        assert layer_fibre_sample([ExtScalar.of(2, 5)], 4) == set()
-
-    def test_scaling_closure(self):
-        # a sample closed under base-layer scaling keeps its fibre closed
-        elems = {ExtScalar.of(q, 0) for q in (1, 2, 3)}
-        fibre = layer_fibre_sample(elems, 0)
-        assert fibre == {F(1), F(2), F(3)}
-
-    def test_coincide_after_translation(self):
-        assert fibres_coincide(H, [ExtScalar.of(2, 0)], 0, 1)
-
-    def test_coincide_reflexive(self):
-        elems = [ExtScalar.of(2, 5), ExtScalar.of(3, 5)]
-        assert fibres_coincide(H, elems, 5, 5)
-
-    def test_base_translations_merge_fibres(self):
-        # values in the same base coset share their layers after closure
-        Hs = UniformDescriptor(AlgebraicSort(SQRT2), H.value_part)
-        elems = [ExtScalar(SQRT2.xbar(), F(0)), ExtScalar.of(1, 1)]
-        assert fibres_coincide(Hs, elems, 0, 1)
-
-    def test_non_base_value_difference_separates_fibres(self):
-        # a sample from a non-uniform extension: the scalar's value is not a
-        # base translate of 0, so its layer never reaches the fibre at 0
-        elems = [ExtScalar(SQRT2.xbar(), F(1, 2)), ExtScalar.of(1, 0)]
-        assert not fibres_coincide(H, elems, 0, F(1, 2))
-
-
-    @pytest.mark.parametrize("first, second, coincide", [
-        ([2, 2], [3, 3], True),
-        ([1, 1], [1, 2], False),
-    ])
-    def test_algebraic_layers_compare_by_scaling_orbit(self, first, second, coincide):
-        # over sqrt(2): the second layer sits at 3/2, a base translate of 1/2,
-        # so each fibre holds one orbit and they agree iff the layers are proportional
-        Hs = UniformDescriptor(AlgebraicSort(SQRT2), H.value_part)
-        elems = [ExtScalar(SQRT2.element(first), F(0)), ExtScalar(SQRT2.element(second), F(3, 2))]
-        assert fibres_coincide(Hs, elems, 0, F(1, 2)) is coincide
-
-    @pytest.mark.parametrize("first, second, coincide", [
-        ({0: 1, 1: 1}, {0: 2, 1: 2}, True),
-        ({1: 1}, {0: 1, 1: 1}, False),
-    ])
-    def test_free_layers_compare_by_scaling_orbit(self, first, second, coincide):
-        Hy = UniformDescriptor(FreeSort("y"), H.value_part)
-        elems = [ExtScalar(FreeLayer("y", PosPoly.of(first)), F(0)),
-                 ExtScalar(FreeLayer("y", PosPoly.of(second)), F(3, 2))]
-        assert fibres_coincide(Hy, elems, 0, F(1, 2)) is coincide
 
 
 class TestLayersetSemiring:
