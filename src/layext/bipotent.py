@@ -37,6 +37,12 @@ from .tropical import ValueLattice, _cleared, as_fraction
 INFINITE = math.inf
 
 
+def _check_name(name, what: str):
+    """Raise ValueError unless `name` is a Python identifier: a symbol's name reads as one word."""
+    if not (isinstance(name, str) and name.isidentifier()):
+        raise ValueError(f"{what} needs an identifier for its name, got {name!r}")
+
+
 @record
 class Numeric:
     """A generator with an explicit rational value."""
@@ -57,6 +63,9 @@ class Symbolic:
     """A named free generator; its only relations are the declared ones."""
 
     name: str
+
+    def __post_init__(self):
+        _check_name(self.name, "a symbolic generator")
 
 
 @record
@@ -96,7 +105,10 @@ class BipotentPresentation:
         for g in self.generators:
             if not isinstance(g, (Numeric, Symbolic)):
                 raise TypeError(f"not a generator: {g!r}")
-        pure_numeric = all(isinstance(g, Numeric) for g in self.generators)
+        names = [g.name for g in self.generators if isinstance(g, Symbolic)]
+        if len(set(names)) != len(names):
+            raise ValueError("a symbolic generator's name may appear only once")
+        pure_numeric = not names
         if pure_numeric and self.relations:
             raise ValueError("pure numeric presentations compute their relations; do not declare any")
         for rel in self.relations:
@@ -265,12 +277,14 @@ def _checked_subset(P: BipotentPresentation, vectors, subset) -> list[int]:
     return subset
 
 
-def _basis_first(P: BipotentPresentation, cols):
-    """The Hermite basis of P's lattice with the columns `cols` first."""
-    lat = _lattice(P)
-    if list(cols) == list(range(P.n)):
-        return lat.basis  # the natural order: the lattice's basis is this form already
-    return la.hnf(_columns_first(lat.basis, cols, P.n), P.n)
+def _basis_first(rows, cols, ncols):
+    """The Hermite basis `rows` redone with the columns `cols` first; later columns ride along.
+
+    A prefix of range(ncols) keeps the natural order, whose Hermite basis `rows` already is.
+    """
+    if cols == list(range(len(cols))):
+        return rows
+    return la.hnf(_columns_first(rows, cols, ncols), ncols)
 
 
 def _order(basis, vec):
@@ -311,7 +325,7 @@ class ExtDecomposition:
         return len(self.free_monomials)
 
     def rank(self):
-        """[extension : base]; finite exactly when there is no free part."""
+        """[extension : base], equal to `extension_rank(P)`; finite exactly when there is no free part."""
         if self.free_monomials:
             return INFINITE
         return math.prod(self.torsion_orders) if self.torsion_orders else 1
@@ -366,7 +380,7 @@ def is_divisibly_dependent(P: BipotentPresentation, subset) -> bool:
     if not subset:
         raise ValueError("subset must be non-empty")
     complement = [j for j in range(P.n) if j not in subset]
-    basis = _basis_first(P, complement)
+    basis = _basis_first(_lattice(P).basis, complement, P.n)
     return any(not any(row[: len(complement)]) for row in basis)
 
 
@@ -392,9 +406,7 @@ def divisible_dependence_witness(P: BipotentPresentation, exps, subset=()) -> De
     complement = [j for j in range(P.n) if j not in subset]
     c = len(complement)
     lat = _lattice(P)
-    rows = [(*row, b) for row, b in zip(lat.basis, lat.betas)]
-    if subset:
-        rows = la.hnf(_columns_first(rows, complement, P.n), P.n)
+    rows = _basis_first([(*row, b) for row, b in zip(lat.basis, lat.betas)], complement, P.n)
     k = _order([row[:c] for row in rows if any(row[:c])], [exps[j] for j in complement])
     if k == INFINITE:
         return None
@@ -419,7 +431,7 @@ def extension_rank(P: BipotentPresentation, over=()):
     """
     over = _checked_subset(P, (), over)
     complement = [j for j in range(P.n) if j not in over]
-    basis = _basis_first(P, complement)
+    basis = _basis_first(_lattice(P).basis, complement, P.n)
     return math.prod(basis[i][i] if i < len(basis) else 0 for i in range(len(complement))) or INFINITE
 
 
@@ -453,7 +465,7 @@ def canonical_coset_value(P: BipotentPresentation, exps) -> Fraction | None:
     """
     _checked_subset(P, (exps,), ())
     sym, num = P.symbolic_indices(), P.numeric_indices()
-    basis = _basis_first(P, sym)
+    basis = _basis_first(_lattice(P).basis, sym, P.n)
     rem = la.reduce_by_hnf(_columns_first([exps], sym, P.n)[0], basis)
     if any(rem[: len(sym)]):
         return None

@@ -4,12 +4,13 @@ The positive rationals under ordinary (+, *) form a cancellative semifield
 whose ring of differences is Q.  A simple proper algebraic extension is cut
 out by a monic irreducible polynomial with an isolated positive real root and
 at least one negative coefficient (a single-signed annihilator would collapse
-the extension to a field).  Elements are coefficient vectors on the basis 1,
-X, ..., X^(n-1) of Q[x] modulo the minimal polynomial.  Products, powers and
-inverses run on integers: each generator stores one reduction table (x^n,
-..., x^(2n-2) modulo the minimal polynomial over a common denominator), each
-operand is brought to one common denominator, and each result coefficient
-becomes a Fraction once.  The sign of an element at the adjoined root is one
+the extension to a field); `AlgebraicGenerator` refuses any other generator.
+Elements are coefficient vectors on the basis 1, X, ..., X^(n-1) of Q[x]
+modulo the minimal polynomial.  Products, powers and inverses run on
+integers: each generator stores one reduction table (x^n, ..., x^(2n-2)
+modulo the minimal polynomial over a common denominator), each operand is
+brought to one common denominator, and each result coefficient becomes a
+Fraction once.  The sign of an element at the adjoined root is one
 Sturm-Tarski query on the isolating interval (`polys.tarski_query`), with no
 numeric refinement.  A positive sign is necessary for membership in the
 semifield, and it decides membership when the minimal polynomial has exactly
@@ -171,12 +172,15 @@ def _render_terms(terms) -> str:
 class AlgebraicGenerator:
     """A validated extension generator: minimal polynomial plus isolating interval.
 
-    Use `validate_generator` to construct one; the constructor itself only
-    stores the data and builds the reduction table `table` = (D, rows): row
-    k holds the integer coefficients of D·x^(n+k) modulo m, for k = 0 ..
-    n-2, so every product of two reduced elements folds back through it.
-    `m_int` is the primitive integer multiple of m that sign and kernel
-    queries divide by.  Neither takes part in equality or repr.
+    The constructor refuses m unless it is monic, irreducible, of degree >= 2
+    and has a negative coefficient, and (lo, hi) unless they are Fractions
+    with 0 < lo < hi around exactly one root of m; copies and unpickled
+    generators are checked again.  It then builds the reduction table
+    `table` = (D, rows): row k holds the integer coefficients of D·x^(n+k)
+    modulo m, for k = 0 .. n-2, so every product of two reduced elements
+    folds back through it.  `m_int` is the primitive integer multiple of m
+    that sign and kernel queries divide by.  Neither takes part in equality
+    or repr.
     """
 
     m: SignedPoly
@@ -185,8 +189,29 @@ class AlgebraicGenerator:
     __slots__ = ("table", "m_int")  # filled in by __post_init__
 
     def __post_init__(self):
-        object.__setattr__(self, "m_int", polys.clear_denominators(self.m.coeffs))
-        n, low = self.n, [-c for c in self.m.coeffs[:-1]]
+        m, lo, hi = self.m, self.lo, self.hi
+        if not (isinstance(lo, Fraction) and isinstance(hi, Fraction)):
+            raise TypeError("the interval ends must be Fractions; use validate_generator")
+        if not m.is_monic or m.degree < 1:
+            raise ValueError("the minimal polynomial must be monic of degree >= 1")
+        if all(c >= 0 for c in m.coeffs):
+            raise AllPositiveCoefficients(
+                "a positive-coefficient polynomial cannot vanish at a positive root"
+            )
+        if m.degree == 1:
+            raise TrivialExtension("a degree-one generator already lies in the base semifield")
+        if not polys.is_irreducible(m.coeffs):
+            raise Reducible(f"{m} factors over the rationals")
+        chain = polys.sturm_chain(m.coeffs)
+        if polys.count_positive_roots(chain) == 0:
+            raise NoPositiveRoot(f"{m} has no positive real root")
+        if not (0 < lo < hi):
+            raise IntervalNotIsolating("the interval must satisfy 0 < lo < hi")
+        if polys.count_roots(chain, lo, hi) != 1:
+            raise IntervalNotIsolating(f"({lo}, {hi}) does not isolate exactly one root of {m}")
+        assert polys.eval_poly(m.coeffs, lo) * polys.eval_poly(m.coeffs, hi) < 0
+        object.__setattr__(self, "m_int", polys.clear_denominators(m.coeffs))
+        n, low = self.n, [-c for c in m.coeffs[:-1]]
         rows = [low]  # x^n = -(m_0 + ... + m_(n-1)·x^(n-1)) modulo m
         for _ in range(n - 2):
             prev = rows[-1]
@@ -231,34 +256,11 @@ class AlgebraicGenerator:
 
 
 def validate_generator(m: SignedPoly, interval) -> AlgebraicGenerator:
-    """Check a candidate minimal polynomial and isolating interval.
+    """The generator of m and the interval (lo, hi), whose ends may be any rationals.
 
-    Requirements: monic of degree >= 2 (degree one means the root is already a
-    positive rational and the extension is trivial), at least one negative
-    coefficient (otherwise no positive root exists and a root would force a
-    field), irreducible over Q, with exactly one real root inside the given
-    positive interval.
+    The ends become Fractions; `AlgebraicGenerator` checks the rest.
     """
-    if not m.is_monic or m.degree < 1:
-        raise ValueError("the minimal polynomial must be monic of degree >= 1")
-    if all(c >= 0 for c in m.coeffs):
-        raise AllPositiveCoefficients(
-            "a positive-coefficient polynomial cannot vanish at a positive root"
-        )
-    if m.degree == 1:
-        raise TrivialExtension("a degree-one generator already lies in the base semifield")
-    if not polys.is_irreducible(m.coeffs):
-        raise Reducible(f"{m} factors over the rationals")
-    chain = polys.sturm_chain(m.coeffs)
-    if polys.count_positive_roots(chain) == 0:
-        raise NoPositiveRoot(f"{m} has no positive real root")
-    lo, hi = (as_fraction(interval[0]), as_fraction(interval[1]))
-    if not (0 < lo < hi):
-        raise IntervalNotIsolating("the interval must satisfy 0 < lo < hi")
-    if polys.count_roots(chain, lo, hi) != 1:
-        raise IntervalNotIsolating(f"({lo}, {hi}) does not isolate exactly one root of {m}")
-    assert polys.eval_poly(m.coeffs, lo) * polys.eval_poly(m.coeffs, hi) < 0
-    return AlgebraicGenerator(m, lo, hi)
+    return AlgebraicGenerator(m, as_fraction(interval[0]), as_fraction(interval[1]))
 
 
 @record

@@ -68,7 +68,7 @@ def cmd_decompose(args) -> tuple:
             {"exps": list(m), "order": o}
             for m, o in zip(dec.torsion_monomials, dec.torsion_orders)
         ],
-        "rank": _fin(dec.rank()),
+        "rank": _fin(extension_rank(P)),
         "generator_expressions": [
             {"free_coeffs": list(fc), "torsion_coeffs": list(tc)}
             for fc, tc in dec.generator_coords

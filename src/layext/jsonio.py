@@ -57,10 +57,6 @@ def parse_bool(s) -> bool:
     return s
 
 
-def render_rational(q: Fraction) -> str:
-    return str(q)
-
-
 def load_document(text: str, source: str = "<input>") -> object:
     try:
         return json.loads(text)
@@ -98,8 +94,7 @@ def parse_presentation(doc) -> BipotentPresentation:
         if "num" in g:
             gens.append(Numeric(parse_rational(g["num"])))
         elif "sym" in g:
-            _require(isinstance(g["sym"], str), f"bad symbolic generator {g!r}")
-            gens.append(Symbolic(g["sym"]))
+            gens.append(_built(Symbolic, g["sym"]))
         else:
             raise ParseError(f"generator must have 'num' or 'sym': {g!r}")
     rels = []
@@ -111,15 +106,15 @@ def parse_presentation(doc) -> BipotentPresentation:
 
 def render_presentation(P: BipotentPresentation) -> dict:
     doc: dict = {
-        "base": [render_rational(g) for g in P.base.generators],
+        "base": [str(g) for g in P.base.generators],
         "generators": [
-            {"num": render_rational(g.value)} if isinstance(g, Numeric) else {"sym": g.name}
+            {"num": str(g.value)} if isinstance(g, Numeric) else {"sym": g.name}
             for g in P.generators
         ],
     }
     if P.relations:
         doc["relations"] = [
-            {"exps": list(r.exps), "beta": render_rational(r.beta)} for r in P.relations
+            {"exps": list(r.exps), "beta": str(r.beta)} for r in P.relations
         ]
     if P.monoid_exponents:
         doc["monoid"] = True
@@ -145,7 +140,7 @@ def parse_pos_poly(doc) -> PosPoly:
 
 
 def render_poly(terms) -> dict:
-    return {str(d): render_rational(c) for d, c in terms}
+    return {str(d): str(c) for d, c in terms}
 
 
 def parse_generator(doc) -> AlgebraicGenerator:
@@ -159,7 +154,7 @@ def parse_generator(doc) -> AlgebraicGenerator:
 def render_generator(gen: AlgebraicGenerator) -> dict:
     return {
         "m": render_poly(gen.m.terms),
-        "interval": [render_rational(gen.lo), render_rational(gen.hi)],
+        "interval": [str(gen.lo), str(gen.hi)],
     }
 
 
@@ -173,8 +168,7 @@ def parse_descriptor(doc) -> UniformDescriptor:
     elif kind == "algebraic":
         sort = AlgebraicSort(parse_generator(sort_doc))
     elif kind == "free":
-        _require(isinstance(sort_doc.get("name"), str), "free sort needs a name string")
-        sort = FreeSort(sort_doc["name"], parse_bool(sort_doc.get("fractions", True)))
+        sort = _built(FreeSort, sort_doc.get("name"), parse_bool(sort_doc.get("fractions", True)))
     else:
         raise ParseError(f"unknown sort kind {kind!r}")
     return UniformDescriptor(sort, parse_presentation(doc["value"]))
@@ -202,7 +196,7 @@ def parse_layered_poly(doc) -> LayeredPoly:
 
 def render_layered_poly(f: LayeredPoly) -> list:
     return [
-        {"layer": render_rational(c.layer), "value": render_rational(c.value), "exp": e}
+        {"layer": str(c.layer), "value": str(c.value), "exp": e}
         for e, c in f.terms
     ]
 
@@ -225,8 +219,7 @@ def parse_scalar(doc) -> ExtScalar:
                      f"algebraic layer coeffs must be a list of at most {gen.n} rationals")
             layer = gen.element([parse_rational(c) for c in coeffs])
         elif kind == "free":
-            _require(isinstance(lay_doc.get("name"), str), "free layer needs a name string")
-            layer = FreeLayer(lay_doc["name"], parse_pos_poly(lay_doc.get("poly", {"1": "1"})))
+            layer = _built(FreeLayer, lay_doc.get("name"), parse_pos_poly(lay_doc.get("poly", {"1": "1"})))
         else:
             raise ParseError(f"unknown layer kind {kind!r}")
     val_doc = doc["value"]
@@ -241,14 +234,14 @@ def parse_scalar(doc) -> ExtScalar:
 def render_scalar(a: ExtScalar) -> dict:
     lay = a.layer
     if isinstance(lay, Fraction):
-        layer: object = {"kind": "rational", "value": render_rational(lay)}
+        layer: object = {"kind": "rational", "value": str(lay)}
     elif isinstance(lay, ExtElem):
         layer = {
             "kind": "algebraic",
             **render_generator(lay.gen),
-            "coeffs": [render_rational(c) for c in lay.coeffs],
+            "coeffs": [str(c) for c in lay.coeffs],
         }
     else:
         layer = {"kind": "free", "name": lay.name, "poly": render_poly(lay.poly.terms)}
-    value = {"sym": a.value} if isinstance(a.value, str) else render_rational(a.value)
+    value = {"sym": a.value} if isinstance(a.value, str) else str(a.value)
     return {"layer": layer, "value": value}

@@ -25,6 +25,7 @@ from .bipotent import (
     BipotentPresentation,
     Numeric,
     Symbolic,
+    _check_name,
     is_bipotent_semifield,
 )
 from .cancellative import AlgebraicGenerator, ExtElem, PosPoly, positive_at_root
@@ -40,6 +41,9 @@ class FreeLayer:
 
     name: str
     poly: PosPoly
+
+    def __post_init__(self):
+        _check_name(self.name, "a free layer")
 
     @property
     def coeffs(self) -> tuple:
@@ -84,6 +88,9 @@ class FreeSort:
     name: str
     with_fractions: bool = True
 
+    def __post_init__(self):
+        _check_name(self.name, "a free sort")
+
 
 @record
 class UniformDescriptor:
@@ -92,31 +99,12 @@ class UniformDescriptor:
     sort_part: object
     value_part: BipotentPresentation
 
-    def __str__(self) -> str:
-        return f"{_render_sort(self.sort_part)} (x) {_render_value(self.value_part)}"
-
-
-def _render_sort(part) -> str:
-    if isinstance(part, BaseSort):
-        return "Q>0"
-    if isinstance(part, AlgebraicSort):
-        return f"Q>0[root of {part.gen.m}]"
-    return f"Q>0[{part.name}]" + ("" if part.with_fractions else " (no fractions)")
-
-
-def _render_value(P: BipotentPresentation) -> str:
-    base = str(P.base.single_generator())
-    gens = ", ".join(
-        str(g.value) if isinstance(g, Numeric) else g.name for g in P.generators
-    )
-    return f"<{base}>[{gens}]" if gens else f"<{base}>"
-
 
 @record
 class ExtScalar:
     """A layered scalar: a sort-part layer and a value.
 
-    The value is a rational, or a name standing for a symbolic value outside
+    The value is a rational, or an identifier naming a symbolic value outside
     the rationals (transcendental over the base value group).
     """
 
@@ -125,7 +113,9 @@ class ExtScalar:
 
     def __post_init__(self):
         v = self.value
-        if not isinstance(v, (Fraction, str)):
+        if isinstance(v, str):
+            _check_name(v, "a symbolic scalar value")
+        elif not isinstance(v, Fraction):
             raise TypeError("scalar value must be a Fraction or a symbolic name")
         lay = self.layer
         if isinstance(lay, Fraction):

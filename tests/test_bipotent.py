@@ -11,6 +11,7 @@ from layext import bipotent, intlinalg as la
 from layext.bipotent import (
     INFINITE,
     BipotentPresentation,
+    DependenceWitness,
     Numeric,
     Relation,
     Symbolic,
@@ -455,8 +456,29 @@ class TestSharedQuotient:
         assert extension_rank(P) == 12
         assert is_bipotent_semifield(P)
         assert divisible_dependence_witness(P, (0, 0, 1)).power == 12
-        assert calls == []
+        # over (2,) leaves the prefix [0, 1] first: the natural order again
         assert extension_rank(P, over=(2,)) == 1
+        assert calls == []
+        assert extension_rank(P, over=(0,)) == 6
+        assert len(calls) == 1
+
+    def test_prefix_orders_run_no_hermite_pass(self, monkeypatch):
+        calls = []
+        echelon = la._echelon
+
+        def counted(rows, ncols):
+            calls.append(ncols)
+            return echelon(rows, ncols)
+
+        P = numeric("1/6", "1/2", "1/5")
+        assert extension_rank(P) == 30  # builds the lattice
+        monkeypatch.setattr(la, "_echelon", counted)
+        assert canonical_coset_value(P, (1, 1, 1)) == F(13, 15)  # no symbolic columns to move
+        assert extension_rank(P, over=(1, 2)) == 3
+        assert extension_rank(P, over=(2,)) == 6
+        assert divisible_dependence_witness(P, (1, 0, 0), subset=(1, 2)) == DependenceWitness(3, (1, 0), F(0))
+        assert calls == []
+        assert divisible_dependence_witness(P, (0, 1, 0), subset=(0,)) == DependenceWitness(1, (3,), F(0))
         assert len(calls) == 1
 
     def test_alternating_presentations_keep_their_answers(self):
@@ -646,6 +668,24 @@ class TestDegreesAndRanks:
     def test_symbolic_rank_infinite(self):
         P = BipotentPresentation(Z, (Symbolic("g"),))
         assert extension_rank(P) == INFINITE
+
+    def test_rank_is_the_product_of_the_torsion_orders(self):
+        # the rank read off the natural-order Hermite basis against the Smith decomposition
+        rng = random.Random(20261019)
+        seen = {"numeric": 0, "symbolic": 0, "mixed": 0, "trivial_base": 0, "finite": 0, "infinite": 0}
+        for _ in range(300):
+            P = random_presentation(rng)
+            try:
+                dec = decompose_extension(P)
+            except InconsistentRelations:
+                continue
+            num, sym = P.numeric_indices(), P.symbolic_indices()
+            seen["mixed" if num and sym else "numeric" if num else "symbolic"] += 1
+            seen["trivial_base"] += P.base.single_generator() == 0
+            want = INFINITE if dec.free_rank else math.prod(dec.torsion_orders)
+            seen["infinite" if dec.free_rank else "finite"] += 1
+            assert extension_rank(P) == want == dec.rank()
+        assert all(count >= 20 for count in seen.values()), seen
 
     @given(
         st.lists(st.builds(F, st.integers(1, 8), st.integers(1, 6)), min_size=1, max_size=3)
@@ -887,3 +927,19 @@ def test_dependence_matches_bounded_oracle(values, data):
 def test_numeric_generator_refuses_non_fractions(value):
     with pytest.raises(TypeError):
         Numeric(value)
+
+
+def test_a_symbolic_name_appears_once():
+    # closing <1>[g] by the value g adds nothing, so <1>[g, g] would name one value twice
+    for gens in [(Symbolic("g"), Symbolic("g")), (Symbolic("g"), Numeric.of("1/2"), Symbolic("g"))]:
+        with pytest.raises(ValueError, match="only once"):
+            BipotentPresentation(Z, gens)
+    with pytest.raises(ValueError, match="only once"):
+        BipotentPresentation(Z, (Symbolic("g"),)).with_generator(Symbolic("g"))
+    assert BipotentPresentation(Z, (Symbolic("g"), Symbolic("h"))).n == 2
+
+
+@pytest.mark.parametrize("name", ["1", "", "1/2", "a b", "g+h", 3, None])
+def test_symbolic_names_are_identifiers(name):
+    with pytest.raises(ValueError, match="identifier"):
+        Symbolic(name)

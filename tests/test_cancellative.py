@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import time
 from decimal import Decimal, localcontext
@@ -11,6 +13,7 @@ import reference as R
 from conftest import positive_rationals
 from layext import polys
 from layext.cancellative import (
+    AlgebraicGenerator,
     ExtElem,
     PosPoly,
     SignedPoly,
@@ -106,6 +109,39 @@ class TestValidateGenerator:
     def test_non_monic_rejected(self):
         with pytest.raises(ValueError):
             validate_generator(SignedPoly.of({2: 2, 0: -2}), (1, 2))
+
+    @pytest.mark.parametrize("m, interval, error", [
+        ({2: 1, 1: -3, 0: 2}, (1, 2), Reducible),
+        ({2: 1, 0: 1}, (1, 2), AllPositiveCoefficients),
+        ({2: 1, 1: -1, 0: 1}, (1, 2), NoPositiveRoot),
+        ({2: 1, 0: -2}, (2, 3), IntervalNotIsolating),
+        ({2: 1, 0: -2}, (-1, 2), IntervalNotIsolating),
+        ({1: 1, 0: -2}, (1, 3), TrivialExtension),
+        ({2: 2, 0: -2}, (1, 2), ValueError),
+        ({18: 1, 9: -5, 0: 6}, (1, 2), Reducible),
+        ({32: 1, 0: -2}, (1, 2), DegreeTooLarge),
+    ])
+    def test_the_constructor_checks_what_validate_generator_checks(self, m, interval, error):
+        m = SignedPoly.of(m)
+        for build in (lambda: validate_generator(m, interval),
+                      lambda: AlgebraicGenerator(m, F(interval[0]), F(interval[1]))):
+            with pytest.raises(error) as caught:
+                build()
+            assert type(caught.value) is error
+
+    @pytest.mark.parametrize("lo, hi", [(1, F(2)), (F(1), 2), (1.0, F(2)), ("1", "2")])
+    def test_the_constructor_takes_fraction_ends_only(self, lo, hi):
+        with pytest.raises(TypeError):
+            AlgebraicGenerator(SQRT2.m, lo, hi)
+
+    def test_copies_are_checked_again(self):
+        assert copy.copy(SQRT2) == SQRT2 == pickle.loads(pickle.dumps(SQRT2))
+        broken = copy.copy(SQRT2)
+        object.__setattr__(broken, "lo", F(3, 2))  # (3/2, 2) holds no root of x^2 - 2
+        with pytest.raises(IntervalNotIsolating):
+            copy.copy(broken)
+        with pytest.raises(IntervalNotIsolating):
+            pickle.loads(pickle.dumps(broken))
 
 
 class TestArithmetic:

@@ -299,7 +299,7 @@ class TestJsonRoundTrips:
         from fractions import Fraction
 
         q = Fraction(num, den)
-        assert jsonio.parse_rational(jsonio.render_rational(q)) == q
+        assert jsonio.parse_rational(str(q)) == q
 
     @given(st.data())
     def test_random_presentations_round_trip(self, data):
@@ -385,6 +385,20 @@ MALFORMED = {
         "sort": {"kind": "free", "name": "t", "fractions": "no"}, "value": PRES_SIXTHS}}),
     "free_sort_name_not_string": (["semifield", "h.json"], {"h.json": {
         "sort": {"kind": "free", "name": 3}, "value": PRES_SIXTHS}}),
+    "free_sort_name_not_identifier": (["semifield", "h.json"], {"h.json": {
+        "sort": {"kind": "free", "name": "1"}, "value": PRES_SIXTHS}}),
+    "free_sort_without_name": (["semifield", "h.json"], {"h.json": {"sort": {"kind": "free"}, "value": PRES_SIXTHS}}),
+    "free_layer_name_not_identifier": (["eval", "f.json", "a.json"], {
+        "f.json": LPOLY, "a.json": {"layer": {"kind": "free", "name": ""}, "value": "0"}}),
+    "free_layer_without_name": (["eval", "f.json", "a.json"], {
+        "f.json": LPOLY, "a.json": {"layer": {"kind": "free"}, "value": "0"}}),
+    "symbol_repeated": (["decompose", "p.json"], {"p.json": {
+        "base": ["1"], "generators": [{"sym": "g"}, {"sym": "g"}]}}),
+    "symbol_not_identifier": (["decompose", "p.json"], {"p.json": {
+        "base": ["1"], "generators": [{"sym": "1/2"}]}}),
+    "symbol_not_string": (["decompose", "p.json"], {"p.json": {"base": ["1"], "generators": [{"sym": 2}]}}),
+    "scalar_symbol_not_identifier": (["closure", "h.json", "a.json"], {
+        "h.json": {"sort": {"kind": "base"}, "value": PRES_SIXTHS}, "a.json": {"layer": "2", "value": {"sym": "1"}}}),
     "rational_layer_without_value": (["eval", "f.json", "a.json"], {
         "f.json": LPOLY, "a.json": {"layer": {"kind": "rational"}, "value": "0"}}),
     "layer_list": (["eval", "f.json", "a.json"], {

@@ -16,7 +16,6 @@ def run_script(argv):
 
 @pytest.mark.parametrize("argv", [
     ["scripts/decompose_demo.py"],
-    ["scripts/law_census.py", "--trials", "200"],
 ])
 def test_script_exits_0(argv):
     proc = run_script(argv)

@@ -208,21 +208,17 @@ class TestClosure:
         with pytest.raises(DescriptorMismatch):
             uniform_closure(UniformDescriptor(sort, H.value_part), ExtScalar(layer, F(0)))
 
-    @pytest.mark.parametrize("sort, text", [
-        (BaseSort(), "Q>0 (x) <1>[1/2, w]"),
-        (AlgebraicSort(SQRT2), "Q>0[root of x^2 - 2] (x) <1>[1/2, w]"),
-        (FreeSort("y"), "Q>0[y] (x) <1>[1/2, w]"),
-        (FreeSort("y", with_fractions=False), "Q>0[y] (no fractions) (x) <1>[1/2, w]"),
-    ])
-    def test_descriptor_text(self, sort, text):
-        P = BipotentPresentation(Z, (Numeric.of("1/2"), Symbolic("w")))
-        assert str(UniformDescriptor(sort, P)) == text
-
     def test_closure_with_symbolic_value(self):
         a = ExtScalar(F(2), "w")
         C = uniform_closure(H, a)
         assert C.value_part.generators == (Symbolic("w"),)
         assert uniform_closure(C, a) == C
+
+    @pytest.mark.parametrize("name", ["1", "", "1/2", "a b", 3, None])
+    def test_symbol_names_are_identifiers(self, name):
+        for make in (lambda: FreeSort(name), lambda: FreeLayer(name, PosPoly.x()), lambda: ExtScalar(F(2), name)):
+            with pytest.raises((ValueError, TypeError)):
+                make()
 
     @given(st.lists(st.tuples(positive_rationals(), rationals()), min_size=1, max_size=4))
     def test_closure_laws_random(self, pairs):
