@@ -142,12 +142,6 @@ class BipotentPresentation:
             total += e * g.value
         return total
 
-    def permuted(self, perm) -> "BipotentPresentation":
-        """The same extension with generators reordered by the permutation."""
-        gens = tuple(self.generators[p] for p in perm)
-        rels = tuple(Relation(tuple(r.exps[p] for p in perm), r.beta) for r in self.relations)
-        return BipotentPresentation(self.base, gens, rels, self.monoid_exponents)
-
     def with_generator(self, gen) -> "BipotentPresentation":
         rels = tuple(Relation(r.exps + (0,), r.beta) for r in self.relations)
         return BipotentPresentation(self.base, self.generators + (gen,), rels, self.monoid_exponents)

@@ -129,10 +129,6 @@ class PosPoly(SignedPoly):
     def constant(cls, c) -> "PosPoly":
         return cls.of({0: c})
 
-    @classmethod
-    def x(cls, k: int = 1, coeff=1) -> "PosPoly":
-        return cls.of({k: coeff})
-
     def __add__(self, other: "PosPoly") -> "PosPoly":
         return PosPoly.from_coeffs(polys._add(self.coeffs, other.coeffs))
 

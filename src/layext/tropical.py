@@ -8,6 +8,10 @@ value wins outright.  The additive zero (minus infinity) is `ZERO`, the one
 element with no layer and no value: it is neutral for addition and absorbing
 for multiplication.
 
+`+` and `*` compute on the integer numerators and denominators of the
+operands' fields and build one `Fraction` per field of the result, which
+`Fraction` keeps in lowest terms; an operand of any other type is refused.
+
 >>> x = LayeredElem.make(2, 5)
 >>> y = LayeredElem.make(3, 5)
 >>> print(x + y)
@@ -75,19 +79,31 @@ class LayeredElem:
 
     def __add__(self, other: "LayeredElem") -> "LayeredElem":
         """Layered addition: larger value wins, equal values sum their layers."""
+        if not isinstance(other, LayeredElem):
+            return NotImplemented
         if self.layer is None:
             return other
         if other.layer is None:
             return self
-        if self.value == other.value:
-            return _positive(self.layer + other.layer, self.value)
-        return self if self.value > other.value else other
+        a, b = self.value, other.value
+        d = a.numerator * b.denominator - b.numerator * a.denominator
+        if d:
+            return self if d > 0 else other
+        k, m = self.layer, other.layer
+        return _positive(Fraction(k.numerator * m.denominator + m.numerator * k.denominator,
+                                  k.denominator * m.denominator), a)
 
     def __mul__(self, other: "LayeredElem") -> "LayeredElem":
         """Layered multiplication: layers multiply, values add; Zero absorbs."""
+        if not isinstance(other, LayeredElem):
+            return NotImplemented
         if self.layer is None or other.layer is None:
             return ZERO
-        return _positive(self.layer * other.layer, self.value + other.value)
+        k, m, a, b = self.layer, other.layer, self.value, other.value
+        ad, bd = a.denominator, b.denominator
+        value = (Fraction(a.numerator + b.numerator) if ad == bd == 1
+                 else Fraction(a.numerator * bd + b.numerator * ad, ad * bd))
+        return _positive(Fraction(k.numerator * m.numerator, k.denominator * m.denominator), value)
 
     def __pow__(self, n: int) -> "LayeredElem":
         if type(n) is not int or n < 0:  # bools are refused
@@ -124,21 +140,22 @@ ZERO = LayeredElem(None, None)
 ONE = LayeredElem(Fraction(1), Fraction(0))
 
 
-_LAYERED_RE = re.compile(r"^\[(?P<layer>-?\d+(?:/\d+)?)\](?P<value>-?\d+(?:/\d+)?)$", re.ASCII)
+_LAYERED_RE = re.compile(r"^\[(?P<layer>\d+(?:/\d+)?)\](?P<value>-?\d+(?:/\d+)?)$", re.ASCII)
 
 
 def parse_layered(text: str) -> LayeredElem:
     """Parse the canonical rendering "[l]v" (or "Zero"): exactly what `str` writes.
 
     Any other spelling of an element, such as "[2/4]1", "[02]5" or one with
-    surrounding blanks, raises `ValueError`, as does a zero denominator.
+    surrounding blanks, raises `ValueError`, as does a zero denominator or a
+    layer that is not positive.
     """
     if text == "Zero":
         return ZERO
     m = _LAYERED_RE.match(text)
     try:
         x = LayeredElem.make(m.group("layer"), m.group("value")) if m else None
-    except ZeroDivisionError:
+    except (ValueError, ZeroDivisionError):
         x = None
     if x is None or str(x) != text:
         raise ValueError(f"not a layered element: {text!r}")

@@ -127,14 +127,6 @@ class ExtScalar:
         elif not isinstance(lay, FreeLayer):
             raise TypeError("scalar layer must be rational, algebraic or free")
 
-    @classmethod
-    def of(cls, layer, value) -> "ExtScalar":
-        if isinstance(layer, (int, str, Fraction)):
-            layer = as_fraction(layer)
-        if not isinstance(value, str):
-            value = as_fraction(value)
-        return cls(layer, value)
-
     @property
     def has_rational_value(self) -> bool:
         return isinstance(self.value, Fraction)

@@ -7,17 +7,20 @@ determinants, pivots, kernels, solving and the invariants of a Smith form,
 written on top of `layext.intlinalg`, which keeps only the Hermite and Smith
 forms the library itself uses.  The kernel witnesses that `kernel_contains`
 is checked against, built from the sign split of a minimal polynomial, and
-the coefficient cone of an extension element.  And the layer polynomial
-behind an evaluation in `layext.uniform`.
+the coefficient cone of an extension element.  The layer polynomial
+behind an evaluation in `layext.uniform`.  Max-plus arithmetic on plain
+(layer, value) pairs, for `layext.tropical`.  And the shorthand constructors
+the tests build presentations, monomials and scalars with.
 """
 
 from fractions import Fraction
 
+from layext.bipotent import BipotentPresentation, Relation
 from layext.cancellative import PosPoly, SignedPoly
 from layext.intlinalg import Vec, _echelon, hnf, smith
 from layext.polys import Poly, degree, poly
 from layext.tropical import as_fraction
-from layext.uniform import essential_indices
+from layext.uniform import ExtScalar, essential_indices
 
 
 def add(p: Poly, q: Poly) -> Poly:
@@ -222,3 +225,47 @@ def essential_layer_poly(f, a) -> dict:
     """The layer polynomial of f's essential terms at the scalar: exponent -> layer."""
     ess = set(essential_indices(f, a))
     return {e: c.layer for e, c in f.terms if e in ess}
+
+
+def pair_add(x, y):
+    """Layered sum of (layer, value) pairs, None standing for Zero: larger value wins, ties add layers."""
+    if x is None or y is None:
+        return y if x is None else x
+    if x[1] != y[1]:
+        return max(x, y, key=lambda pair: pair[1])
+    return (x[0] + y[0], x[1])
+
+
+def pair_mul(x, y):
+    """Layered product of (layer, value) pairs: layers multiply, values add, None absorbs."""
+    if x is None or y is None:
+        return None
+    return (x[0] * y[0], x[1] + y[1])
+
+
+def pair_matvec(rows, v) -> list:
+    """The max-plus matrix-vector product on (layer, value) pairs."""
+    out = []
+    for row in rows:
+        acc = None
+        for a, b in zip(row, v):
+            acc = pair_add(acc, pair_mul(a, b))
+        out.append(acc)
+    return out
+
+
+def permuted(P: BipotentPresentation, perm) -> BipotentPresentation:
+    """The same extension with generators reordered by the permutation."""
+    gens = tuple(P.generators[p] for p in perm)
+    rels = tuple(Relation(tuple(r.exps[p] for p in perm), r.beta) for r in P.relations)
+    return BipotentPresentation(P.base, gens, rels, P.monoid_exponents)
+
+
+def monomial(k: int = 1, coeff=1) -> PosPoly:
+    """coeff * x^k."""
+    return PosPoly.of({k: coeff})
+
+
+def scalar(layer, value) -> ExtScalar:
+    """A rational scalar from ints, strings or Fractions."""
+    return ExtScalar(as_fraction(layer), as_fraction(value))

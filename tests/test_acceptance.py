@@ -186,7 +186,7 @@ def test_criterion_05_decomposition_round_trip():
         perms = list(permutations(range(n)))
         sample = perms if len(perms) <= 6 else rng.sample(perms, 6)
         for perm in sample:
-            dp = decompose_extension(P.permuted(perm))
+            dp = decompose_extension(R.permuted(P, perm))
             assert dp.free_rank == t
             assert sorted(dp.torsion_orders) == orders
     print("PASS criterion 5: 200 decompositions round-trip with permutation-invariant shape")

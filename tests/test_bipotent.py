@@ -580,7 +580,7 @@ class TestDecompose:
             dec = self._check_roundtrip(P)
             t, orders = dec.free_rank, dec.torsion_orders
             for perm in permutations(range(n)):
-                dp = decompose_extension(P.permuted(perm))
+                dp = decompose_extension(R.permuted(P, perm))
                 assert dp.free_rank == t
                 assert dp.torsion_orders == orders
 
@@ -801,7 +801,7 @@ class TestCosetValues:
         # s = 2 * (1/3): the class of (2, 0) has value 2/3 in either generator order
         P = BipotentPresentation(Z, (Numeric.of("1/3"), Symbolic("s")), (Relation.of((-2, 1), 0),))
         assert canonical_coset_value(P, (2, 0)) == F(2, 3)
-        assert canonical_coset_value(P.permuted((1, 0)), (0, 2)) == F(2, 3)
+        assert canonical_coset_value(R.permuted(P, (1, 0)), (0, 2)) == F(2, 3)
         assert canonical_coset_value(P, (0, 1)) == F(2, 3)
 
     @staticmethod
@@ -844,7 +844,7 @@ class TestCosetValues:
                 assert got == (value if g == 0 else value - math.floor(value / g) * g)
                 answered += 1
                 for perm in permutations(range(P.n)):
-                    assert canonical_coset_value(P.permuted(perm), tuple(exps[p] for p in perm)) == got
+                    assert canonical_coset_value(R.permuted(P, perm), tuple(exps[p] for p in perm)) == got
         assert answered >= 50 and unanswered >= 50
 
     def test_beta_of_rejects_non_members(self):

@@ -232,7 +232,7 @@ class TestPowers:
 
     def test_pos_poly_negative_power_rejected(self):
         with pytest.raises(ValueError):
-            PosPoly.x() ** -1
+            R.monomial() ** -1
 
 
 def positive_root_interval(m):
@@ -377,9 +377,9 @@ def test_sign_and_kernel_queries_reuse_the_cleared_minimal_polynomial(monkeypatc
     monkeypatch.setattr(polys, "clear_denominators", refuse)
     assert positive_at_root(gen.xbar())
     assert not positive_at_root(gen.xbar().scale(-1))
-    num, den = R.kernel_sample(gen, PosPoly.x(), PosPoly.constant(1))
+    num, den = R.kernel_sample(gen, R.monomial(), PosPoly.constant(1))
     assert kernel_contains(num, den, gen)
-    assert not kernel_contains(PosPoly.x(), PosPoly.constant(1), gen)
+    assert not kernel_contains(R.monomial(), PosPoly.constant(1), gen)
 
 
 class TestSignedPoly:
@@ -548,8 +548,8 @@ class TestSignAtRoot:
 
 class TestKernel:
     def test_contains_examples(self):
-        assert kernel_contains(PosPoly.x(2), PosPoly.constant(2), SQRT2)
-        assert not kernel_contains(PosPoly.x(), PosPoly.constant(1), SQRT2)
+        assert kernel_contains(R.monomial(2), PosPoly.constant(2), SQRT2)
+        assert not kernel_contains(R.monomial(), PosPoly.constant(1), SQRT2)
         p = PosPoly.of({3: 2, 1: 5})
         assert kernel_contains(p, p, SQRT2)
 
@@ -565,7 +565,7 @@ class TestKernel:
         assert kernel_contains(num, den, SQRT2)
 
     def test_sample_full(self):
-        num, den = R.kernel_sample(SQRT2, PosPoly.x(), PosPoly.constant(1), PosPoly.constant(1))
+        num, den = R.kernel_sample(SQRT2, R.monomial(), PosPoly.constant(1), PosPoly.constant(1))
         assert kernel_contains(num, den, SQRT2)
 
     @given(st.sampled_from(MODULI), pos_polys(), st.one_of(st.none(), pos_polys()), st.one_of(st.none(), pos_polys()))

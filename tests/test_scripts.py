@@ -79,3 +79,14 @@ def test_benchmark_traced_pass_finds_the_cancellative_layers():
     metrics = result["metrics"]
     for name in ("polys.irreducible_calls", "polys.sturm_calls", "cancellative.ext_mul_calls", "uniform.calls"):
         assert metrics[name]["value"] > 0, name
+
+
+def test_benchmark_traced_pass_finds_the_tropical_layer():
+    # the traced pass counts `LayeredElem.__add__` and `__mul__` as operators of a class the
+    # `tropical` module defines, so moving them elsewhere would make `tropical.ops` read 0
+    proc = run_script(["perfbench/run.py", "--workload", "layered", "--seed", "1", "--seconds", "1", "--trace", "1"])
+    assert proc.returncode == 0, proc.stderr
+    details, result = (json.loads(line) for line in proc.stdout.splitlines()[-2:])
+    assert result["correct"] is True
+    assert details["answers_match_untraced"] is True and details["self_within_wall"] is True
+    assert result["metrics"]["tropical.ops"]["value"] > 0

@@ -1,8 +1,10 @@
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
+import reference as R
 from conftest import layered_elems, rationals
 from layext.tropical import ONE, ZERO, LayeredElem, ValueLattice, parse_layered
 
@@ -70,9 +72,9 @@ class TestRendering:
         with pytest.raises(ValueError):
             parse_layered("[\u0663]5")
 
-    @pytest.mark.parametrize("text", ["[1/0]5", "[2]1/0", "[2/4]1", "[02]5", " [2]5"])
+    @pytest.mark.parametrize("text", ["[1/0]5", "[2]1/0", "[2/4]1", "[02]5", " [2]5", "[-1]2", "[0]2"])
     def test_parse_refuses_zero_denominators_and_non_canonical_text(self, text):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not a layered element"):
             parse_layered(text)
 
 
@@ -183,22 +185,73 @@ class TestLaws:
             assert x**n != ONE
 
 
+def assert_exact(got, want):
+    # each field a Fraction in lowest terms over a positive denominator, rendered and hashed as `make`'s
+    assert got == want
+    for f in (got.layer, got.value):
+        assert type(f) is F and f.denominator > 0 and gcd(f.numerator, f.denominator) == 1
+    assert (repr(got), str(got), hash(got)) == (repr(want), str(want), hash(want))
+
+
 @given(layered_elems(allow_zero=False), layered_elems(allow_zero=False), st.integers(1, 8))
 def test_results_equal_validated_elements(x, y, n):
     # sums, products and powers skip validation; they must match the checked constructor
-    if x.value == y.value:
-        total = (x.layer + y.layer, x.value)
-    else:
-        total = max((x.layer, x.value), (y.layer, y.value), key=lambda pair: pair[1])
+    px, py = (x.layer, x.value), (y.layer, y.value)
     cases = [
-        (x + y, total),
-        (x * y, (x.layer * y.layer, x.value + y.value)),
+        (x + y, R.pair_add(px, py)),
+        (x * y, R.pair_mul(px, py)),
         (x**n, (x.layer**n, n * x.value)),
     ]
     for got, (layer, value) in cases:
-        want = LayeredElem.make(layer, value)
-        assert got == want and hash(got) == hash(want)
+        assert_exact(got, LayeredElem.make(layer, value))
         assert got.layer > 0
+
+
+BIG = 2**64 + 13
+
+
+@pytest.mark.parametrize("x, y, total, product", [
+    # numerators and denominators above 2**64
+    (L(F(BIG, 3), F(-BIG, 7)), L(F(5, BIG), F(-BIG, 7)), (F(BIG, 3) + F(5, BIG), F(-BIG, 7)),
+     (F(5, 3), F(-2 * BIG, 7))),
+    (L(F(BIG**2, BIG + 2), F(1, BIG)), L(F(BIG + 2, BIG), F(BIG)), (F(BIG + 2, BIG), F(BIG)),
+     (F(BIG**2, BIG + 2) * F(BIG + 2, BIG), F(1, BIG) + BIG)),
+    # cancelling sums and products: layers 1/2 + 1/2 on a tie, layers 2/3 * 3/2, values -1/3 + 1/3
+    (L(F(1, 2), F(2, 3)), L(F(1, 2), F(2, 3)), (1, F(2, 3)), (F(1, 4), F(4, 3))),
+    (L(F(2, 3), F(-1, 3)), L(F(3, 2), F(1, 3)), (F(3, 2), F(1, 3)), (1, 0)),
+    (L(F(2, 3), 7), L(F(3, 2), -7), (F(2, 3), 7), (1, 0)),
+])
+def test_results_are_exact_at_any_size(x, y, total, product):
+    for got, want in [(x + y, total), (y + x, total), (x * y, product), (y * x, product)]:
+        assert_exact(got, LayeredElem.make(*want))
+
+
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(layered_elems(), min_size=n, max_size=n), min_size=1, max_size=6),
+    st.lists(layered_elems(), min_size=n, max_size=n),
+)))
+def test_matvec_fold_matches_pair_reference(mv):
+    rows, v = mv
+    got = []
+    for row in rows:
+        acc = ZERO
+        for a, b in zip(row, v):
+            acc = acc + a * b
+        got.append(acc)
+
+    def pair(e):
+        return None if e.is_zero else (e.layer, e.value)
+
+    want = R.pair_matvec([[pair(a) for a in row] for row in rows], [pair(b) for b in v])
+    assert [pair(e) for e in got] == want
+
+
+@pytest.mark.parametrize("x", [L(2, 5), ZERO], ids=["nonzero", "zero"])
+@pytest.mark.parametrize("other", [1, F(1), "1", None])
+def test_other_operand_types_are_refused(x, other):
+    for op in (lambda: x + other, lambda: x * other, lambda: other + x, lambda: other * x):
+        with pytest.raises(TypeError):
+            op()
 
 
 def test_public_constructor_still_validates():

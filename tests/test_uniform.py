@@ -52,26 +52,26 @@ def rational_scalars():
 
 class TestEssentialAndEval:
     def test_all_terms_essential_at_zero(self):
-        assert essential_indices(unit_poly(), ExtScalar.of(3, 0)) == (0, 1, 2)
+        assert essential_indices(unit_poly(), R.scalar(3, 0)) == (0, 1, 2)
 
     def test_top_term_dominates(self):
-        assert essential_indices(unit_poly(), ExtScalar.of(3, 1)) == (2,)
+        assert essential_indices(unit_poly(), R.scalar(3, 1)) == (2,)
 
     def test_single_term(self):
         f = LayeredPoly.of([(3, LayeredElem.make(2, 5))])
-        assert essential_indices(f, ExtScalar.of(7, -2)) == (3,)
+        assert essential_indices(f, R.scalar(7, -2)) == (3,)
 
     def test_eval_layer_13(self):
-        layer, value = eval_layered_poly(unit_poly(), ExtScalar.of(3, 0))
+        layer, value = eval_layered_poly(unit_poly(), R.scalar(3, 0))
         assert (layer, value) == (13, 0)
 
     def test_eval_single_essential(self):
-        layer, value = eval_layered_poly(unit_poly(), ExtScalar.of(3, 1))
+        layer, value = eval_layered_poly(unit_poly(), R.scalar(3, 1))
         assert (layer, value) == (9, 2)
 
     def test_eval_constant(self):
         f = LayeredPoly.of([(0, LayeredElem.make(2, 5))])
-        assert eval_layered_poly(f, ExtScalar.of(7, 100)) == (2, 5)
+        assert eval_layered_poly(f, R.scalar(7, 100)) == (2, 5)
 
     def test_eval_algebraic_layer(self):
         f = unit_poly()
@@ -83,22 +83,22 @@ class TestEssentialAndEval:
 
     def test_eval_free_layer(self):
         f = unit_poly()
-        a = ExtScalar(FreeLayer("y", PosPoly.x()), F(0))
+        a = ExtScalar(FreeLayer("y", R.monomial()), F(0))
         layer, value = eval_layered_poly(f, a)
         assert layer == FreeLayer("y", PosPoly.of({0: 1, 1: 1, 2: 1}))
 
     def test_eval_free_layer_scales_by_coefficient_layers(self):
         # 2 + 3·y^2 from the layers 2 and 3 of the two essential terms; the middle term is not essential
         f = LayeredPoly.from_triples([(2, 0, 0), (5, -1, 1), (3, 0, 2)])
-        a = ExtScalar(FreeLayer("y", PosPoly.x()), F(0))
+        a = ExtScalar(FreeLayer("y", R.monomial()), F(0))
         layer, value = eval_layered_poly(f, a)
         assert (layer, value) == (FreeLayer("y", PosPoly.of({0: 2, 2: 3})), 0)
 
     def test_free_layers_add_in_one_symbol_only(self):
-        y, y2 = FreeLayer("y", PosPoly.x()), FreeLayer("y", PosPoly.constant(2))
+        y, y2 = FreeLayer("y", R.monomial()), FreeLayer("y", PosPoly.constant(2))
         assert y + y2 == FreeLayer("y", PosPoly.of({0: 2, 1: 1}))
         with pytest.raises(DescriptorMismatch):
-            y + FreeLayer("z", PosPoly.x())
+            y + FreeLayer("z", R.monomial())
 
     def test_symbolic_value_rejected(self):
         with pytest.raises(DescriptorMismatch):
@@ -126,18 +126,18 @@ class TestPureExtensions:
         assert E == UniformDescriptor(AlgebraicSort(SQRT2), H.value_part)
 
     def test_pure_layer_rational_layer_unchanged(self):
-        assert pure_layer_ext(H, ExtScalar.of(2, 0)) == H
+        assert pure_layer_ext(H, R.scalar(2, 0)) == H
 
     def test_pure_layer_requires_base_value(self):
         with pytest.raises(ValueNotInBase):
             pure_layer_ext(H, ExtScalar(SQRT2.xbar(), F(1, 2)))
 
     def test_pure_value_adds_generator(self):
-        E = pure_value_ext(H, ExtScalar.of(2, F(1, 2)))
+        E = pure_value_ext(H, R.scalar(2, F(1, 2)))
         assert E == UniformDescriptor(BaseSort(), BipotentPresentation(Z, (Numeric.of("1/2"),)))
 
     def test_pure_value_integer_unchanged(self):
-        assert pure_value_ext(H, ExtScalar.of(2, 3)) == H
+        assert pure_value_ext(H, R.scalar(2, 3)) == H
 
     def test_pure_value_requires_base_layer(self):
         with pytest.raises(LayerNotInBase):
@@ -148,7 +148,7 @@ class TestPureExtensions:
         a = ExtScalar(SQRT2.xbar(), F(0))
         E = pure_layer_ext(H, a)
         assert uniform_closure(E, a) == E
-        b = ExtScalar.of(2, F(1, 2))
+        b = R.scalar(2, F(1, 2))
         E2 = pure_value_ext(H, b)
         assert uniform_closure(E2, b) == E2
 
@@ -164,7 +164,7 @@ class TestClosure:
         assert is_uniform_semifield(C)
 
     def test_closure_nothing_to_add(self):
-        assert uniform_closure(H, ExtScalar.of(2, 3)) == H
+        assert uniform_closure(H, R.scalar(2, 3)) == H
 
     def test_closure_idempotent(self):
         a = ExtScalar(SQRT2.xbar(), F(1, 2))
@@ -174,10 +174,10 @@ class TestClosure:
     def test_order_independence(self):
         a = ExtScalar(SQRT2.xbar(), F(1, 2))
         layer_first = pure_value_ext(
-            pure_layer_ext(H, ExtScalar(a.layer, F(0))), ExtScalar.of(1, a.value)
+            pure_layer_ext(H, ExtScalar(a.layer, F(0))), R.scalar(1, a.value)
         )
         value_first = pure_layer_ext(
-            pure_value_ext(H, ExtScalar.of(1, a.value)), ExtScalar(a.layer, F(0))
+            pure_value_ext(H, R.scalar(1, a.value)), ExtScalar(a.layer, F(0))
         )
         assert layer_first == value_first == uniform_closure(H, a)
 
@@ -196,12 +196,12 @@ class TestClosure:
         C = uniform_closure(H, a)
         assert C == UniformDescriptor(FreeSort("y"), BipotentPresentation(Z, (Numeric.of("1/2"),)))
         assert sort_contains(C.sort_part, y)
-        assert not sort_contains(C.sort_part, FreeLayer("z", PosPoly.x()))
+        assert not sort_contains(C.sort_part, FreeLayer("z", R.monomial()))
         assert uniform_closure(C, a) == C
 
     @pytest.mark.parametrize("sort, layer", [
-        (AlgebraicSort(SQRT2), FreeLayer("y", PosPoly.x())),
-        (FreeSort("y"), FreeLayer("z", PosPoly.x())),
+        (AlgebraicSort(SQRT2), FreeLayer("y", R.monomial())),
+        (FreeSort("y"), FreeLayer("z", R.monomial())),
         (FreeSort("y"), SQRT2.xbar()),
     ])
     def test_second_sort_step_is_refused(self, sort, layer):
@@ -216,7 +216,7 @@ class TestClosure:
 
     @pytest.mark.parametrize("name", ["1", "", "1/2", "a b", 3, None])
     def test_symbol_names_are_identifiers(self, name):
-        for make in (lambda: FreeSort(name), lambda: FreeLayer(name, PosPoly.x()), lambda: ExtScalar(F(2), name)):
+        for make in (lambda: FreeSort(name), lambda: FreeLayer(name, R.monomial()), lambda: ExtScalar(F(2), name)):
             with pytest.raises((ValueError, TypeError)):
                 make()
 
@@ -248,7 +248,7 @@ class TestLayeredElemClosureLaws:
 class TestLayersetSemiring:
     def test_base_value_is_semiring(self):
         assert is_layerset_semiring(H, ExtScalar(SQRT2.xbar(), F(0)))
-        assert is_layerset_semiring(H, ExtScalar.of(2, 3))
+        assert is_layerset_semiring(H, R.scalar(2, 3))
 
     def test_torsion_value_is_not(self):
         assert not is_layerset_semiring(H, ExtScalar(SQRT2.xbar(), F(1, 2)))
@@ -336,7 +336,7 @@ C = LayeredElem.make(2, 3)
         lambda: LayeredPoly(((1.5, C),)),
         lambda: SignedPoly.of({1.5: 1}),
         lambda: PosPoly.of({True: 1}),
-        lambda: PosPoly.x(2.5),
+        lambda: PosPoly.of({2.5: 1}),
         lambda: C ** True,
     ],
     ids=[
