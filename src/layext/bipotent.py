@@ -76,6 +76,8 @@ class Relation:
     beta: Fraction
 
     def __post_init__(self):
+        if not isinstance(self.exps, tuple):
+            raise TypeError("a relation's exps must be a tuple")
         if any(type(e) is not int for e in self.exps):  # bools and floats are refused
             raise ValueError("relation exponents must be ints")
 
@@ -90,9 +92,9 @@ class BipotentPresentation:
 
     `monoid_exponents` marks the polynomial extension (natural exponents
     only) as opposed to the fraction semifield (integer exponents).  It is
-    parsed, carried through `permuted`/`with_generator` and echoed; no query
-    reads it, so every query, `is_bipotent_semifield` included, answers for
-    the lattice in Z^n.
+    parsed, carried through `with_generator` and echoed; no query reads it,
+    so every query, `is_bipotent_semifield` included, answers for the
+    lattice in Z^n.
     """
 
     base: ValueLattice
@@ -101,6 +103,9 @@ class BipotentPresentation:
     monoid_exponents: bool = False
 
     def __post_init__(self):
+        for field in ("generators", "relations"):
+            if not isinstance(getattr(self, field), tuple):
+                raise TypeError(f"a presentation's {field} must be a tuple")
         n = len(self.generators)
         for g in self.generators:
             if not isinstance(g, (Numeric, Symbolic)):
@@ -162,13 +167,6 @@ class ExponentLattice:
 
     def contains(self, exps) -> bool:
         return not any(la.reduce_by_hnf(exps, self.basis))
-
-    def beta_of(self, exps) -> Fraction:
-        """The base value of a lattice vector (raises if not in the lattice)."""
-        rem = la.reduce_by_hnf((*exps, 0), [(*row, b) for row, b in zip(self.basis, self.betas)])
-        if any(rem[:-1]):
-            raise ValueError("vector is not in the exponent lattice")
-        return Fraction(-rem[-1], self.den)
 
 
 def _columns_first(rows, first, ncols):
@@ -409,12 +407,9 @@ def divisible_dependence_witness(P: BipotentPresentation, exps, subset=()) -> De
     assert not any(rem[:c])
     beta = Fraction(-rem[-1], lat.den)
     sub_exps = rem[c:-1]
-    value = P.value_of(target)
-    if value is not None and all(isinstance(P.generators[i], Numeric) for i in subset):
-        check = value - sum(
-            (sub_exps[pos] * P.generators[i].value for pos, i in enumerate(subset)), Fraction(0)
-        )
-        assert check == beta
+    for x, i in zip(sub_exps, subset):
+        target[i] -= x
+    assert P.value_of(target) in (None, beta)  # target is now the removed lattice vector
     return DependenceWitness(k, tuple(sub_exps), beta)
 
 

@@ -63,7 +63,9 @@ def _dense(obj) -> polys.Poly:
 
 
 def power(x, k: int, one):
-    """x**k for k >= 0 by repeated squaring; `one` is the identity of x's product."""
+    """x**k for an int k >= 0 by repeated squaring; `one` is the identity of x's product."""
+    if type(k) is not int or k < 0:  # bools and floats are refused
+        raise ValueError("exponent must be a natural number")
     out = one
     while k:
         if k & 1:
@@ -130,14 +132,16 @@ class PosPoly(SignedPoly):
         return cls.of({0: c})
 
     def __add__(self, other: "PosPoly") -> "PosPoly":
+        if not isinstance(other, PosPoly):
+            return NotImplemented
         return PosPoly.from_coeffs(polys._add(self.coeffs, other.coeffs))
 
     def __mul__(self, other: "PosPoly") -> "PosPoly":
+        if not isinstance(other, PosPoly):
+            return NotImplemented
         return PosPoly.from_coeffs(polys._mul(self.coeffs, other.coeffs))
 
     def __pow__(self, k: int) -> "PosPoly":
-        if k < 0:
-            raise ValueError("negative power of a polynomial")
         return power(self, k, PosPoly.constant(1))
 
     def scale(self, c) -> "PosPoly":
@@ -221,9 +225,6 @@ class AlgebraicGenerator:
         """Dimension of the extension over the base: the degree of the minimal polynomial."""
         return self.m.degree
 
-    def zero(self) -> "ExtElem":
-        return ExtElem(self, (Fraction(0),) * self.n)
-
     def one(self) -> "ExtElem":
         return self.element([1])
 
@@ -279,10 +280,14 @@ class ExtElem:
             raise GeneratorMismatch("elements belong to different extensions")
 
     def __add__(self, other: "ExtElem") -> "ExtElem":
+        if not isinstance(other, ExtElem):
+            return NotImplemented
         self._check(other)
         return ExtElem(self.gen, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __mul__(self, other: "ExtElem") -> "ExtElem":
+        if not isinstance(other, ExtElem):
+            return NotImplemented
         self._check(other)
         a, da = _cleared(self.coeffs)
         b, db = _cleared(other.coeffs)
@@ -294,7 +299,7 @@ class ExtElem:
         return ExtElem(self.gen, tuple(c * x for x in self.coeffs))
 
     def __pow__(self, k: int) -> "ExtElem":
-        if k < 0:
+        if type(k) is int and k < 0:
             return power(self.inverse(), -k, self.gen.one())
         return power(self, k, self.gen.one())
 

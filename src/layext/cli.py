@@ -143,20 +143,14 @@ def _int_list(text: str) -> tuple:
 
 def cmd_torsion_degree(args) -> tuple:
     P = _load(args.presentation, jsonio.parse_presentation)
-    exps = _int_list(args.exps)
-    if len(exps) != P.n:
-        raise ParseError(f"expected {P.n} exponents, got {len(exps)}")
-    payload = {"degree": _fin(torsion_degree(P, exps))}
+    payload = {"degree": _fin(jsonio._built(torsion_degree, P, _int_list(args.exps)))}
     notes = ["the degree is the order of the monomial class in the quotient by the exponent lattice"]
     return payload, notes
 
 
 def cmd_rank(args) -> tuple:
     P = _load(args.presentation, jsonio.parse_presentation)
-    over = _int_list(args.over)
-    if any(i < 0 or i >= P.n for i in over):
-        raise ParseError("subset indices out of range")
-    payload = {"rank": _fin(extension_rank(P, over=over))}
+    payload = {"rank": _fin(jsonio._built(extension_rank, P, _int_list(args.over)))}
     notes = ["the rank is the size of the quotient group over the chosen sub-extension"]
     return payload, notes
 

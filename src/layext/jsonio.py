@@ -2,9 +2,10 @@
 
 Numbers are JSON integers or exactly the text layext writes for them: rationals
 in lowest terms ("5", "-1/2"), integers in decimal.  Any other input, and any
-`ValueError` or `TypeError` the library raises while building an object, is a
-`ParseError`.  schemas/README.md documents the shapes with one sample file per
-format; parse/render are inverse to each other on every well-formed document.
+`ValueError` or `TypeError` the library raises while building an object or
+checking a query's arguments, is a `ParseError`.  schemas/README.md documents
+the shapes with one sample file per format; descriptors, presentations and
+generators are also written back, and parse back to the same objects.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 from fractions import Fraction
 
 from .bipotent import BipotentPresentation, Numeric, Relation, Symbolic
-from .cancellative import AlgebraicGenerator, ExtElem, PosPoly, SignedPoly, validate_generator
+from .cancellative import AlgebraicGenerator, PosPoly, SignedPoly, validate_generator
 from .errors import ParseError
 from .tropical import ValueLattice
 from .uniform import (
@@ -121,14 +122,10 @@ def render_presentation(P: BipotentPresentation) -> dict:
     return doc
 
 
-def parse_poly_terms(doc) -> dict:
-    _require(isinstance(doc, dict), "polynomial must be an object of degree -> coefficient")
-    return {parse_int(k): parse_rational(v) for k, v in doc.items()}
-
-
 def _parse_poly(doc, cls):
     body = doc.get("poly", doc) if isinstance(doc, dict) else doc
-    return _built(cls.of, parse_poly_terms(body))
+    _require(isinstance(body, dict), "polynomial must be an object of degree -> coefficient")
+    return _built(cls.of, {parse_int(k): parse_rational(v) for k, v in body.items()})
 
 
 def parse_signed_poly(doc) -> SignedPoly:
@@ -194,13 +191,6 @@ def parse_layered_poly(doc) -> LayeredPoly:
     return _built(LayeredPoly.from_triples, triples)
 
 
-def render_layered_poly(f: LayeredPoly) -> list:
-    return [
-        {"layer": str(c.layer), "value": str(c.value), "exp": e}
-        for e, c in f.terms
-    ]
-
-
 def parse_scalar(doc) -> ExtScalar:
     _require(isinstance(doc, dict) and "layer" in doc and "value" in doc, "scalar needs 'layer' and 'value'")
     lay_doc = doc["layer"]
@@ -215,9 +205,8 @@ def parse_scalar(doc) -> ExtScalar:
         elif kind == "algebraic":
             gen = parse_generator(lay_doc)
             coeffs = lay_doc.get("coeffs", ["0", "1"])
-            _require(isinstance(coeffs, list) and len(coeffs) <= gen.n,
-                     f"algebraic layer coeffs must be a list of at most {gen.n} rationals")
-            layer = gen.element([parse_rational(c) for c in coeffs])
+            _require(isinstance(coeffs, list), "algebraic layer coeffs must be a list of rationals")
+            layer = _built(gen.element, [parse_rational(c) for c in coeffs])
         elif kind == "free":
             layer = _built(FreeLayer, lay_doc.get("name"), parse_pos_poly(lay_doc.get("poly", {"1": "1"})))
         else:
@@ -229,19 +218,3 @@ def parse_scalar(doc) -> ExtScalar:
     else:
         value = parse_rational(val_doc)
     return _built(ExtScalar, layer, value)
-
-
-def render_scalar(a: ExtScalar) -> dict:
-    lay = a.layer
-    if isinstance(lay, Fraction):
-        layer: object = {"kind": "rational", "value": str(lay)}
-    elif isinstance(lay, ExtElem):
-        layer = {
-            "kind": "algebraic",
-            **render_generator(lay.gen),
-            "coeffs": [str(c) for c in lay.coeffs],
-        }
-    else:
-        layer = {"kind": "free", "name": lay.name, "poly": render_poly(lay.poly.terms)}
-    value = {"sym": a.value} if isinstance(a.value, str) else str(a.value)
-    return {"layer": layer, "value": value}

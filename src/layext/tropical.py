@@ -181,9 +181,8 @@ class ValueLattice:
     generators: tuple[Fraction, ...]
 
     def __post_init__(self):
-        for g in self.generators:
-            if not isinstance(g, Fraction):
-                raise TypeError("lattice generators must be Fractions; use ValueLattice.of")
+        if not (isinstance(self.generators, tuple) and all(isinstance(g, Fraction) for g in self.generators)):
+            raise TypeError("a lattice's generators must be a tuple of Fractions; use ValueLattice.of")
 
     @classmethod
     def of(cls, *gens) -> "ValueLattice":
@@ -201,8 +200,6 @@ class ValueLattice:
         if g == 0:
             return q == 0
         return (q / g).denominator == 1
-
-    __contains__ = contains
 
     def join(self, *extra) -> "ValueLattice":
         """The subgroup generated by this lattice together with extra rationals."""

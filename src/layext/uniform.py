@@ -50,6 +50,8 @@ class FreeLayer:
         return self.poly.coeffs
 
     def __add__(self, other: "FreeLayer") -> "FreeLayer":
+        if not isinstance(other, FreeLayer):
+            return NotImplemented
         if other.name != self.name:
             raise DescriptorMismatch("free layers in different symbols")
         return FreeLayer(self.name, self.poly + other.poly)
@@ -127,10 +129,6 @@ class ExtScalar:
         elif not isinstance(lay, FreeLayer):
             raise TypeError("scalar layer must be rational, algebraic or free")
 
-    @property
-    def has_rational_value(self) -> bool:
-        return isinstance(self.value, Fraction)
-
 
 @record
 class LayeredPoly:
@@ -147,6 +145,8 @@ class LayeredPoly:
         if len(set(exps)) != len(exps) or any(e < 0 for e in exps):
             raise ValueError("exponents must be distinct naturals")
         for _, c in self.terms:
+            if not isinstance(c, LayeredElem):
+                raise TypeError(f"a layered polynomial's coefficients must be LayeredElems, got {c!r}")
             if c.is_zero:
                 raise ValueError("zero coefficients are not stored")
 
@@ -161,7 +161,7 @@ class LayeredPoly:
 
 
 def _rational_value(a: ExtScalar) -> Fraction:
-    if not a.has_rational_value:
+    if not isinstance(a.value, Fraction):
         raise DescriptorMismatch("evaluation needs a rational scalar value")
     return a.value
 
@@ -307,8 +307,6 @@ def is_uniform_semifield(H: UniformDescriptor) -> bool:
     return is_bipotent_semifield(H.value_part) and sort_is_semifield(H.sort_part)
 
 
-def base_descriptor(base: ValueLattice | None = None) -> UniformDescriptor:
-    """The unextended uniform semifield: positive-rational layers over a value lattice."""
-    if base is None:
-        base = ValueLattice.of(1)
-    return UniformDescriptor(BaseSort(), BipotentPresentation(base, ()))
+def base_descriptor() -> UniformDescriptor:
+    """The unextended uniform semifield: positive-rational layers over the value lattice <1>."""
+    return UniformDescriptor(BaseSort(), BipotentPresentation(ValueLattice.of(1), ()))

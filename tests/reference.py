@@ -10,14 +10,15 @@ is checked against, built from the sign split of a minimal polynomial, and
 the coefficient cone of an extension element.  The layer polynomial
 behind an evaluation in `layext.uniform`.  Max-plus arithmetic on plain
 (layer, value) pairs, for `layext.tropical`.  And the shorthand constructors
-the tests build presentations, monomials and scalars with.
+the tests build presentations, monomials and scalars with, and the base
+value of an exponent-lattice vector.
 """
 
 from fractions import Fraction
 
 from layext.bipotent import BipotentPresentation, Relation
 from layext.cancellative import PosPoly, SignedPoly
-from layext.intlinalg import Vec, _echelon, hnf, smith
+from layext.intlinalg import Vec, _echelon, hnf, reduce_by_hnf, smith
 from layext.polys import Poly, degree, poly
 from layext.tropical import as_fraction
 from layext.uniform import ExtScalar, essential_indices
@@ -252,6 +253,14 @@ def pair_matvec(rows, v) -> list:
             acc = pair_add(acc, pair_mul(a, b))
         out.append(acc)
     return out
+
+
+def beta_of(lat, exps) -> Fraction:
+    """The base value of a vector of the exponent lattice `lat`; ValueError if it is not in the lattice."""
+    rem = reduce_by_hnf((*exps, 0), [(*row, b) for row, b in zip(lat.basis, lat.betas)])
+    if any(rem[:-1]):
+        raise ValueError("vector is not in the exponent lattice")
+    return Fraction(-rem[-1], lat.den)
 
 
 def permuted(P: BipotentPresentation, perm) -> BipotentPresentation:

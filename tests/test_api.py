@@ -1,11 +1,16 @@
 """The public surface of the `layext` package, pinned name by name.
 
 Adding or removing an export changes this list, so the change shows in review.
+So does library code that no program reads: every function, class and method
+of `src/layext` needs a caller in the library, in `scripts/` or in
+`perfbench/`, or a pinned reason to exist without one.
 """
 
+import ast
 from types import ModuleType
 
 import layext
+from conftest import ROOT
 
 PUBLIC = [
     "AlgebraicGenerator",
@@ -61,3 +66,42 @@ def test_public_names_are_pinned():
     # submodules become package attributes when imported, so they are left out
     names = [n for n, v in vars(layext).items() if not n.startswith("_") and not isinstance(v, ModuleType)]
     assert sorted(names) == PUBLIC
+
+
+# Names defined in src/layext that no program reads, each kept for library users.
+WITHOUT_PROGRAM_CALLER = {
+    "parse_layered": "reads back the text `str` writes for a layered element",
+    "pure_layer_ext": "the paper's pure-layer extension, one half of a uniform closure",
+    "pure_value_ext": "the paper's pure-value extension, the other half",
+    "xbar": "the adjoined root itself, used by the README quick start",
+}
+
+
+def _trees(paths):
+    return [ast.parse(p.read_text(encoding="utf-8")) for p in paths]
+
+
+def test_names_without_a_program_caller_are_pinned():
+    package = ROOT / "src" / "layext"
+    defined = {
+        node.name
+        for tree in _trees(package.glob("*.py"))
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    }
+    # __init__.py only re-exports; perfbench also calls queries by name, through getattr on strings
+    programs = [p for p in package.glob("*.py") if p.name != "__init__.py"]
+    programs += sorted((ROOT / "scripts").rglob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
+    used = set()
+    for tree in _trees(programs):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.update((node.name.rpartition(".")[2], node.asname))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.add(node.value)
+    assert sorted(defined - used) == sorted(WITHOUT_PROGRAM_CALLER)

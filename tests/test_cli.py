@@ -13,7 +13,10 @@ from hypothesis import given, settings, strategies as st
 from conftest import src_env
 from layext import jsonio
 from layext.cli import COMMANDS, main
+from layext.cancellative import PosPoly
 from layext.errors import ParseError
+from layext.tropical import LayeredElem
+from layext.uniform import FreeLayer
 from test_cli_golden import CASES, ROOT
 
 
@@ -191,9 +194,12 @@ class TestDegreeAndRank:
         assert json.loads(out)["result"] == {"rank": 3}
 
     def test_rank_bad_indices(self, tmp_path):
+        # the library checks the arguments, and its message is the error line
         p = write(tmp_path, "p.json", PRES_SIXTHS)
         rc, _, err = run(["rank", p, "--over", "5"])
-        assert rc == 1 and "ParseError" in err
+        assert (rc, err) == (1, "error: ParseError: generator indices must lie in range(2)\n")
+        rc, _, err = run(["torsion-degree", p, "--exps", "1,1,1"])
+        assert (rc, err) == (1, "error: ParseError: an exponent vector needs 2 entries, one per generator\n")
 
 
 class TestOutputContract:
@@ -261,18 +267,28 @@ class TestJsonRoundTrips:
             H = jsonio.parse_descriptor(doc)
             assert jsonio.parse_descriptor(jsonio.render_descriptor(H)) == H
 
+    # polynomials and scalars are read only: these check the parsed fields
     def test_layered_poly(self):
         f = jsonio.parse_layered_poly(LPOLY)
-        assert jsonio.parse_layered_poly(jsonio.render_layered_poly(f)) == f
+        assert f.terms == tuple((e, LayeredElem.make(1, 0)) for e in range(3))
+        f = jsonio.parse_layered_poly([{"layer": "2/3", "value": "-1/2", "exp": 4},
+                                       {"layer": 5, "value": 1, "exp": 0}])
+        assert f.terms == ((0, LayeredElem.make(5, 1)), (4, LayeredElem.make("2/3", "-1/2")))
 
     def test_scalar(self):
-        for doc in [
-            SCALAR_3_0,
-            SCALAR_SQRT2_HALF,
-            {"layer": {"kind": "free", "name": "y", "poly": {"1": "1"}}, "value": {"sym": "w"}},
+        sqrt2 = jsonio.parse_generator(GEN_SQRT2)
+        for doc, layer, value in [
+            (SCALAR_3_0, F(3), F(0)),
+            ({"layer": "3", "value": 0}, F(3), F(0)),
+            (SCALAR_SQRT2_HALF, sqrt2.xbar(), F(1, 2)),
+            ({"layer": {"kind": "algebraic", **GEN_SQRT2, "coeffs": ["1/2"]}, "value": "-2"},
+             sqrt2.element([F(1, 2), 0]), F(-2)),
+            ({"layer": {"kind": "free", "name": "y", "poly": {"1": "1"}}, "value": {"sym": "w"}},
+             FreeLayer("y", PosPoly.of({1: 1})), "w"),
         ]:
             a = jsonio.parse_scalar(doc)
-            assert jsonio.parse_scalar(jsonio.render_scalar(a)) == a
+            assert (a.layer, a.value) == (layer, value)
+            assert type(a.layer) is type(layer) and type(a.value) is type(value)
 
     def test_exponent_text_is_refused_before_it_is_expanded(self):
         start = time.process_time()
@@ -435,6 +451,8 @@ MALFORMED = {
         "relations": [{"exps": ["\u0662", " 1"], "beta": "1"}]}}),
     "exps_flag_non_ascii_digit": (["torsion-degree", "p.json", "--exps=\u0661,0"], {"p.json": PRES_SIXTHS}),
     "over_flag_underscore": (["rank", "p.json", "--over=0_0"], {"p.json": PRES_SIXTHS}),
+    "exps_flag_too_short": (["torsion-degree", "p.json", "--exps=1"], {"p.json": PRES_SIXTHS}),
+    "over_flag_negative": (["rank", "p.json", "--over=-1"], {"p.json": PRES_SIXTHS}),
     "rational_not_in_lowest_terms": (["decompose", "p.json"], {
         "p.json": {"base": ["1"], "generators": [{"num": "2/4"}]}}),
     "rational_decimal": (["decompose", "p.json"], {

@@ -152,6 +152,22 @@ def test_generator_table_and_m_int_stay_out_of_equality_hash_and_repr():
         SQRT2.table = None
 
 
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: BipotentPresentation(Z, [Numeric(F(1))]), "generators"),
+        (lambda: BipotentPresentation(Z, (Symbolic("g"),), [Relation((2,), F(1))]), "relations"),
+        (lambda: Relation([2], F(1)), "exps"),
+        (lambda: ValueLattice([F(1)]), "generators"),
+    ],
+    ids=["presentation-generators", "presentation-relations", "relation-exps", "lattice-generators"],
+)
+def test_tuple_fields_given_as_lists_are_refused(build, field):
+    # a list field fails later instead: it cannot be hashed or joined to a tuple
+    with pytest.raises(TypeError, match=field):
+        build()
+
+
 def test_pos_poly_keeps_its_validation():
     with pytest.raises(ValueError):
         PosPoly(())

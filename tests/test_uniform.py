@@ -338,13 +338,39 @@ C = LayeredElem.make(2, 3)
         lambda: PosPoly.of({True: 1}),
         lambda: PosPoly.of({2.5: 1}),
         lambda: C ** True,
+        lambda: SQRT2.xbar() ** True,
+        lambda: SQRT2.xbar() ** 1.5,
+        lambda: SQRT2.xbar() ** -1.5,
+        lambda: PosPoly.of({1: 1}) ** True,
+        lambda: PosPoly.of({1: 1}) ** 1.5,
+        lambda: FreeLayer("t", PosPoly.of({1: 1})) ** True,
     ],
     ids=[
         "relation-float", "relation-bool", "relation-direct", "layered-poly-float", "layered-poly-bool",
         "layered-poly-direct", "signed-poly-float", "pos-poly-bool", "pos-poly-x-float", "layered-elem-pow-bool",
+        "ext-elem-pow-bool", "ext-elem-pow-float", "ext-elem-pow-negative-float", "pos-poly-pow-bool",
+        "pos-poly-pow-float", "free-layer-pow-bool",
     ],
 )
 def test_non_int_exponents_and_degrees_are_refused(build):
     # truncating 2.5 to 2 or reading True as 1 would answer for another input
     with pytest.raises(ValueError):
         build()
+
+
+@pytest.mark.parametrize(
+    "x",
+    [SQRT2.xbar(), PosPoly.of({1: 1}), FreeLayer("t", PosPoly.of({1: 1}))],
+    ids=["ext-elem", "pos-poly", "free-layer"],
+)
+@pytest.mark.parametrize("other", [1, F(1), "1", None, C], ids=["int", "fraction", "str", "none", "layered"])
+def test_other_operand_types_are_refused(x, other):
+    for op in (lambda: x + other, lambda: x * other, lambda: other + x, lambda: other * x):
+        with pytest.raises(TypeError):
+            op()
+
+
+@pytest.mark.parametrize("coeff", [5, F(5), None, (1, 5)], ids=["int", "fraction", "none", "pair"])
+def test_layered_poly_coefficients_are_layered_elements(coeff):
+    with pytest.raises(TypeError, match="LayeredElem"):
+        LayeredPoly.of([(1, coeff)])
