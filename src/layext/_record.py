@@ -1,7 +1,9 @@
 """`record`: the frozen, slotted value classes of layext.
 
 It builds what `@dataclass(frozen=True, slots=True)` built, with one `exec` per class and
-without importing `dataclasses`, which loads `inspect`, `ast` and `dis`.
+without importing `dataclasses`, which loads `inspect`, `ast` and `dis`.  It builds every
+value class but `tropical.LayeredElem`, which stores integers instead of its Fraction
+fields and writes the same equality, hash, repr, pickling and immutability by hand.
 """
 
 _NO_DEFAULT = object()

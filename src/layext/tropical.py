@@ -8,9 +8,11 @@ value wins outright.  The additive zero (minus infinity) is `ZERO`, the one
 element with no layer and no value: it is neutral for addition and absorbing
 for multiplication.
 
-`+` and `*` compute on the integer numerators and denominators of the
-operands' fields and build one `Fraction` per field of the result, which
-`Fraction` keeps in lowest terms; an operand of any other type is refused.
+An element stores its layer and value as reduced integer numerators and
+denominators.  `+`, `*` and `**` compute on those ints and build no
+`Fraction`; `.layer` and `.value` build one per read.  `_top_terms`, the
+value pass of polynomial evaluation, runs on the same ints.  An operand of
+any other type is refused.
 
 >>> x = LayeredElem.make(2, 5)
 >>> y = LayeredElem.make(3, 5)
@@ -28,7 +30,7 @@ import re
 from fractions import Fraction
 from math import gcd, lcm
 
-from ._record import record
+from ._record import _frozen_delattr, _frozen_setattr, record
 
 
 def as_fraction(x) -> Fraction:
@@ -48,71 +50,126 @@ def _cleared(coeffs) -> tuple[list[int], int]:
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
-@record
 class LayeredElem:
     """A layered element: Zero, or a pair (layer, value) with layer > 0.
 
     `layer is None` exactly when the element is the zero of the semiring.
     The constructor takes Fractions only; `make` coerces ints and strings.
+
+    An element stores the reduced numerator and denominator of its layer and
+    of its value as four ints (Zero's layer numerator is 0), and `.layer` and
+    `.value` build a Fraction from them on each read.  Equality compares the
+    ints; the hash, repr, copies and pickles are those of the field tuple
+    (layer, value), as for the value classes `record` builds.
     """
 
-    layer: Fraction | None
-    value: Fraction | None
+    __slots__ = ("_ints",)
+    __setattr__ = _frozen_setattr
+    __delattr__ = _frozen_delattr
 
-    def __post_init__(self):
-        if (self.layer is None) != (self.value is None):
-            raise ValueError("layer and value must both be present or both absent")
-        if self.layer is None:
-            return
-        if not (isinstance(self.layer, Fraction) and isinstance(self.value, Fraction)):
+    def __init__(self, layer: Fraction | None, value: Fraction | None):
+        if layer is None or value is None:
+            if layer is not value:
+                raise ValueError("layer and value must both be present or both absent")
+            ints = (0, 1, 0, 1)
+        elif not (isinstance(layer, Fraction) and isinstance(value, Fraction)):
             raise TypeError("layer and value must be Fractions; use LayeredElem.make")
-        if self.layer <= 0:
+        elif layer.numerator <= 0:
             raise ValueError("layer must be a positive rational")
+        else:
+            ints = (layer.numerator, layer.denominator, value.numerator, value.denominator)
+        _set_ints(self, ints)
 
     @staticmethod
     def make(layer, value) -> "LayeredElem":
         return LayeredElem(as_fraction(layer), as_fraction(value))
 
     @property
+    def layer(self) -> Fraction | None:
+        n, d, _, _ = self._ints
+        return Fraction(n, d) if n else None
+
+    @property
+    def value(self) -> Fraction | None:
+        n, _, vn, vd = self._ints
+        return Fraction(vn, vd) if n else None
+
+    @property
     def is_zero(self) -> bool:
-        return self.layer is None
+        return not self._ints[0]
+
+    # The operators build their results with `_new` and `_set_ints`, inline
+    # and without validation: sums, products and powers of positive layers
+    # are positive.  Each reduces a result field with one gcd, and only when
+    # its denominator is not 1.
 
     def __add__(self, other: "LayeredElem") -> "LayeredElem":
         """Layered addition: larger value wins, equal values sum their layers."""
         if not isinstance(other, LayeredElem):
             return NotImplemented
-        if self.layer is None:
+        kn, kd, an, ad = self._ints
+        if not kn:
             return other
-        if other.layer is None:
+        mn, md, bn, bd = other._ints
+        if not mn:
             return self
-        a, b = self.value, other.value
-        d = a.numerator * b.denominator - b.numerator * a.denominator
+        d = an * bd - bn * ad
         if d:
             return self if d > 0 else other
-        k, m = self.layer, other.layer
-        return _positive(Fraction(k.numerator * m.denominator + m.numerator * k.denominator,
-                                  k.denominator * m.denominator), a)
+        n, den = kn * md + mn * kd, kd * md
+        if den != 1:
+            g = gcd(n, den)
+            n, den = n // g, den // g
+        x = _new(LayeredElem)
+        _set_ints(x, (n, den, an, ad))
+        return x
 
     def __mul__(self, other: "LayeredElem") -> "LayeredElem":
         """Layered multiplication: layers multiply, values add; Zero absorbs."""
         if not isinstance(other, LayeredElem):
             return NotImplemented
-        if self.layer is None or other.layer is None:
+        kn, kd, an, ad = self._ints
+        mn, md, bn, bd = other._ints
+        if not (kn and mn):
             return ZERO
-        k, m, a, b = self.layer, other.layer, self.value, other.value
-        ad, bd = a.denominator, b.denominator
-        value = (Fraction(a.numerator + b.numerator) if ad == bd == 1
-                 else Fraction(a.numerator * bd + b.numerator * ad, ad * bd))
-        return _positive(Fraction(k.numerator * m.numerator, k.denominator * m.denominator), value)
+        n, den = kn * mn, kd * md
+        if den != 1:
+            g = gcd(n, den)
+            n, den = n // g, den // g
+        vn, vd = an * bd + bn * ad, ad * bd
+        if vd != 1:
+            g = gcd(vn, vd)
+            vn, vd = vn // g, vd // g
+        x = _new(LayeredElem)
+        _set_ints(x, (n, den, vn, vd))
+        return x
 
     def __pow__(self, n: int) -> "LayeredElem":
         if type(n) is not int or n < 0:  # bools are refused
             raise ValueError("exponent must be a natural number")
         if n == 0:
             return ONE
-        if self.layer is None:
+        kn, kd, an, ad = self._ints
+        if not kn:
             return ZERO
-        return _positive(self.layer**n, n * self.value)
+        g = gcd(n, ad)
+        x = _new(LayeredElem)
+        _set_ints(x, (kn**n, kd**n, n // g * an, ad // g))
+        return x
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._ints == other._ints
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.layer, self.value))
+
+    def __reduce__(self):
+        return LayeredElem, (self.layer, self.value)
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(layer={self.layer!r}, value={self.value!r})"
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -120,24 +177,30 @@ class LayeredElem:
         return f"[{self.layer}]{self.value}"
 
 
-_set_layer = LayeredElem.layer.__set__
-_set_value = LayeredElem.value.__set__
-
-
-def _positive(layer, value) -> LayeredElem:
-    """A nonzero element built without validation, for the operations' results.
-
-    Sums, products and powers of positive layers are positive, so they need
-    no check; the public constructor keeps validating its input.
-    """
-    x = object.__new__(LayeredElem)
-    _set_layer(x, layer)
-    _set_value(x, value)
-    return x
-
+_new = object.__new__
+_set_ints = LayeredElem._ints.__set__
 
 ZERO = LayeredElem(None, None)
 ONE = LayeredElem(Fraction(1), Fraction(0))
+
+
+def _top_terms(terms, nu: Fraction) -> tuple[Fraction, list]:
+    """The largest term value c.value + e·nu over (e, c) in `terms`, and the terms that reach it.
+
+    The coefficients c are nonzero elements; the values are compared on
+    their ints, and only the largest becomes a Fraction.
+    """
+    nn, nd = nu.numerator, nu.denominator
+    top, bn, bd = [], 0, 1
+    for e, c in terms:
+        _, _, vn, vd = c._ints
+        tn = vn * nd + e * nn * vd  # the term value times nd·vd
+        d = tn * bd - bn * vd if top else 1
+        if d > 0:
+            top, bn, bd = [(e, c)], tn, vd
+        elif not d:
+            top.append((e, c))
+    return Fraction(bn, bd * nd), top
 
 
 _LAYERED_RE = re.compile(r"^\[(?P<layer>\d+(?:/\d+)?)\](?P<value>-?\d+(?:/\d+)?)$", re.ASCII)
@@ -162,14 +225,6 @@ def parse_layered(text: str) -> LayeredElem:
     return x
 
 
-def _rational_gcd(a: Fraction, b: Fraction) -> Fraction:
-    # gcd on Q: the generator of the subgroup a·Z + b·Z.
-    return Fraction(
-        gcd(a.numerator * b.denominator, b.numerator * a.denominator),
-        a.denominator * b.denominator,
-    )
-
-
 @record
 class ValueLattice:
     """A finitely generated subgroup of (Q, +), given by rational generators.
@@ -189,10 +244,8 @@ class ValueLattice:
         return cls(tuple(as_fraction(g) for g in gens))
 
     def single_generator(self) -> Fraction:
-        g = Fraction(0)
-        for x in self.generators:
-            g = _rational_gcd(g, abs(x))
-        return g
+        nums, den = _cleared(self.generators)
+        return Fraction(gcd(*nums), den)
 
     def contains(self, q) -> bool:
         q = as_fraction(q)

@@ -30,7 +30,7 @@ from .bipotent import (
 )
 from .cancellative import AlgebraicGenerator, ExtElem, PosPoly, positive_at_root
 from .errors import DescriptorMismatch, LayerNotInBase, ValueNotInBase
-from .tropical import LayeredElem, ValueLattice, as_fraction
+from .tropical import LayeredElem, ValueLattice, _top_terms, as_fraction
 
 
 @record
@@ -134,7 +134,7 @@ class ExtScalar:
 class LayeredPoly:
     """A polynomial with nonzero layered coefficients, sparse in the exponent."""
 
-    terms: tuple  # ((exp, LayeredElem), ...) sorted by exponent
+    terms: tuple  # ((exp, LayeredElem), ...) in strictly increasing exponent order
 
     def __post_init__(self):
         if not self.terms:
@@ -142,8 +142,8 @@ class LayeredPoly:
         exps = [e for e, _ in self.terms]
         if any(type(e) is not int for e in exps):  # bools and floats are refused
             raise ValueError("exponents must be ints")
-        if len(set(exps)) != len(exps) or any(e < 0 for e in exps):
-            raise ValueError("exponents must be distinct naturals")
+        if exps[0] < 0 or any(e >= f for e, f in zip(exps, exps[1:])):
+            raise ValueError("exponents must be naturals in strictly increasing order")
         for _, c in self.terms:
             if not isinstance(c, LayeredElem):
                 raise TypeError(f"a layered polynomial's coefficients must be LayeredElems, got {c!r}")
@@ -168,10 +168,7 @@ def _rational_value(a: ExtScalar) -> Fraction:
 
 def essential_indices(f: LayeredPoly, a: ExtScalar) -> tuple[int, ...]:
     """Exponents of the value-dominant terms of f at the scalar."""
-    nu = _rational_value(a)
-    term_values = [(e, c.value + e * nu) for e, c in f.terms]
-    best = max(v for _, v in term_values)
-    return tuple(e for e, v in term_values if v == best)
+    return tuple(e for e, _ in _top_terms(f.terms, _rational_value(a))[1])
 
 
 def eval_layered_poly(f: LayeredPoly, a: ExtScalar):
@@ -181,13 +178,9 @@ def eval_layered_poly(f: LayeredPoly, a: ExtScalar):
     essential exponents of coefficient-layer times scalar-layer power, an
     element of the sort part extended by the scalar's layer.
     """
-    nu = _rational_value(a)
-    values = [c.value + e * nu for e, c in f.terms]
-    value = max(values)
+    value, top = _top_terms(f.terms, _rational_value(a))
     layer = None
-    for (e, c), v in zip(f.terms, values):
-        if v != value:
-            continue
+    for e, c in top:
         power = a.layer**e
         term = c.layer * power if isinstance(power, Fraction) else power.scale(c.layer)
         layer = term if layer is None else layer + term

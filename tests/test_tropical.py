@@ -1,11 +1,16 @@
+import copy
+import pickle
+import random
+import sys
 from fractions import Fraction as F
+from functools import reduce
 from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
 import reference as R
-from conftest import layered_elems, rationals
+from conftest import layered_elems, positive_rationals, rationals
 from layext.tropical import ONE, ZERO, LayeredElem, ValueLattice, parse_layered
 
 
@@ -188,9 +193,13 @@ class TestLaws:
 def assert_exact(got, want):
     # each field a Fraction in lowest terms over a positive denominator, rendered and hashed as `make`'s
     assert got == want
-    for f in (got.layer, got.value):
+    for f in () if got.is_zero else (got.layer, got.value):
         assert type(f) is F and f.denominator > 0 and gcd(f.numerator, f.denominator) == 1
     assert (repr(got), str(got), hash(got)) == (repr(want), str(want), hash(want))
+
+
+def as_pair(e):
+    return None if e.is_zero else (e.layer, e.value)
 
 
 @given(layered_elems(allow_zero=False), layered_elems(allow_zero=False), st.integers(1, 8))
@@ -238,12 +247,8 @@ def test_matvec_fold_matches_pair_reference(mv):
         for a, b in zip(row, v):
             acc = acc + a * b
         got.append(acc)
-
-    def pair(e):
-        return None if e.is_zero else (e.layer, e.value)
-
-    want = R.pair_matvec([[pair(a) for a in row] for row in rows], [pair(b) for b in v])
-    assert [pair(e) for e in got] == want
+    want = R.pair_matvec([[as_pair(a) for a in row] for row in rows], [as_pair(b) for b in v])
+    assert [as_pair(e) for e in got] == want
 
 
 @pytest.mark.parametrize("x", [L(2, 5), ZERO], ids=["nonzero", "zero"])
@@ -263,3 +268,87 @@ def test_public_constructor_still_validates():
         with pytest.raises(TypeError):
             LayeredElem(layer, value)
     assert LayeredElem(None, None).is_zero
+
+
+def wide_elems():
+    # ZERO, small fields that often tie, and numerators and denominators above 2**64
+    big = st.integers(2**64, 2**66)
+    layers = st.one_of(positive_rationals(), st.builds(F, big, big))
+    values = st.one_of(rationals(max_num=3, max_den=2), st.builds(F, big, big),
+                       st.builds(F, big.map(lambda n: -n), big))
+    return st.one_of(st.just(ZERO), st.builds(LayeredElem, layers, values))
+
+
+def pair_pow(x, n):
+    if n == 0:
+        return (F(1), F(0))
+    return None if x is None else (x[0] ** n, n * x[1])
+
+
+@given(wide_elems(), st.lists(st.tuples(st.sampled_from("+*^"), wide_elems(), st.integers(0, 2)), max_size=5))
+def test_results_cannot_be_told_apart_from_constructed_elements(start, steps):
+    r, want = start, as_pair(start)
+    for op, y, n in steps:
+        if op == "+":
+            r, want = (r + y, R.pair_add(want, as_pair(y))) if n else (y + r, R.pair_add(as_pair(y), want))
+        elif op == "*":
+            r, want = r * y, R.pair_mul(want, as_pair(y))
+        else:
+            r, want = r**n, pair_pow(want, n)
+        assert as_pair(r) == want
+        built = LayeredElem(r.layer, r.value)
+        assert_exact(r, built)
+        assert built == r and not (r != built) and not (built != r)
+        assert hash(r) == hash((r.layer, r.value))
+        assert parse_layered(str(r)) == r
+        assert copy.copy(r) == r and pickle.loads(pickle.dumps(r)) == r
+
+
+@pytest.mark.parametrize("x", [L(F(7, 2), -3), ONE, ZERO], ids=["nonzero", "one", "zero"])
+@pytest.mark.parametrize("name", ["layer", "value", "is_zero", "_ints", "other"])
+def test_no_attribute_can_be_set_or_deleted(x, name):
+    with pytest.raises(AttributeError):
+        setattr(x, name, None)
+    with pytest.raises(AttributeError):
+        delattr(x, name)
+
+
+def test_operators_build_no_fraction():
+    # a 14 x 14 A^4 x and a row/column sum, on the layers and values the layered benchmark draws from
+    rng = random.Random(20)
+    pool = [L(F(a, b), v) for a in range(1, 5) for b in (1, 2) for v in range(-4, 5)] + [ZERO]
+    A = [[rng.choice(pool) for _ in range(14)] for _ in range(14)]
+    x = [rng.choice(pool) for _ in range(14)]
+    new = F.__new__.__code__
+    calls = []
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code is new:
+            calls.append(frame.f_back.f_code.co_name)
+
+    sys.setprofile(count)
+    try:
+        v = x
+        for _ in range(4):
+            v = [reduce(lambda acc, ab: acc + ab[0] * ab[1], zip(row, v), ZERO) for row in A]
+        totals = [reduce(lambda acc, e: acc + e, (e for line in lines for e in line), ZERO) for lines in (A, zip(*A))]
+    finally:
+        sys.setprofile(None)
+    assert calls == []
+    w = [as_pair(e) for e in x]
+    for _ in range(4):
+        w = R.pair_matvec([[as_pair(e) for e in row] for row in A], w)
+    assert [as_pair(e) for e in v] == w
+    assert [as_pair(t) for t in totals] == [reduce(R.pair_add, [as_pair(e) for row in A for e in row])] * 2
+
+
+@given(st.lists(rationals(), max_size=8))
+def test_single_generator_generates_exactly_the_lattice(gens):
+    # g >= 0, every generator is an integer multiple of g, and those integers are coprime
+    g = ValueLattice.of(*gens).single_generator()
+    assert type(g) is F and g >= 0
+    if g == 0:
+        assert not any(gens)
+    else:
+        ks = [x / g for x in gens]
+        assert all(k.denominator == 1 for k in ks) and gcd(*(k.numerator for k in ks)) == 1

@@ -104,6 +104,28 @@ class TestEssentialAndEval:
         with pytest.raises(DescriptorMismatch):
             eval_layered_poly(unit_poly(), ExtScalar(F(3), "w"))
 
+    def test_terms_out_of_exponent_order_are_refused(self):
+        # a second order of the same terms would be a second, unequal polynomial with reordered essential exponents
+        x, y = LayeredElem.make(1, 0), LayeredElem.make(1, -2)
+        assert essential_indices(LayeredPoly.of([(2, x), (0, y)]), R.scalar(1, -1)) == (0, 2)
+        for terms in [((2, x), (0, y)), ((1, x), (1, y)), ((-1, x),)]:
+            with pytest.raises(ValueError, match="strictly increasing"):
+                LayeredPoly(terms)
+
+    def test_ties_match_a_fraction_reference(self):
+        # exponents 0, 2 and 5 tie at the top value -5/6, with numerators and denominators above 2**64
+        big = 2**64 + 13
+        nu, top = F(big, 7), F(-5, 6)
+        triples = [(F(2, 3), top, 0), (F(big, 5), top - nu - F(1, big), 1), (F(7), top - 2 * nu, 2),
+                   (F(1, big), top - 5 * nu, 5), (F(3), top - 6 * nu - F(1, 3), 6)]
+        f, a = LayeredPoly.from_triples(triples), R.scalar(F(3, 2), nu)
+        values = [v + e * nu for _, v, e in triples]
+        best = max(values)
+        ess = [e for (_, _, e), v in zip(triples, values) if v == best]
+        assert best == top and ess == [0, 2, 5]
+        assert essential_indices(f, a) == tuple(ess)
+        assert eval_layered_poly(f, a) == (sum(l * a.layer**e for l, _, e in triples if e in ess), best)
+
     @given(layered_polys(), rational_scalars())
     def test_value_ignores_layers(self, f, a):
         # the evaluated value only depends on the scalar's value
