@@ -6,16 +6,24 @@ out by a monic irreducible polynomial with an isolated positive real root and
 at least one negative coefficient (a single-signed annihilator would collapse
 the extension to a field); `AlgebraicGenerator` refuses any other generator.
 Elements are coefficient vectors on the basis 1, X, ..., X^(n-1) of Q[x]
-modulo the minimal polynomial.  Products, powers and inverses run on
-integers: each generator stores one reduction table (x^n, ..., x^(2n-2)
-modulo the minimal polynomial over a common denominator), each operand is
-brought to one common denominator, and each result coefficient becomes a
-Fraction once.  The sign of an element at the adjoined root is one
-Sturm-Tarski query on the isolating interval (`polys.tarski_query`), with no
-numeric refinement.  A positive sign is necessary for membership in the
-semifield, and it decides membership when the minimal polynomial has exactly
-one positive root; with a second positive root the element must be positive
-at every one of them (ROADMAP item 16).
+modulo the minimal polynomial, stored as integer numerators over one positive
+denominator in lowest terms.  Sums, scalings, products, powers and inverses
+run on those integers and build no Fraction: each generator stores one
+reduction table (x^n, ..., x^(2n-2) modulo the minimal polynomial over a
+common denominator), and each result is reduced by one gcd.  `.coeffs`
+builds the Fractions on each read.  The sign of an element at the adjoined
+root is one Sturm-Tarski query on the isolating interval
+(`polys.tarski_query`), with no numeric refinement.  Membership in the layer
+semifield needs a positive sign at every positive root of the minimal
+polynomial, not only at the adjoined one; `in_layer_semifield` decides it
+with one more query when there is more than one.
+
+>>> gen = validate_generator(SignedPoly.of({2: 1, 0: -2}), (1, 2))
+>>> e = gen.one() + gen.xbar()
+>>> print(e ** 2)
+3 + 2*X
+>>> print(e.inverse(), e.scale(Fraction(1, 2)))
+-1 + X 1/2 + 1/2*X
 
 Every polynomial over Q is stored dense, as one `polys.Poly` coefficient
 tuple: `SignedPoly` for minimal polynomials, and its checked subtype
@@ -32,7 +40,7 @@ import math
 from fractions import Fraction
 
 from . import polys
-from ._record import record
+from ._record import _frozen_delattr, _frozen_setattr, record
 from .errors import (
     AllPositiveCoefficients,
     GeneratorMismatch,
@@ -63,16 +71,19 @@ def _dense(obj) -> polys.Poly:
 
 
 def power(x, k: int, one):
-    """x**k for an int k >= 0 by repeated squaring; `one` is the identity of x's product."""
+    """x**k for an int k >= 0 by repeated squaring; `one`, the identity of x's product, is x**0."""
     if type(k) is not int or k < 0:  # bools and floats are refused
         raise ValueError("exponent must be a natural number")
-    out = one
+    if not k:
+        return one
+    while not k & 1:
+        x, k = x * x, k >> 1
+    out, k = x, k >> 1
     while k:
+        x = x * x
         if k & 1:
             out = out * x
         k >>= 1
-        if k:
-            x = x * x
     return out
 
 
@@ -179,14 +190,15 @@ class AlgebraicGenerator:
     `table` = (D, rows): row k holds the integer coefficients of D·x^(n+k)
     modulo m, for k = 0 .. n-2, so every product of two reduced elements
     folds back through it.  `m_int` is the primitive integer multiple of m
-    that sign and kernel queries divide by.  Neither takes part in equality
+    that sign and kernel queries divide by, and `positive_roots` the number
+    of positive real roots of m.  None of the three takes part in equality
     or repr.
     """
 
     m: SignedPoly
     lo: Fraction
     hi: Fraction
-    __slots__ = ("table", "m_int")  # filled in by __post_init__
+    __slots__ = ("table", "m_int", "positive_roots")  # filled in by __post_init__
 
     def __post_init__(self):
         m, lo, hi = self.m, self.lo, self.hi
@@ -203,7 +215,8 @@ class AlgebraicGenerator:
         if not polys.is_irreducible(m.coeffs):
             raise Reducible(f"{m} factors over the rationals")
         chain = polys.sturm_chain(m.coeffs)
-        if polys.count_positive_roots(chain) == 0:
+        positive_roots = polys.count_positive_roots(chain)
+        if positive_roots == 0:
             raise NoPositiveRoot(f"{m} has no positive real root")
         if not (0 < lo < hi):
             raise IntervalNotIsolating("the interval must satisfy 0 < lo < hi")
@@ -211,6 +224,7 @@ class AlgebraicGenerator:
             raise IntervalNotIsolating(f"({lo}, {hi}) does not isolate exactly one root of {m}")
         assert polys.eval_poly(m.coeffs, lo) * polys.eval_poly(m.coeffs, hi) < 0
         object.__setattr__(self, "m_int", polys.clear_denominators(m.coeffs))
+        object.__setattr__(self, "positive_roots", positive_roots)
         n, low = self.n, [-c for c in m.coeffs[:-1]]
         rows = [low]  # x^n = -(m_0 + ... + m_(n-1)·x^(n-1)) modulo m
         for _ in range(n - 2):
@@ -226,7 +240,7 @@ class AlgebraicGenerator:
         return self.m.degree
 
     def one(self) -> "ExtElem":
-        return self.element([1])
+        return _reduced(self, (1,) + (0,) * (self.n - 1), 1)
 
     def xbar(self) -> "ExtElem":
         """The class of x, the adjoined root itself."""
@@ -236,14 +250,14 @@ class AlgebraicGenerator:
         cs = [as_fraction(c) for c in coeffs]
         if len(cs) > self.n:
             raise ValueError("coefficient vector longer than the basis")
-        cs += [Fraction(0)] * (self.n - len(cs))
-        return ExtElem(self, tuple(cs))
+        nums, den = _cleared(cs)
+        return _reduced(self, nums + [0] * (self.n - len(cs)), den)
 
-    def _fold(self, c) -> list[int]:
-        """D·(c mod m) on the basis, for integer coefficients c of degree below 2n-1."""
+    def _fold(self, c: list) -> list[int]:
+        """D·(c mod m) on the basis, for a list c of integer coefficients of degree below 2n-1."""
         den, rows = self.table
-        n = self.n
-        out = [den * x for x in c[:n]]
+        n = len(rows) + 1
+        out = c[:n] if den == 1 else [den * x for x in c[:n]]
         out += [0] * (n - len(out))
         for row, top in zip(rows, c[n:]):
             if top:
@@ -260,43 +274,74 @@ def validate_generator(m: SignedPoly, interval) -> AlgebraicGenerator:
     return AlgebraicGenerator(m, as_fraction(interval[0]), as_fraction(interval[1]))
 
 
-@record
 class ExtElem:
-    """An element of the extension, as coefficients on 1, X, ..., X^(n-1)."""
+    """An element of the extension, as coefficients on 1, X, ..., X^(n-1).
 
-    gen: AlgebraicGenerator
-    coeffs: tuple
+    The constructor takes the generator and n coefficients, ints or
+    Fractions; `AlgebraicGenerator.element` coerces strings and pads.  An
+    element stores its generator, the integer numerators of its coefficients
+    over one positive common denominator, and that denominator, reduced so
+    that their gcd is 1; `.coeffs` builds the Fraction tuple on each read.
+    Equality compares the generators and the ints; the hash, repr, copies
+    and pickles are those of the field tuple (gen, coeffs), and a second
+    `__init__` call changes nothing, as for the value classes `record`
+    builds.
+    """
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.gen.n:
+    __slots__ = ("gen", "_nums", "_den")
+    __setattr__ = _frozen_setattr
+    __delattr__ = _frozen_delattr
+
+    def __new__(cls, gen: AlgebraicGenerator, coeffs: tuple):
+        if not isinstance(gen, AlgebraicGenerator):
+            raise TypeError("an element's generator must be an AlgebraicGenerator")
+        if len(coeffs) != gen.n:
             raise ValueError("coefficient vector length must equal the extension degree")
+        if not all(type(c) is int or isinstance(c, Fraction) for c in coeffs):
+            raise TypeError("coefficients must be ints or Fractions; use AlgebraicGenerator.element")
+        return _reduced(gen, *_cleared(coeffs))
+
+    @property
+    def coeffs(self) -> tuple:
+        d = self._den
+        return tuple(Fraction(c, d) for c in self._nums)
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self._nums)
+
+    @property
+    def is_constant(self) -> bool:
+        """Whether the element is a rational: its coefficients past the first are zero."""
+        return not any(self._nums[1:])
 
     def _check(self, other: "ExtElem"):
-        if self.gen != other.gen:
+        if self.gen is not other.gen and self.gen != other.gen:
             raise GeneratorMismatch("elements belong to different extensions")
+
+    # The operators compute on the numerators and denominators and build
+    # their results with `_reduced`, without validation or any Fraction.
 
     def __add__(self, other: "ExtElem") -> "ExtElem":
         if not isinstance(other, ExtElem):
             return NotImplemented
         self._check(other)
-        return ExtElem(self.gen, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        da, db = self._den, other._den
+        if da == db:
+            return _reduced(self.gen, [x + y for x, y in zip(self._nums, other._nums)], da)
+        return _reduced(self.gen, [x * db + y * da for x, y in zip(self._nums, other._nums)], da * db)
 
     def __mul__(self, other: "ExtElem") -> "ExtElem":
         if not isinstance(other, ExtElem):
             return NotImplemented
         self._check(other)
-        a, da = _cleared(self.coeffs)
-        b, db = _cleared(other.coeffs)
-        den = self.gen.table[0] * da * db
-        return ExtElem(self.gen, tuple(Fraction(c, den) for c in self.gen._fold(polys._mul(a, b))))
+        gen = self.gen
+        return _reduced(gen, gen._fold(polys._mul(self._nums, other._nums)), gen.table[0] * self._den * other._den)
 
     def scale(self, c) -> "ExtElem":
-        c = as_fraction(c)
-        return ExtElem(self.gen, tuple(c * x for x in self.coeffs))
+        if type(c) is not int:
+            c = as_fraction(c)
+        return _reduced(self.gen, [c.numerator * x for x in self._nums], c.denominator * self._den)
 
     def __pow__(self, k: int) -> "ExtElem":
         if type(k) is int and k < 0:
@@ -307,17 +352,34 @@ class ExtElem:
         """Multiplicative inverse: the solution y of M·y = e_0, M the matrix of multiplication by self.
 
         M's columns are self·x^j, built with the reduction table; with a the
-        integer numerators of self over their common denominator d, the
-        integer matrix D·d·M is solved by fraction-free elimination.
+        integer numerators of self over their denominator d, the integer
+        matrix D·d·M is solved by fraction-free elimination.
         """
         if self.is_zero:
             raise ZeroElement("zero has no inverse")
-        gen = self.gen
-        a, d = _cleared(self.coeffs)
-        cols = [gen._fold([0] * j + a) for j in range(gen.n)]
-        y, det = _solve_fraction_free(zip(*cols), [1] + [0] * (gen.n - 1))
-        scale = gen.table[0] * d
-        return ExtElem(gen, tuple(Fraction(scale * c, det) for c in y))
+        gen, a = self.gen, list(self._nums)
+        n = len(a)
+        cols = [gen._fold([0] * j + a) for j in range(n)]
+        y, det = _solve_fraction_free(zip(*cols), [1] + [0] * (n - 1))
+        scale = gen.table[0] * self._den
+        if det < 0:
+            scale, det = -scale, -det
+        return _reduced(gen, [scale * c for c in y], det)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self._nums == other._nums and self._den == other._den
+                    and (self.gen is other.gen or self.gen == other.gen))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.gen, self.coeffs))
+
+    def __reduce__(self):
+        return ExtElem, (self.gen, self.coeffs)
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(gen={self.gen!r}, coeffs={self.coeffs!r})"
 
     def __str__(self) -> str:
         parts = []
@@ -331,6 +393,22 @@ class ExtElem:
             else:
                 parts.append(f"X^{i}" if c == 1 else f"{c}*X^{i}")
         return " + ".join(parts) if parts else "0"
+
+
+_new = object.__new__
+_set_gen, _set_nums, _set_den = (ExtElem.__dict__[f].__set__ for f in ExtElem.__slots__)
+
+
+def _reduced(gen: AlgebraicGenerator, nums, den: int) -> ExtElem:
+    """The element with integer numerators `nums` over `den` > 0, stored in lowest terms."""
+    g = math.gcd(den, *nums)
+    if g != 1:
+        nums, den = [c // g for c in nums], den // g
+    x = _new(ExtElem)
+    _set_gen(x, gen)
+    _set_nums(x, tuple(nums))
+    _set_den(x, den)
+    return x
 
 
 def _solve_fraction_free(rows, rhs) -> tuple[list[int], int]:
@@ -369,13 +447,35 @@ def positive_at_root(e: ExtElem) -> bool:
     One Sturm-Tarski query on the isolating interval: the sum of the signs
     of e at the roots of m in (lo, hi).  The interval holds the single root,
     where a nonzero element is nonzero (the basis powers of the root are
-    linearly independent over Q), so the query is 1 or -1.  e is cleared
-    over a positive denominator, which keeps its sign.
+    linearly independent over Q), so the query is 1 or -1.  The query runs
+    on e's integer numerators, whose positive denominator keeps the sign.
     """
     if e.is_zero:
         return False
-    g, _ = _cleared(e.coeffs)
-    return polys.tarski_query(e.gen.m_int, g, e.gen.lo, e.gen.hi) > 0
+    gen = e.gen
+    return polys.tarski_query(gen.m_int, e._nums, gen.lo, gen.hi) > 0
+
+
+def in_layer_semifield(e: ExtElem) -> bool:
+    """Whether e lies in the layer semifield Q>0[x]/ker: e is positive at every positive root of m.
+
+    The condition is necessary: a quotient of positive polynomials is
+    positive at every positive root.  It is sufficient by Pólya's theorem:
+    for large c and k, q = p + c·m²·(1 + x²)^k is positive on [0, ∞), p the
+    representative of e, so (1 + x)^N·q = a has positive coefficients for
+    some N, and e = a(α)/(1 + α)^N.  With one positive root this is
+    `positive_at_root`.  Otherwise it is one Sturm-Tarski query on (0, B),
+    B a Cauchy bound on the roots of m: the sum of the signs of e at the
+    positive roots, where a nonzero e has no zero (m is irreducible), equals
+    their number exactly when every sign is +1.
+    """
+    gen = e.gen
+    if gen.positive_roots == 1:
+        return positive_at_root(e)
+    if e.is_zero:
+        return False
+    bound = 1 + max(abs(c) for c in gen.m_int)
+    return polys.tarski_query(gen.m_int, e._nums, 0, bound) == gen.positive_roots
 
 
 def kernel_contains(a: PosPoly, b: PosPoly, gen: AlgebraicGenerator) -> bool:

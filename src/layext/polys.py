@@ -74,11 +74,26 @@ def _sub(a, b) -> list[int]:
 def _mul(a, b) -> list[int]:
     if not a or not b:
         return []
+    if a is b:
+        return _square(a)
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
                 out[i + j] += x * y
+    return out
+
+
+def _square(a) -> list[int]:
+    """`_mul(a, a)`, with each cross product a_i·a_j (i < j) computed once and doubled."""
+    n = len(a)
+    out = [0] * (2 * n - 1)
+    for i, x in enumerate(a):
+        if x:
+            out[2 * i] += x * x
+            x2 = 2 * x
+            for j in range(i + 1, n):
+                out[i + j] += x2 * a[j]
     return out
 
 

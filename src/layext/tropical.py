@@ -60,14 +60,15 @@ class LayeredElem:
     of its value as four ints (Zero's layer numerator is 0), and `.layer` and
     `.value` build a Fraction from them on each read.  Equality compares the
     ints; the hash, repr, copies and pickles are those of the field tuple
-    (layer, value), as for the value classes `record` builds.
+    (layer, value), and a second `__init__` call changes nothing, as for the
+    value classes `record` builds.
     """
 
     __slots__ = ("_ints",)
     __setattr__ = _frozen_setattr
     __delattr__ = _frozen_delattr
 
-    def __init__(self, layer: Fraction | None, value: Fraction | None):
+    def __new__(cls, layer: Fraction | None, value: Fraction | None):
         if layer is None or value is None:
             if layer is not value:
                 raise ValueError("layer and value must both be present or both absent")
@@ -78,7 +79,9 @@ class LayeredElem:
             raise ValueError("layer must be a positive rational")
         else:
             ints = (layer.numerator, layer.denominator, value.numerator, value.denominator)
+        self = _new(cls)
         _set_ints(self, ints)
+        return self
 
     @staticmethod
     def make(layer, value) -> "LayeredElem":

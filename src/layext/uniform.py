@@ -28,7 +28,7 @@ from .bipotent import (
     _check_name,
     is_bipotent_semifield,
 )
-from .cancellative import AlgebraicGenerator, ExtElem, PosPoly, positive_at_root
+from .cancellative import AlgebraicGenerator, ExtElem, PosPoly, in_layer_semifield
 from .errors import DescriptorMismatch, LayerNotInBase, ValueNotInBase
 from .tropical import LayeredElem, ValueLattice, _top_terms, as_fraction
 
@@ -36,8 +36,9 @@ from .tropical import LayeredElem, ValueLattice, _top_terms, as_fraction
 @record
 class FreeLayer:
     """A layer in a free (transcendental) sort extension: a positive polynomial
-    in the named symbol.  Like `ExtElem` it answers `+`, `**`, `scale` and
-    `coeffs` (its polynomial's), each result in the same symbol."""
+    in the named symbol.  Like `ExtElem` it answers `+`, `**`, `scale`,
+    `coeffs` (its polynomial's) and `is_constant`, each result in the same
+    symbol."""
 
     name: str
     poly: PosPoly
@@ -48,6 +49,10 @@ class FreeLayer:
     @property
     def coeffs(self) -> tuple:
         return self.poly.coeffs
+
+    @property
+    def is_constant(self) -> bool:
+        return len(self.poly.coeffs) == 1
 
     def __add__(self, other: "FreeLayer") -> "FreeLayer":
         if not isinstance(other, FreeLayer):
@@ -124,7 +129,7 @@ class ExtScalar:
             if lay <= 0:
                 raise ValueError("scalar layer must be positive")
         elif isinstance(lay, ExtElem):
-            if not positive_at_root(lay):
+            if not in_layer_semifield(lay):
                 raise ValueError("algebraic scalar layer must be a positive element")
         elif not isinstance(lay, FreeLayer):
             raise TypeError("scalar layer must be rational, algebraic or free")
@@ -187,18 +192,11 @@ def eval_layered_poly(f: LayeredPoly, a: ExtScalar):
     return layer, value
 
 
-def _constant_layer(layer) -> Fraction | None:
-    """The rational a degenerate extension layer stands for, if any."""
-    if isinstance(layer, Fraction):
-        return layer
-    return None if any(layer.coeffs[1:]) else layer.coeffs[0]
-
-
 def sort_contains(part, layer) -> bool:
-    """Whether a layer already lies in the sort part."""
+    """Whether a layer already lies in the sort part; a constant extension layer is a rational."""
     if not isinstance(layer, (Fraction, ExtElem, FreeLayer)):
         raise TypeError(f"not a layer: {layer!r}")
-    if _constant_layer(layer) is not None:
+    if isinstance(layer, Fraction) or layer.is_constant:
         return True
     if isinstance(layer, ExtElem):
         return isinstance(part, AlgebraicSort) and part.gen == layer.gen

@@ -11,7 +11,9 @@ the coefficient cone of an extension element.  The layer polynomial
 behind an evaluation in `layext.uniform`.  Max-plus arithmetic on plain
 (layer, value) pairs, for `layext.tropical`.  And the shorthand constructors
 the tests build presentations, monomials and scalars with, and the base
-value of an exponent-lattice vector.
+value of an exponent-lattice vector.  The extension arithmetic of
+`layext.cancellative` as it was when elements stored Fraction coefficients,
+for the integer operators that replaced it.
 """
 
 from fractions import Fraction
@@ -19,8 +21,8 @@ from fractions import Fraction
 from layext.bipotent import BipotentPresentation, Relation
 from layext.cancellative import PosPoly, SignedPoly
 from layext.intlinalg import Vec, _echelon, hnf, reduce_by_hnf, smith
-from layext.polys import Poly, degree, poly
-from layext.tropical import as_fraction
+from layext.polys import Poly, _mul, degree, poly
+from layext.tropical import _cleared, as_fraction
 from layext.uniform import ExtScalar, essential_indices
 
 
@@ -278,3 +280,67 @@ def monomial(k: int = 1, coeff=1) -> PosPoly:
 def scalar(layer, value) -> ExtScalar:
     """A rational scalar from ints, strings or Fractions."""
     return ExtScalar(as_fraction(layer), as_fraction(value))
+
+
+# Extension arithmetic on Fraction coefficient tuples of a generator's
+# extension: each operand is cleared to one common denominator, folded
+# through the generator's reduction table, and each result coefficient
+# becomes a Fraction.
+
+
+def _fold(gen, c) -> list[int]:
+    """D·(c mod m) on the basis, for integer coefficients c of degree below 2n-1."""
+    den, rows = gen.table
+    n = gen.n
+    out = [den * x for x in c[:n]]
+    out += [0] * (n - len(out))
+    for row, top in zip(rows, c[n:]):
+        if top:
+            for i, r in enumerate(row):
+                out[i] += top * r
+    return out
+
+
+def ext_add(a, b) -> tuple:
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def ext_scale(a, c) -> tuple:
+    c = as_fraction(c)
+    return tuple(c * x for x in a)
+
+
+def ext_mul(gen, a, b) -> tuple:
+    a, da = _cleared(a)
+    b, db = _cleared(b)
+    den = gen.table[0] * da * db
+    return tuple(Fraction(c, den) for c in _fold(gen, _mul(a, b)))
+
+
+def ext_inverse(gen, a) -> tuple:
+    """The y with a·y = 1, by Gauss-Jordan on the Fraction matrix whose columns are a·x^j."""
+    n = gen.n
+    cols = [ext_mul(gen, a, tuple(Fraction(int(i == j)) for i in range(n))) for j in range(n)]
+    rows = [[cols[j][i] for j in range(n)] + [Fraction(int(i == 0))] for i in range(n)]
+    for k in range(n):
+        p = next(i for i in range(k, n) if rows[i][k])
+        rows[k], rows[p] = rows[p], rows[k]
+        rows[k] = [v / rows[k][k] for v in rows[k]]
+        for i in range(n):
+            if i != k and rows[i][k]:
+                rows[i] = [v - rows[i][k] * w for v, w in zip(rows[i], rows[k])]
+    return tuple(row[n] for row in rows)
+
+
+def ext_pow(gen, a, k: int) -> tuple:
+    """a**k by repeated squaring from the identity; a negative k inverts a first."""
+    if k < 0:
+        a, k = ext_inverse(gen, a), -k
+    out = tuple(Fraction(int(i == 0)) for i in range(gen.n))
+    while k:
+        if k & 1:
+            out = ext_mul(gen, out, a)
+        k >>= 1
+        if k:
+            a = ext_mul(gen, a, a)
+    return out

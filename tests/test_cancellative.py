@@ -1,12 +1,15 @@
 import copy
+import math
 import pickle
 import random
+import sys
 import time
 from decimal import Decimal, localcontext
 from fractions import Fraction as F
 from functools import lru_cache
 
 import pytest
+import sympy
 from hypothesis import given, strategies as st
 
 import reference as R
@@ -17,6 +20,7 @@ from layext.cancellative import (
     ExtElem,
     PosPoly,
     SignedPoly,
+    in_layer_semifield,
     kernel_contains,
     positive_at_root,
     validate_generator,
@@ -31,6 +35,7 @@ from layext.errors import (
     TrivialExtension,
     ZeroElement,
 )
+from layext.uniform import ExtScalar
 
 SQRT2 = validate_generator(SignedPoly.of({2: 1, 0: -2}), (1, 2))
 CBRT2 = validate_generator(SignedPoly.of({3: 1, 0: -2}), (1, 2))
@@ -623,3 +628,167 @@ class TestPosPoly:
         assert a.scale(c).coeffs == R.scale(a.coeffs, c)
         # the gaps of a product are Fraction zeros too
         assert all(type(x) is F for x in (a * b).coeffs)
+
+
+GENS = MODULI + KERNEL_GENS  # degrees 2-7; most KERNEL_GENS tables have a denominator D > 1
+
+
+def assert_reduced(r):
+    """r is stored in lowest terms: the element built again from its Fractions has the same ints and hash."""
+    assert r._den > 0 and math.gcd(r._den, *r._nums) == 1
+    again = ExtElem(r.gen, r.coeffs)
+    assert (again._nums, again._den) == (r._nums, r._den) and hash(again) == hash(r)
+
+
+class TestReducedIntegers:
+    """The integer operators against the Fraction arithmetic they replaced (`reference.ext_*`)."""
+
+    @given(st.sampled_from(GENS), st.data(), st.builds(F, st.integers(-9, 9), st.integers(1, 5)),
+           st.integers(-12, 50))
+    def test_against_the_fraction_arithmetic(self, gen, data, c, k):
+        a = data.draw(ext_elems(gen))
+        b = data.draw(ext_elems(gen))
+        pairs = [
+            (a * b, R.ext_mul(gen, a.coeffs, b.coeffs)),
+            (a + b, R.ext_add(a.coeffs, b.coeffs)),
+            (a.scale(c), R.ext_scale(a.coeffs, c)),
+            (b.scale(k), R.ext_scale(b.coeffs, k)),
+        ]
+        if not a.is_zero:
+            pairs.append((a.inverse(), R.ext_inverse(gen, a.coeffs)))
+        if k >= 0 or not a.is_zero:
+            pairs.append((a ** k, R.ext_pow(gen, a.coeffs, k)))
+        for got, want in pairs:
+            assert got.coeffs == want and all(type(x) is F for x in got.coeffs)
+            assert_reduced(got)
+        # equal elements reached along different paths have equal ints and hashes
+        same = [(a * b, b * a), (a + b, b + a), (a * gen.one(), a), (a + gen.element([]), a)]
+        if c:
+            same.append((a.scale(c).scale(1 / c), a))
+        if not a.is_zero:
+            same.append((a * a.inverse(), gen.one()))
+        for x, y in same:
+            assert x == y and (x._nums, x._den) == (y._nums, y._den) and hash(x) == hash(y)
+
+    def test_constructor_reduces_and_checks_its_coefficients(self):
+        e = ExtElem(SQRT2, (F(2, 6), 1))
+        assert (e._nums, e._den) == ((1, 3), 3) and e.coeffs == (F(1, 3), F(1))
+        assert ExtElem(gen=SQRT2, coeffs=(F(0), F(0)))._den == 1
+        with pytest.raises(TypeError):
+            ExtElem(SQRT2, (0.5, F(1)))
+        with pytest.raises(TypeError):
+            ExtElem(SQRT2, (True, F(1)))
+        with pytest.raises(TypeError):
+            ExtElem(SQRT2.m, (F(1), F(1)))
+        with pytest.raises(ValueError):
+            ExtElem(SQRT2, (F(1),))
+
+    def test_operators_build_no_fraction(self):
+        # every operator on nonzero elements of degrees 2-7, powers up to 50 and below 0
+        rng = random.Random(21)
+        elems = []
+        for gen in KERNEL_GENS:
+            while len(elems) % 2 or not elems or elems[-1].gen is not gen:
+                e = gen.element([F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(gen.n)])
+                if not e.is_zero:
+                    elems.append(e)
+        pairs = list(zip(elems[::2], elems[1::2]))
+        c = F(-3, 7)
+        new = F.__new__.__code__
+        calls = []
+
+        def count(frame, event, arg):
+            if event == "call" and frame.f_code is new:
+                calls.append(frame.f_back.f_code.co_name)
+
+        out = []
+        sys.setprofile(count)
+        try:
+            for a, b in pairs:
+                out.append([a * b, a + b, a.scale(c), a.scale(5), a.inverse(), positive_at_root(a),
+                            [a ** k for k in range(2, 51)], [b ** k for k in (-1, -2, -7)]])
+        finally:
+            sys.setprofile(None)
+        assert calls == []
+        assert sorted({a.gen.n for a, _ in pairs}) == [2, 3, 4, 5, 6, 7]
+        for (a, b), (prod, total, scaled, five, inv, positive, powers, negative) in zip(pairs, out):
+            gen, x, y = a.gen, a.coeffs, b.coeffs
+            assert prod.coeffs == R.ext_mul(gen, x, y) and total.coeffs == R.ext_add(x, y)
+            assert scaled.coeffs == R.ext_scale(x, c) and five.coeffs == R.ext_scale(x, 5)
+            assert inv.coeffs == R.ext_inverse(gen, x) and positive is (decimal_sign(a) > 0)
+            assert [p.coeffs for p in powers] == [R.ext_pow(gen, x, k) for k in range(2, 51)]
+            assert [p.coeffs for p in negative] == [R.ext_pow(gen, y, k) for k in (-1, -2, -7)]
+
+
+def several_positive_roots():
+    """Irreducible generators of degrees 2-8 with two or more positive roots, and those roots.
+
+    Per degree d: x^d - 4x^(d-1) + 2 (Eisenstein at 2; one root in (0, 1),
+    one above 1) and the irreducible ones of (x - 1)(x - 2)...(x - d) -+ 1.
+    sympy isolates the roots and places the interval around one of them.
+    """
+    x = sympy.symbols("x")
+    out = []
+    for d in range(2, 9):
+        line = sympy.prod([x - i for i in range(1, d + 1)])
+        for k, expr in enumerate([x**d - 4 * x**(d - 1) + 2, line - 1, line + 1]):
+            p = sympy.Poly(expr, x)
+            roots = [r for r in sympy.real_roots(p) if r > 0]
+            if len(roots) < 2 or not p.is_irreducible:
+                continue
+            lo, hi = [(a, b) for (a, b), _ in p.intervals(eps=sympy.Rational(1, 100)) if b > 0][k % len(roots)]
+            m = [F(int(c)) for c in reversed(p.all_coeffs())]
+            gen = validate_generator(SignedPoly.from_coeffs(m), (F(lo.p, lo.q), F(hi.p, hi.q)))
+            out.append((gen, [r.evalf(80) for r in roots]))
+    return out
+
+
+SEVERAL = several_positive_roots()
+# x^2 - 3x + 1 has roots (3 +- sqrt 5)/2, about 2.618 and 0.382; the generator adjoins the larger
+TWO_ROOTS = validate_generator(SignedPoly.of({2: 1, 1: -3, 0: 1}), (2, 3))
+
+
+def signs_at(e, roots):
+    """The signs of e at the given roots, at 80 digits."""
+    values = [sum(sympy.Rational(c.numerator, c.denominator) * r**i for i, c in enumerate(e.coeffs)) for r in roots]
+    assert all(abs(v) > sympy.Float(10) ** -40 for v in values)
+    return [bool(v > 0) for v in values]
+
+
+class TestSemifieldMembership:
+    """An element is in the layer semifield exactly when it is positive at every positive root."""
+
+    @pytest.mark.parametrize("coeffs, member", [
+        ([-1, 1], False), ([-2, 1], False), ([1, 1], True), ([0, 1], True), ([F(-1, 3), 1], True),
+    ])
+    def test_negative_at_the_conjugate_root(self, coeffs, member):
+        # all five are positive at 2.618; X - 1 and X - 2 are negative at 0.382
+        e = TWO_ROOTS.element(coeffs)
+        assert TWO_ROOTS.positive_roots == 2 and positive_at_root(e)
+        assert in_layer_semifield(e) is member
+        if member:
+            assert ExtScalar(e, F(1, 2)).layer == e
+        else:
+            with pytest.raises(ValueError, match="positive element"):
+                ExtScalar(e, F(1, 2))
+
+    def test_generators_count_their_positive_roots(self):
+        assert [gen.positive_roots for gen in MODULI] == [1, 1, 1]
+        assert sorted({gen.n for gen, _ in SEVERAL}) == [2, 3, 4, 5, 6, 7, 8]
+        assert [gen.positive_roots for gen, _ in SEVERAL] == [len(roots) for _, roots in SEVERAL]
+        assert max(gen.positive_roots for gen, _ in SEVERAL) >= 5
+
+    @given(st.sampled_from(SEVERAL), st.data())
+    def test_against_the_signs_at_sympy_roots(self, case, data):
+        gen, roots = case
+        a = data.draw(ext_elems(gen))
+        if a.is_zero:
+            assert not in_layer_semifield(a)
+            return
+        at_root = [r for r in roots if gen.lo < r < gen.hi]
+        assert len(at_root) == 1
+        assert positive_at_root(a) is signs_at(a, at_root)[0]
+        assert in_layer_semifield(a) is all(signs_at(a, roots))
+        # a square is positive at every real root, its negation at none
+        square = a * a
+        assert in_layer_semifield(square) and not in_layer_semifield(square.scale(-1))

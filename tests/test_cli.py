@@ -39,6 +39,7 @@ def write(tmp_path, name, doc):
 PRES_SIXTHS = {"base": ["1"], "generators": [{"num": "1/2"}, {"num": "1/3"}]}
 PRES_FREE = {"base": ["1"], "generators": [{"sym": "g"}]}
 GEN_SQRT2 = {"m": {"2": "1", "0": "-2"}, "interval": ["1", "2"]}
+GEN_TWO_ROOTS = {"m": {"2": "1", "1": "-3", "0": "1"}, "interval": ["2", "3"]}
 DESC_BASE = {"sort": {"kind": "base"}, "value": {"base": ["1"], "generators": []}}
 LPOLY = [
     {"layer": "1", "value": "0", "exp": 0},
@@ -125,6 +126,14 @@ class TestEval:
         r = F(p, q)
         res = json.loads(out)["result"]
         assert res == {"layer": f"{3 - r + r * r} + {1 - 2 * r}*X", "value": "0", "essential": [0, 1, 2]}
+
+    def test_algebraic_layer_positive_at_both_roots(self, tmp_path):
+        # a = X + 1 over x^2 - 3x + 1: a^2 = 5X, as X^2 = 3X - 1, so 1 + a + a^2 = 2 + 6X
+        poly = write(tmp_path, "f.json", LPOLY)
+        layer = {"kind": "algebraic", **GEN_TWO_ROOTS, "coeffs": ["1", "1"]}
+        rc, out, err = run(["--json", "eval", poly, write(tmp_path, "a.json", {"layer": layer, "value": "0"})])
+        assert rc == 0 and not err
+        assert json.loads(out)["result"]["layer"] == "2 + 6*X"
 
     def test_free_layer_prints_its_polynomial(self, tmp_path):
         # 1 + a + a^2 at a = [y/2 + 1](1/3): only the square is essential
@@ -431,6 +440,10 @@ MALFORMED = {
     "algebraic_layer_negative_at_root": (["eval", "f.json", "a.json"], {
         "f.json": LPOLY,
         "a.json": {"layer": {"kind": "algebraic", **GEN_SQRT2, "coeffs": ["1", "-1"]}, "value": "0"}}),
+    # X - 1 is positive at the adjoined root 2.618 of x^2 - 3x + 1, negative at its conjugate 0.382
+    "algebraic_layer_negative_at_a_conjugate_root": (["eval", "f.json", "a.json"], {
+        "f.json": LPOLY,
+        "a.json": {"layer": {"kind": "algebraic", **GEN_TWO_ROOTS, "coeffs": ["-1", "1"]}, "value": "0"}}),
     "generator_not_monic": (["kernel", "p.json", "p.json", "g.json"], {
         "p.json": {"1": "1"}, "g.json": {"m": {"2": "2", "0": "-1"}, "interval": ["0", "1"]}}),
     "generator_zero": (["kernel", "p.json", "p.json", "g.json"], {

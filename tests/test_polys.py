@@ -29,6 +29,12 @@ def test_ring_laws(a, b):
     assert R.sub(R.add(a, b), b) == a
 
 
+@given(st.lists(st.integers(-2**70, 2**70), max_size=9))
+def test_integer_square_is_the_schoolbook_product(a):
+    # _mul(a, a) squares, each cross product once and doubled; a copy of a takes the schoolbook path
+    assert P._mul(a, a) == P._mul(a, list(a))
+
+
 @given(polys_st(), polys_st())
 def test_divmod_identity(a, b):
     if not b:
