@@ -16,7 +16,7 @@ root is one Sturm-Tarski query on the isolating interval
 (`polys.tarski_query`), with no numeric refinement.  Membership in the layer
 semifield needs a positive sign at every positive root of the minimal
 polynomial, not only at the adjoined one; `in_layer_semifield` decides it
-with one more query when there is more than one.
+with one query over all of them.
 
 >>> gen = validate_generator(SignedPoly.of({2: 1, 0: -2}), (1, 2))
 >>> e = gen.one() + gen.xbar()
@@ -463,19 +463,15 @@ def in_layer_semifield(e: ExtElem) -> bool:
     positive at every positive root.  It is sufficient by Pólya's theorem:
     for large c and k, q = p + c·m²·(1 + x²)^k is positive on [0, ∞), p the
     representative of e, so (1 + x)^N·q = a has positive coefficients for
-    some N, and e = a(α)/(1 + α)^N.  With one positive root this is
-    `positive_at_root`.  Otherwise it is one Sturm-Tarski query on (0, B),
-    B a Cauchy bound on the roots of m: the sum of the signs of e at the
-    positive roots, where a nonzero e has no zero (m is irreducible), equals
-    their number exactly when every sign is +1.
+    some N, and e = a(α)/(1 + α)^N.  The test is one Sturm-Tarski query on
+    (0, +infinity): the sum of the signs of e at the positive roots, where a
+    nonzero e has no zero (m is irreducible), equals their number exactly
+    when every sign is +1.
     """
-    gen = e.gen
-    if gen.positive_roots == 1:
-        return positive_at_root(e)
     if e.is_zero:
         return False
-    bound = 1 + max(abs(c) for c in gen.m_int)
-    return polys.tarski_query(gen.m_int, e._nums, 0, bound) == gen.positive_roots
+    gen = e.gen
+    return polys.count_positive_roots(polys.tarski_chain(gen.m_int, e._nums)) == gen.positive_roots
 
 
 def kernel_contains(a: PosPoly, b: PosPoly, gen: AlgebraicGenerator) -> bool:

@@ -74,26 +74,11 @@ def _sub(a, b) -> list[int]:
 def _mul(a, b) -> list[int]:
     if not a or not b:
         return []
-    if a is b:
-        return _square(a)
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
                 out[i + j] += x * y
-    return out
-
-
-def _square(a) -> list[int]:
-    """`_mul(a, a)`, with each cross product a_i·a_j (i < j) computed once and doubled."""
-    n = len(a)
-    out = [0] * (2 * n - 1)
-    for i, x in enumerate(a):
-        if x:
-            out[2 * i] += x * x
-            x2 = 2 * x
-            for j in range(i + 1, n):
-                out[i + j] += x2 * a[j]
     return out
 
 
@@ -446,16 +431,26 @@ def sturm_chain(p: Poly) -> list[list[int]]:
     return _remainder_sequence(f, _derivative_int(f))
 
 
+def tarski_chain(f, g) -> list[list[int]]:
+    """The signed remainder sequence of f and f'·g, for integer polynomials f (nonzero) and g.
+
+    By the Sturm-Tarski theorem (Basu, Pollack & Roy, Algorithms in Real
+    Algebraic Geometry, ch. 2), Var(lo) - Var(hi) on it is the sum of the
+    signs of g at the distinct real roots of f in (lo, hi): `count_roots`
+    and `count_positive_roots` read it as they read a `sturm_chain`, which
+    is the case g = 1.
+    """
+    return _remainder_sequence(list(f), _trim(_mul(_derivative_int(f), g)))
+
+
 def tarski_query(f, g, lo, hi) -> int:
     """The sum of the signs of g at the distinct real roots of f in the open interval (lo, hi).
 
     f is a nonzero and g any integer polynomial (lists of ints indexed by
-    degree).  By the Sturm-Tarski theorem this is Var(lo) - Var(hi) on the
-    signed remainder sequence of f and f'·g (Basu, Pollack & Roy, Algorithms
-    in Real Algebraic Geometry, ch. 2); an endpoint that is a root of f
-    raises ValueError.
+    degree); see `tarski_chain`.  An endpoint that is a root of f raises
+    ValueError.
     """
-    return count_roots(_remainder_sequence(list(f), _trim(_mul(_derivative_int(f), g))), lo, hi)
+    return count_roots(tarski_chain(f, g), lo, hi)
 
 
 def _positive_primitive(a) -> list[int]:
@@ -492,5 +487,8 @@ def count_roots(chain, lo, hi) -> int:
 
 
 def count_positive_roots(chain) -> int:
-    """Number of distinct real roots in (0, +infinity) of the polynomial of a `sturm_chain`; 0 must not be a root."""
+    """Number of distinct real roots in (0, +infinity) of the polynomial of a `sturm_chain`; 0 must not be a root.
+
+    On a `tarski_chain` of f and g it is the sum of the signs of g at those roots.
+    """
     return _variations_at(chain, 0) - sign_variations([f[-1] for f in chain])

@@ -9,7 +9,6 @@ from fractions import Fraction as F
 from functools import lru_cache
 
 import pytest
-import sympy
 from hypothesis import given, strategies as st
 
 import reference as R
@@ -720,13 +719,15 @@ class TestReducedIntegers:
             assert [p.coeffs for p in negative] == [R.ext_pow(gen, y, k) for k in (-1, -2, -7)]
 
 
-def several_positive_roots():
+@pytest.fixture(scope="module")
+def several():
     """Irreducible generators of degrees 2-8 with two or more positive roots, and those roots.
 
     Per degree d: x^d - 4x^(d-1) + 2 (Eisenstein at 2; one root in (0, 1),
     one above 1) and the irreducible ones of (x - 1)(x - 2)...(x - d) -+ 1.
     sympy isolates the roots and places the interval around one of them.
     """
+    sympy = pytest.importorskip("sympy")
     x = sympy.symbols("x")
     out = []
     for d in range(2, 9):
@@ -743,13 +744,13 @@ def several_positive_roots():
     return out
 
 
-SEVERAL = several_positive_roots()
 # x^2 - 3x + 1 has roots (3 +- sqrt 5)/2, about 2.618 and 0.382; the generator adjoins the larger
 TWO_ROOTS = validate_generator(SignedPoly.of({2: 1, 1: -3, 0: 1}), (2, 3))
 
 
 def signs_at(e, roots):
     """The signs of e at the given roots, at 80 digits."""
+    sympy = pytest.importorskip("sympy")
     values = [sum(sympy.Rational(c.numerator, c.denominator) * r**i for i, c in enumerate(e.coeffs)) for r in roots]
     assert all(abs(v) > sympy.Float(10) ** -40 for v in values)
     return [bool(v > 0) for v in values]
@@ -772,15 +773,15 @@ class TestSemifieldMembership:
             with pytest.raises(ValueError, match="positive element"):
                 ExtScalar(e, F(1, 2))
 
-    def test_generators_count_their_positive_roots(self):
+    def test_generators_count_their_positive_roots(self, several):
         assert [gen.positive_roots for gen in MODULI] == [1, 1, 1]
-        assert sorted({gen.n for gen, _ in SEVERAL}) == [2, 3, 4, 5, 6, 7, 8]
-        assert [gen.positive_roots for gen, _ in SEVERAL] == [len(roots) for _, roots in SEVERAL]
-        assert max(gen.positive_roots for gen, _ in SEVERAL) >= 5
+        assert sorted({gen.n for gen, _ in several}) == [2, 3, 4, 5, 6, 7, 8]
+        assert [gen.positive_roots for gen, _ in several] == [len(roots) for _, roots in several]
+        assert max(gen.positive_roots for gen, _ in several) >= 5
 
-    @given(st.sampled_from(SEVERAL), st.data())
-    def test_against_the_signs_at_sympy_roots(self, case, data):
-        gen, roots = case
+    @given(st.data())
+    def test_against_the_signs_at_sympy_roots(self, several, data):
+        gen, roots = data.draw(st.sampled_from(several))
         a = data.draw(ext_elems(gen))
         if a.is_zero:
             assert not in_layer_semifield(a)

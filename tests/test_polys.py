@@ -29,12 +29,6 @@ def test_ring_laws(a, b):
     assert R.sub(R.add(a, b), b) == a
 
 
-@given(st.lists(st.integers(-2**70, 2**70), max_size=9))
-def test_integer_square_is_the_schoolbook_product(a):
-    # _mul(a, a) squares, each cross product once and doubled; a copy of a takes the schoolbook path
-    assert P._mul(a, a) == P._mul(a, list(a))
-
-
 @given(polys_st(), polys_st())
 def test_divmod_identity(a, b):
     if not b:
@@ -185,14 +179,17 @@ class TestTarskiQueryAgainstSympy:
             # the roots of f shared with g are those of h; g is nonzero at the others
             h = sympy.gcd(f, g)
             k = sympy.quo(f, h)
-            expected = 0
+            expected = positive = 0
             for r in k.real_roots():
-                if lo < r < hi:
+                if lo < r < hi or r > 0:
                     v = g.as_expr().subs(x, r).evalf(60)
                     assert abs(v) > 1e-30
-                    expected += 1 if v > 0 else -1
+                    expected += (1 if v > 0 else -1) if lo < r < hi else 0
+                    positive += (1 if v > 0 else -1) if r > 0 else 0
             zero_signs += sum(1 for r in h.real_roots() if lo < r < hi) if h.degree() > 0 else 0
             assert P.tarski_query(f_int, g_int, lo, hi) == expected, (f, g, lo, hi)
+            if f_int[0]:  # the same chain read on (0, +infinity)
+                assert P.count_positive_roots(P.tarski_chain(f_int, g_int)) == positive, (f, g)
         assert zero_signs > 0
 
     def test_constant_and_zero_g(self):
@@ -201,6 +198,8 @@ class TestTarskiQueryAgainstSympy:
         assert P.tarski_query(f, [-5], 0, 2) == -1
         assert P.tarski_query(f, [], 0, 2) == 0
         assert P.tarski_query(f, [1], 2, 3) == 0
+        assert P.tarski_chain(f, [1]) == P.sturm_chain(P.poly(f))
+        assert P.count_positive_roots(P.tarski_chain(f, [-5])) == -1
 
     def test_roots_at_the_endpoints_are_refused(self):
         with pytest.raises(ValueError):
