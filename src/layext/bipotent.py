@@ -156,9 +156,11 @@ class BipotentPresentation:
 class ExponentLattice:
     """Hermite basis of the monomial-relation lattice, with base values attached.
 
-    `betas[i] / den` is the base element equal to the monomial with exponents
-    `basis[i]`: the betas are integers over one positive denominator, carried
-    through all row operations.
+    `basis` is the lattice's Hermite basis as `la.hnf` gives it, unique for
+    the lattice.  `betas[i] / den` is the base element equal to the monomial
+    with exponents `basis[i]`: the betas are integers over `den`, the least
+    common denominator of the numeric values and the declared betas, and a
+    payload column beside the basis in every later row operation.
     """
 
     basis: tuple
@@ -206,14 +208,13 @@ def exponent_lattice(P: BipotentPresentation) -> ExponentLattice:
     InconsistentRelations when a combination of declared relations
     contradicts the numeric values.
 
-    One Hermite pass over rows [t | exponents | beta], t a value scaled to
-    an integer by the base generator and beta a payload column: a unit row
-    per numeric generator (t and beta its value), one row for the base
-    generator (beta 0; none for a trivial base) and the declared relations
-    (t = 0, beta theirs).  The rows left with t = 0 span the combinations
-    whose value lands in the base: their exponents are the lattice's Hermite
-    basis, their betas its betas.  Both value columns are cleared once to
-    integers over their own common denominator.
+    The numeric values over the base generator g, cleared to integers t_i
+    over one denominator m, put a numeric monomial in the base exactly when
+    sum k_i*t_i = 0 modulo m (m = 0 over a trivial base), so the numeric
+    part of the lattice is `la.congruence_hnf` of them, placed in the
+    numeric columns.  A row's beta is its value, sum k_i*a_i.  Without
+    declared relations these rows are the Hermite basis; with them one
+    `la.hnf` merges the relation rows in, their betas riding along.
     """
     if P.relations:
         _check_relations(P)
@@ -221,14 +222,17 @@ def exponent_lattice(P: BipotentPresentation) -> ExponentLattice:
     g = P.base.single_generator()
     values = [P.generators[i].value for i in num]
     ts, m = _cleared([v / (g or 1) for v in values])
-    rows = [[t] + [1 if j == i else 0 for j in range(P.n)] + [v] for t, i, v in zip(ts, num, values)]
-    if g != 0:
-        rows.append([m] + [0] * P.n + [0])
-    rows += [[0, *r.exps, r.beta] for r in P.relations]
-    betas, den = _cleared([row[-1] for row in rows])
-    rows = [row[:-1] + [b] for row, b in zip(rows, betas)]
-    kept = [row for row in la.hnf(rows, P.n + 1) if row[0] == 0]
-    return ExponentLattice(tuple(row[1:-1] for row in kept), tuple(row[-1] for row in kept), den)
+    scaled, den = _cleared(values + [r.beta for r in P.relations])
+    rows = []
+    for k in la.congruence_hnf(ts, m if g else 0):
+        row = [0] * P.n
+        for i, x in zip(num, k):
+            row[i] = x
+        rows.append(row + [sum(x * a for x, a in zip(k, scaled))])
+    if P.relations:
+        rows += [[*r.exps, b] for r, b in zip(P.relations, scaled[len(num):])]
+        rows = la.hnf(rows, P.n)
+    return ExponentLattice(tuple(tuple(row[:-1]) for row in rows), tuple(row[-1] for row in rows), den)
 
 
 # The last presentation queried, its exponent lattice and, once decomposed,
@@ -258,7 +262,7 @@ def _checked_subset(P: BipotentPresentation, vectors, subset) -> list[int]:
     n = len(P.generators)
     for v in vectors:
         if len(v) != n:
-            raise ValueError(f"an exponent vector needs {n} entries, one per generator")
+            raise ValueError(f"an exponent vector needs {n} {'entry' if n == 1 else 'entries'}, one per generator")
     subset = tuple(subset)
     for x in chain(*vectors, subset):
         if type(x) is not int:  # bools and floats are refused
@@ -284,14 +288,19 @@ def _order(basis, vec):
 
     Row by row: scale by the least factor making the pivot divide the entry, then
     clear it; the rows from a pivot on span the lattice vectors zero before it.
+    The entries before the pivot are left unscaled: only whether they are zero
+    is read, and a factor k >= 1 does not change that.
     """
     v = list(vec)
     order = 1
     for row in basis:
-        col = next(j for j, x in enumerate(row) if x != 0)
+        col = 0
+        while not row[col]:
+            col += 1
         k = row[col] // math.gcd(row[col], v[col])
         q = v[col] * k // row[col]
-        v = [k * x - q * y for x, y in zip(v, row)]
+        for j in range(col, len(v)):
+            v[j] = k * v[j] - q * row[j]
         order *= k
     return INFINITE if any(v) else order
 

@@ -13,16 +13,20 @@ behind an evaluation in `layext.uniform`.  Max-plus arithmetic on plain
 the tests build presentations, monomials and scalars with, and the base
 value of an exponent-lattice vector.  The extension arithmetic of
 `layext.cancellative` as it was when elements stored Fraction coefficients,
-for the integer operators that replaced it.
+for the integer operators that replaced it.  The Hermite, reduction and
+Smith kernels as they were when their operations ran over whole rows, and
+the exponent-lattice build as the one Hermite pass over [t | exponents | beta]
+rows that `intlinalg.congruence_hnf` replaced.
 """
 
+import random
 from fractions import Fraction
 
-from layext.bipotent import BipotentPresentation, Relation
+from layext.bipotent import BipotentPresentation, ExponentLattice, Relation, _check_relations
 from layext.cancellative import PosPoly, SignedPoly
-from layext.intlinalg import Vec, _echelon, hnf, reduce_by_hnf, smith
+from layext.intlinalg import Vec, _echelon, hnf, identity, reduce_by_hnf, smith
 from layext.polys import Poly, _mul, degree, poly
-from layext.tropical import _cleared, as_fraction
+from layext.tropical import ValueLattice, _cleared, as_fraction
 from layext.uniform import ExtScalar, essential_indices
 
 
@@ -272,6 +276,14 @@ def permuted(P: BipotentPresentation, perm) -> BipotentPresentation:
     return BipotentPresentation(P.base, gens, rels, P.monoid_exponents)
 
 
+def item_10_presentation(n: int, seed: int = 1) -> BipotentPresentation:
+    """n numeric generators over <1> with random 6-digit numerators (either sign) and denominators."""
+    rng = random.Random(seed)
+    values = [Fraction(rng.choice((-1, 1)) * rng.randint(100000, 999999), rng.randint(100000, 999999))
+              for _ in range(n)]
+    return BipotentPresentation.from_values(ValueLattice.of(1), *values)
+
+
 def monomial(k: int = 1, coeff=1) -> PosPoly:
     """coeff * x^k."""
     return PosPoly.of({k: coeff})
@@ -344,3 +356,136 @@ def ext_pow(gen, a, k: int) -> tuple:
         if k:
             a = ext_mul(gen, a, a)
     return out
+
+
+def reference_echelon(rows, ncols):
+    """`intlinalg._echelon` as it was when its row operations ran over whole rows."""
+    rows = [list(r) for r in rows]
+    m = len(rows)
+    top = 0
+    for col in range(ncols):
+        while True:
+            nz = [i for i in range(top, m) if rows[i][col] != 0]
+            if not nz:
+                break
+            i0 = min(nz, key=lambda i: (abs(rows[i][col]), i))
+            rows[top], rows[i0] = rows[i0], rows[top]
+            p = rows[top][col]
+            done = True
+            for i in range(top + 1, m):
+                if rows[i][col] != 0:
+                    q = rows[i][col] // p
+                    rows[i] = [x - q * y for x, y in zip(rows[i], rows[top])]
+                    if rows[i][col] != 0:
+                        done = False
+            if done:
+                break
+        if top < m and rows[top][col] != 0:
+            if rows[top][col] < 0:
+                rows[top] = [-x for x in rows[top]]
+            p = rows[top][col]
+            for i in range(top):
+                q = rows[i][col] // p
+                if q:
+                    rows[i] = [x - q * y for x, y in zip(rows[i], rows[top])]
+            top += 1
+            if top == m:
+                break
+    return tuple(tuple(r) for r in rows[:top])
+
+
+def reference_reduce_by_hnf(vec, rows) -> Vec:
+    """`intlinalg.reduce_by_hnf` as it was when its row operations ran over whole rows."""
+    v = list(vec)
+    for row in rows:
+        col = next(j for j, x in enumerate(row) if x != 0)
+        q = v[col] // row[col]
+        if q:
+            v = [x - q * y for x, y in zip(v, row)]
+    return tuple(v)
+
+
+def reference_smith(rows, ncols: int):
+    """`intlinalg.smith` as it was when every operation ran over all rows and columns."""
+    m = len(rows)
+    a = [list(r) + e for r, e in zip(rows, identity(m))] + [e + [0] * m for e in identity(ncols)]
+    vinv = identity(ncols)
+
+    def row_sub(i, j, q):  # row_i -= q * row_j
+        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
+
+    t = 0
+    while t < m and t < ncols:
+        # smallest absolute nonzero entry of the trailing block of A
+        pivot = None
+        best = None
+        for i in range(t, m):
+            for j in range(t, ncols):
+                x = abs(a[i][j])
+                if x and (best is None or x < best):
+                    best = x
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        pi, pj = pivot
+        a[t], a[pi] = a[pi], a[t]
+        if pj != t:
+            for r in a:
+                r[t], r[pj] = r[pj], r[t]
+            vinv[t], vinv[pj] = vinv[pj], vinv[t]
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+        restart = False
+        p = a[t][t]
+        for i in range(t + 1, m):
+            if a[i][t]:
+                row_sub(i, t, a[i][t] // p)
+                if a[i][t]:
+                    restart = True
+        if restart:
+            continue
+        for j in range(t + 1, ncols):
+            if a[t][j]:
+                q = a[t][j] // p  # col_j -= q * col_t, so row_t of V⁻¹ += q * row_j
+                for r in a:
+                    r[j] -= q * r[t]
+                vinv[t] = [x + q * y for x, y in zip(vinv[t], vinv[j])]
+                if a[t][j]:
+                    restart = True
+        if restart:
+            continue
+        # pivot row/column are clear; enforce divisibility on the rest
+        offender = next((i for i in range(t + 1, m) for j in range(t + 1, ncols) if a[i][j] % p), None)
+        if offender is not None:
+            row_sub(t, offender, -1)  # add the offending row, then redo the pivot
+            continue
+        t += 1
+
+    diag = [a[i][i] for i in range(min(m, ncols))]
+    return [r[ncols:] for r in a[:m]], diag, [r[:ncols] for r in a[m:]], vinv
+
+
+def reference_exponent_lattice(P: BipotentPresentation) -> ExponentLattice:
+    """`bipotent.exponent_lattice` as one Hermite pass over rows [t | exponents | beta].
+
+    t is a value scaled to an integer by the base generator and beta a payload
+    column: a unit row per numeric generator (t and beta its value), one row
+    for the base generator (beta 0; none for a trivial base) and the declared
+    relations (t = 0, beta theirs).  The rows left with t = 0 span the
+    combinations whose value lands in the base: their exponents are the
+    lattice's Hermite basis, their betas its betas.
+    """
+    if P.relations:
+        _check_relations(P)
+    num = P.numeric_indices()
+    g = P.base.single_generator()
+    values = [P.generators[i].value for i in num]
+    ts, m = _cleared([v / (g or 1) for v in values])
+    rows = [[t] + [1 if j == i else 0 for j in range(P.n)] + [v] for t, i, v in zip(ts, num, values)]
+    if g != 0:
+        rows.append([m] + [0] * P.n + [0])
+    rows += [[0, *r.exps, r.beta] for r in P.relations]
+    betas, den = _cleared([row[-1] for row in rows])
+    rows = [row[:-1] + [b] for row, b in zip(rows, betas)]
+    kept = [row for row in reference_echelon(rows, P.n + 1) if row[0] == 0]
+    return ExponentLattice(tuple(row[1:-1] for row in kept), tuple(row[-1] for row in kept), den)

@@ -218,6 +218,71 @@ class TestAgainstKernelReference:
         assert all(count >= 20 for count in seen.values()), seen
 
 
+def lattice_fields(P):
+    lat = exponent_lattice(P)
+    return lat.basis, lat.betas, lat.den
+
+
+def reference_fields(P):
+    lat = R.reference_exponent_lattice(P)
+    return lat.basis, lat.betas, lat.den
+
+
+class TestAgainstOnePassReference:
+    """The closed-form lattice build against the one Hermite pass over [t | exponents | beta] rows."""
+
+    BASES = [(), (1,), (F(1, 2),), (6,), (F(1, 6), F(1, 4))]
+
+    def test_numeric_presentations(self):
+        rng = random.Random("lattice-build-numeric")
+        pool = [F(0), F(1), F(-1, 2), F(1, 2), F(5, 6), F(-7, 12), F(3), F(-10, 9), F(11, 35)]
+        for _ in range(300):
+            # values from a small pool, so zero, negative and repeated ones are common; n = 0 included
+            values = [rng.choice(pool) if rng.random() < 0.6 else F(rng.randint(-99, 99), rng.randint(1, 99))
+                      for _ in range(rng.randint(0, 8))]
+            P = BipotentPresentation.from_values(ValueLattice.of(*rng.choice(self.BASES)), *values)
+            assert lattice_fields(P) == reference_fields(P)
+
+    def test_symbolic_and_mixed_presentations(self):
+        rng = random.Random("lattice-build-mixed")
+        inconsistent = dependent = 0
+        for _ in range(300):
+            P = random_presentation(rng, max_n=6)
+            if P.relations and rng.random() < 0.5:
+                # dependent relations: a multiple of one and the sum of two
+                a, b = rng.choice(P.relations), rng.choice(P.relations)
+                extra = (Relation(tuple(2 * x for x in a.exps), 2 * a.beta),
+                         Relation(tuple(x + y for x, y in zip(a.exps, b.exps)), a.beta + b.beta))
+                P = BipotentPresentation(P.base, P.generators, P.relations + extra)
+                dependent += 1
+            try:
+                want = reference_fields(P)
+            except InconsistentRelations:
+                inconsistent += 1
+                with pytest.raises(InconsistentRelations):
+                    exponent_lattice(P)
+                continue
+            assert lattice_fields(P) == want
+        assert inconsistent >= 20 and dependent >= 50
+
+    @pytest.mark.parametrize("base", [(1,), ()])
+    def test_dependent_symbolic_relations(self, base):
+        gens = (Symbolic("g"), Numeric.of("1/3"), Symbolic("h"))
+        # over <1> the third relation reads 3(g + h) + 1 = 1; over {0} it is 3(g + h) = 0
+        third = Relation.of((3, 3, 3), 1) if base else Relation.of((3, 0, 3), 0)
+        rels = (Relation.of((1, 0, 1), 0), Relation.of((2, 0, 2), 0), third)
+        for P in [
+            BipotentPresentation(ValueLattice.of(*base), (Symbolic("g"), Symbolic("h")),
+                                 (Relation.of((1, 1), 0), Relation.of((2, 2), 0))),
+            BipotentPresentation(ValueLattice.of(*base), gens, rels),
+        ]:
+            assert lattice_fields(P) == reference_fields(P)
+
+    def test_item_10_presentation_at_48(self):
+        P = R.item_10_presentation(48)
+        assert lattice_fields(P) == reference_fields(P)
+
+
 class TestIntegerBetas:
     """The lattice keeps its betas as integers over one denominator; queries return Fractions."""
 
@@ -417,7 +482,9 @@ class TestSharedQuotient:
         assert decompose_extension(P).torsion_orders == (6,)
         assert calls == {"lattice": 1, "smith": 1}
 
-    def test_one_echelon_per_lattice_and_dependence_query(self, monkeypatch):
+    def test_echelon_calls_of_lattice_builds_and_dependence_queries(self, monkeypatch):
+        # the numeric part of a lattice is solved in closed form: a Hermite
+        # pass runs only to merge declared relations, next to their check
         calls = []
         echelon = la._echelon
 
@@ -427,14 +494,22 @@ class TestSharedQuotient:
 
         monkeypatch.setattr(la, "_echelon", counted)
         for base in (Z, ValueLattice.of()):
-            calls.clear()
-            gens = (Numeric.of("1/2"), Numeric.of("1/3"), Symbolic("g"))
-            exponent_lattice(BipotentPresentation(base, gens))
-            assert len(calls) == 1
+            for gens in [
+                (Numeric.of("1/2"), Numeric.of("1/3"), Symbolic("g")),
+                (Numeric.of("1/2"), Numeric.of("-1/3"), Numeric.of("1/2"), Numeric.of(0)),
+                (Symbolic("g"),),
+                (),
+            ]:
+                calls.clear()
+                exponent_lattice(BipotentPresentation(base, gens))
+                assert calls == []
             calls.clear()
             exponent_lattice(BipotentPresentation(
                 base, (Numeric.of("1/3"), Symbolic("g")), (Relation.of((1, 1), 0), Relation.of((2, 2), 0))))
-            assert len(calls) <= 2
+            assert len(calls) == 2
+        calls.clear()
+        exponent_lattice(R.item_10_presentation(48))
+        assert calls == []
         P = numeric("1/2", "1/3", "1/5")
         extension_rank(P)
         calls.clear()

@@ -209,6 +209,9 @@ class TestDegreeAndRank:
         assert (rc, err) == (1, "error: ParseError: generator indices must lie in range(2)\n")
         rc, _, err = run(["torsion-degree", p, "--exps", "1,1,1"])
         assert (rc, err) == (1, "error: ParseError: an exponent vector needs 2 entries, one per generator\n")
+        one = write(tmp_path, "one.json", {"base": ["1"], "generators": [{"num": "1/2"}]})
+        rc, _, err = run(["torsion-degree", one, "--exps", "1,1"])
+        assert (rc, err) == (1, "error: ParseError: an exponent vector needs 1 entry, one per generator\n")
 
 
 class TestOutputContract:

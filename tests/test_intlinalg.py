@@ -180,3 +180,52 @@ def test_smith_transforms_are_pinned():
         count += 1
     assert count == 500
     assert h.hexdigest() == "4f13eac65525c69ca2fc6082b35cfbb083d18d1c1500079b1718acb6b2bb3998"
+
+
+@st.composite
+def padded_matrices(draw, max_rows=6, max_cols=5, payload=True):
+    """(rows, ncols, width): random rows of `width` >= ncols entries, some zero, some combinations of others."""
+    n = draw(st.integers(1, max_cols))
+    width = n + (draw(st.integers(0, 2)) if payload else 0)
+    row = st.lists(st.integers(-9, 9), min_size=width, max_size=width)
+    rows = draw(st.lists(row, max_size=max_rows))
+    extra = []
+    for _ in range(draw(st.integers(0, 2))):
+        if rows and draw(st.booleans()):
+            c = draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
+            extra.append(R.vec_mat(c, rows))
+        else:
+            extra.append([0] * width)
+    return draw(st.permutations(rows + extra)), n, width
+
+
+@given(padded_matrices())
+def test_echelon_matches_the_whole_row_reference(mat):
+    rows, n, _ = mat
+    assert la._echelon(rows, n) == R.reference_echelon(rows, n)
+
+
+@given(padded_matrices(), st.data())
+def test_reduce_by_hnf_matches_the_whole_row_reference(mat, data):
+    rows, n, width = mat
+    basis = la.hnf(rows, n)
+    vec = data.draw(st.lists(st.integers(-30, 30), min_size=width, max_size=width))
+    assert la.reduce_by_hnf(vec, basis) == R.reference_reduce_by_hnf(vec, basis)
+
+
+@given(padded_matrices(max_rows=7, max_cols=6, payload=False))
+def test_smith_matches_the_whole_row_reference(mat):
+    rows, n, _ = mat
+    assert la.smith(rows, n) == R.reference_smith(rows, n)
+
+
+@given(st.lists(st.one_of(st.integers(-3, 3), st.integers(-60, 60)), max_size=7),
+       st.one_of(st.just(0), st.integers(1, 4), st.integers(1, 720)))
+def test_congruence_hnf_is_the_hermite_basis_of_the_congruence(ts, m):
+    # the lattice by elimination: rows [t_i | e_i] and [m | 0], Hermite form, rows with t = 0
+    n = len(ts)
+    rows = [[t] + [int(j == i) for j in range(n)] for i, t in enumerate(ts)] + ([[m] + [0] * n] if m else [])
+    want = tuple(row[1:] for row in R.reference_echelon(rows, n + 1) if row[0] == 0)
+    basis = la.congruence_hnf(ts, m)
+    assert basis == want
+    assert not m or all(0 <= x <= m for row in basis for x in row)
