@@ -106,6 +106,8 @@ class BipotentPresentation:
         for field in ("generators", "relations"):
             if not isinstance(getattr(self, field), tuple):
                 raise TypeError(f"a presentation's {field} must be a tuple")
+        if type(self.monoid_exponents) is not bool:
+            raise TypeError(f"a presentation's monoid_exponents must be a bool, got {self.monoid_exponents!r}")
         n = len(self.generators)
         for g in self.generators:
             if not isinstance(g, (Numeric, Symbolic)):

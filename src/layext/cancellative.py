@@ -40,7 +40,7 @@ import math
 from fractions import Fraction
 
 from . import polys
-from ._record import _frozen_delattr, _frozen_setattr, record
+from ._record import Value, record
 from .errors import (
     AllPositiveCoefficients,
     GeneratorMismatch,
@@ -89,9 +89,20 @@ def power(x, k: int, one):
 
 @record
 class SignedPoly:
-    """A polynomial over Q stored dense (a `polys.Poly`); may be zero (no coefficients)."""
+    """A polynomial over Q stored dense (a `polys.Poly`); may be zero (no coefficients).
+
+    The constructor takes a tuple of Fractions whose last entry is nonzero;
+    `of` and `from_coeffs` coerce and trim.
+    """
 
     coeffs: polys.Poly
+
+    def __post_init__(self):
+        cs = self.coeffs
+        if not (isinstance(cs, tuple) and all(isinstance(c, Fraction) for c in cs)):
+            raise TypeError("a polynomial's coeffs must be a tuple of Fractions; use SignedPoly.of")
+        if cs and not cs[-1]:
+            raise ValueError("a polynomial's leading coefficient must be nonzero")
 
     @classmethod
     def of(cls, obj) -> "SignedPoly":
@@ -105,10 +116,6 @@ class SignedPoly:
     def terms(self) -> tuple:
         """The sparse canonical form: (degree, coefficient) pairs, nonzero, ascending."""
         return tuple((d, c) for d, c in enumerate(self.coeffs) if c)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     @property
     def degree(self) -> int:
@@ -133,9 +140,10 @@ class PosPoly(SignedPoly):
     """
 
     def __post_init__(self):
+        SignedPoly.__post_init__(self)
         if not self.coeffs:
             raise ValueError("the zero polynomial is not a PosPoly")
-        if any(c < 0 for c in self.coeffs):
+        if any(c.numerator < 0 for c in self.coeffs):  # Fractions, as checked above
             raise ValueError("PosPoly coefficients must be positive")
 
     @classmethod
@@ -274,7 +282,7 @@ def validate_generator(m: SignedPoly, interval) -> AlgebraicGenerator:
     return AlgebraicGenerator(m, as_fraction(interval[0]), as_fraction(interval[1]))
 
 
-class ExtElem:
+class ExtElem(Value):
     """An element of the extension, as coefficients on 1, X, ..., X^(n-1).
 
     The constructor takes the generator and n coefficients, ints or
@@ -282,15 +290,13 @@ class ExtElem:
     element stores its generator, the integer numerators of its coefficients
     over one positive common denominator, and that denominator, reduced so
     that their gcd is 1; `.coeffs` builds the Fraction tuple on each read.
-    Equality compares the generators and the ints; the hash, repr, copies
-    and pickles are those of the field tuple (gen, coeffs), and a second
-    `__init__` call changes nothing, as for the value classes `record`
-    builds.
+    Its fields are (gen, coeffs): equality, hash, repr, copies, pickles and
+    immutability are `Value`'s, and a second `__init__` call changes
+    nothing, as for the value classes `record` builds.
     """
 
     __slots__ = ("gen", "_nums", "_den")
-    __setattr__ = _frozen_setattr
-    __delattr__ = _frozen_delattr
+    _fields = ("gen", "coeffs")
 
     def __new__(cls, gen: AlgebraicGenerator, coeffs: tuple):
         if not isinstance(gen, AlgebraicGenerator):
@@ -365,21 +371,6 @@ class ExtElem:
         if det < 0:
             scale, det = -scale, -det
         return _reduced(gen, [scale * c for c in y], det)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self._nums == other._nums and self._den == other._den
-                    and (self.gen is other.gen or self.gen == other.gen))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.gen, self.coeffs))
-
-    def __reduce__(self):
-        return ExtElem, (self.gen, self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"{self.__class__.__qualname__}(gen={self.gen!r}, coeffs={self.coeffs!r})"
 
     def __str__(self) -> str:
         parts = []

@@ -30,7 +30,7 @@ import re
 from fractions import Fraction
 from math import gcd, lcm
 
-from ._record import _frozen_delattr, _frozen_setattr, record
+from ._record import Value, record
 
 
 def as_fraction(x) -> Fraction:
@@ -50,7 +50,7 @@ def _cleared(coeffs) -> tuple[list[int], int]:
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
-class LayeredElem:
+class LayeredElem(Value):
     """A layered element: Zero, or a pair (layer, value) with layer > 0.
 
     `layer is None` exactly when the element is the zero of the semiring.
@@ -58,15 +58,14 @@ class LayeredElem:
 
     An element stores the reduced numerator and denominator of its layer and
     of its value as four ints (Zero's layer numerator is 0), and `.layer` and
-    `.value` build a Fraction from them on each read.  Equality compares the
-    ints; the hash, repr, copies and pickles are those of the field tuple
-    (layer, value), and a second `__init__` call changes nothing, as for the
+    `.value` build a Fraction from them on each read.  Its fields are
+    (layer, value): equality, hash, repr, copies, pickles and immutability
+    are `Value`'s, and a second `__init__` call changes nothing, as for the
     value classes `record` builds.
     """
 
     __slots__ = ("_ints",)
-    __setattr__ = _frozen_setattr
-    __delattr__ = _frozen_delattr
+    _fields = ("layer", "value")
 
     def __new__(cls, layer: Fraction | None, value: Fraction | None):
         if layer is None or value is None:
@@ -159,20 +158,6 @@ class LayeredElem:
         x = _new(LayeredElem)
         _set_ints(x, (kn**n, kd**n, n // g * an, ad // g))
         return x
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._ints == other._ints
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.layer, self.value))
-
-    def __reduce__(self):
-        return LayeredElem, (self.layer, self.value)
-
-    def __repr__(self) -> str:
-        return f"{self.__class__.__qualname__}(layer={self.layer!r}, value={self.value!r})"
 
     def __str__(self) -> str:
         if self.is_zero:

@@ -36,19 +36,14 @@ from .tropical import LayeredElem, ValueLattice, _top_terms, as_fraction
 @record
 class FreeLayer:
     """A layer in a free (transcendental) sort extension: a positive polynomial
-    in the named symbol.  Like `ExtElem` it answers `+`, `**`, `scale`,
-    `coeffs` (its polynomial's) and `is_constant`, each result in the same
-    symbol."""
+    in the named symbol.  Like `ExtElem` it answers `+`, `**`, `scale` and
+    `is_constant`, each result in the same symbol."""
 
     name: str
     poly: PosPoly
 
     def __post_init__(self):
         _check_name(self.name, "a free layer")
-
-    @property
-    def coeffs(self) -> tuple:
-        return self.poly.coeffs
 
     @property
     def is_constant(self) -> bool:
@@ -97,6 +92,8 @@ class FreeSort:
 
     def __post_init__(self):
         _check_name(self.name, "a free sort")
+        if type(self.with_fractions) is not bool:
+            raise TypeError(f"a free sort's with_fractions must be a bool, got {self.with_fractions!r}")
 
 
 @record

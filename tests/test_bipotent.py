@@ -846,6 +846,24 @@ def test_malformed_vectors_and_subsets_raise(query, args):
         query(numeric("1/2", "1/3"), *args)
 
 
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: BipotentPresentation(Z, (F(1, 2),)), TypeError, "not a generator"),
+        (lambda: BipotentPresentation(Z, ("g",)), TypeError, "not a generator"),
+        (lambda: BipotentPresentation(Z, (Symbolic("g"),), (Relation.of((1, 0), 1),)), ValueError,
+         "relation exponent vector length does not match the generators"),
+        (lambda: BipotentPresentation(Z, (Symbolic("g"), Symbolic("h")), (Relation.of((1,), 1),)), ValueError,
+         "relation exponent vector length does not match the generators"),
+        (lambda: is_divisibly_dependent(numeric("1/2", "1/3"), ()), ValueError, "subset must be non-empty"),
+    ],
+    ids=["generator-fraction", "generator-str", "relation-too-long", "relation-too-short", "empty-subset"],
+)
+def test_malformed_presentations_and_subsets_are_refused(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
 class TestCosetValues:
     @given(
         st.lists(st.builds(F, st.integers(1, 9), st.integers(1, 6)), min_size=1, max_size=3),

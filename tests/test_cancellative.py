@@ -176,6 +176,11 @@ class TestArithmetic:
         inv = (SQRT2.one() + SQRT2.xbar()).inverse()
         assert inv.coeffs == (F(-1), F(1))
 
+    def test_cubic_elements_print_their_square_terms(self):
+        assert str(CBRT2.element([1, 0, 1])) == "1 + X^2"
+        assert str(CBRT2.element([0, 2, F(1, 2)])) == "2*X + 1/2*X^2"
+        assert str(CBRT2.element([0, 0, -3])) == "-3*X^2"
+
     def test_zero_not_invertible(self):
         with pytest.raises(ZeroElement):
             SQRT2.element([]).inverse()
@@ -394,7 +399,7 @@ class TestSignedPoly:
         assert SignedPoly.from_coeffs(m.coeffs) == m
         assert m.terms == tuple(sorted((d, c) for d, c in raw.items() if c))
         assert m.degree == (max(d for d, _ in m.terms) if m.terms else -1)
-        assert m.is_zero == (not m.terms)
+        assert (not m.coeffs) == (not m.terms)
         # the same dict with every coefficient made non-negative, as a PosPoly
         positive = {d: abs(c) for d, c in raw.items()}
         if not any(positive.values()):
@@ -406,6 +411,32 @@ class TestSignedPoly:
         assert PosPoly.from_coeffs(p.coeffs) == p
         assert p.terms == tuple(sorted((d, c) for d, c in positive.items() if c))
         assert p.degree == max(d for d, _ in p.terms)
+
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda: SignedPoly((F(1), F(0))), ValueError, "leading coefficient must be nonzero"),
+        (lambda: SignedPoly((F(-2), F(0), F(1), F(0))), ValueError, "leading coefficient must be nonzero"),
+        (lambda: SignedPoly((F(0),)), ValueError, "leading coefficient must be nonzero"),
+        (lambda: SignedPoly((-2.0, 0.0, 1.0)), TypeError, "tuple of Fractions"),
+        (lambda: SignedPoly((1.5, 2)), TypeError, "tuple of Fractions"),
+        (lambda: SignedPoly((1, 2)), TypeError, "tuple of Fractions"),
+        (lambda: PosPoly((F(1), F(0))), ValueError, "leading coefficient must be nonzero"),
+        (lambda: PosPoly((1, 2)), TypeError, "tuple of Fractions"),
+        (lambda: SignedPoly.of([(1, 1), (1, 2)]), ValueError, "duplicate degrees"),
+        (lambda: SignedPoly.of({-1: 1}), ValueError, "negative degrees"),
+        (lambda: PosPoly.of({1: 1}).scale(0), ValueError, "scaling factor must be positive"),
+        (lambda: PosPoly.of({1: 1}).scale(F(-1, 2)), ValueError, "scaling factor must be positive"),
+    ], ids=["trailing-zero", "trailing-zero-quadratic", "zero-constant", "floats", "float-and-int", "ints",
+            "pos-trailing-zero", "pos-ints", "duplicate-degree", "negative-degree", "scale-zero", "scale-negative"])
+    def test_malformed_polynomials_are_refused(self, build, error, message):
+        # a trailing zero would print like a lower-degree polynomial that compares unequal to it
+        with pytest.raises(error, match=message):
+            build()
+
+    def test_the_coercing_constructors_trim(self):
+        one = SignedPoly.of({0: 1})
+        assert SignedPoly.from_coeffs([1, 0]) == one == SignedPoly.of({0: 1, 1: 0})
+        assert (str(one), one.degree) == ("1", 0)
+        assert validate_generator(SignedPoly.from_coeffs([-2, 0, 1, 0]), (1, 2)) == SQRT2
 
     def test_degree_18_product_is_reducible(self):
         # (x^9 - 2)(x^9 - 3): its degree-9 factors are found

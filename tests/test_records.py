@@ -159,8 +159,11 @@ def test_generator_table_and_m_int_stay_out_of_equality_hash_and_repr():
         (lambda: BipotentPresentation(Z, (Symbolic("g"),), [Relation((2,), F(1))]), "relations"),
         (lambda: Relation([2], F(1)), "exps"),
         (lambda: ValueLattice([F(1)]), "generators"),
+        (lambda: SignedPoly([F(-1), F(1)]), "coeffs"),
+        (lambda: PosPoly([F(1)]), "coeffs"),
     ],
-    ids=["presentation-generators", "presentation-relations", "relation-exps", "lattice-generators"],
+    ids=["presentation-generators", "presentation-relations", "relation-exps", "lattice-generators",
+         "signed-poly-coeffs", "pos-poly-coeffs"],
 )
 def test_tuple_fields_given_as_lists_are_refused(build, field):
     # a list field fails later instead: it cannot be hashed or joined to a tuple
@@ -173,4 +176,34 @@ def test_pos_poly_keeps_its_validation():
         PosPoly(())
     with pytest.raises(ValueError):
         PosPoly((F(1), F(-1)))
-    assert SignedPoly(()).is_zero
+    assert SignedPoly(()).coeffs == ()
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda flag: FreeSort("y", flag), "with_fractions"),
+        (lambda flag: BipotentPresentation(Z, (), (), flag), "monoid_exponents"),
+        (lambda flag: BipotentPresentation(Z, (), monoid_exponents=flag), "monoid_exponents"),
+    ],
+    ids=["free-sort", "presentation", "presentation-keyword"],
+)
+@pytest.mark.parametrize("flag", ["no", "yes", 0, 1, None], ids=repr)
+def test_flag_fields_must_be_bools(build, field, flag):
+    # a truthy or falsy stand-in would be carried along and answered back in place of a bool
+    with pytest.raises(TypeError, match=field):
+        build(flag)
+    assert build(False) != build(True)
+
+
+def test_every_value_class_takes_its_methods_from_value():
+    from layext._record import Value
+
+    for cls in {type(x) for x, _, _ in CASES}:
+        assert issubclass(cls, Value)
+        for name in ("__eq__", "__hash__", "__repr__", "__reduce__", "__setattr__", "__delattr__"):
+            assert getattr(cls, name) is getattr(Value, name), (cls.__name__, name)
+        # the one method `record` generates from source text is the constructor
+        generated = {name for klass in cls.__mro__ for name, f in vars(klass).items()
+                     if getattr(getattr(f, "__code__", None), "co_filename", None) == "<string>"}
+        assert generated <= {"__new__"}, (cls.__name__, generated)

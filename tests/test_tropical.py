@@ -270,6 +270,19 @@ def test_public_constructor_still_validates():
     assert LayeredElem(None, None).is_zero
 
 
+@pytest.mark.parametrize("layer, value, message", [
+    (True, 1, "booleans are not rational values"),
+    (2, False, "booleans are not rational values"),
+    (1.5, 1, "expected an exact rational, got float"),
+    (2, 0.5, "expected an exact rational, got float"),
+    (2, None, "expected an exact rational, got NoneType"),
+], ids=["bool-layer", "bool-value", "float-layer", "float-value", "none-value"])
+def test_make_takes_exact_rationals_only(layer, value, message):
+    # no floats are accepted anywhere, and True is not the rational 1
+    with pytest.raises(TypeError, match=message):
+        LayeredElem.make(layer, value)
+
+
 def wide_elems():
     # ZERO, small fields that often tie, and numerators and denominators above 2**64
     big = st.integers(2**64, 2**66)

@@ -9,7 +9,7 @@ from conftest import positive_rationals, rationals
 from layext.bipotent import BipotentPresentation, Numeric, Relation, Symbolic, extension_rank
 from layext.cancellative import PosPoly, SignedPoly, validate_generator
 from layext.errors import DescriptorMismatch, LayerNotInBase, ValueNotInBase
-from layext.tropical import LayeredElem, ValueLattice
+from layext.tropical import ZERO, LayeredElem, ValueLattice
 from layext.uniform import (
     AlgebraicSort,
     BaseSort,
@@ -390,6 +390,27 @@ def test_other_operand_types_are_refused(x, other):
     for op in (lambda: x + other, lambda: x * other, lambda: other + x, lambda: other * x):
         with pytest.raises(TypeError):
             op()
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: ExtScalar(F(0), F(1)), ValueError, "scalar layer must be positive"),
+        (lambda: ExtScalar(F(-1, 2), F(1)), ValueError, "scalar layer must be positive"),
+        (lambda: ExtScalar(2, F(1)), TypeError, "scalar layer must be rational, algebraic or free"),
+        (lambda: ExtScalar(None, F(1)), TypeError, "scalar layer must be rational, algebraic or free"),
+        (lambda: LayeredPoly(()), ValueError, "at least one term"),
+        (lambda: LayeredPoly.of([]), ValueError, "at least one term"),
+        (lambda: LayeredPoly(((0, C), (1, ZERO))), ValueError, "zero coefficients are not stored"),
+        (lambda: sort_contains(BaseSort(), 2), TypeError, "not a layer"),
+        (lambda: sort_contains(AlgebraicSort(SQRT2), C), TypeError, "not a layer"),
+    ],
+    ids=["scalar-layer-zero", "scalar-layer-negative", "scalar-layer-int", "scalar-layer-none", "poly-empty",
+         "poly-of-empty", "poly-zero-coefficient", "sort-contains-int", "sort-contains-layered-elem"],
+)
+def test_malformed_scalars_polynomials_and_layers_are_refused(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
 
 
 @pytest.mark.parametrize("coeff", [5, F(5), None, (1, 5)], ids=["int", "fraction", "none", "pair"])
