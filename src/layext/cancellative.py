@@ -11,12 +11,7 @@ denominator in lowest terms.  Sums, scalings, products, powers and inverses
 run on those integers and build no Fraction: each generator stores one
 reduction table (x^n, ..., x^(2n-2) modulo the minimal polynomial over a
 common denominator), and each result is reduced by one gcd.  `.coeffs`
-builds the Fractions on each read.  The sign of an element at the adjoined
-root is one Sturm-Tarski query on the isolating interval
-(`polys.tarski_query`), with no numeric refinement.  Membership in the layer
-semifield needs a positive sign at every positive root of the minimal
-polynomial, not only at the adjoined one; `in_layer_semifield` decides it
-with one query over all of them.
+builds the Fractions on each read.
 
 >>> gen = validate_generator(SignedPoly.of({2: 1, 0: -2}), (1, 2))
 >>> e = gen.one() + gen.xbar()
@@ -24,6 +19,23 @@ with one query over all of them.
 3 + 2*X
 >>> print(e.inverse(), e.scale(Fraction(1, 2)))
 -1 + X 1/2 + 1/2*X
+
+The sign of an element at a root of the minimal polynomial is a filtered
+exact predicate.  Each generator caches one integer isolating interval per
+positive root.  Split into its positive- and negative-coefficient parts,
+each increasing on [0, ∞), the element's numerators are bounded on an
+interval by integer Horner sums; while the bound straddles zero the interval
+is bisected in place, and after a fixed number of bisections one
+Sturm-Tarski query (`polys.tarski_query`) answers instead.  A nonzero
+element has no zero at any root, so the answer is exact.  Membership in the
+layer semifield needs a positive sign at every positive root of the minimal
+polynomial, not only at the adjoined one: x^2 - 3x + 1 has the roots 0.38
+and 2.62, and X - 1 is positive at the larger only.
+
+>>> gen = validate_generator(SignedPoly.of({2: 1, 1: -3, 0: 1}), (2, 3))
+>>> e = gen.element([-1, 1])
+>>> positive_at_root(e), in_layer_semifield(e)
+(True, False)
 
 Every polynomial over Q is stored dense, as one `polys.Poly` coefficient
 tuple: `SignedPoly` for minimal polynomials, and its checked subtype
@@ -126,7 +138,7 @@ class SignedPoly:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
     def __str__(self) -> str:
-        return _render_terms(self.terms) if self.coeffs else "0"
+        return _render_terms(reversed(self.terms), "x")
 
 
 @record
@@ -170,21 +182,26 @@ class PosPoly(SignedPoly):
         return PosPoly(tuple(c * x for x in self.coeffs))
 
 
-def _render_terms(terms) -> str:
+def _render_terms(terms, var: str) -> str:
+    """The sum of the (degree, coefficient) pairs `terms` in their order, c·var^d each; "0" for none.
+
+    Coefficients are nonzero; a negative one after the first term is written
+    with ` - `.
+    """
     out = ""
-    for d, c in reversed(terms):
+    for d, c in terms:
         mag = abs(c)
         if d == 0:
             body = str(mag)
         elif d == 1:
-            body = "x" if mag == 1 else f"{mag}*x"
+            body = var if mag == 1 else f"{mag}*{var}"
         else:
-            body = f"x^{d}" if mag == 1 else f"{mag}*x^{d}"
+            body = f"{var}^{d}" if mag == 1 else f"{mag}*{var}^{d}"
         if not out:
             out = body if c > 0 else f"-{body}"
         else:
             out += f" + {body}" if c > 0 else f" - {body}"
-    return out
+    return out or "0"
 
 
 @record
@@ -199,14 +216,18 @@ class AlgebraicGenerator:
     modulo m, for k = 0 .. n-2, so every product of two reduced elements
     folds back through it.  `m_int` is the primitive integer multiple of m
     that sign and kernel queries divide by, and `positive_roots` the number
-    of positive real roots of m.  None of the three takes part in equality
-    or repr.
+    of positive real roots of m.  `intervals` is the sign queries' cache: a
+    list of integer triples (a, b, d), each the isolating interval
+    (a/d, b/d) of one positive root, (lo, hi) first; the others are
+    isolated by bisection on the Sturm chain when there are any.  Sign
+    queries narrow the intervals in place.  None of the four takes part in
+    equality or repr, and copies start from a fresh cache.
     """
 
     m: SignedPoly
     lo: Fraction
     hi: Fraction
-    __slots__ = ("table", "m_int", "positive_roots")  # filled in by __post_init__
+    __slots__ = ("table", "m_int", "positive_roots", "intervals")  # filled in by __post_init__
 
     def __post_init__(self):
         m, lo, hi = self.m, self.lo, self.hi
@@ -233,6 +254,16 @@ class AlgebraicGenerator:
         assert polys.eval_poly(m.coeffs, lo) * polys.eval_poly(m.coeffs, hi) < 0
         object.__setattr__(self, "m_int", polys.clear_denominators(m.coeffs))
         object.__setattr__(self, "positive_roots", positive_roots)
+        roots = [(lo, hi)]
+        if positive_roots > 1:
+            # the other positive roots lie in (0, lo) or above hi, and below Cauchy's bound
+            roots += _isolate(chain, Fraction(0), lo) + _isolate(chain, hi, 1 + max(map(abs, m.coeffs)))
+            assert len(roots) == positive_roots
+        intervals = []
+        for a, b in roots:
+            d = math.lcm(a.denominator, b.denominator)
+            intervals.append((a.numerator * (d // a.denominator), b.numerator * (d // b.denominator), d))
+        object.__setattr__(self, "intervals", intervals)
         n, low = self.n, [-c for c in m.coeffs[:-1]]
         rows = [low]  # x^n = -(m_0 + ... + m_(n-1)·x^(n-1)) modulo m
         for _ in range(n - 2):
@@ -272,6 +303,19 @@ class AlgebraicGenerator:
                 for i, r in enumerate(row):
                     out[i] += top * r
         return out
+
+
+def _isolate(chain, lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
+    """Disjoint intervals in (lo, hi), one around each root there of the `sturm_chain`'s polynomial.
+
+    Bisection; the polynomial must have no rational root (m is irreducible
+    of degree >= 2), so no midpoint is a root.
+    """
+    k = polys.count_roots(chain, lo, hi)
+    if k < 2:
+        return [(lo, hi)] * k
+    mid = (lo + hi) / 2
+    return _isolate(chain, lo, mid) + _isolate(chain, mid, hi)
 
 
 def validate_generator(m: SignedPoly, interval) -> AlgebraicGenerator:
@@ -373,17 +417,8 @@ class ExtElem(Value):
         return _reduced(gen, [scale * c for c in y], det)
 
     def __str__(self) -> str:
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            elif i == 1:
-                parts.append("X" if c == 1 else f"{c}*X")
-            else:
-                parts.append(f"X^{i}" if c == 1 else f"{c}*X^{i}")
-        return " + ".join(parts) if parts else "0"
+        """The sum of the nonzero terms, lowest degree first, in the basis powers of X."""
+        return _render_terms([(i, c) for i, c in enumerate(self.coeffs) if c], "X")
 
 
 _new = object.__new__
@@ -432,19 +467,56 @@ def _solve_fraction_free(rows, rhs) -> tuple[list[int], int]:
     return y, prev
 
 
+# Bisections a sign query may make before it asks the Sturm-Tarski query;
+# about the cost of one query on the generators of degree 2-7.
+_REFINE_STEPS = 16
+
+
+def _positive_at(gen: AlgebraicGenerator, g, i: int) -> bool:
+    """Whether the nonzero integer polynomial g, reduced modulo m, is positive at the i-th cached root.
+
+    g = g⁺ - g⁻ splits into its positive- and negative-coefficient parts,
+    both increasing on [0, ∞), so on the interval (a/d, b/d) g lies between
+    g⁺(a/d) - g⁻(b/d) and g⁺(b/d) - g⁻(a/d), compared as integers times
+    d^deg(g).  While the bound holds zero the interval is bisected, the side
+    taken by the sign of m at the midpoint (never zero: m has no rational
+    root), and stored back whole: a query in another thread reads an older
+    or a newer isolating interval, never a mix, and a store lost to a
+    concurrent one loses only refinement.  After `_REFINE_STEPS` bisections
+    one Sturm-Tarski query on the interval answers.  g is nonzero at the
+    root (the basis powers of a root are linearly independent over Q), so
+    either way the answer is exact.
+    """
+    hv, m = polys._homogeneous_value, gen.m_int
+    pos = [c if c > 0 else 0 for c in g]
+    neg = [-c if c < 0 else 0 for c in g]
+    a, b, d = gen.intervals[i]
+    left = None
+    for step in range(_REFINE_STEPS + 1):
+        if hv(pos, a, d) > hv(neg, b, d):
+            return True
+        if hv(pos, b, d) < hv(neg, a, d):
+            return False
+        if step == _REFINE_STEPS:
+            break
+        if left is None:
+            left = hv(m, a, d) > 0  # the sign of m at the lower end never changes
+        mid, d = a + b, 2 * d
+        a, b = (mid, 2 * b) if (hv(m, mid, d) > 0) is left else (2 * a, mid)
+        gen.intervals[i] = (a, b, d)
+    lo, hi = (gen.lo, gen.hi) if i == 0 else (Fraction(a, d), Fraction(b, d))
+    return polys.tarski_query(m, g, lo, hi) > 0
+
+
 def positive_at_root(e: ExtElem) -> bool:
     """Exact sign of the represented real number (False for zero).
 
-    One Sturm-Tarski query on the isolating interval: the sum of the signs
-    of e at the roots of m in (lo, hi).  The interval holds the single root,
-    where a nonzero element is nonzero (the basis powers of the root are
-    linearly independent over Q), so the query is 1 or -1.  The query runs
-    on e's integer numerators, whose positive denominator keeps the sign.
+    The sign of e's integer numerators, whose positive denominator keeps
+    the sign, at the adjoined root: an interval bound on the cached
+    isolating interval, refined by at most `_REFINE_STEPS` bisections, then
+    one Sturm-Tarski query on (lo, hi) if the bound still holds zero.
     """
-    if e.is_zero:
-        return False
-    gen = e.gen
-    return polys.tarski_query(gen.m_int, e._nums, gen.lo, gen.hi) > 0
+    return not e.is_zero and _positive_at(e.gen, e._nums, 0)
 
 
 def in_layer_semifield(e: ExtElem) -> bool:
@@ -454,15 +526,14 @@ def in_layer_semifield(e: ExtElem) -> bool:
     positive at every positive root.  It is sufficient by Pólya's theorem:
     for large c and k, q = p + c·m²·(1 + x²)^k is positive on [0, ∞), p the
     representative of e, so (1 + x)^N·q = a has positive coefficients for
-    some N, and e = a(α)/(1 + α)^N.  The test is one Sturm-Tarski query on
-    (0, +infinity): the sum of the signs of e at the positive roots, where a
-    nonzero e has no zero (m is irreducible), equals their number exactly
-    when every sign is +1.
+    some N, and e = a(α)/(1 + α)^N.  The test runs `positive_at_root`'s
+    sign query at each cached root in turn, the adjoined root first, and
+    stops at the first negative sign.
     """
     if e.is_zero:
         return False
     gen = e.gen
-    return polys.count_positive_roots(polys.tarski_chain(gen.m_int, e._nums)) == gen.positive_roots
+    return all(_positive_at(gen, e._nums, i) for i in range(gen.positive_roots))
 
 
 def kernel_contains(a: PosPoly, b: PosPoly, gen: AlgebraicGenerator) -> bool:

@@ -3,6 +3,7 @@ import math
 import pickle
 import random
 import sys
+import threading
 import time
 from decimal import Decimal, localcontext
 from fractions import Fraction as F
@@ -34,6 +35,7 @@ from layext.errors import (
     TrivialExtension,
     ZeroElement,
 )
+from layext.cancellative import _REFINE_STEPS
 from layext.uniform import ExtScalar
 
 SQRT2 = validate_generator(SignedPoly.of({2: 1, 0: -2}), (1, 2))
@@ -180,6 +182,12 @@ class TestArithmetic:
         assert str(CBRT2.element([1, 0, 1])) == "1 + X^2"
         assert str(CBRT2.element([0, 2, F(1, 2)])) == "2*X + 1/2*X^2"
         assert str(CBRT2.element([0, 0, -3])) == "-3*X^2"
+
+    def test_negative_coefficients_print_as_differences(self):
+        assert str(CBRT2.element([1, 0, -3])) == "1 - 3*X^2"
+        assert str(CBRT2.element([-1, -2])) == "-1 - 2*X"
+        assert str(CBRT2.element([F(-1, 2), -1, 1])) == "-1/2 - X + X^2"
+        assert str(CBRT2.element([])) == "0"
 
     def test_zero_not_invertible(self):
         with pytest.raises(ZeroElement):
@@ -369,11 +377,14 @@ class TestIntegerKernels:
 
 
 def test_validation_builds_one_sturm_chain(monkeypatch):
+    # also with two positive roots, whose other root is isolated on the same chain
     calls = []
     build = polys.sturm_chain
     monkeypatch.setattr(polys, "sturm_chain", lambda p: calls.append(p) or build(p))
     validate_generator(SignedPoly.of({3: 1, 1: -3, 0: -1}), (1, 2))
     assert len(calls) == 1
+    assert len(validate_generator(SignedPoly.of({2: 1, 1: -3, 0: 1}), (2, 3)).intervals) == 2
+    assert len(calls) == 2
 
 
 def test_sign_and_kernel_queries_reuse_the_cleared_minimal_polynomial(monkeypatch):
@@ -824,3 +835,154 @@ class TestSemifieldMembership:
         # a square is positive at every real root, its negation at none
         square = a * a
         assert in_layer_semifield(square) and not in_layer_semifield(square.scale(-1))
+
+
+def fresh_sqrt2():
+    """A new generator of the square root of 2, whose cached interval is still (1, 2)."""
+    return validate_generator(SignedPoly.of({2: 1, 0: -2}), (1, 2))
+
+
+def counted(query, e):
+    """query(e), the bisections it made of each cached interval, and the remainder sequences it built.
+
+    A bisection doubles an interval's denominator d; each Sturm-Tarski query
+    builds one remainder sequence, counted with `sys.setprofile`.
+    """
+    sequence = polys._remainder_sequence.__code__
+    calls = []
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code is sequence:
+            calls.append(frame.f_back.f_code.co_name)
+
+    before = list(e.gen.intervals)
+    sys.setprofile(count)
+    try:
+        out = query(e)
+    finally:
+        sys.setprofile(None)
+    steps = [(d1 // d0).bit_length() - 1 for (_, _, d0), (_, _, d1) in zip(before, e.gen.intervals)]
+    return out, steps, len(calls)
+
+
+class TestCachedIntervals:
+    """Signs at roots from the cached isolating intervals: bound, bisection in place, Sturm-Tarski fallback."""
+
+    def test_powers_of_sqrt2_minus_one(self):
+        # (√2 - 1)^k is below 2.4^-k: at k = 400 the bound needs over 500 bits of the root.
+        # Asked in turn on one generator, each power refines the cached interval a little
+        # further; asked on a fresh generator, a high power takes the fallback.
+        gen = fresh_sqrt2()
+        base, e = gen.element([-1, 1]), gen.one()
+        fallbacks = 0
+        for k in range(1, 401):
+            e = e * base
+            fresh = fresh_sqrt2()
+            pairs = [(e, True), (e.scale(-1), False)]
+            pairs += [(fresh.element(e.coeffs), True), (fresh.element(e.coeffs).scale(-1), False)]
+            for x, expected in pairs:
+                positive, [steps], sequences = counted(positive_at_root, x)
+                assert positive is (decimal_sign(x) > 0) is expected, k
+                assert steps <= _REFINE_STEPS and sequences <= 1
+                assert not sequences or steps == _REFINE_STEPS
+                fallbacks += sequences
+        assert fallbacks > 300
+        assert gen.intervals[0][2].bit_length() > 500
+        for x, expected in [(e, True), (e.scale(-1), False)]:
+            x = fresh_sqrt2().element(x.coeffs)
+            assert counted(positive_at_root, x) == (expected, [_REFINE_STEPS], 1)
+
+    @pytest.mark.parametrize("p, q", [(577, 408), (665857, 470832)])
+    def test_convergents_are_refined_until_the_bound_settles_them(self, p, q):
+        # p/q is a convergent of √2: p - q√2 = ±1/(p + q√2), 8.7e-4 and 7.5e-7 in size, so the
+        # bound needs the root to about 2^-19 and 2^-40; past _REFINE_STEPS a query falls back
+        for sign in (1, -1):
+            e = fresh_sqrt2().element([p * sign, -q * sign])
+            expected = decimal_sign(e) > 0
+            assert expected is ((sign > 0) == (p * p > 2 * q * q))
+            work = [counted(positive_at_root, e)]
+            while work[-1][2]:
+                work.append(counted(positive_at_root, e))
+            assert all(answer is expected and steps <= [_REFINE_STEPS] for answer, steps, _ in work)
+            assert all(sequences == (steps == [_REFINE_STEPS]) for _, steps, sequences in work[:-1])
+            assert len(work) == (1 if q == 408 else 3)
+            assert counted(positive_at_root, e) == (expected, [0], 0)
+            assert counted(in_layer_semifield, e) == (expected, [0], 0)
+
+    def test_work_counts_on_seeded_elements(self):
+        # a query the bound settles builds no remainder sequence, a repeat of it bisects
+        # nothing, no query bisects more than _REFINE_STEPS times, and the bound settles
+        # nearly every query on fresh generators
+        rng = random.Random(2024)
+        checked = settled = 0
+        for gen in KERNEL_GENS:
+            gen = validate_generator(gen.m, (gen.lo, gen.hi))
+            for _ in range(24):
+                e = gen.element([F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(gen.n)])
+                if e.is_zero:
+                    continue
+                e = e ** rng.choice([1, 1, 2, 3, 7, -1])
+                expected = decimal_sign(e) > 0
+                work = [counted(query, e) for query in (positive_at_root, in_layer_semifield, positive_at_root)]
+                for answer, steps, sequences in work:
+                    assert answer is expected, (gen.m, e.coeffs)
+                    assert max(steps) <= _REFINE_STEPS and sequences <= steps.count(_REFINE_STEPS)
+                checked += 1
+                if not work[0][2]:
+                    settled += 1
+                    assert [w[1:] for w in work[1:]] == [([0], 0), ([0], 0)]
+        assert checked > 150 and settled >= 0.9 * checked
+
+    def test_threads_sharing_a_generator_agree_with_one_thread(self):
+        # the cache is written without a lock: every store is one whole isolating interval
+        gen = fresh_sqrt2()
+        elems = [gen.element([(-1) ** k, 1]) ** k for k in range(1, 120)]
+        elems += [e.scale(-1) for e in elems]
+        expected = [positive_at_root(fresh_sqrt2().element(e.coeffs)) for e in elems]
+        results = [None] * 6
+
+        def work(t):
+            results[t] = [positive_at_root(e) for e in elems[t % 2::2] + elems[1 - t % 2::2]]
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(len(results))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        for t, got in enumerate(results):
+            assert got == expected[t % 2::2] + expected[1 - t % 2::2]
+        chain = polys.sturm_chain(gen.m.coeffs)
+        [(a, b, d)] = gen.intervals
+        assert polys.count_roots(chain, F(a, d), F(b, d)) == 1 and d.bit_length() > 100
+
+    def test_cached_intervals_isolate_each_positive_root(self, several):
+        for gen, _ in several:
+            chain = polys.sturm_chain(gen.m.coeffs)
+            intervals = [(F(a, d), F(b, d)) for a, b, d in gen.intervals]
+            assert len(intervals) == gen.positive_roots >= 2
+            assert gen.lo <= intervals[0][0] < intervals[0][1] <= gen.hi
+            assert all(0 <= a < b and polys.count_roots(chain, a, b) == 1 for a, b in intervals)
+            intervals.sort()
+            assert all(b <= a for (_, b), (a, _) in zip(intervals, intervals[1:]))
+
+    def test_deep_queries_at_every_root(self, several):
+        # (X - c)^2 for c within 10^-12 of one positive root is positive at every root but
+        # below 10^-23 at that one, so the query refines that root's interval past
+        # _REFINE_STEPS; the roots reached that way include non-adjoined ones
+        deep = set()
+        for gen, roots in several:
+            gen = validate_generator(gen.m, (gen.lo, gen.hi))
+            for r in roots:
+                e = gen.element([-F(int(r * 10**12), 10**12), 1]) ** 2
+                answer, steps, sequences = counted(in_layer_semifield, e)
+                assert answer is all(signs_at(e, roots)) is True
+                assert max(steps) <= _REFINE_STEPS and sequences <= steps.count(_REFINE_STEPS)
+                assert counted(positive_at_root, e.scale(-1))[0] is False
+                deep.update(i for i, s in enumerate(steps) if s == _REFINE_STEPS)
+        assert 0 in deep and len(deep) > 3

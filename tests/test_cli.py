@@ -122,10 +122,10 @@ class TestEval:
         rc, out, err = run(["--json", "eval", poly, scalar])
         assert time.process_time() - start < 1.0
         assert rc == 0 and not err
-        # 1 + a + a^2 with a = X - r, r = p/q, reduced by X^2 = 2
+        # 1 + a + a^2 with a = X - r, r = p/q, reduced by X^2 = 2; the X coefficient 1 - 2r is negative
         r = F(p, q)
         res = json.loads(out)["result"]
-        assert res == {"layer": f"{3 - r + r * r} + {1 - 2 * r}*X", "value": "0", "essential": [0, 1, 2]}
+        assert res == {"layer": f"{3 - r + r * r} - {2 * r - 1}*X", "value": "0", "essential": [0, 1, 2]}
 
     def test_algebraic_layer_positive_at_both_roots(self, tmp_path):
         # a = X + 1 over x^2 - 3x + 1: a^2 = 5X, as X^2 = 3X - 1, so 1 + a + a^2 = 2 + 6X

@@ -20,6 +20,8 @@ from layext.cancellative import (
     ExtElem,
     PosPoly,
     SignedPoly,
+    in_layer_semifield,
+    positive_at_root,
     validate_generator,
 )
 from layext.tropical import LayeredElem, ValueLattice
@@ -150,6 +152,25 @@ def test_generator_table_and_m_int_stay_out_of_equality_hash_and_repr():
         AlgebraicGenerator(SQRT2.m, SQRT2.lo, SQRT2.hi, SQRT2.table)
     with pytest.raises(AttributeError):
         SQRT2.table = None
+
+
+def test_refined_intervals_stay_out_of_equality_hash_and_repr():
+    # sign queries narrow the cached intervals; copies and pickles start from fresh ones
+    g = validate_generator(SQRT2.m, (SQRT2.lo, SQRT2.hi))
+    fresh = list(g.intervals)
+    hard = [g.element([577, -408]), g.element([-1, 1]) ** 60, g.element([-99, 70])]
+
+    def answers(gen):
+        elems = [gen.element(e.coeffs) for e in hard]
+        return [positive_at_root(e) for e in elems] + [in_layer_semifield(e.scale(-1)) for e in elems]
+
+    expected = answers(g)
+    assert expected == [True, True, False, False, False, True]  # 577/408 and 99/70 exceed √2
+    assert g.intervals != fresh and g.intervals[0][2] > fresh[0][2]
+    assert g == SQRT2 and hash(g) == hash(SQRT2) and repr(g) == SQRT2_REPR
+    for twin in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert twin is not g and twin == g and twin.intervals == fresh
+        assert answers(twin) == expected
 
 
 @pytest.mark.parametrize(
