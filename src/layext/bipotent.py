@@ -15,6 +15,14 @@ quotient group Z^n / lattice classifies the extension: free coordinates give
 divisibly independent generators, torsion coordinates give generators with a
 power in the base.
 
+Queries run on integers.  The lattice build clears the numeric values and
+the declared betas once, to integers over one denominator `den`, and the
+queries on a presentation share its lattice and those integer values; the
+one Fraction a query builds is the rational part of its answer.  A query
+that reads only the columns outside a subset (`extension_rank` over it,
+`is_divisibly_dependent`) runs its one Hermite pass on the basis projected
+onto those columns, and none when they are a prefix of the natural order.
+
 >>> P = BipotentPresentation.from_values(ValueLattice.of(1), "1/2", "1/3")
 >>> dec = decompose_extension(P)
 >>> dec.free_rank, dec.torsion_orders
@@ -138,17 +146,6 @@ class BipotentPresentation:
     def symbolic_indices(self) -> list[int]:
         return [i for i, g in enumerate(self.generators) if isinstance(g, Symbolic)]
 
-    def value_of(self, exps) -> Fraction | None:
-        """The rational value of a monomial, or None if it touches a symbolic generator."""
-        total = Fraction(0)
-        for e, g in zip(exps, self.generators):
-            if e == 0:
-                continue
-            if isinstance(g, Symbolic):
-                return None
-            total += e * g.value
-        return total
-
     def with_generator(self, gen) -> "BipotentPresentation":
         rels = tuple(Relation(r.exps + (0,), r.beta) for r in self.relations)
         return BipotentPresentation(self.base, self.generators + (gen,), rels, self.monoid_exponents)
@@ -184,20 +181,22 @@ def _columns_first(rows, first, ncols):
     return [[row[j] for j in order] + list(row[ncols:]) for row in rows]
 
 
-def _check_relations(P: BipotentPresentation):
+def _check_relations(P: BipotentPresentation, num, scaled):
     """Raise InconsistentRelations unless the declared relations fit the numeric values.
 
-    A relation's defect is the value of its numeric part minus its beta.  The
-    relations are consistent exactly when every integer combination of them
-    with no symbolic exponent left has defect 0, that is when the Hermite
-    form of the rows [symbolic exponents | scaled defect] has no row that is
-    zero on the symbolic columns.
+    `scaled` holds the values of the numeric generators `num`, then the
+    relations' betas, as integers over one denominator.  A relation's defect
+    is the value of its numeric part minus its beta, over that denominator.
+    The relations are consistent exactly when every integer combination of
+    them with no symbolic exponent left has defect 0, that is when the
+    Hermite form of the rows [symbolic exponents | defect] has no row that
+    is zero on the symbolic columns.
     """
-    sym, num = P.symbolic_indices(), P.numeric_indices()
-    defects = [
-        sum((r.exps[i] * P.generators[i].value for i in num), Fraction(0)) - r.beta for r in P.relations
+    sym = P.symbolic_indices()
+    rows = [
+        [r.exps[i] for i in sym] + [sum(r.exps[i] * s for i, s in zip(num, scaled)) - b]
+        for r, b in zip(P.relations, scaled[len(num):])
     ]
-    rows = [[r.exps[i] for i in sym] + [d] for r, d in zip(P.relations, _cleared(defects)[0])]
     if any(not any(row[: len(sym)]) for row in la.hnf(rows, len(sym) + 1)):
         raise InconsistentRelations("declared relations give a numeric monomial a value other than its own")
 
@@ -210,23 +209,23 @@ def exponent_lattice(P: BipotentPresentation) -> ExponentLattice:
     InconsistentRelations when a combination of declared relations
     contradicts the numeric values.
 
-    The numeric values over the base generator g, cleared to integers t_i
-    over one denominator m, put a numeric monomial in the base exactly when
-    sum k_i*t_i = 0 modulo m (m = 0 over a trivial base), so the numeric
-    part of the lattice is `la.congruence_hnf` of them, placed in the
-    numeric columns.  A row's beta is its value, sum k_i*a_i.  Without
+    The numeric values and the declared betas are cleared once, to integers
+    s_i over one denominator `den`; every later step works on those ints.
+    With the base generator g, t_i = s_i*g.denominator and m =
+    den*g.numerator (m = 0 over a trivial base), a numeric monomial lies in
+    the base exactly when sum k_i*t_i = 0 modulo m, so the numeric part of
+    the lattice is `la.congruence_hnf` of them, placed in the numeric
+    columns.  A row's beta is its value over `den`, sum k_i*s_i.  Without
     declared relations these rows are the Hermite basis; with them one
     `la.hnf` merges the relation rows in, their betas riding along.
     """
-    if P.relations:
-        _check_relations(P)
     num = P.numeric_indices()
+    scaled, den = _cleared([P.generators[i].value for i in num] + [r.beta for r in P.relations])
+    if P.relations:
+        _check_relations(P, num, scaled)
     g = P.base.single_generator()
-    values = [P.generators[i].value for i in num]
-    ts, m = _cleared([v / (g or 1) for v in values])
-    scaled, den = _cleared(values + [r.beta for r in P.relations])
     rows = []
-    for k in la.congruence_hnf(ts, m if g else 0):
+    for k in la.congruence_hnf([s * g.denominator for s in scaled[: len(num)]], den * g.numerator):
         row = [0] * P.n
         for i, x in zip(num, k):
             row[i] = x
@@ -237,21 +236,36 @@ def exponent_lattice(P: BipotentPresentation) -> ExponentLattice:
     return ExponentLattice(tuple(tuple(row[:-1]) for row in rows), tuple(row[-1] for row in rows), den)
 
 
-# The last presentation queried, its exponent lattice and, once decomposed,
-# its finished decomposition, shared by consecutive queries on it; one entry
-# keeps no presentation alive beyond the next one queried.  The triple is read
-# and replaced whole, so concurrent callers at worst rebuild it, never mix two
-# presentations' data.
-_last = (None, None, None)
+# The last presentation queried, shared by consecutive queries on it: its
+# exponent lattice, each generator's value as an integer over the lattice's
+# `den` (None for a symbolic one), its base generator and, once decomposed,
+# its finished decomposition.  One entry keeps no presentation alive beyond
+# the next one queried.  The entry is read and replaced whole, so concurrent
+# callers at worst rebuild it, never mix two presentations' data.
+_last = (None, None, None, None, None)
+
+
+def _entry(P: BipotentPresentation):
+    """P's cache entry (P, lattice, integer values, base generator, decomposition or None).
+
+    Built once per run of queries on P; the decomposition is filled in by
+    `decompose_extension`.
+    """
+    global _last
+    entry = _last
+    if entry[0] is not P:
+        lat = exponent_lattice(P)
+        nums = tuple(
+            g.value.numerator * (lat.den // g.value.denominator) if isinstance(g, Numeric) else None
+            for g in P.generators
+        )
+        entry = _last = (P, lat, nums, P.base.single_generator(), None)
+    return entry
 
 
 def _lattice(P: BipotentPresentation) -> ExponentLattice:
     """The exponent lattice of P, built once per run of queries on P."""
-    global _last
-    entry = _last
-    if entry[0] is not P:
-        entry = _last = (P, exponent_lattice(P), None)
-    return entry[1]
+    return _entry(P)[1]
 
 
 def _checked_subset(P: BipotentPresentation, vectors, subset) -> list[int]:
@@ -275,14 +289,31 @@ def _checked_subset(P: BipotentPresentation, vectors, subset) -> list[int]:
     return subset
 
 
+def _is_prefix(cols) -> bool:
+    return cols == list(range(len(cols)))
+
+
 def _basis_first(rows, cols, ncols):
     """The Hermite basis `rows` redone with the columns `cols` first; later columns ride along.
 
     A prefix of range(ncols) keeps the natural order, whose Hermite basis `rows` already is.
     """
-    if cols == list(range(len(cols))):
+    if _is_prefix(cols):
         return rows
     return la.hnf(_columns_first(rows, cols, ncols), ncols)
+
+
+def _projected(basis, cols):
+    """The Hermite basis of the lattice's projection onto the columns `cols`, in that order.
+
+    One Hermite pass over rows as wide as `cols`.  A prefix of the natural
+    order runs none: the Hermite rows that reach into it, cut to it, are
+    that basis already.
+    """
+    c = len(cols)
+    if _is_prefix(cols):
+        return [row[:c] for row in basis if any(row[:c])]
+    return la.hnf([[row[j] for j in cols] for row in basis], c)
 
 
 def _order(basis, vec):
@@ -344,11 +375,10 @@ def decompose_extension(P: BipotentPresentation) -> ExtDecomposition:
     repeated calls return the same object.
     """
     global _last
-    lat = _lattice(P)
-    last, _, dec = _last
-    if last is P and dec is not None:
-        return dec
-    _, diag, v, vinv = la.smith(lat.basis, P.n)
+    entry = _entry(P)
+    if entry[4] is not None:
+        return entry[4]
+    _, diag, v, vinv = la.smith(entry[1].basis, P.n)
     torsion_idx = [i for i, d in enumerate(diag) if d > 1]
     free_idx = list(range(len(diag), P.n))
     dec = ExtDecomposition(
@@ -357,7 +387,7 @@ def decompose_extension(P: BipotentPresentation) -> ExtDecomposition:
         tuple(diag[i] for i in torsion_idx),
         tuple((tuple(row[i] for i in free_idx), tuple(row[i] for i in torsion_idx)) for row in v),
     )
-    _last = (P, lat, dec)
+    _last = entry[:4] + (dec,)
     return dec
 
 
@@ -376,15 +406,14 @@ def is_divisibly_dependent(P: BipotentPresentation, subset) -> bool:
     """Whether the generators indexed by `subset` admit a monomial relation.
 
     Equivalent to the exponent lattice having a nonzero vector supported on
-    those coordinates: a Hermite row, complement columns first, that is zero
-    on the complement.
+    those coordinates, that is to its projection onto the complement having
+    lower rank than the lattice: one Hermite pass over the complement columns.
     """
     subset = _checked_subset(P, (), subset)
     if not subset:
         raise ValueError("subset must be non-empty")
-    complement = [j for j in range(P.n) if j not in subset]
-    basis = _basis_first(_lattice(P).basis, complement, P.n)
-    return any(not any(row[: len(complement)]) for row in basis)
+    basis = _lattice(P).basis
+    return len(_projected(basis, [j for j in range(P.n) if j not in subset])) < len(basis)
 
 
 @record
@@ -404,11 +433,14 @@ def divisible_dependence_witness(P: BipotentPresentation, exps, subset=()) -> De
     power*exps = sum over subset of exponents*e_i + (lattice vector of value beta).
     The power is an order modulo the Hermite rows, complement columns first,
     that reach into the complement; reducing by all rows gives the rest.
+    Everything runs on integers over the lattice's `den`, the check that the
+    removed lattice vector has value beta included; beta is the one Fraction
+    built.
     """
     subset = _checked_subset(P, (exps,), subset)
     complement = [j for j in range(P.n) if j not in subset]
     c = len(complement)
-    lat = _lattice(P)
+    _, lat, nums, _, _ = _entry(P)
     rows = _basis_first([(*row, b) for row, b in zip(lat.basis, lat.betas)], complement, P.n)
     k = _order([row[:c] for row in rows if any(row[:c])], [exps[j] for j in complement])
     if k == INFINITE:
@@ -420,7 +452,9 @@ def divisible_dependence_witness(P: BipotentPresentation, exps, subset=()) -> De
     sub_exps = rem[c:-1]
     for x, i in zip(sub_exps, subset):
         target[i] -= x
-    assert P.value_of(target) in (None, beta)  # target is now the removed lattice vector
+    # target is now the removed lattice vector: unless it touches a symbolic generator, its value is beta
+    assert any(e and s is None for e, s in zip(target, nums)) or sum(
+        e * s for e, s in zip(target, nums) if e) == -rem[-1]
     return DependenceWitness(k, tuple(sub_exps), beta)
 
 
@@ -428,11 +462,16 @@ def extension_rank(P: BipotentPresentation, over=()):
     """[extension : sub-extension generated by the subset]; INFINITE if not torsion.
 
     With an empty subset this is the rank of the whole extension over the base.
+    It is the index of the lattice's projection onto the complement columns:
+    the product of that projection's Hermite pivots, INFINITE when it has
+    fewer rows than columns.
     """
     over = _checked_subset(P, (), over)
     complement = [j for j in range(P.n) if j not in over]
-    basis = _basis_first(_lattice(P).basis, complement, P.n)
-    return math.prod(basis[i][i] if i < len(basis) else 0 for i in range(len(complement))) or INFINITE
+    basis = _projected(_lattice(P).basis, complement)
+    if len(basis) < len(complement):
+        return INFINITE
+    return math.prod(row[i] for i, row in enumerate(basis))
 
 
 def is_bipotent_semifield(P: BipotentPresentation) -> bool:
@@ -461,16 +500,18 @@ def canonical_coset_value(P: BipotentPresentation, exps) -> Fraction | None:
     finds such a vector whenever there is one.  Its beta lies in the base (it
     is 0 over a trivial base), so the class's value modulo the base generator
     is the remainder's numeric value modulo it.  Returns None when symbolic
-    coordinates remain.
+    coordinates remain.  With the remainder's value V over the lattice's
+    `den` and g = p/q, that is (V*q mod den*p) / (den*q), the one Fraction
+    built.
     """
     _checked_subset(P, (exps,), ())
-    sym, num = P.symbolic_indices(), P.numeric_indices()
-    basis = _basis_first(_lattice(P).basis, sym, P.n)
+    sym = P.symbolic_indices()
+    _, lat, nums, g, _ = _entry(P)
+    basis = _basis_first(lat.basis, sym, P.n)
     rem = la.reduce_by_hnf(_columns_first([exps], sym, P.n)[0], basis)
     if any(rem[: len(sym)]):
         return None
-    value = sum((e * P.generators[i].value for e, i in zip(rem[len(sym):], num)), Fraction(0))
-    g = P.base.single_generator()
+    value = sum(e * nums[i] for e, i in zip(rem[len(sym):], P.numeric_indices()))
     if g == 0:
-        return value
-    return value - math.floor(value / g) * g
+        return Fraction(value, lat.den)
+    return Fraction(value * g.denominator % (lat.den * g.numerator), lat.den * g.denominator)

@@ -16,13 +16,27 @@ value of an exponent-lattice vector.  The extension arithmetic of
 for the integer operators that replaced it.  The Hermite, reduction and
 Smith kernels as they were when their operations ran over whole rows, and
 the exponent-lattice build as the one Hermite pass over [t | exponents | beta]
-rows that `intlinalg.congruence_hnf` replaced.
+rows that `intlinalg.congruence_hnf` replaced.  The `bipotent` formulas that
+ran on Fractions or on Hermite passes over all n columns before the queries
+moved to the lattice's integers and to passes over the complement columns:
+a monomial's value, the relation check, the witness's value check, the
+canonical coset value, `extension_rank` and `is_divisibly_dependent`.
 """
 
+import math
 import random
 from fractions import Fraction
 
-from layext.bipotent import BipotentPresentation, ExponentLattice, Relation, _check_relations
+from layext.bipotent import (
+    INFINITE,
+    BipotentPresentation,
+    ExponentLattice,
+    Relation,
+    Symbolic,
+    _columns_first,
+    exponent_lattice,
+)
+from layext.errors import InconsistentRelations
 from layext.cancellative import PosPoly, SignedPoly
 from layext.intlinalg import Vec, _echelon, hnf, identity, reduce_by_hnf, smith
 from layext.polys import Poly, _mul, degree, poly
@@ -476,7 +490,7 @@ def reference_exponent_lattice(P: BipotentPresentation) -> ExponentLattice:
     lattice's Hermite basis, their betas its betas.
     """
     if P.relations:
-        _check_relations(P)
+        check_relations(P)
     num = P.numeric_indices()
     g = P.base.single_generator()
     values = [P.generators[i].value for i in num]
@@ -489,3 +503,67 @@ def reference_exponent_lattice(P: BipotentPresentation) -> ExponentLattice:
     rows = [row[:-1] + [b] for row, b in zip(rows, betas)]
     kept = [row for row in reference_echelon(rows, P.n + 1) if row[0] == 0]
     return ExponentLattice(tuple(row[1:-1] for row in kept), tuple(row[-1] for row in kept), den)
+
+
+def value_of(P: BipotentPresentation, exps) -> Fraction | None:
+    """The rational value of a monomial, or None if it touches a symbolic generator."""
+    total = Fraction(0)
+    for e, g in zip(exps, P.generators):
+        if e == 0:
+            continue
+        if isinstance(g, Symbolic):
+            return None
+        total += e * g.value
+    return total
+
+
+def check_relations(P: BipotentPresentation):
+    """`bipotent._check_relations` on Fraction defects: raise InconsistentRelations unless the relations fit."""
+    sym, num = P.symbolic_indices(), P.numeric_indices()
+    defects = [
+        sum((r.exps[i] * P.generators[i].value for i in num), Fraction(0)) - r.beta for r in P.relations
+    ]
+    rows = [[r.exps[i] for i in sym] + [d] for r, d in zip(P.relations, _cleared(defects)[0])]
+    if any(not any(row[: len(sym)]) for row in hnf(rows, len(sym) + 1)):
+        raise InconsistentRelations("declared relations give a numeric monomial a value other than its own")
+
+
+def witness_value_holds(P: BipotentPresentation, exps, subset, witness) -> bool:
+    """The witness's value check on Fractions: power*exps minus the subset part has value beta, or touches a symbol."""
+    target = [witness.power * e for e in exps]
+    for x, i in zip(witness.exponents, sorted(set(subset))):
+        target[i] -= x
+    return value_of(P, target) in (None, witness.beta)
+
+
+def coset_value(P: BipotentPresentation, exps) -> Fraction | None:
+    """`canonical_coset_value` summing Fraction values and reducing modulo the base generator as a Fraction."""
+    sym, num = P.symbolic_indices(), P.numeric_indices()
+    basis = _basis_first(exponent_lattice(P).basis, sym, P.n)
+    rem = reduce_by_hnf(_columns_first([exps], sym, P.n)[0], basis)
+    if any(rem[: len(sym)]):
+        return None
+    value = sum((e * P.generators[i].value for e, i in zip(rem[len(sym):], num)), Fraction(0))
+    g = P.base.single_generator()
+    if g == 0:
+        return value
+    return value - math.floor(value / g) * g
+
+
+def _basis_first(rows, cols, ncols):
+    """The Hermite basis `rows` redone over all `ncols` columns with `cols` first."""
+    return hnf(_columns_first(rows, cols, ncols), ncols)
+
+
+def extension_rank(P: BipotentPresentation, over=()):
+    """`bipotent.extension_rank` as the Hermite diagonal of the whole basis, complement columns first."""
+    complement = [j for j in range(P.n) if j not in over]
+    basis = _basis_first(exponent_lattice(P).basis, complement, P.n)
+    return math.prod(basis[i][i] if i < len(basis) else 0 for i in range(len(complement))) or INFINITE
+
+
+def is_divisibly_dependent(P: BipotentPresentation, subset) -> bool:
+    """`bipotent.is_divisibly_dependent` as a whole-basis Hermite row, complement first, zero on the complement."""
+    complement = [j for j in range(P.n) if j not in subset]
+    basis = _basis_first(exponent_lattice(P).basis, complement, P.n)
+    return any(not any(row[: len(complement)]) for row in basis)

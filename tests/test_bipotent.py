@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction as F
 from itertools import permutations, product
 
@@ -74,7 +75,7 @@ class TestExponentLattice:
         P = numeric("1/2", "1/3")
         lat = exponent_lattice(P)
         for row, beta in zip(lat.basis, lat.betas):
-            assert P.value_of(row) == F(beta, lat.den)
+            assert R.value_of(P, row) == F(beta, lat.den)
 
     def test_declared_relation_gives_torsion(self):
         P = BipotentPresentation(Z, (Symbolic("g"),), (Relation.of((2,), 1),))
@@ -149,13 +150,13 @@ def reference_lattice(P):
             vec = [0] * P.n
             for pos, i in enumerate(num):
                 vec[i] = k[pos]
-            spanning.append((tuple(vec), P.value_of(vec)))
+            spanning.append((tuple(vec), R.value_of(P, vec)))
     spanning += [(r.exps, r.beta) for r in P.relations]
     vecs = [v for v, _ in spanning]
     # every combination of the spanning rows with no symbolic exponent must keep beta = value
     for c in R.kernel([[v[i] for i in sym] for v in vecs], len(sym)):
         vec = [sum(ci * v[j] for ci, v in zip(c, vecs)) for j in range(P.n)]
-        if P.value_of(vec) != sum(ci * b for ci, (_, b) in zip(c, spanning)):
+        if R.value_of(P, vec) != sum(ci * b for ci, (_, b) in zip(c, spanning)):
             return None
     basis = la.hnf(vecs, P.n)
     betas = tuple(
@@ -556,6 +557,30 @@ class TestSharedQuotient:
         assert divisible_dependence_witness(P, (0, 1, 0), subset=(0,)) == DependenceWitness(1, (3,), F(0))
         assert len(calls) == 1
 
+    def test_complement_queries_run_one_pass_as_wide_as_the_complement(self, monkeypatch):
+        calls = []
+        echelon = la._echelon
+
+        def counted(rows, ncols):
+            rows = [tuple(row) for row in rows]
+            calls.append((ncols, {len(row) for row in rows}))
+            return echelon(rows, ncols)
+
+        gens = (Numeric.of("1/6"), Symbolic("g"), Numeric.of("1/2"), Numeric.of("1/5"))
+        P = BipotentPresentation(Z, gens, (Relation.of((1, 2, 0, 0), 1),))
+        extension_rank(P)  # builds the lattice
+        monkeypatch.setattr(la, "_echelon", counted)
+        for query, arg, complement in [
+            (extension_rank, (0,), [1, 2, 3]),
+            (extension_rank, (1, 3), [0, 2]),
+            (is_divisibly_dependent, (0, 2), [1, 3]),
+            (is_divisibly_dependent, (1,), [0, 2, 3]),
+        ]:
+            calls.clear()
+            got = query(P, arg)
+            assert calls == [(len(complement), {len(complement)})]
+            assert got == getattr(R, query.__name__)(P, arg)
+
     def test_alternating_presentations_keep_their_answers(self):
         P1, P2 = numeric("1/2", "1/3"), numeric("1/4", "1/6")
         for P, rank, degree in [(P1, 6, 2), (P2, 12, 4), (P1, 6, 2)]:
@@ -584,6 +609,142 @@ class TestSharedQuotient:
                 query()
 
 
+PRIMES = (2, 3, 5, 7)
+BASES = (F(1), F(1, 2), F(2), F(1, 6), F(3))
+
+
+def lattice_style_presentation(rng, n, mixed):
+    """A presentation drawn like the `lattice` benchmark's, with n generators.
+
+    Numeric values have denominators built from one to three of the primes
+    2, 3, 5, 7; the base is one or two of BASES, trivial one time in ten.  A
+    mixed presentation has 1-4 symbolic generators and up to as many
+    declared relations, each worth a base multiple, whose symbolic parts are
+    independent, so they are consistent.
+    """
+
+    def value():
+        d = math.prod(p ** rng.randint(1, 2) for p in rng.sample(PRIMES, rng.randint(1, 3)))
+        return F(rng.choice([i for i in range(-30, 31) if i]), d)
+
+    base = ValueLattice.of() if rng.random() < 0.1 else ValueLattice.of(*rng.sample(BASES, rng.randint(1, 2)))
+    if not mixed:
+        return BipotentPresentation(base, tuple(Numeric(value()) for _ in range(n)))
+    sym = sorted(rng.sample(range(n), rng.randint(1, min(4, n - 1))))
+    gens = tuple(Symbolic(f"s{i}") if i in sym else Numeric(value()) for i in range(n))
+    rels = []
+    for k in range(rng.randint(0, len(sym))):
+        exps = [0 if i in sym else rng.randint(-2, 2) for i in range(n)]
+        exps[sym[k]] = rng.choice((-3, -2, -1, 1, 2, 3))  # relation k starts at symbol k
+        for i in sym[k + 1:]:
+            exps[i] = rng.randint(-3, 3)
+        rels.append(Relation(tuple(exps), base.single_generator() * rng.randint(-3, 3)))
+    return BipotentPresentation(base, gens, tuple(rels))
+
+
+class TestIntegerQueries:
+    """Queries run on the integers the lattice build clears; only answers are Fractions."""
+
+    @staticmethod
+    def _fractions_built(call):
+        """The answer of `call()` and the number of `Fraction.__new__` calls it made."""
+        new = F.__new__.__code__
+        calls = []
+
+        def count(frame, event, arg):
+            if event == "call" and frame.f_code is new:
+                calls.append(frame.f_back.f_code.co_name)
+
+        sys.setprofile(count)
+        try:
+            out = call()
+        finally:
+            sys.setprofile(None)
+        return out, len(calls)
+
+    def test_fraction_counts_per_query_and_build(self):
+        rng = random.Random(25)
+        most = {}  # query name -> most Fraction.__new__ calls in one call
+        builds = {}  # n -> most calls in a first query, which builds the lattice
+        for n in (2, 3, 5, 8, 10, 16, 32):
+            for mixed in (False, True, False, True):
+                P = lattice_style_presentation(rng, n, mixed)
+                _, built = self._fractions_built(lambda: torsion_degree(P, (0,) * n))
+                builds[n] = max(builds.get(n, 0), built)
+                for _ in range(4):
+                    x = tuple(rng.randint(-4, 4) for _ in range(n))
+                    y = tuple(rng.randint(-4, 4) for _ in range(n))
+                    subset = tuple(sorted(rng.sample(range(n), rng.randint(1, n - 1))))
+                    for query, args, want in [
+                        (torsion_degree, (x,), None),
+                        (extension_rank, (subset,), R.extension_rank(P, subset)),
+                        (is_divisibly_dependent, (subset,), R.is_divisibly_dependent(P, subset)),
+                        (linearly_dependent_pair, (x, y), None),
+                        (divisible_dependence_witness, (x, subset), None),
+                        (canonical_coset_value, (x,), R.coset_value(P, x)),
+                    ]:
+                        got, calls = self._fractions_built(lambda: query(P, *args))
+                        most[query.__name__] = max(most.get(query.__name__, 0), calls)
+                        if want is not None:
+                            assert got == want
+                        if query is divisible_dependence_witness and got is not None:
+                            assert R.witness_value_holds(P, x, subset, got)
+        assert most == {
+            "torsion_degree": 0,
+            "extension_rank": 0,
+            "is_divisibly_dependent": 0,
+            "linearly_dependent_pair": 0,
+            "divisible_dependence_witness": 1,
+            "canonical_coset_value": 1,
+        }
+        # the build clears the values once and reads the base generator: no Fraction per generator
+        assert max(builds.values()) <= 2, builds
+
+
+@st.composite
+def cleared_presentations(draw):
+    """Presentations whose base generator's denominator need not divide the values' lcm.
+
+    Values over 5, 7 or 35 against bases 3/2 and 1/6, trivial bases, and
+    symbolic generators with random relations, consistent or not.
+    """
+    n = draw(st.integers(1, 4))
+    base = ValueLattice.of(*draw(st.sampled_from([(), (F(3, 2),), (F(1, 6),), (F(1),), (F(2, 3), F(1, 2))])))
+    gens = tuple(
+        Numeric(F(draw(st.integers(-12, 12)), draw(st.sampled_from((1, 5, 7, 35, 3, 4)))))
+        if draw(st.booleans())
+        else Symbolic(f"s{i}")
+        for i in range(n)
+    )
+    rels = ()
+    if any(isinstance(g, Symbolic) for g in gens):
+        g = base.single_generator()
+        rels = tuple(
+            Relation.of([draw(st.integers(-3, 3)) for _ in range(n)], draw(st.integers(-3, 3)) * g)
+            for _ in range(draw(st.integers(0, 3)))
+        )
+    return BipotentPresentation(base, gens, rels)
+
+
+@given(cleared_presentations(), st.data())
+def test_integer_queries_match_the_fraction_formulas(P, data):
+    try:
+        R.check_relations(P)
+    except InconsistentRelations:
+        for query in (exponent_lattice, lambda P: canonical_coset_value(P, (0,) * P.n)):
+            with pytest.raises(InconsistentRelations):
+                query(P)
+        return
+    exps = tuple(data.draw(st.integers(-4, 4)) for _ in range(P.n))
+    subset = tuple(data.draw(st.sets(st.integers(0, P.n - 1))))
+    assert canonical_coset_value(P, exps) == R.coset_value(P, exps)
+    witness = divisible_dependence_witness(P, exps, subset)
+    assert witness is None or R.witness_value_holds(P, exps, subset, witness)
+    assert extension_rank(P, subset) == R.extension_rank(P, subset)
+    if subset:
+        assert is_divisibly_dependent(P, subset) == R.is_divisibly_dependent(P, subset)
+
+
 class TestDecompose:
     def test_halves_and_thirds(self):
         P = numeric("1/2", "1/3")
@@ -591,7 +752,7 @@ class TestDecompose:
         assert dec.free_rank == 0
         assert dec.torsion_orders == (6,)
         mono = dec.torsion_monomials[0]
-        value = P.value_of(mono)
+        value = R.value_of(P, mono)
         # oracle: 6*value is in Z, k*value is not for 1 <= k < 6
         assert (6 * value).denominator == 1
         assert all((k * value).denominator != 1 for k in range(1, 6))
@@ -876,7 +1037,7 @@ class TestCosetValues:
         exps = tuple(data.draw(st.integers(-4, 4)) for _ in range(n))
         v = canonical_coset_value(P, exps)
         assert v is not None and 0 <= v < 1
-        raw = P.value_of(exps)
+        raw = R.value_of(P, exps)
         assert (raw - v).denominator == 1
         # shifting by any lattice vector leaves the canonical value unchanged
         if lat.basis:
@@ -909,7 +1070,7 @@ class TestCosetValues:
             vec = [sum(ci * row[j] for ci, row in zip(c, lat.basis)) for j in range(P.n)]
             beta = sum((ci * F(b, lat.den) for ci, b in zip(c, lat.betas)), F(0))
             numeric_part = [0 if i in sym else x for i, x in enumerate(vec)]
-            table.setdefault(tuple(vec[i] for i in sym), beta - P.value_of(numeric_part))
+            table.setdefault(tuple(vec[i] for i in sym), beta - R.value_of(P, numeric_part))
         return table
 
     def test_matches_brute_force_and_ignores_generator_order(self):
@@ -933,7 +1094,7 @@ class TestCosetValues:
                     unanswered += 1
                     continue
                 # exps minus a lattice vector with the same symbolic part is numeric
-                value = P.value_of([0 if i in sym else e for i, e in enumerate(exps)]) + offset
+                value = R.value_of(P, [0 if i in sym else e for i, e in enumerate(exps)]) + offset
                 assert got == (value if g == 0 else value - math.floor(value / g) * g)
                 answered += 1
                 for perm in permutations(range(P.n)):
