@@ -4,6 +4,7 @@
 Run: python scripts/decompose_demo.py
 """
 
+import random
 from fractions import Fraction as F
 
 from layext import (
@@ -60,6 +61,18 @@ def main():
     print(f"  witness for 1/6 over {{1/2}}: power {w.power}, exponents {list(w.exponents)}, beta {w.beta}")
     print(f"  torsion degree of 5/6 in Z[1/2,1/3]: "
           f"{torsion_degree(BipotentPresentation.from_values(Z, '1/2', '1/3'), (1, 1))}")
+    print()
+
+    # numeric generators only: the quotient is cyclic, and its one monomial and the
+    # generator coordinates have no entry longer than its order
+    print("== 64 numeric generators with 6-digit numerators (either sign) and denominators")
+    rng = random.Random(1)
+    values = [F(rng.choice((-1, 1)) * rng.randint(100000, 999999), rng.randint(100000, 999999)) for _ in range(64)]
+    dec = decompose_extension(BipotentPresentation.from_values(Z, *values))
+    (order,) = dec.torsion_orders
+    entries = [*dec.torsion_monomials[0], *(c for _, tc in dec.generator_coords for c in tc)]
+    print(f"  one torsion monomial, of order D with {order.bit_length()} bits ({len(str(order))} digits)")
+    print(f"  largest monomial or coordinate entry: {max(abs(x) for x in entries).bit_length()} bits")
 
 
 if __name__ == "__main__":

@@ -23,6 +23,13 @@ that reads only the columns outside a subset (`extension_rank` over it,
 `is_divisibly_dependent`) runs its one Hermite pass on the basis projected
 onto those columns, and none when they are a prefix of the natural order.
 
+Only `decompose_extension` may build a Smith form, and only for a
+presentation with symbolic generators.  Without them the quotient is cyclic
+(free of rank 1 over a trivial base), and its decomposition follows in
+closed form from one gcd on the same integers: one monomial, reduced by the
+Hermite basis, and one coordinate per generator, a symmetric residue modulo
+the order.
+
 >>> P = BipotentPresentation.from_values(ValueLattice.of(1), "1/2", "1/3")
 >>> dec = decompose_extension(P)
 >>> dec.free_rank, dec.torsion_orders
@@ -347,6 +354,15 @@ class ExtDecomposition:
     monomial has the matching order as its minimal power landing in the base.
     `generator_coords[j]` expresses generator j as an integer combination of
     (free monomials, torsion monomials) modulo the exponent lattice.
+
+    Without symbolic generators the output is canonical: over a base <g>,
+    at most one torsion monomial, of order D and value g/D modulo the base,
+    reduced by the lattice's Hermite basis (so every entry is below D), and
+    coordinates the symmetric residues in (-D/2, D/2]; over the trivial
+    base, at most one free monomial, Hermite-reduced, whose value is the
+    gcd h > 0 of the values, and coordinates a_j/h.  With symbolic
+    generators the monomials are a basis read off the Smith form, valid but
+    dependent on its pivot order.
     """
 
     free_monomials: tuple
@@ -365,28 +381,106 @@ class ExtDecomposition:
         return math.prod(self.torsion_orders) if self.torsion_orders else 1
 
 
-def decompose_extension(P: BipotentPresentation) -> ExtDecomposition:
-    """Split the extension into a divisibly free part and a torsion part.
+def _bezout(us, c):
+    """Integers k with k1*u1 + ... + kn*un ≡ gcd(c, u1, ..., un) modulo c, and equal to it when c = 0.
 
-    Read off the Smith form U·B·V = diag(d1, ..., dr) of the exponent
-    lattice's basis B: the rows of V⁻¹ with d > 1 are torsion monomials of
-    order d, those beyond the lattice rank r the free monomials, and the rows
-    of V the generators' coordinates.  Built once per run of queries on P;
-    repeated calls return the same object.
+    One gcd chain that starts from c: a u_i that lowers the running gcd r
+    to r' = x*r + y*u_i scales the earlier coefficients by x and takes y as
+    its own.  Over c > 0 the coefficients are kept modulo c.  Starting from
+    c matters: the u_i alone may share a factor that c does not.
     """
-    global _last
-    entry = _entry(P)
-    if entry[4] is not None:
-        return entry[4]
-    _, diag, v, vinv = la.smith(entry[1].basis, P.n)
+    k = [0] * len(us)
+    r = c
+    for i, u in enumerate(us):
+        if r == 1:
+            break
+        g = math.gcd(r, u)
+        if g == r:
+            continue
+        if r:
+            y = pow(u // g, -1, r // g)
+            x = (g - y * u) // r
+            k = [e * x % c if c else e * x for e in k]
+        else:  # the first nonzero u over c = 0; every earlier coefficient is 0
+            y = 1 if u > 0 else -1
+        k[i] = y
+        r = g
+    return k
+
+
+def _cyclic_decomposition(lat: ExponentLattice, nums, g) -> ExtDecomposition:
+    """The decomposition of a presentation without symbolic generators, in closed form.
+
+    With the integer values s_i over the lattice's `den` and g = p/q, a
+    monomial k lies in the base exactly when sum k_i*t_i ≡ 0 modulo m,
+    t_i = s_i*q, m = den*p, so k ↦ sum k_i*t_i maps Z^n modulo the lattice
+    onto the multiples of G = gcd(m, t_1, ..., t_n) modulo m: a cyclic group
+    of order D = m/G.  Its monomial maps to G, and so has value g/D modulo
+    the base; generator j's coordinate is t_j/G modulo D.  Over the trivial
+    base (m = 0) the map is onto the multiples of h = gcd(s_1, ..., s_n),
+    which are free; its monomial has value h/den and generator j the
+    coordinate s_j/h.  Each monomial is a Bézout chain reduced by the
+    Hermite basis, the one Hermite-reduced vector of its class.
+    """
+    m = lat.den * g.numerator
+    if m:
+        ts = [s * g.denominator for s in nums]
+        G = math.gcd(m, *ts)
+        D = m // G
+        if D > 1:
+            us = [t // G % D for t in ts]
+            mono = la.reduce_by_hnf(_bezout(us, D), lat.basis)
+            return ExtDecomposition((), (mono,), (D,), tuple(((), (u - D if 2 * u > D else u,)) for u in us))
+    else:
+        h = math.gcd(*nums)
+        if h:
+            mono = la.reduce_by_hnf(_bezout(nums, 0), lat.basis)
+            return ExtDecomposition((mono,), (), (), tuple(((s // h,), ()) for s in nums))
+    return ExtDecomposition((), (), (), (((), ()),) * len(nums))  # the quotient is trivial
+
+
+def _smith_decomposition(basis, n: int) -> ExtDecomposition:
+    """The decomposition read off the Smith form U·B·V = diag(d1, ..., dr) of the lattice's basis B.
+
+    The rows of V⁻¹ with d > 1 are torsion monomials of order d, those
+    beyond the lattice rank r the free monomials, and the rows of V the
+    generators' coordinates.
+    """
+    _, diag, v, vinv = la.smith(basis, n)
     torsion_idx = [i for i, d in enumerate(diag) if d > 1]
-    free_idx = list(range(len(diag), P.n))
-    dec = ExtDecomposition(
+    free_idx = list(range(len(diag), n))
+    return ExtDecomposition(
         tuple(tuple(vinv[i]) for i in free_idx),
         tuple(tuple(vinv[i]) for i in torsion_idx),
         tuple(diag[i] for i in torsion_idx),
         tuple((tuple(row[i] for i in free_idx), tuple(row[i] for i in torsion_idx)) for row in v),
     )
+
+
+def decompose_extension(P: BipotentPresentation) -> ExtDecomposition:
+    """Split the extension into a divisibly free part and a torsion part.
+
+    Without symbolic generators the quotient Z^n / lattice is cyclic, and
+    its decomposition is written in closed form from one gcd, with no Smith
+    form (`_cyclic_decomposition`): over a base <g>, at most one torsion
+    monomial, of order D and value g/D modulo the base, reduced by the
+    Hermite basis so that every entry is below D, with generator
+    coordinates the symmetric residues in (-D/2, D/2]; over the trivial
+    base, at most one free monomial, whose value h is the gcd of the values,
+    with generator j's coordinate a_j/h.  With symbolic generators it is
+    read off the Smith form of the lattice's basis (`_smith_decomposition`).
+    Built once per run of queries on P; repeated calls return the same
+    object.
+    """
+    global _last
+    entry = _entry(P)
+    if entry[4] is not None:
+        return entry[4]
+    _, lat, nums, g, _ = entry
+    if None in nums:
+        dec = _smith_decomposition(lat.basis, P.n)
+    else:
+        dec = _cyclic_decomposition(lat, nums, g)
     _last = entry[:4] + (dec,)
     return dec
 

@@ -74,11 +74,18 @@ def cmd_decompose(args) -> tuple:
             for fc, tc in dec.generator_coords
         ],
     }
-    notes = [
-        "free_rank and torsion_orders come from the Smith normal form of the exponent lattice",
-        "monomials are rows of the inverse column transform, one per invariant factor > 1 or free column",
-        "rank is the product of the torsion orders, infinite when a free part exists",
-    ]
+    if P.symbolic_indices():
+        notes = [
+            "free_rank and torsion_orders come from the Smith normal form of the exponent lattice",
+            "monomials are rows of the inverse column transform, one per invariant factor > 1 or free column",
+        ]
+    else:
+        notes = [
+            "without symbolic generators Z^n modulo the exponent lattice is cyclic (free over a trivial base), "
+            "so free_rank and torsion_orders come from one gcd",
+            "the one monomial is reduced by the lattice's Hermite basis; torsion coefficients are residues in (-d/2, d/2]",
+        ]
+    notes.append("rank is the product of the torsion orders, infinite when a free part exists")
     return payload, notes
 
 

@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+import time
 from fractions import Fraction as F
 from itertools import permutations, product
 
@@ -472,6 +473,7 @@ class TestSharedQuotient:
         assert calls == {"lattice": 3, "smith": 2}
 
     def test_only_decompose_runs_a_smith_form(self, monkeypatch):
+        # and only with a symbolic generator: a numeric presentation decomposes in closed form
         calls = self._counting(monkeypatch)
         P = numeric("1/2", "1/6")
         assert divisible_dependence_witness(P, (0, 1), subset=(0,)).power == 3
@@ -481,7 +483,12 @@ class TestSharedQuotient:
         assert is_bipotent_semifield(P)
         assert calls == {"lattice": 1, "smith": 0}
         assert decompose_extension(P).torsion_orders == (6,)
-        assert calls == {"lattice": 1, "smith": 1}
+        assert calls == {"lattice": 1, "smith": 0}
+        S = BipotentPresentation(Z, (Numeric.of("1/2"), Symbolic("g")), (Relation.of((0, 3), 1),))
+        assert extension_rank(S) == 6
+        assert calls == {"lattice": 2, "smith": 0}
+        assert decompose_extension(S).torsion_orders == (6,)
+        assert calls == {"lattice": 2, "smith": 1}
 
     def test_echelon_calls_of_lattice_builds_and_dependence_queries(self, monkeypatch):
         # the numeric part of a lattice is solved in closed form: a Hermite
@@ -682,6 +689,7 @@ class TestIntegerQueries:
                         (linearly_dependent_pair, (x, y), None),
                         (divisible_dependence_witness, (x, subset), None),
                         (canonical_coset_value, (x,), R.coset_value(P, x)),
+                        (decompose_extension, (), None),
                     ]:
                         got, calls = self._fractions_built(lambda: query(P, *args))
                         most[query.__name__] = max(most.get(query.__name__, 0), calls)
@@ -696,6 +704,7 @@ class TestIntegerQueries:
             "linearly_dependent_pair": 0,
             "divisible_dependence_witness": 1,
             "canonical_coset_value": 1,
+            "decompose_extension": 0,
         }
         # the build clears the values once and reads the base generator: no Fraction per generator
         assert max(builds.values()) <= 2, builds
@@ -819,6 +828,147 @@ class TestDecompose:
                 dp = decompose_extension(R.permuted(P, perm))
                 assert dp.free_rank == t
                 assert dp.torsion_orders == orders
+
+
+def check_closed_form(P):
+    """The closed-form decomposition of a numeric presentation, with Smith's invariants as the oracle.
+
+    Over a base <g>: at most one torsion monomial, of order D and value g/D
+    modulo the base, Hermite-reduced (every entry below D), and generator
+    coordinates in (-D/2, D/2].  Over the trivial base: at most one free
+    monomial, of positive value, Hermite-reduced, and each generator's value
+    its coordinate times that value.  Every generator is rebuilt from its
+    coordinates modulo the lattice.
+    """
+    dec = decompose_extension(P)
+    lat = exponent_lattice(P)
+    n = P.n
+    _, free_rank, torsion = R.smith_invariants(lat.basis, n)
+    assert (dec.free_rank, dec.torsion_orders) == (free_rank, torsion)
+    assert len(dec.free_monomials) + len(dec.torsion_monomials) <= 1
+    D = math.prod(dec.torsion_orders)
+    assert extension_rank(P) == (INFINITE if dec.free_rank else D)
+    g = P.base.single_generator()
+    for mono in dec.torsion_monomials:
+        assert la.reduce_by_hnf(mono, lat.basis) == mono
+        assert all(0 <= x < D for x in mono)
+        assert torsion_degree(P, mono) == D
+        assert canonical_coset_value(P, mono) == g / D
+    for mono in dec.free_monomials:
+        assert g == 0
+        assert la.reduce_by_hnf(mono, lat.basis) == mono
+        h = R.value_of(P, mono)
+        assert h > 0
+        assert all(gen.value == fc[0] * h for gen, (fc, _) in zip(P.generators, dec.generator_coords))
+    assert len(dec.generator_coords) == n
+    for j, (fc, tc) in enumerate(dec.generator_coords):
+        assert all(-D < 2 * c <= D for c in tc)
+        combo = [0] * n
+        for c, mono in list(zip(fc, dec.free_monomials)) + list(zip(tc, dec.torsion_monomials)):
+            combo = [a + c * b for a, b in zip(combo, mono)]
+        assert linearly_dependent_pair(P, unit(n, j), tuple(combo))
+    return dec
+
+
+CLOSED_FORM_BASES = [
+    ValueLattice.of(1),
+    ValueLattice.of("3/2"),
+    ValueLattice.of("1/6", "3/4"),
+    ValueLattice.of("2", "5/3", "10"),
+    ValueLattice.of(),
+]
+
+
+class TestClosedFormDecomposition:
+    """Presentations without symbolic generators decompose by one gcd, with no Smith form."""
+
+    @pytest.mark.parametrize("base", CLOSED_FORM_BASES, ids=str)
+    @pytest.mark.parametrize("values, shape", [
+        ((), (0, ())),
+        (("0",), (0, ())),
+        (("0", "0"), (0, ())),
+        (("-5/7",), None),
+        (("1/2", "1/3"), None),
+        (("-1/2", "0", "7/9", "-2/15"), None),
+        (("3", "-6", "15/2"), None),
+    ])
+    def test_edge_cases_against_smith(self, base, values, shape):
+        dec = check_closed_form(BipotentPresentation.from_values(base, *values))
+        if shape is not None:
+            assert (dec.free_rank, dec.torsion_orders) == shape
+
+    def test_values_in_the_base_have_order_1(self):
+        P = BipotentPresentation.from_values(ValueLattice.of("1/2"), "1", "-3/2", "0")
+        dec = check_closed_form(P)
+        assert dec == bipotent.ExtDecomposition((), (), (), (((), ()),) * 3)
+
+    def test_trivial_base_is_free_of_rank_1(self):
+        P = BipotentPresentation.from_values(ValueLattice.of(), "1/2", "-1/3", "0")
+        dec = check_closed_form(P)
+        assert dec.free_monomials == ((1, 1, 0),)  # value 1/2 - 1/3 = 1/6, the gcd of the values
+        assert [fc for fc, _ in dec.generator_coords] == [(3,), (-2,), (0,)]
+
+    def test_sixths(self):
+        # 1/2 + 2*(1/3) = 7/6, which is 1/6 modulo <1>; 1/2 = 3*(1/6) and 1/3 = 2*(1/6)
+        dec = check_closed_form(numeric("1/2", "1/3"))
+        assert dec.torsion_monomials == ((1, 2),)
+        assert dec.generator_coords == (((), (3,)), ((), (2,)))
+
+    def test_symmetric_residues(self):
+        # 1/6 and 5/6 over <1>: the coordinate of 5/6 is -1, not 5
+        dec = check_closed_form(numeric("1/6", "5/6"))
+        assert dec.torsion_orders == (6,)
+        assert dec.generator_coords == (((), (1,)), ((), (-1,)))
+
+    def test_the_chain_starts_from_the_order(self):
+        # 2/3 over <1>: D = 3 and t/G = 2, so a chain over the t/G alone would end at 2 and
+        # pick the monomial (1,), of value 2/3; from D it picks (2,), of value 4/3 = 1/3 modulo 1
+        dec = check_closed_form(numeric("2/3"))
+        assert dec.torsion_monomials == ((2,),)
+        assert dec.generator_coords == (((), (-1,)),)
+
+    def test_seeded_presentations(self):
+        rng = random.Random(2610)
+        seen = {"trivial_base": 0, "order_1": 0, "zero_value": 0, "negative_value": 0, "many": 0}
+        for _ in range(400):
+            base = rng.choice(CLOSED_FORM_BASES)
+            n = rng.randint(0, 7)
+            nums = [rng.randint(-40, 40) if rng.random() < 0.9 else 0 for _ in range(n)]
+            values = [F(a, rng.choice((1, 2, 3, 4, 6, 9, 10, 12, 35))) for a in nums]
+            dec = check_closed_form(BipotentPresentation.from_values(base, *values))
+            seen["trivial_base"] += base.single_generator() == 0
+            seen["order_1"] += not (dec.free_monomials or dec.torsion_monomials)
+            seen["zero_value"] += 0 in values
+            seen["negative_value"] += any(v < 0 for v in values)
+            seen["many"] += n >= 5
+        assert all(count >= 20 for count in seen.values()), seen
+
+    @given(
+        st.sampled_from(CLOSED_FORM_BASES),
+        st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=60), max_size=6),
+    )
+    def test_hypothesis_presentations(self, base, values):
+        check_closed_form(BipotentPresentation.from_values(base, *values))
+
+
+class TestDecompositionGrowth:
+    """Entry sizes and time of a numeric decomposition on many 6-digit values (ROADMAP item 10)."""
+
+    @pytest.mark.parametrize("n", [8, 16, 32, 48, 64])
+    def test_entries_have_at_most_the_bits_of_the_order(self, n):
+        # under Smith the n = 32 monomial had 2191-bit entries against a 503-bit order
+        dec = decompose_extension(R.item_10_presentation(n))
+        (order,) = dec.torsion_orders
+        entries = [x for mono in dec.torsion_monomials for x in mono]
+        entries += [c for _, tc in dec.generator_coords for c in tc]
+        assert max(abs(x).bit_length() for x in entries) <= order.bit_length()
+
+    def test_64_generators_decompose_in_under_a_quarter_second(self):
+        # process time of the lattice build and the decomposition; under Smith it was ~1.6 s
+        P = R.item_10_presentation(64)
+        start = time.process_time()
+        decompose_extension(P)
+        assert time.process_time() - start < 0.25
 
 
 class TestDependence:

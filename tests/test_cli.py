@@ -10,8 +10,10 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+import reference as R
 from conftest import src_env
 from layext import jsonio
+from layext.bipotent import extension_rank
 from layext.cli import COMMANDS, main
 from layext.cancellative import PosPoly
 from layext.errors import ParseError
@@ -71,6 +73,16 @@ class TestDecompose:
         assert res["free_rank"] == 1
         assert res["torsion_orders"] == []
         assert res["rank"] == "infinite"
+
+    def test_64_numeric_generators_print_their_order(self, tmp_path):
+        # ROADMAP items 2 and 10: Smith's coordinates for this input had more than
+        # 4300 digits, so the command refused its answer with ResultTooLarge
+        P = R.item_10_presentation(64)
+        rc, out, err = run(["decompose", write(tmp_path, "p.json", jsonio.render_presentation(P))])
+        assert (rc, err) == (0, "")
+        order = extension_rank(P)
+        assert len(str(order)) == 284
+        assert f"torsion_orders: [{order}]\n" in out
 
     def test_malformed_json(self, tmp_path):
         p = tmp_path / "bad.json"
