@@ -17,11 +17,12 @@ power in the base.
 
 Queries run on integers.  The lattice build clears the numeric values and
 the declared betas once, to integers over one denominator `den`, and the
-queries on a presentation share its lattice and those integer values; the
-one Fraction a query builds is the rational part of its answer.  A query
-that reads only the columns outside a subset (`extension_rank` over it,
-`is_divisibly_dependent`) runs its one Hermite pass on the basis projected
-onto those columns, and none when they are a prefix of the natural order.
+queries on a presentation share its lattice and the congruence the build
+solved; the one Fraction a query builds is the rational part of its answer.
+A query that reads only the columns outside a subset (`extension_rank` over
+it, `is_divisibly_dependent`) runs its one Hermite pass on the basis
+projected onto those columns, and none when they are a prefix of the
+natural order.
 
 Only `decompose_extension` may build a Smith form, and only for a
 presentation with symbolic generators.  Without them the quotient is cyclic
@@ -208,6 +209,14 @@ def _check_relations(P: BipotentPresentation, num, scaled):
         raise InconsistentRelations("declared relations give a numeric monomial a value other than its own")
 
 
+# The last presentation built, [P, lattice, t, m, q, decomposition or None]:
+# t holds each generator's t_i (None for a symbolic one), and
+# `decompose_extension` fills in the last slot.  One entry keeps no
+# presentation alive beyond the next one; a build replaces it whole, so
+# concurrent callers at worst rebuild it, never mix two presentations' data.
+_last = [None]
+
+
 def exponent_lattice(P: BipotentPresentation) -> ExponentLattice:
     """The lattice of exponent vectors whose monomial lies in the base.
 
@@ -218,21 +227,27 @@ def exponent_lattice(P: BipotentPresentation) -> ExponentLattice:
 
     The numeric values and the declared betas are cleared once, to integers
     s_i over one denominator `den`; every later step works on those ints.
-    With the base generator g, t_i = s_i*g.denominator and m =
-    den*g.numerator (m = 0 over a trivial base), a numeric monomial lies in
-    the base exactly when sum k_i*t_i = 0 modulo m, so the numeric part of
-    the lattice is `la.congruence_hnf` of them, placed in the numeric
-    columns.  A row's beta is its value over `den`, sum k_i*s_i.  Without
-    declared relations these rows are the Hermite basis; with them one
-    `la.hnf` merges the relation rows in, their betas riding along.
+    With the base generator g = p/q, t_i = s_i*q and m = den*p (m = 0 over a
+    trivial base), a numeric monomial lies in the base exactly when
+    sum k_i*t_i = 0 modulo m, so the numeric part of the lattice is
+    `la.congruence_hnf` of them, placed in the numeric columns.  A row's
+    beta is its value over `den`, sum k_i*s_i.  Without declared relations
+    these rows are the Hermite basis; with them one `la.hnf` merges the
+    relation rows in, their betas riding along.  The build stores P's cache
+    entry, with t, m and q, for the queries that follow.
     """
+    global _last
     num = P.numeric_indices()
     scaled, den = _cleared([P.generators[i].value for i in num] + [r.beta for r in P.relations])
     if P.relations:
         _check_relations(P, num, scaled)
     g = P.base.single_generator()
+    q, m = g.denominator, den * g.numerator
+    ts = [None] * P.n
+    for i, s in zip(num, scaled):
+        ts[i] = s * q
     rows = []
-    for k in la.congruence_hnf([s * g.denominator for s in scaled[: len(num)]], den * g.numerator):
+    for k in la.congruence_hnf([ts[i] for i in num], m):
         row = [0] * P.n
         for i, x in zip(num, k):
             row[i] = x
@@ -240,39 +255,22 @@ def exponent_lattice(P: BipotentPresentation) -> ExponentLattice:
     if P.relations:
         rows += [[*r.exps, b] for r, b in zip(P.relations, scaled[len(num):])]
         rows = la.hnf(rows, P.n)
-    return ExponentLattice(tuple(tuple(row[:-1]) for row in rows), tuple(row[-1] for row in rows), den)
+    lat = ExponentLattice(tuple(tuple(row[:-1]) for row in rows), tuple(row[-1] for row in rows), den)
+    _last = [P, lat, ts, m, q, None]
+    return lat
 
 
-# The last presentation queried, shared by consecutive queries on it: its
-# exponent lattice, each generator's value as an integer over the lattice's
-# `den` (None for a symbolic one), its base generator and, once decomposed,
-# its finished decomposition.  One entry keeps no presentation alive beyond
-# the next one queried.  The entry is read and replaced whole, so concurrent
-# callers at worst rebuild it, never mix two presentations' data.
-_last = (None, None, None, None, None)
+def _entry(P: BipotentPresentation) -> list:
+    """P's cache entry, built once per run of queries on P.
 
-
-def _entry(P: BipotentPresentation):
-    """P's cache entry (P, lattice, integer values, base generator, decomposition or None).
-
-    Built once per run of queries on P; the decomposition is filled in by
-    `decompose_extension`.
+    Another thread's build may replace the entry before it is read back;
+    the loop then builds P's again.
     """
-    global _last
     entry = _last
-    if entry[0] is not P:
-        lat = exponent_lattice(P)
-        nums = tuple(
-            g.value.numerator * (lat.den // g.value.denominator) if isinstance(g, Numeric) else None
-            for g in P.generators
-        )
-        entry = _last = (P, lat, nums, P.base.single_generator(), None)
+    while entry[0] is not P:
+        exponent_lattice(P)
+        entry = _last
     return entry
-
-
-def _lattice(P: BipotentPresentation) -> ExponentLattice:
-    """The exponent lattice of P, built once per run of queries on P."""
-    return _entry(P)[1]
 
 
 def _checked_subset(P: BipotentPresentation, vectors, subset) -> list[int]:
@@ -408,23 +406,21 @@ def _bezout(us, c):
     return k
 
 
-def _cyclic_decomposition(lat: ExponentLattice, nums, g) -> ExtDecomposition:
+def _cyclic_decomposition(lat: ExponentLattice, ts, m: int) -> ExtDecomposition:
     """The decomposition of a presentation without symbolic generators, in closed form.
 
-    With the integer values s_i over the lattice's `den` and g = p/q, a
-    monomial k lies in the base exactly when sum k_i*t_i ≡ 0 modulo m,
-    t_i = s_i*q, m = den*p, so k ↦ sum k_i*t_i maps Z^n modulo the lattice
-    onto the multiples of G = gcd(m, t_1, ..., t_n) modulo m: a cyclic group
-    of order D = m/G.  Its monomial maps to G, and so has value g/D modulo
-    the base; generator j's coordinate is t_j/G modulo D.  Over the trivial
-    base (m = 0) the map is onto the multiples of h = gcd(s_1, ..., s_n),
+    With the build's congruence (`exponent_lattice`), a monomial k lies in
+    the base exactly when sum k_i*t_i ≡ 0 modulo m, so k ↦ sum k_i*t_i maps
+    Z^n modulo the lattice onto the multiples of G = gcd(m, t_1, ..., t_n)
+    modulo m: a cyclic group of order D = m/G.  Its monomial maps to G, and
+    so has value g/D modulo the base; generator j's coordinate is t_j/G
+    modulo D.  Over the trivial base (m = 0, q = 1, so t_i is the value
+    times `den`) the map is onto the multiples of h = gcd(t_1, ..., t_n),
     which are free; its monomial has value h/den and generator j the
-    coordinate s_j/h.  Each monomial is a Bézout chain reduced by the
+    coordinate t_j/h.  Each monomial is a Bézout chain reduced by the
     Hermite basis, the one Hermite-reduced vector of its class.
     """
-    m = lat.den * g.numerator
     if m:
-        ts = [s * g.denominator for s in nums]
         G = math.gcd(m, *ts)
         D = m // G
         if D > 1:
@@ -432,11 +428,11 @@ def _cyclic_decomposition(lat: ExponentLattice, nums, g) -> ExtDecomposition:
             mono = la.reduce_by_hnf(_bezout(us, D), lat.basis)
             return ExtDecomposition((), (mono,), (D,), tuple(((), (u - D if 2 * u > D else u,)) for u in us))
     else:
-        h = math.gcd(*nums)
+        h = math.gcd(*ts)
         if h:
-            mono = la.reduce_by_hnf(_bezout(nums, 0), lat.basis)
-            return ExtDecomposition((mono,), (), (), tuple(((s // h,), ()) for s in nums))
-    return ExtDecomposition((), (), (), (((), ()),) * len(nums))  # the quotient is trivial
+            mono = la.reduce_by_hnf(_bezout(ts, 0), lat.basis)
+            return ExtDecomposition((mono,), (), (), tuple(((t // h,), ()) for t in ts))
+    return ExtDecomposition((), (), (), (((), ()),) * len(ts))  # the quotient is trivial
 
 
 def _smith_decomposition(basis, n: int) -> ExtDecomposition:
@@ -472,23 +468,17 @@ def decompose_extension(P: BipotentPresentation) -> ExtDecomposition:
     Built once per run of queries on P; repeated calls return the same
     object.
     """
-    global _last
     entry = _entry(P)
-    if entry[4] is not None:
-        return entry[4]
-    _, lat, nums, g, _ = entry
-    if None in nums:
-        dec = _smith_decomposition(lat.basis, P.n)
-    else:
-        dec = _cyclic_decomposition(lat, nums, g)
-    _last = entry[:4] + (dec,)
-    return dec
+    if entry[5] is None:
+        _, lat, ts, m, _, _ = entry
+        entry[5] = _smith_decomposition(lat.basis, P.n) if None in ts else _cyclic_decomposition(lat, ts, m)
+    return entry[5]
 
 
 def torsion_degree(P: BipotentPresentation, exps):
     """Minimal k >= 1 with k times the monomial landing in the base, else INFINITE."""
     _checked_subset(P, (exps,), ())
-    return _order(_lattice(P).basis, exps)
+    return _order(_entry(P)[1].basis, exps)
 
 
 def torsion_subdomain_contains(P: BipotentPresentation, exps) -> bool:
@@ -506,7 +496,7 @@ def is_divisibly_dependent(P: BipotentPresentation, subset) -> bool:
     subset = _checked_subset(P, (), subset)
     if not subset:
         raise ValueError("subset must be non-empty")
-    basis = _lattice(P).basis
+    basis = _entry(P)[1].basis
     return len(_projected(basis, [j for j in range(P.n) if j not in subset])) < len(basis)
 
 
@@ -527,14 +517,14 @@ def divisible_dependence_witness(P: BipotentPresentation, exps, subset=()) -> De
     power*exps = sum over subset of exponents*e_i + (lattice vector of value beta).
     The power is an order modulo the Hermite rows, complement columns first,
     that reach into the complement; reducing by all rows gives the rest.
-    Everything runs on integers over the lattice's `den`, the check that the
-    removed lattice vector has value beta included; beta is the one Fraction
-    built.
+    Everything runs on integers: the betas over the lattice's `den`, and the
+    check that the removed lattice vector has value beta on the build's t_i,
+    over den*q.  beta is the one Fraction built.
     """
     subset = _checked_subset(P, (exps,), subset)
     complement = [j for j in range(P.n) if j not in subset]
     c = len(complement)
-    _, lat, nums, _, _ = _entry(P)
+    _, lat, ts, _, q, _ = _entry(P)
     rows = _basis_first([(*row, b) for row, b in zip(lat.basis, lat.betas)], complement, P.n)
     k = _order([row[:c] for row in rows if any(row[:c])], [exps[j] for j in complement])
     if k == INFINITE:
@@ -547,8 +537,8 @@ def divisible_dependence_witness(P: BipotentPresentation, exps, subset=()) -> De
     for x, i in zip(sub_exps, subset):
         target[i] -= x
     # target is now the removed lattice vector: unless it touches a symbolic generator, its value is beta
-    assert any(e and s is None for e, s in zip(target, nums)) or sum(
-        e * s for e, s in zip(target, nums) if e) == -rem[-1]
+    assert any(e and t is None for e, t in zip(target, ts)) or sum(
+        e * t for e, t in zip(target, ts) if e) == -rem[-1] * q
     return DependenceWitness(k, tuple(sub_exps), beta)
 
 
@@ -562,7 +552,7 @@ def extension_rank(P: BipotentPresentation, over=()):
     """
     over = _checked_subset(P, (), over)
     complement = [j for j in range(P.n) if j not in over]
-    basis = _projected(_lattice(P).basis, complement)
+    basis = _projected(_entry(P)[1].basis, complement)
     if len(basis) < len(complement):
         return INFINITE
     return math.prod(row[i] for i, row in enumerate(basis))
@@ -583,7 +573,7 @@ def is_bipotent_semifield(P: BipotentPresentation) -> bool:
 def linearly_dependent_pair(P: BipotentPresentation, x_exps, y_exps) -> bool:
     """Whether the two monomials differ by a base factor (equal classes)."""
     _checked_subset(P, (x_exps, y_exps), ())
-    return _lattice(P).contains(tuple(a - b for a, b in zip(x_exps, y_exps)))
+    return _entry(P)[1].contains(tuple(a - b for a, b in zip(x_exps, y_exps)))
 
 
 def canonical_coset_value(P: BipotentPresentation, exps) -> Fraction | None:
@@ -594,18 +584,16 @@ def canonical_coset_value(P: BipotentPresentation, exps) -> Fraction | None:
     finds such a vector whenever there is one.  Its beta lies in the base (it
     is 0 over a trivial base), so the class's value modulo the base generator
     is the remainder's numeric value modulo it.  Returns None when symbolic
-    coordinates remain.  With the remainder's value V over the lattice's
-    `den` and g = p/q, that is (V*q mod den*p) / (den*q), the one Fraction
-    built.
+    coordinates remain.  With the build's t_i, m and q, the remainder's
+    value is V/(den*q), V = sum e_i*t_i, so that is (V mod m) / (den*q), the
+    one Fraction built.
     """
     _checked_subset(P, (exps,), ())
     sym = P.symbolic_indices()
-    _, lat, nums, g, _ = _entry(P)
+    _, lat, ts, m, q, _ = _entry(P)
     basis = _basis_first(lat.basis, sym, P.n)
     rem = la.reduce_by_hnf(_columns_first([exps], sym, P.n)[0], basis)
     if any(rem[: len(sym)]):
         return None
-    value = sum(e * nums[i] for e, i in zip(rem[len(sym):], P.numeric_indices()))
-    if g == 0:
-        return Fraction(value, lat.den)
-    return Fraction(value * g.denominator % (lat.den * g.numerator), lat.den * g.denominator)
+    value = sum(e * ts[i] for e, i in zip(rem[len(sym):], P.numeric_indices()))
+    return Fraction(value % m if m else value, lat.den * q)

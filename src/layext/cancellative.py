@@ -26,7 +26,7 @@ positive root.  Split into its positive- and negative-coefficient parts,
 each increasing on [0, ∞), the element's numerators are bounded on an
 interval by integer Horner sums; while the bound straddles zero the interval
 is bisected in place, and after a fixed number of bisections one
-Sturm-Tarski query (`polys.tarski_query`) answers instead.  A nonzero
+Sturm-Tarski query (`polys.tarski_query`) on it answers instead.  A nonzero
 element has no zero at any root, so the answer is exact.  Membership in the
 layer semifield needs a positive sign at every positive root of the minimal
 polynomial, not only at the adjoined one: x^2 - 3x + 1 has the roots 0.38
@@ -219,9 +219,11 @@ class AlgebraicGenerator:
     of positive real roots of m.  `intervals` is the sign queries' cache: a
     list of integer triples (a, b, d), each the isolating interval
     (a/d, b/d) of one positive root, (lo, hi) first; the others are
-    isolated by bisection on the Sturm chain when there are any.  Sign
-    queries narrow the intervals in place.  None of the four takes part in
-    equality or repr, and copies start from a fresh cache.
+    isolated as triples by bisection on the Sturm chain when there are any.
+    Sign queries narrow the intervals in place; after validation lo and hi
+    are read only as the generator's identity (equality, hash, repr, JSON).
+    None of the four takes part in equality or repr, and copies start from
+    a fresh cache.
     """
 
     m: SignedPoly
@@ -254,15 +256,13 @@ class AlgebraicGenerator:
         assert polys.eval_poly(m.coeffs, lo) * polys.eval_poly(m.coeffs, hi) < 0
         object.__setattr__(self, "m_int", polys.clear_denominators(m.coeffs))
         object.__setattr__(self, "positive_roots", positive_roots)
-        roots = [(lo, hi)]
+        (a, b), d = _cleared([lo, hi])
+        intervals = [(a, b, d)]
         if positive_roots > 1:
             # the other positive roots lie in (0, lo) or above hi, and below Cauchy's bound
-            roots += _isolate(chain, Fraction(0), lo) + _isolate(chain, hi, 1 + max(map(abs, m.coeffs)))
-            assert len(roots) == positive_roots
-        intervals = []
-        for a, b in roots:
-            d = math.lcm(a.denominator, b.denominator)
-            intervals.append((a.numerator * (d // a.denominator), b.numerator * (d // b.denominator), d))
+            (c, top), e = _cleared([hi, 1 + max(map(abs, m.coeffs))])
+            intervals += _isolate(chain, 0, a, d) + _isolate(chain, c, top, e)
+            assert len(intervals) == positive_roots
         object.__setattr__(self, "intervals", intervals)
         n, low = self.n, [-c for c in m.coeffs[:-1]]
         rows = [low]  # x^n = -(m_0 + ... + m_(n-1)·x^(n-1)) modulo m
@@ -305,17 +305,16 @@ class AlgebraicGenerator:
         return out
 
 
-def _isolate(chain, lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint intervals in (lo, hi), one around each root there of the `sturm_chain`'s polynomial.
+def _isolate(chain, a: int, b: int, d: int) -> list[tuple[int, int, int]]:
+    """Disjoint intervals in (a/d, b/d), one around each root there of the `sturm_chain`'s polynomial.
 
-    Bisection; the polynomial must have no rational root (m is irreducible
-    of degree >= 2), so no midpoint is a root.
+    Integer triples, as (a, b, d) is, by bisection; the polynomial must have
+    no rational root (m is irreducible of degree >= 2), so no midpoint is one.
     """
-    k = polys.count_roots(chain, lo, hi)
+    k = polys.count_roots(chain, Fraction(a, d), Fraction(b, d))
     if k < 2:
-        return [(lo, hi)] * k
-    mid = (lo + hi) / 2
-    return _isolate(chain, lo, mid) + _isolate(chain, mid, hi)
+        return [(a, b, d)] * k
+    return _isolate(chain, 2 * a, a + b, 2 * d) + _isolate(chain, a + b, 2 * b, 2 * d)
 
 
 def validate_generator(m: SignedPoly, interval) -> AlgebraicGenerator:
@@ -483,9 +482,9 @@ def _positive_at(gen: AlgebraicGenerator, g, i: int) -> bool:
     root), and stored back whole: a query in another thread reads an older
     or a newer isolating interval, never a mix, and a store lost to a
     concurrent one loses only refinement.  After `_REFINE_STEPS` bisections
-    one Sturm-Tarski query on the interval answers.  g is nonzero at the
-    root (the basis powers of a root are linearly independent over Q), so
-    either way the answer is exact.
+    one Sturm-Tarski query on the refined cached interval answers, at every
+    root.  g is nonzero at the root (the basis powers of a root are linearly
+    independent over Q), so either way the answer is exact.
     """
     hv, m = polys._homogeneous_value, gen.m_int
     pos = [c if c > 0 else 0 for c in g]
@@ -504,8 +503,7 @@ def _positive_at(gen: AlgebraicGenerator, g, i: int) -> bool:
         mid, d = a + b, 2 * d
         a, b = (mid, 2 * b) if (hv(m, mid, d) > 0) is left else (2 * a, mid)
         gen.intervals[i] = (a, b, d)
-    lo, hi = (gen.lo, gen.hi) if i == 0 else (Fraction(a, d), Fraction(b, d))
-    return polys.tarski_query(m, g, lo, hi) > 0
+    return polys.tarski_query(m, g, Fraction(a, d), Fraction(b, d)) > 0
 
 
 def positive_at_root(e: ExtElem) -> bool:
@@ -514,7 +512,7 @@ def positive_at_root(e: ExtElem) -> bool:
     The sign of e's integer numerators, whose positive denominator keeps
     the sign, at the adjoined root: an interval bound on the cached
     isolating interval, refined by at most `_REFINE_STEPS` bisections, then
-    one Sturm-Tarski query on (lo, hi) if the bound still holds zero.
+    one Sturm-Tarski query on it if the bound still holds zero.
     """
     return not e.is_zero and _positive_at(e.gen, e._nums, 0)
 

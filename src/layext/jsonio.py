@@ -1,11 +1,12 @@
 """JSON encodings of the library's objects, shared by the CLI and fixtures.
 
 Numbers are JSON integers or exactly the text layext writes for them: rationals
-in lowest terms ("5", "-1/2"), integers in decimal.  Any other input, and any
-`ValueError` or `TypeError` the library raises while building an object or
-checking a query's arguments, is a `ParseError`.  schemas/README.md documents
-the shapes with one sample file per format; descriptors, presentations and
-generators are also written back, and parse back to the same objects.
+in lowest terms ("5", "-1/2"), integers in decimal; an object names each key
+once.  Any other input, and any `ValueError` or `TypeError` the library raises
+while building an object or checking a query's arguments, is a `ParseError`.
+schemas/README.md documents the shapes with one sample file per format;
+descriptors, presentations and generators are also written back, and parse
+back to the same objects.
 """
 
 from __future__ import annotations
@@ -58,9 +59,19 @@ def parse_bool(s) -> bool:
     return s
 
 
+def _object(pairs) -> dict:
+    """A JSON object's (key, value) pairs as a dict; a key given twice raises ParseError."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [k for k, _ in pairs]
+        key = next(k for k in obj if keys.count(k) > 1)
+        raise ParseError(f"duplicate key {json.dumps(key)} in a JSON object")
+    return obj
+
+
 def load_document(text: str, source: str = "<input>") -> object:
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_object)
     except json.JSONDecodeError as e:
         raise ParseError(f"{source}: line {e.lineno} column {e.colno}: {e.msg}") from None
     except (ValueError, RecursionError) as e:

@@ -218,29 +218,31 @@ class ValueLattice:
     """A finitely generated subgroup of (Q, +), given by rational generators.
 
     Every such subgroup is cyclic; `single_generator` returns the canonical
-    non-negative generator (0 for the trivial subgroup).
+    non-negative generator (0 for the trivial subgroup), computed once when
+    the lattice is built and kept in a slot outside equality, hash and repr.
     """
 
     generators: tuple[Fraction, ...]
+    __slots__ = ("_single",)  # filled in by __post_init__
 
     def __post_init__(self):
         if not (isinstance(self.generators, tuple) and all(isinstance(g, Fraction) for g in self.generators)):
             raise TypeError("a lattice's generators must be a tuple of Fractions; use ValueLattice.of")
+        nums, den = _cleared(self.generators)
+        object.__setattr__(self, "_single", Fraction(gcd(*nums), den))
 
     @classmethod
     def of(cls, *gens) -> "ValueLattice":
         return cls(tuple(as_fraction(g) for g in gens))
 
     def single_generator(self) -> Fraction:
-        nums, den = _cleared(self.generators)
-        return Fraction(gcd(*nums), den)
+        return self._single
 
     def contains(self, q) -> bool:
-        q = as_fraction(q)
-        g = self.single_generator()
-        if g == 0:
+        q, g = as_fraction(q), self._single
+        if not g:
             return q == 0
-        return (q / g).denominator == 1
+        return not q.numerator * g.denominator % (q.denominator * g.numerator)
 
     def join(self, *extra) -> "ValueLattice":
         """The subgroup generated by this lattice together with extra rationals."""

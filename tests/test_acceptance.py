@@ -181,15 +181,26 @@ def test_criterion_05_decomposition_round_trip():
                 combo = [a + c * b for a, b in zip(combo, m)]
             diff = tuple((1 if i == j else 0) - combo[i] for i in range(n))
             assert lat.contains(diff)
-        # invariance of the shape under generator permutations
+        # invariance of the shape under generator permutations; without symbolic generators the
+        # output is canonical: after re-indexing, the same coordinates, and monomials of the same
+        # value (g/D modulo the base).  The monomial vectors may differ, because the Hermite basis
+        # that reduces them depends on the column order.
         t, orders = dec.free_rank, sorted(dec.torsion_orders)
+        canonical = not P.symbolic_indices()
+        values = [R.coset_value(P, m) for m in dec.free_monomials + dec.torsion_monomials]
+        if canonical:
+            assert values == [P.base.single_generator() / D for D in dec.torsion_orders]
         perms = list(permutations(range(n)))
         sample = perms if len(perms) <= 6 else rng.sample(perms, 6)
         for perm in sample:
-            dp = decompose_extension(R.permuted(P, perm))
+            Q = R.permuted(P, perm)
+            dp = decompose_extension(Q)
             assert dp.free_rank == t
             assert sorted(dp.torsion_orders) == orders
-    print("PASS criterion 5: 200 decompositions round-trip with permutation-invariant shape")
+            if canonical:
+                assert dp.generator_coords == tuple(dec.generator_coords[p] for p in perm)
+                assert [R.coset_value(Q, m) for m in dp.free_monomials + dp.torsion_monomials] == values
+    print("PASS criterion 5: 200 decompositions round-trip with permutation-invariant output")
 
 
 def test_criterion_06_dependence_matches_exhaustive_search():

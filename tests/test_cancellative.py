@@ -892,6 +892,22 @@ class TestCachedIntervals:
             x = fresh_sqrt2().element(x.coeffs)
             assert counted(positive_at_root, x) == (expected, [_REFINE_STEPS], 1)
 
+    def test_fallback_at_the_adjoined_root_runs_on_the_cached_interval(self, monkeypatch):
+        # (√2 - 1)^400 on a fresh generator falls back at root 0; the query must read the
+        # refined cached triple there, as at every other root, and not the validated (lo, hi)
+        gen = fresh_sqrt2()
+        e = gen.element([-1, 1]) ** 400
+        calls, query = [], polys.tarski_query
+
+        def recorded(f, g, lo, hi):
+            calls.append((lo, hi))
+            return query(f, g, lo, hi)
+
+        monkeypatch.setattr(polys, "tarski_query", recorded)
+        assert positive_at_root(e)
+        a, b, d = gen.intervals[0]
+        assert calls == [(F(a, d), F(b, d))] != [(gen.lo, gen.hi)]
+
     @pytest.mark.parametrize("p, q", [(577, 408), (665857, 470832)])
     def test_convergents_are_refined_until_the_bound_settles_them(self, p, q):
         # p/q is a convergent of √2: p - q√2 = ±1/(p + q√2), 8.7e-4 and 7.5e-7 in size, so the

@@ -551,6 +551,18 @@ def test_malformed_input_is_one_error_line(tmp_path, name):
     assert len(lines) == 1 and lines[0].startswith("error: ParseError: ")
 
 
+@pytest.mark.parametrize("argv, files, key", [
+    # without the check the last "2" would win and the kernel query would answer for 3x^2
+    (["kernel", "a.json", "b.json", "g.json"], {
+        "a.json": b'{"poly": {"2": "1", "2": "3"}}', "b.json": {"poly": {"0": "2"}}, "g.json": GEN_SQRT2}, "2"),
+    (["rank", "p.json"], {"p.json": b'{"base": ["1"], "base": ["2"], "generators": [{"num": "1/2"}]}'}, "base"),
+])
+def test_duplicate_keys_are_one_error_line(tmp_path, argv, files, key):
+    paths = {f: write(tmp_path, f, doc) for f, doc in files.items()}
+    rc, out, err = run([paths.get(a, a) for a in argv])
+    assert (rc, out, err) == (1, "", f'error: ParseError: duplicate key "{key}" in a JSON object\n')
+
+
 @pytest.mark.parametrize("flags", [[], ["--json"]])
 def test_result_over_the_digit_limit_is_one_error_line(tmp_path, flags):
     # two generators 1/(10^k + 1), 1/(10^k + 3) with coprime denominators:

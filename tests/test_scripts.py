@@ -22,6 +22,15 @@ def test_script_exits_0(argv):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_readme_quick_start_runs():
+    # the pinned reason for keeping `xbar` cites this example
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    code = readme.split("## Library quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    assert "xbar()" in code
+    proc = run_script(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_benchmark_self_test_catches_every_corrupted_answer():
     proc = run_script(["perfbench/run.py", "--self-test"])
     assert proc.returncode == 0, proc.stderr
