@@ -37,10 +37,12 @@ and 2.62, and X - 1 is positive at the larger only.
 >>> positive_at_root(e), in_layer_semifield(e)
 (True, False)
 
-Every polynomial over Q is stored dense, as one `polys.Poly` coefficient
-tuple: `SignedPoly` for minimal polynomials, and its checked subtype
+Every polynomial over Q is stored dense, as one tuple of Fractions indexed by
+degree: `SignedPoly` for minimal polynomials, and its checked subtype
 `PosPoly` for the positive polynomials of the layer semifield, whose sums,
-products and scalings run on the same tuples.  Kernels of the extension
+products and scalings run on the same tuples.  It is the only Fraction
+form of a polynomial: `polys` takes integer polynomials, and a generator
+clears its minimal polynomial once for them.  Kernels of the extension
 correspond to divisibility by the minimal polynomial: a quotient a(x)/b(x)
 of positive polynomials is congruent to 1 exactly when the minimal
 polynomial divides a - b, which one integer pseudo-remainder decides.
@@ -65,7 +67,7 @@ from .errors import (
 from .tropical import _cleared, as_fraction
 
 
-def _dense(obj) -> polys.Poly:
+def _dense(obj) -> tuple[Fraction, ...]:
     """The coefficient tuple of a dict or a list of (degree, coefficient) pairs; zeros are dropped."""
     items = [(k, as_fraction(v)) for k, v in (obj.items() if isinstance(obj, dict) else obj)]
     if any(type(d) is not int for d, _ in items):  # bools and floats are refused
@@ -101,13 +103,13 @@ def power(x, k: int, one):
 
 @record
 class SignedPoly:
-    """A polynomial over Q stored dense (a `polys.Poly`); may be zero (no coefficients).
+    """A polynomial over Q stored dense, indexed by degree; may be zero (no coefficients).
 
     The constructor takes a tuple of Fractions whose last entry is nonzero;
     `of` and `from_coeffs` coerce and trim.
     """
 
-    coeffs: polys.Poly
+    coeffs: tuple[Fraction, ...]
 
     def __post_init__(self):
         cs = self.coeffs
@@ -122,7 +124,7 @@ class SignedPoly:
 
     @classmethod
     def from_coeffs(cls, coeffs) -> "SignedPoly":
-        return cls(polys.poly(coeffs))
+        return cls.of(enumerate(coeffs))
 
     @property
     def terms(self) -> tuple:
@@ -131,7 +133,7 @@ class SignedPoly:
 
     @property
     def degree(self) -> int:
-        return polys.degree(self.coeffs)
+        return len(self.coeffs) - 1
 
     @property
     def is_monic(self) -> bool:
@@ -214,10 +216,11 @@ class AlgebraicGenerator:
     generators are checked again.  It then builds the reduction table
     `table` = (D, rows): row k holds the integer coefficients of D·x^(n+k)
     modulo m, for k = 0 .. n-2, so every product of two reduced elements
-    folds back through it.  `m_int` is the primitive integer multiple of m
-    that sign and kernel queries divide by, and `positive_roots` the number
-    of positive real roots of m.  `intervals` is the sign queries' cache: a
-    list of integer triples (a, b, d), each the isolating interval
+    folds back through it.  `m_int` is the primitive integer multiple of m,
+    cleared once: the irreducibility test and the Sturm chain run on it,
+    and sign and kernel queries divide by it.  `positive_roots` is the
+    number of positive real roots of m.  `intervals` is the sign queries'
+    cache: a list of integer triples (a, b, d), each the isolating interval
     (a/d, b/d) of one positive root, (lo, hi) first; the others are
     isolated as triples by bisection on the Sturm chain when there are any.
     Sign queries narrow the intervals in place; after validation lo and hi
@@ -243,25 +246,31 @@ class AlgebraicGenerator:
             )
         if m.degree == 1:
             raise TrivialExtension("a degree-one generator already lies in the base semifield")
-        if not polys.is_irreducible(m.coeffs):
+        m_int = tuple(_cleared(m.coeffs)[0])  # primitive, as m is monic
+        if not polys.is_irreducible(m_int):
             raise Reducible(f"{m} factors over the rationals")
-        chain = polys.sturm_chain(m.coeffs)
-        positive_roots = polys.count_positive_roots(chain)
+        chain = polys.sturm_chain(m_int)
+        # sign variations at 0 and +infinity; m has no rational root, so none at a rational point is 0
+        v0, v_top = polys._variations_at(chain, 0, 1), polys.sign_variations([f[-1] for f in chain])
+        positive_roots = v0 - v_top
         if positive_roots == 0:
             raise NoPositiveRoot(f"{m} has no positive real root")
         if not (0 < lo < hi):
             raise IntervalNotIsolating("the interval must satisfy 0 < lo < hi")
-        if polys.count_roots(chain, lo, hi) != 1:
-            raise IntervalNotIsolating(f"({lo}, {hi}) does not isolate exactly one root of {m}")
-        assert polys.eval_poly(m.coeffs, lo) * polys.eval_poly(m.coeffs, hi) < 0
-        object.__setattr__(self, "m_int", polys.clear_denominators(m.coeffs))
-        object.__setattr__(self, "positive_roots", positive_roots)
         (a, b), d = _cleared([lo, hi])
+        v_lo, v_hi = polys._variations_at(chain, a, d), polys._variations_at(chain, b, d)
+        if v_lo - v_hi != 1:
+            raise IntervalNotIsolating(f"({lo}, {hi}) does not isolate exactly one root of {m}")
+        hv = polys._homogeneous_value
+        assert hv(m_int, a, d) * hv(m_int, b, d) < 0
+        object.__setattr__(self, "m_int", m_int)
+        object.__setattr__(self, "positive_roots", positive_roots)
         intervals = [(a, b, d)]
         if positive_roots > 1:
-            # the other positive roots lie in (0, lo) or above hi, and below Cauchy's bound
+            # the other positive roots lie in (0, lo) or above hi, and below Cauchy's bound,
+            # where the variations are those at +infinity
             (c, top), e = _cleared([hi, 1 + max(map(abs, m.coeffs))])
-            intervals += _isolate(chain, 0, a, d) + _isolate(chain, c, top, e)
+            intervals += _isolate(chain, (0, a, d), v0, v_lo) + _isolate(chain, (c, top, e), v_hi, v_top)
             assert len(intervals) == positive_roots
         object.__setattr__(self, "intervals", intervals)
         n, low = self.n, [-c for c in m.coeffs[:-1]]
@@ -305,16 +314,20 @@ class AlgebraicGenerator:
         return out
 
 
-def _isolate(chain, a: int, b: int, d: int) -> list[tuple[int, int, int]]:
+def _isolate(chain, interval, va: int, vb: int) -> list[tuple[int, int, int]]:
     """Disjoint intervals in (a/d, b/d), one around each root there of the `sturm_chain`'s polynomial.
 
-    Integer triples, as (a, b, d) is, by bisection; the polynomial must have
-    no rational root (m is irreducible of degree >= 2), so no midpoint is one.
+    `interval` is the integer triple (a, b, d), and va and vb are the
+    chain's sign variations at its ends, so each bisection evaluates the
+    chain at its midpoint only.  The intervals found are triples too; the
+    polynomial must have no rational root (m is irreducible of degree >= 2),
+    so no midpoint is one.
     """
-    k = polys.count_roots(chain, Fraction(a, d), Fraction(b, d))
-    if k < 2:
-        return [(a, b, d)] * k
-    return _isolate(chain, 2 * a, a + b, 2 * d) + _isolate(chain, a + b, 2 * b, 2 * d)
+    if va - vb < 2:
+        return [interval] * (va - vb)
+    a, b, d = interval
+    vm = polys._variations_at(chain, a + b, 2 * d)
+    return _isolate(chain, (2 * a, a + b, 2 * d), va, vm) + _isolate(chain, (a + b, 2 * b, 2 * d), vm, vb)
 
 
 def validate_generator(m: SignedPoly, interval) -> AlgebraicGenerator:

@@ -1,29 +1,30 @@
-"""Dense univariate polynomials over Q, and integer remainder sequences.
+"""Dense univariate integer polynomials: factorisation and real-root counting.
 
-Polynomials are tuples of Fractions indexed by degree, with no trailing
-zeros; the empty tuple is the zero polynomial.  The algorithms run on
-integer polynomials: a modular factoriser over Q (square-free parts,
-distinct-degree factorisation modulo small primes, Cantor-Zassenhaus,
-Hensel lifting and recombination; von zur Gathen & Gerhard, Modern
-Computer Algebra, chs. 14-16) that also decides irreducibility, complete up
-to degree MAX_DEGREE = 31 and raising DegreeTooLarge above it; and one
-fraction-free signed remainder sequence (signed pseudo-remainders divided
-by their positive content) that serves both real-root counting on rational
-intervals (the Sturm chain, with no square-free pre-pass) and the sign of a
-polynomial at the roots in an interval (a Sturm-Tarski query).
+Polynomials are sequences of ints indexed by degree, with no trailing zeros;
+the empty sequence is the zero polynomial.  Any content and sign are taken.
+A modular factoriser over Q (square-free parts, distinct-degree
+factorisation modulo small primes, Cantor-Zassenhaus, Hensel lifting and
+recombination; von zur Gathen & Gerhard, Modern Computer Algebra, chs.
+14-16) also decides irreducibility, complete up to degree MAX_DEGREE = 31
+and raising DegreeTooLarge above it.  One fraction-free signed remainder
+sequence (signed pseudo-remainders divided by their positive content) serves
+both real-root counting on rational intervals (the Sturm chain, with no
+square-free pre-pass) and the sign of a polynomial at the roots in an
+interval (a Sturm-Tarski query).
+
+>>> factor([-4, 0, 0, 0, 1])
+[(-2, 0, 1), (2, 0, 1)]
+>>> count_roots(sturm_chain([-2, 0, 1]), 0)
+1
 """
 
 from __future__ import annotations
 
 import math
 import random
-from fractions import Fraction
 from itertools import combinations, islice
 
 from .errors import DegreeTooLarge
-from .tropical import _cleared, as_fraction
-
-Poly = tuple[Fraction, ...]
 
 # Recombination is exponential in the number of modular factors, which
 # Swinnerton-Dyer polynomials make as large as the degree allows: degree 16
@@ -32,33 +33,7 @@ MAX_DEGREE = 31
 _PRIMES_TRIED = 5
 
 
-def poly(coeffs) -> Poly:
-    """Normalize a coefficient sequence (index = degree) into a Poly."""
-    cs = [as_fraction(c) for c in coeffs]
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
-
-
-def degree(p: Poly) -> int:
-    return len(p) - 1
-
-
-def eval_poly(p: Poly, x) -> Fraction:
-    x = as_fraction(x)
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def clear_denominators(p: Poly) -> tuple[int, ...]:
-    """Primitive integer-coefficient multiple of p (positive leading sign)."""
-    return tuple(_primitive(_cleared(p)[0])) if p else ()
-
-
-# Factorisation over Q.  Below, polynomials are lists of ints indexed by
-# degree, without trailing zeros; modulo m their entries lie in [0, m).
+# Factorisation over Q.  Modulo m, coefficients lie in [0, m).
 
 
 def _add(a, b) -> list[int]:
@@ -370,12 +345,12 @@ def _factor_squarefree(f) -> list[list[int]]:
     return _recombine(f, _hensel_lift(monic, modp, p, modulus), modulus, degrees)
 
 
-def factor(p: Poly) -> list[Poly]:
+def factor(p) -> list[tuple[int, ...]]:
     """The irreducible factors over Q of a nonzero polynomial, each repeated by its multiplicity.
 
-    Each factor is a primitive integer polynomial with a positive leading
+    Each factor is a primitive integer tuple with a positive leading
     coefficient; they are sorted by degree, then by coefficients, and p is
-    a rational constant times their product (a constant has no factors).
+    an integer constant times their product (a constant has no factors).
     Square-free parts by Yun's algorithm; distinct-degree factorisation
     modulo up to five odd primes, whose possible factor degrees, intersected,
     often prove irreducibility alone; otherwise Cantor-Zassenhaus modulo the
@@ -384,22 +359,21 @@ def factor(p: Poly) -> list[Poly]:
     """
     if not p:
         raise ValueError("the zero polynomial has no factorisation")
-    if degree(p) > MAX_DEGREE:
-        raise DegreeTooLarge(f"polynomials are factored up to degree {MAX_DEGREE}, got {degree(p)}")
+    if len(p) - 1 > MAX_DEGREE:
+        raise DegreeTooLarge(f"polynomials are factored up to degree {MAX_DEGREE}, got {len(p) - 1}")
     factors = []
-    for i, part in _squarefree_parts(clear_denominators(p)):
+    for i, part in _squarefree_parts(_primitive(p)):
         for f in _factor_squarefree(part):
-            factors += [tuple(Fraction(c) for c in f)] * i
+            factors += [tuple(f)] * i
     return sorted(factors, key=lambda f: (len(f), f))
 
 
-def is_irreducible(p: Poly) -> bool:
+def is_irreducible(p) -> bool:
     """Irreducibility over Q: degree at least 1 and a single factor (see `factor`)."""
-    return degree(p) > 0 and len(factor(p)) == 1
+    return len(p) > 1 and len(factor(p)) == 1
 
 
-# Real-root counting and signs at roots, on the integer polynomials of the
-# factoriser.
+# Real-root counting and signs at roots.
 
 
 def sign_variations(values) -> int:
@@ -421,13 +395,12 @@ def _remainder_sequence(a, b) -> list[list[int]]:
     return chain
 
 
-def sturm_chain(p: Poly) -> list[list[int]]:
-    """The signed remainder sequence of p and p' on integers (see `_remainder_sequence`).
+def sturm_chain(p) -> list[list[int]]:
+    """The signed remainder sequence of p's primitive part and its derivative (see `_remainder_sequence`).
 
-    The roots are counted by `count_roots` and `count_positive_roots`; p
-    need not be square-free.
+    The roots are counted by `count_roots`; p need not be square-free.
     """
-    f = list(clear_denominators(p))
+    f = _primitive(p)
     return _remainder_sequence(f, _derivative_int(f))
 
 
@@ -437,8 +410,7 @@ def tarski_chain(f, g) -> list[list[int]]:
     By the Sturm-Tarski theorem (Basu, Pollack & Roy, Algorithms in Real
     Algebraic Geometry, ch. 2), Var(lo) - Var(hi) on it is the sum of the
     signs of g at the distinct real roots of f in (lo, hi): `count_roots`
-    and `count_positive_roots` read it as they read a `sturm_chain`, which
-    is the case g = 1.
+    reads it as it reads a `sturm_chain`, which is the case g = 1.
     """
     return _remainder_sequence(list(f), _trim(_mul(_derivative_int(f), g)))
 
@@ -468,27 +440,26 @@ def _homogeneous_value(f, u, v) -> int:
     return acc
 
 
-def _variations_at(chain, x) -> int:
-    x = as_fraction(x)
-    values = [_homogeneous_value(f, x.numerator, x.denominator) for f in chain]
+def _variations_at(chain, u, v) -> int:
+    """The sign variations of the chain at u/v, for v > 0; u/v must not be a root of its first term."""
+    values = [_homogeneous_value(f, u, v) for f in chain]
     if values[0] == 0:
         raise ValueError("interval endpoints must not be roots")
     return sign_variations(values)
 
 
-def count_roots(chain, lo, hi) -> int:
+def count_roots(chain, lo, hi=None) -> int:
     """Number of distinct real roots in the open interval (lo, hi) of the polynomial of a `sturm_chain`.
 
-    Sturm's theorem needs no square-free hypothesis when neither endpoint
-    is a root (Basu, Pollack & Roy, Algorithms in Real Algebraic Geometry,
-    ch. 2); an endpoint that is a root raises ValueError.
+    lo and hi are ints or Fractions, and hi None is +infinity, where the
+    variations are those of the leading coefficients.  Sturm's theorem
+    needs no square-free hypothesis when neither endpoint is a root (Basu,
+    Pollack & Roy, Algorithms in Real Algebraic Geometry, ch. 2); an
+    endpoint that is a root raises ValueError.  On a `tarski_chain` of f
+    and g it is the sum of the signs of g at those roots.
     """
-    return _variations_at(chain, lo) - _variations_at(chain, hi)
-
-
-def count_positive_roots(chain) -> int:
-    """Number of distinct real roots in (0, +infinity) of the polynomial of a `sturm_chain`; 0 must not be a root.
-
-    On a `tarski_chain` of f and g it is the sum of the signs of g at those roots.
-    """
-    return _variations_at(chain, 0) - sign_variations([f[-1] for f in chain])
+    if hi is None:
+        top = sign_variations([f[-1] for f in chain])
+    else:
+        top = _variations_at(chain, hi.numerator, hi.denominator)
+    return _variations_at(chain, lo.numerator, lo.denominator) - top

@@ -1,8 +1,9 @@
 """Arithmetic that only the tests use, as references for the library.
 
 Polynomial arithmetic over Q: the library multiplies, inverts, divides and
-counts roots on integers; these are the plain Fraction versions, written on
-top of `layext.polys`' Poly type.  Integer matrix arithmetic: products,
+counts roots on integers; these are the plain Fraction versions, on tuples
+of Fractions indexed by degree (`Poly`), with their integer form for
+`layext.polys`, which takes integer polynomials only.  Integer matrix arithmetic: products,
 determinants, pivots, kernels, solving and the invariants of a Smith form,
 written on top of `layext.intlinalg`, which keeps only the Hermite and Smith
 forms the library itself uses.  The kernel witnesses that `kernel_contains`
@@ -39,9 +40,28 @@ from layext.bipotent import (
 from layext.errors import InconsistentRelations
 from layext.cancellative import PosPoly, SignedPoly
 from layext.intlinalg import Vec, _echelon, hnf, identity, reduce_by_hnf, smith
-from layext.polys import Poly, _mul, degree, poly
+from layext.polys import _mul
 from layext.tropical import ValueLattice, _cleared, as_fraction
 from layext.uniform import ExtScalar, essential_indices
+
+Poly = tuple[Fraction, ...]
+
+
+def poly(coeffs) -> Poly:
+    """Normalize a coefficient sequence (index = degree) into a Poly."""
+    cs = [as_fraction(c) for c in coeffs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def degree(p: Poly) -> int:
+    return len(p) - 1
+
+
+def integer_form(p: Poly) -> tuple[int, ...]:
+    """The integer numerators of p over their least common denominator: a positive multiple of p."""
+    return tuple(_cleared(p)[0])
 
 
 def add(p: Poly, q: Poly) -> Poly:

@@ -387,6 +387,24 @@ def test_validation_builds_one_sturm_chain(monkeypatch):
     assert len(calls) == 2
 
 
+# (x-1)(x-2)(x-3)(x-4) + 1/2 has four positive roots, near 1.10, 1.76, 3.24 and 3.90;
+# x^4 - 10x^2 + 1 has two, near 0.32 and 3.15
+@pytest.mark.parametrize("m, interval, roots, evaluations", [
+    ({4: 1, 3: -10, 2: 35, 1: -50, 0: F(49, 2)}, (F(7, 2), 4), 4, 5),
+    ({4: 1, 3: -10, 2: 35, 1: -50, 0: F(49, 2)}, (1, F(3, 2)), 4, 9),
+    ({4: 1, 2: -10, 0: 1}, (3, 4), 2, 3),
+], ids=["four-roots-top", "four-roots-bottom", "two-roots"])
+def test_validation_evaluates_the_sturm_chain_once_per_point(monkeypatch, m, interval, roots, evaluations):
+    # 0, lo and hi once each, then one midpoint per bisection that splits two or more roots;
+    # the search above hi starts from the variations at +infinity, with no evaluation
+    calls = []
+    evaluate = polys._variations_at
+    monkeypatch.setattr(polys, "_variations_at", lambda chain, *x: calls.append(x) or evaluate(chain, *x))
+    gen = validate_generator(SignedPoly.of(m), interval)
+    assert len(gen.intervals) == gen.positive_roots == roots
+    assert len(calls) == evaluations
+
+
 def test_sign_and_kernel_queries_reuse_the_cleared_minimal_polynomial(monkeypatch):
     # m = x^2 - x/2 - 1/3 has denominators; its integer form is built once, at validation
     gen = KERNEL_GENS[0]
@@ -394,7 +412,7 @@ def test_sign_and_kernel_queries_reuse_the_cleared_minimal_polynomial(monkeypatc
     def refuse(p):
         raise AssertionError("the minimal polynomial was cleared again")
 
-    monkeypatch.setattr(polys, "clear_denominators", refuse)
+    monkeypatch.setattr(polys, "_primitive", refuse)
     assert positive_at_root(gen.xbar())
     assert not positive_at_root(gen.xbar().scale(-1))
     num, den = R.kernel_sample(gen, R.monomial(), PosPoly.constant(1))
@@ -973,13 +991,13 @@ class TestCachedIntervals:
         assert not any(t.is_alive() for t in threads)
         for t, got in enumerate(results):
             assert got == expected[t % 2::2] + expected[1 - t % 2::2]
-        chain = polys.sturm_chain(gen.m.coeffs)
+        chain = polys.sturm_chain(gen.m_int)
         [(a, b, d)] = gen.intervals
         assert polys.count_roots(chain, F(a, d), F(b, d)) == 1 and d.bit_length() > 100
 
     def test_cached_intervals_isolate_each_positive_root(self, several):
         for gen, _ in several:
-            chain = polys.sturm_chain(gen.m.coeffs)
+            chain = polys.sturm_chain(gen.m_int)
             intervals = [(F(a, d), F(b, d)) for a, b, d in gen.intervals]
             assert len(intervals) == gen.positive_roots >= 2
             assert gen.lo <= intervals[0][0] < intervals[0][1] <= gen.hi

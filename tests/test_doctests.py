@@ -9,7 +9,7 @@ import pytest
 import layext
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(layext.__path__))
-WITH_EXAMPLES = {"bipotent", "cancellative", "tropical"}
+WITH_EXAMPLES = {"bipotent", "cancellative", "polys", "tropical"}
 
 
 @pytest.mark.parametrize("name", MODULES)
