@@ -167,12 +167,13 @@ class PosPoly(SignedPoly):
     def __add__(self, other: "PosPoly") -> "PosPoly":
         if not isinstance(other, PosPoly):
             return NotImplemented
-        return PosPoly.from_coeffs(polys._add(self.coeffs, other.coeffs))
+        return PosPoly(tuple(polys._add(self.coeffs, other.coeffs)))
 
     def __mul__(self, other: "PosPoly") -> "PosPoly":
         if not isinstance(other, PosPoly):
             return NotImplemented
-        return PosPoly.from_coeffs(polys._mul(self.coeffs, other.coeffs))
+        # `_mul` leaves an int 0 at each degree no product reaches, as in x²·x²
+        return PosPoly(tuple(c or Fraction(0) for c in polys._mul(self.coeffs, other.coeffs)))
 
     def __pow__(self, k: int) -> "PosPoly":
         return power(self, k, PosPoly.constant(1))

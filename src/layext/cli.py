@@ -6,6 +6,11 @@ torsion-degree, rank.  Inputs are JSON files ("-" reads stdin) read through
 --json.  --notes adds one line per derived field naming the operation that
 produced it.  Output is deterministic byte for byte for identical inputs, and
 the exit code is 0 exactly when no error occurred; an error is one `error:` line.
+
+Each `cmd_*` imports the layers it calls once its inputs have parsed, so a
+process loads only those: `rank`, `decompose` and `torsion-degree` load `bipotent` and
+not `polys`, `cancellative` or `uniform`; `kernel` loads `cancellative` and
+not `bipotent`; and input that fails as JSON loads no layer.
 """
 
 from __future__ import annotations
@@ -17,24 +22,7 @@ import sys
 from fractions import Fraction
 
 from . import jsonio
-from .bipotent import (
-    INFINITE,
-    decompose_extension,
-    extension_rank,
-    is_bipotent_semifield,
-    torsion_degree,
-)
-from .cancellative import kernel_contains
 from .errors import LayextError, ParseError, ResultTooLarge
-from .tropical import LayeredElem
-from .uniform import (
-    essential_indices,
-    eval_layered_poly,
-    is_layerset_semiring,
-    is_uniform_semifield,
-    sort_is_semifield,
-    uniform_closure,
-)
 
 
 def _read(path: str) -> str:
@@ -54,11 +42,15 @@ def _load(path: str, parse):
 
 
 def _fin(x) -> object:
+    from .bipotent import INFINITE
+
     return "infinite" if x == INFINITE else int(x)
 
 
 def cmd_decompose(args) -> tuple:
     P = _load(args.presentation, jsonio.parse_presentation)
+    from .bipotent import decompose_extension, extension_rank
+
     dec = decompose_extension(P)
     payload = {
         "free_rank": dec.free_rank,
@@ -92,6 +84,9 @@ def cmd_decompose(args) -> tuple:
 def cmd_eval(args) -> tuple:
     f = _load(args.poly, jsonio.parse_layered_poly)
     a = _load(args.scalar, jsonio.parse_scalar)
+    from .tropical import LayeredElem
+    from .uniform import essential_indices, eval_layered_poly
+
     layer, value = eval_layered_poly(f, a)
     ess = essential_indices(f, a)
     payload = {"layer": layer, "value": value, "essential": list(ess)}
@@ -107,6 +102,8 @@ def cmd_eval(args) -> tuple:
 def cmd_closure(args) -> tuple:
     H = _load(args.descriptor, jsonio.parse_descriptor)
     a = _load(args.scalar, jsonio.parse_scalar)
+    from .uniform import is_layerset_semiring, uniform_closure
+
     C = uniform_closure(H, a)
     payload = {
         "descriptor": jsonio.render_descriptor(C),
@@ -123,6 +120,8 @@ def cmd_kernel(args) -> tuple:
     a = _load(args.numerator, jsonio.parse_pos_poly)
     b = _load(args.denominator, jsonio.parse_pos_poly)
     gen = _load(args.generator, jsonio.parse_generator)
+    from .cancellative import kernel_contains
+
     payload = {"in_kernel": kernel_contains(a, b, gen)}
     notes = ["membership holds when the minimal polynomial divides numerator - denominator"]
     return payload, notes
@@ -130,6 +129,9 @@ def cmd_kernel(args) -> tuple:
 
 def cmd_semifield(args) -> tuple:
     H = _load(args.descriptor, jsonio.parse_descriptor)
+    from .bipotent import extension_rank, is_bipotent_semifield
+    from .uniform import is_uniform_semifield, sort_is_semifield
+
     payload = {
         "semifield": is_uniform_semifield(H),
         "sort_part_semifield": sort_is_semifield(H.sort_part),
@@ -150,6 +152,8 @@ def _int_list(text: str) -> tuple:
 
 def cmd_torsion_degree(args) -> tuple:
     P = _load(args.presentation, jsonio.parse_presentation)
+    from .bipotent import torsion_degree
+
     payload = {"degree": _fin(jsonio._built(torsion_degree, P, _int_list(args.exps)))}
     notes = ["the degree is the order of the monomial class in the quotient by the exponent lattice"]
     return payload, notes
@@ -157,6 +161,8 @@ def cmd_torsion_degree(args) -> tuple:
 
 def cmd_rank(args) -> tuple:
     P = _load(args.presentation, jsonio.parse_presentation)
+    from .bipotent import extension_rank
+
     payload = {"rank": _fin(jsonio._built(extension_rank, P, _int_list(args.over)))}
     notes = ["the rank is the size of the quotient group over the chosen sub-extension"]
     return payload, notes

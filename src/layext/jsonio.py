@@ -7,6 +7,11 @@ while building an object or checking a query's arguments, is a `ParseError`.
 schemas/README.md documents the shapes with one sample file per format;
 descriptors, presentations and generators are also written back, and parse
 back to the same objects.
+
+Each parse or render function imports the layer whose objects it builds or
+reads when it runs; `load_document` and the number parsers import none, so
+input that fails as JSON loads no layer.  The annotations name those layers'
+classes and are never evaluated (`from __future__ import annotations`).
 """
 
 from __future__ import annotations
@@ -14,19 +19,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .bipotent import BipotentPresentation, Numeric, Relation, Symbolic
-from .cancellative import AlgebraicGenerator, PosPoly, SignedPoly, validate_generator
 from .errors import ParseError
-from .tropical import ValueLattice
-from .uniform import (
-    AlgebraicSort,
-    BaseSort,
-    ExtScalar,
-    FreeLayer,
-    FreeSort,
-    LayeredPoly,
-    UniformDescriptor,
-)
 
 
 def _parse_number(s, kind, what: str):
@@ -93,6 +86,9 @@ def _built(make, *args):
 
 
 def parse_presentation(doc) -> BipotentPresentation:
+    from .bipotent import BipotentPresentation, Numeric, Relation, Symbolic
+    from .tropical import ValueLattice
+
     _require(isinstance(doc, dict), "presentation must be an object")
     base = doc.get("base", ["1"])
     generators = doc.get("generators", [])
@@ -117,6 +113,8 @@ def parse_presentation(doc) -> BipotentPresentation:
 
 
 def render_presentation(P: BipotentPresentation) -> dict:
+    from .bipotent import Numeric
+
     doc: dict = {
         "base": [str(g) for g in P.base.generators],
         "generators": [
@@ -140,10 +138,14 @@ def _parse_poly(doc, cls):
 
 
 def parse_signed_poly(doc) -> SignedPoly:
+    from .cancellative import SignedPoly
+
     return _parse_poly(doc, SignedPoly)
 
 
 def parse_pos_poly(doc) -> PosPoly:
+    from .cancellative import PosPoly
+
     return _parse_poly(doc, PosPoly)
 
 
@@ -152,6 +154,8 @@ def render_poly(terms) -> dict:
 
 
 def parse_generator(doc) -> AlgebraicGenerator:
+    from .cancellative import validate_generator
+
     _require(isinstance(doc, dict) and "m" in doc and "interval" in doc, "generator needs 'm' and 'interval'")
     m = parse_signed_poly(doc["m"])
     iv = doc["interval"]
@@ -167,6 +171,8 @@ def render_generator(gen: AlgebraicGenerator) -> dict:
 
 
 def parse_descriptor(doc) -> UniformDescriptor:
+    from .uniform import AlgebraicSort, BaseSort, FreeSort, UniformDescriptor
+
     _require(isinstance(doc, dict) and "sort" in doc and "value" in doc, "descriptor needs 'sort' and 'value'")
     sort_doc = doc["sort"]
     _require(isinstance(sort_doc, dict), "descriptor sort must be an object")
@@ -183,6 +189,8 @@ def parse_descriptor(doc) -> UniformDescriptor:
 
 
 def render_descriptor(H: UniformDescriptor) -> dict:
+    from .uniform import AlgebraicSort, BaseSort
+
     part = H.sort_part
     if isinstance(part, BaseSort):
         sort: dict = {"kind": "base"}
@@ -194,6 +202,8 @@ def render_descriptor(H: UniformDescriptor) -> dict:
 
 
 def parse_layered_poly(doc) -> LayeredPoly:
+    from .uniform import LayeredPoly
+
     _require(isinstance(doc, list) and doc, "layered polynomial must be a non-empty list of terms")
     triples = []
     for t in doc:
@@ -203,6 +213,8 @@ def parse_layered_poly(doc) -> LayeredPoly:
 
 
 def parse_scalar(doc) -> ExtScalar:
+    from .uniform import ExtScalar, FreeLayer
+
     _require(isinstance(doc, dict) and "layer" in doc and "value" in doc, "scalar needs 'layer' and 'value'")
     lay_doc = doc["layer"]
     if isinstance(lay_doc, (str, int)):

@@ -14,10 +14,17 @@ part (pure-layer); extending by a scalar whose layer stays in the base
 extends only the value part (pure-value); an arbitrary scalar extends both at
 once, yielding the smallest uniform layered domain containing it, and the two
 single-part extensions commute.
+
+Only an algebraic layer loads `cancellative`: `ExtScalar` imports it to
+check a layer that is neither a rational nor a `FreeLayer`, and the other
+functions tell an `ExtElem` from the other layers without loading it.  The
+annotations that name its classes are never evaluated
+(`from __future__ import annotations`).
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 from ._record import record
@@ -28,7 +35,6 @@ from .bipotent import (
     _check_name,
     is_bipotent_semifield,
 )
-from .cancellative import AlgebraicGenerator, ExtElem, PosPoly, in_layer_semifield
 from .errors import DescriptorMismatch, LayerNotInBase, ValueNotInBase
 from .tropical import LayeredElem, ValueLattice, _top_terms, as_fraction
 
@@ -125,11 +131,13 @@ class ExtScalar:
         if isinstance(lay, Fraction):
             if lay <= 0:
                 raise ValueError("scalar layer must be positive")
-        elif isinstance(lay, ExtElem):
+        elif not isinstance(lay, FreeLayer):
+            from .cancellative import ExtElem, in_layer_semifield
+
+            if not isinstance(lay, ExtElem):
+                raise TypeError("scalar layer must be rational, algebraic or free")
             if not in_layer_semifield(lay):
                 raise ValueError("algebraic scalar layer must be a positive element")
-        elif not isinstance(lay, FreeLayer):
-            raise TypeError("scalar layer must be rational, algebraic or free")
 
 
 @record
@@ -189,15 +197,21 @@ def eval_layered_poly(f: LayeredPoly, a: ExtScalar):
     return layer, value
 
 
+def _is_ext_elem(layer) -> bool:
+    """Whether `layer` is an `ExtElem`, loading nothing: none exists before `cancellative` has loaded."""
+    cancellative = sys.modules.get(f"{__package__}.cancellative")
+    return cancellative is not None and isinstance(layer, cancellative.ExtElem)
+
+
 def sort_contains(part, layer) -> bool:
     """Whether a layer already lies in the sort part; a constant extension layer is a rational."""
-    if not isinstance(layer, (Fraction, ExtElem, FreeLayer)):
-        raise TypeError(f"not a layer: {layer!r}")
-    if isinstance(layer, Fraction) or layer.is_constant:
+    if isinstance(layer, Fraction):
         return True
-    if isinstance(layer, ExtElem):
-        return isinstance(part, AlgebraicSort) and part.gen == layer.gen
-    return isinstance(part, FreeSort) and part.name == layer.name
+    if isinstance(layer, FreeLayer):
+        return layer.is_constant or isinstance(part, FreeSort) and part.name == layer.name
+    if not _is_ext_elem(layer):
+        raise TypeError(f"not a layer: {layer!r}")
+    return layer.is_constant or isinstance(part, AlgebraicSort) and part.gen == layer.gen
 
 
 def extend_sort(part, layer):
@@ -208,9 +222,9 @@ def extend_sort(part, layer):
         raise DescriptorMismatch(
             "only one sort extension step is supported; the layer is outside it"
         )
-    if isinstance(layer, ExtElem):
-        return AlgebraicSort(layer.gen)
-    return FreeSort(layer.name)
+    if isinstance(layer, FreeLayer):
+        return FreeSort(layer.name)
+    return AlgebraicSort(layer.gen)
 
 
 def value_group_contains(P: BipotentPresentation, value) -> bool:

@@ -7,6 +7,7 @@ of `src/layext` needs a caller in the library, in `scripts/` or in
 """
 
 import ast
+import importlib
 from types import ModuleType
 
 import layext
@@ -62,10 +63,25 @@ PUBLIC = [
 ]
 
 
+# the defining module of each public constant; classes and functions name theirs in `__module__`
+CONSTANTS = {"INFINITE": "layext.bipotent", "ONE": "layext.tropical", "ZERO": "layext.tropical"}
+
+
 def test_public_names_are_pinned():
-    # submodules become package attributes when imported, so they are left out
+    # the package resolves its names on first use, so they are read through its API,
+    # not from `vars(layext)`; submodules become package attributes when imported,
+    # so they are left out
+    assert sorted(layext.__all__) == PUBLIC
+    listed = [n for n in dir(layext) if not n.startswith("_") and not isinstance(getattr(layext, n), ModuleType)]
+    assert sorted(listed) == PUBLIC
+    star = {}
+    exec("from layext import *", star)
+    assert sorted(n for n in star if n != "__builtins__") == PUBLIC
+    for name in PUBLIC:
+        obj = getattr(layext, name)
+        assert obj is getattr(importlib.import_module(CONSTANTS.get(name) or obj.__module__), name)
     names = [n for n, v in vars(layext).items() if not n.startswith("_") and not isinstance(v, ModuleType)]
-    assert sorted(names) == PUBLIC
+    assert set(names) <= set(PUBLIC)
 
 
 # Names defined in src/layext that no program reads, each kept for library users.

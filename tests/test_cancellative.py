@@ -14,7 +14,7 @@ from hypothesis import given, strategies as st
 
 import reference as R
 from conftest import positive_rationals
-from layext import polys
+from layext import cancellative, polys
 from layext.cancellative import (
     AlgebraicGenerator,
     ExtElem,
@@ -687,6 +687,24 @@ class TestPosPoly:
         assert a.scale(c).coeffs == R.scale(a.coeffs, c)
         # the gaps of a product are Fraction zeros too
         assert all(type(x) is F for x in (a * b).coeffs)
+
+    def test_sum_and_product_build_no_dense_form(self, monkeypatch):
+        # the operators build their own coefficient tuple, so `_dense` has nothing to coerce or check
+        rng = random.Random(29)
+
+        def draw():
+            return PosPoly.of({rng.randint(0, 6): F(rng.randint(1, 9), rng.randint(1, 4))
+                               for _ in range(rng.randint(1, 4))})
+
+        pairs = [(draw(), draw()) for _ in range(50)] + [(R.monomial(2), R.monomial(2))]
+        dense, calls = cancellative._dense, []
+        monkeypatch.setattr(cancellative, "_dense", lambda obj: calls.append(obj) or dense(obj))
+        for a, b in pairs:
+            total, product = a + b, a * b
+            assert total.coeffs == R.add(a.coeffs, b.coeffs)
+            assert product.coeffs == R.mul(a.coeffs, b.coeffs)
+            assert all(type(x) is F for x in total.coeffs + product.coeffs)
+        assert calls == []
 
 
 GENS = MODULI + KERNEL_GENS  # degrees 2-7; most KERNEL_GENS tables have a denominator D > 1

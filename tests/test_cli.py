@@ -19,7 +19,7 @@ from layext.cancellative import PosPoly
 from layext.errors import ParseError
 from layext.tropical import LayeredElem
 from layext.uniform import FreeLayer
-from test_cli_golden import CASES, ROOT
+from test_cli_golden import CASES, GOLDEN, ROOT
 
 
 def run(args, tmp_path=None):
@@ -640,15 +640,56 @@ def test_mutated_samples_give_a_result_or_one_error_line(tmp_path_factory, case,
     assert_result_or_one_error_line(argv)
 
 
-def test_cli_imports_only_the_standard_library():
-    # diff against a snapshot: the interpreter's site hooks may load
-    # third-party modules before any user code runs
-    code = (
-        "import sys; before = set(sys.modules); import layext.cli; "
-        "print(*sorted({m.partition('.')[0] for m in set(sys.modules) - before}))"
-    )
-    out = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True, text=True, check=True)
-    loaded = out.stdout.split()
-    assert "layext" in loaded
-    assert [m for m in loaded if m not in sys.stdlib_module_names and m != "layext"] == []
-    assert {"dataclasses", "inspect"} & set(loaded) == set()
+LAYERS = {"tropical", "intlinalg", "bipotent", "polys", "cancellative", "uniform"}
+BIPOTENT = {"bipotent", "intlinalg", "tropical"}
+BROKEN = "broken.json"
+# runs `cli.main` on its arguments, then writes every module loaded since the
+# snapshot as the last line of stderr; the snapshot leaves out what the
+# interpreter's site hooks load before any user code runs
+CHILD = (
+    "import sys; before = set(sys.modules); from layext.cli import main; rc = main(sys.argv[1:]); "
+    "print(*sorted(set(sys.modules) - before), file=sys.stderr); sys.exit(rc)"
+)
+
+
+def golden_output(argv) -> str:
+    """The standard output `tests/golden/cli_schemas.txt` records for `layext argv`, a run that exited 0."""
+    text = GOLDEN.read_text(encoding="utf-8")
+    head = f"$ layext {' '.join(argv)}\nexit: 0\n"
+    start = text.index(head) + len(head)
+    end = text.find("\n$ layext ", start)
+    return text[start:end + 1 if end >= 0 else None]
+
+
+@pytest.mark.parametrize(
+    "argv, layers",
+    [
+        (["decompose", "schemas/presentation.json"], BIPOTENT),
+        (["torsion-degree", "schemas/presentation.json", "--exps=1,0"], BIPOTENT),
+        (["rank", "schemas/presentation.json"], BIPOTENT),
+        (["kernel", "schemas/poly_pos.json", "schemas/poly_pos_const.json", "schemas/generator.json"],
+         {"cancellative", "polys", "tropical"}),
+        (["eval", "schemas/layered_poly.json", "schemas/scalar.json"], BIPOTENT | {"uniform"}),
+        (["closure", "schemas/descriptor.json", "schemas/scalar.json"], BIPOTENT | {"uniform"}),
+        (["semifield", "schemas/descriptor.json"], BIPOTENT | {"uniform"}),
+        (["rank", BROKEN], set()),
+    ],
+    ids=["decompose", "torsion-degree", "rank", "kernel", "eval", "closure", "semifield", "broken-json"],
+)
+def test_cli_imports_only_the_standard_library(tmp_path, argv, layers):
+    # each subcommand loads only the layers it calls, and input that fails as JSON loads none
+    argv = [write(tmp_path, a, b'{"base": [') if a == BROKEN else a for a in argv]
+    out = subprocess.run([sys.executable, "-c", CHILD, *argv], env=src_env(), cwd=ROOT,
+                         capture_output=True, text=True)
+    *errors, modules = out.stderr.splitlines()
+    loaded = modules.split()
+    tops = {m.partition(".")[0] for m in loaded}
+    assert "layext" in tops
+    assert [m for m in tops if m not in sys.stdlib_module_names and m != "layext"] == []
+    assert {"dataclasses", "inspect"} & tops == set()
+    assert {m.partition(".")[2] for m in loaded if m.startswith("layext.")} & LAYERS == layers
+    if layers:
+        assert (out.returncode, errors, out.stdout) == (0, [], golden_output(argv))
+    else:
+        assert (out.returncode, out.stdout, len(errors)) == (1, "", 1)
+        assert errors[0].startswith("error: ParseError: ")
