@@ -19,10 +19,15 @@ Queries run on integers.  The lattice build clears the numeric values and
 the declared betas once, to integers over one denominator `den`, and the
 queries on a presentation share its lattice and the congruence the build
 solved; the one Fraction a query builds is the rational part of its answer.
-A query that reads only the columns outside a subset (`extension_rank` over
-it, `is_divisibly_dependent`) runs its one Hermite pass on the basis
-projected onto those columns, and none when they are a prefix of the
-natural order.
+Without symbolic generators a monomial lies in the base exactly when the
+build's congruence sum k_i*t_i ≡ 0 (mod m) holds, so every query answers
+from t, m and the denominators in closed form, with no Hermite pass: an
+order of V = sum e_i*t_i modulo m or modulo a gcd of m and some t_i, and a
+witness reduced by `la.congruence_hnf`.  With symbolic generators the
+queries read the Hermite basis; one that reads only the columns outside a
+subset (`extension_rank` over it, `is_divisibly_dependent`, the witness)
+runs its one Hermite pass on the basis projected onto those columns, and
+none when they are a prefix of the natural order.
 
 Only `decompose_extension` may build a Smith form, and only for a
 presentation with symbolic generators.  Without them the quotient is cyclic
@@ -37,6 +42,8 @@ the order.
 (0, (6,))
 >>> extension_rank(P)
 6
+>>> divisible_dependence_witness(P, (0, 1), (0,))
+DependenceWitness(power=3, exponents=(0,), beta=Fraction(1, 1))
 """
 
 from __future__ import annotations
@@ -343,6 +350,18 @@ def _order(basis, vec):
     return INFINITE if any(v) else order
 
 
+def _dot(exps, ts) -> int:
+    """sum e_i*t_i: the value of the monomial `exps` over den*q, on the build's integers."""
+    return sum(e * t for e, t in zip(exps, ts))
+
+
+def _order_mod(v: int, g: int):
+    """Order of v in Z/g for g >= 0: g // gcd(g, v), and over g = 0 (Z itself) 1 for v = 0, else INFINITE."""
+    if g:
+        return g // math.gcd(g, v)
+    return INFINITE if v else 1
+
+
 @record
 class ExtDecomposition:
     """Free-by-torsion decomposition of a bipotent extension.
@@ -476,9 +495,16 @@ def decompose_extension(P: BipotentPresentation) -> ExtDecomposition:
 
 
 def torsion_degree(P: BipotentPresentation, exps):
-    """Minimal k >= 1 with k times the monomial landing in the base, else INFINITE."""
+    """Minimal k >= 1 with k times the monomial landing in the base, else INFINITE.
+
+    Without symbolic generators it is the order of V = sum e_i*t_i modulo
+    the build's m; with them, an order modulo the Hermite basis.
+    """
     _checked_subset(P, (exps,), ())
-    return _order(_entry(P)[1].basis, exps)
+    _, lat, ts, m, _, _ = _entry(P)
+    if None in ts:
+        return _order(lat.basis, exps)
+    return _order_mod(_dot(exps, ts), m)
 
 
 def torsion_subdomain_contains(P: BipotentPresentation, exps) -> bool:
@@ -492,12 +518,17 @@ def is_divisibly_dependent(P: BipotentPresentation, subset) -> bool:
     Equivalent to the exponent lattice having a nonzero vector supported on
     those coordinates, that is to its projection onto the complement having
     lower rank than the lattice: one Hermite pass over the complement columns.
+    Without symbolic generators no pass runs: m*e_i lies in the lattice when
+    m > 0, t_j*e_i - t_i*e_j (or e_i, when both are 0) for two indices, and
+    e_i alone exactly when t_i = 0.
     """
     subset = _checked_subset(P, (), subset)
     if not subset:
         raise ValueError("subset must be non-empty")
-    basis = _entry(P)[1].basis
-    return len(_projected(basis, [j for j in range(P.n) if j not in subset])) < len(basis)
+    _, lat, ts, m, _, _ = _entry(P)
+    if None not in ts:
+        return bool(m) or len(subset) > 1 or not ts[subset[0]]
+    return len(_projected(lat.basis, [j for j in range(P.n) if j not in subset])) < len(lat.basis)
 
 
 @record
@@ -515,16 +546,22 @@ def divisible_dependence_witness(P: BipotentPresentation, exps, subset=()) -> De
     Returns None when no power of the monomial is a base multiple of a
     monomial in the subset generators.  The witness satisfies
     power*exps = sum over subset of exponents*e_i + (lattice vector of value beta).
-    The power is an order modulo the Hermite rows, complement columns first,
-    that reach into the complement; reducing by all rows gives the rest.
-    Everything runs on integers: the betas over the lattice's `den`, and the
-    check that the removed lattice vector has value beta on the build's t_i,
-    over den*q.  beta is the one Fraction built.
+    The exponents are the Hermite-reduced representative of their coset of
+    the lattice vectors supported on the subset, so the witness is unique.
+    Without symbolic generators it is written from the build's congruence
+    (`_cyclic_witness`).  With them, the power is an order modulo the
+    Hermite rows, complement columns first, that reach into the complement;
+    reducing by all rows gives the rest.  Everything runs on integers: the
+    betas over the lattice's `den`, and the check that the removed lattice
+    vector has value beta on the build's t_i, over den*q.  beta is the one
+    Fraction built.
     """
     subset = _checked_subset(P, (exps,), subset)
+    _, lat, ts, m, q, _ = _entry(P)
+    if None not in ts:
+        return _cyclic_witness(ts, m, lat.den * q, exps, subset)
     complement = [j for j in range(P.n) if j not in subset]
     c = len(complement)
-    _, lat, ts, _, q, _ = _entry(P)
     rows = _basis_first([(*row, b) for row, b in zip(lat.basis, lat.betas)], complement, P.n)
     k = _order([row[:c] for row in rows if any(row[:c])], [exps[j] for j in complement])
     if k == INFINITE:
@@ -542,17 +579,48 @@ def divisible_dependence_witness(P: BipotentPresentation, exps, subset=()) -> De
     return DependenceWitness(k, tuple(sub_exps), beta)
 
 
+def _cyclic_witness(ts, m: int, den_q: int, exps, subset) -> DependenceWitness | None:
+    """`divisible_dependence_witness` for a presentation without symbolic generators, from its congruence.
+
+    With V = sum e_i*t_i and G = gcd(m, t_i : i in subset), a power k of the
+    monomial is a base multiple of a subset monomial exactly when k*V is a
+    multiple of G modulo m, so the least is the order of V modulo G.  The
+    subset's Bézout coefficients, scaled by k*V/G, give exponents x with
+    sum x_i*t_i ≡ k*V (mod m); they are reduced by `la.congruence_hnf`, the
+    Hermite basis of the lattice vectors supported on the subset.  The
+    removed lattice vector has value beta = (k*V - sum x_i*t_i)/(den*q).
+    """
+    t_sub = [ts[i] for i in subset]
+    g = math.gcd(m, *t_sub)
+    v = _dot(exps, ts)
+    k = _order_mod(v, g)
+    if k == INFINITE:
+        return None
+    scale = k * v // g if g else 0  # g = 0 leaves only v = 0, and every t_i in the subset is 0
+    x = la.reduce_by_hnf([b * scale for b in _bezout(t_sub, m)], la.congruence_hnf(t_sub, m))
+    removed = k * v - _dot(x, t_sub)
+    assert not (removed % m if m else removed)  # the removed vector lies in the base
+    return DependenceWitness(k, x, Fraction(removed, den_q))
+
+
 def extension_rank(P: BipotentPresentation, over=()):
     """[extension : sub-extension generated by the subset]; INFINITE if not torsion.
 
     With an empty subset this is the rank of the whole extension over the base.
     It is the index of the lattice's projection onto the complement columns:
     the product of that projection's Hermite pivots, INFINITE when it has
-    fewer rows than columns.
+    fewer rows than columns.  Without symbolic generators the quotient is
+    the multiples of G = gcd(m, t_1, ..., t_n) modulo m (`exponent_lattice`)
+    and the subset's image those of G_over = gcd(m, t_i : i in over), so the
+    rank is the order of G modulo G_over: G_over/G, 1 when G = 0, and
+    INFINITE when G_over = 0 < G.
     """
     over = _checked_subset(P, (), over)
+    _, lat, ts, m, _, _ = _entry(P)
+    if None not in ts:
+        return _order_mod(math.gcd(m, *ts), math.gcd(m, *(ts[i] for i in over)))
     complement = [j for j in range(P.n) if j not in over]
-    basis = _projected(_entry(P)[1].basis, complement)
+    basis = _projected(lat.basis, complement)
     if len(basis) < len(complement):
         return INFINITE
     return math.prod(row[i] for i, row in enumerate(basis))
@@ -571,9 +639,16 @@ def is_bipotent_semifield(P: BipotentPresentation) -> bool:
 
 
 def linearly_dependent_pair(P: BipotentPresentation, x_exps, y_exps) -> bool:
-    """Whether the two monomials differ by a base factor (equal classes)."""
+    """Whether the two monomials differ by a base factor (equal classes).
+
+    Without symbolic generators: whether sum (x_i - y_i)*t_i = 0 modulo m.
+    """
     _checked_subset(P, (x_exps, y_exps), ())
-    return _entry(P)[1].contains(tuple(a - b for a, b in zip(x_exps, y_exps)))
+    _, lat, ts, m, _, _ = _entry(P)
+    diff = tuple(a - b for a, b in zip(x_exps, y_exps))
+    if None in ts:
+        return lat.contains(diff)
+    return _order_mod(_dot(diff, ts), m) == 1
 
 
 def canonical_coset_value(P: BipotentPresentation, exps) -> Fraction | None:
@@ -586,14 +661,17 @@ def canonical_coset_value(P: BipotentPresentation, exps) -> Fraction | None:
     is the remainder's numeric value modulo it.  Returns None when symbolic
     coordinates remain.  With the build's t_i, m and q, the remainder's
     value is V/(den*q), V = sum e_i*t_i, so that is (V mod m) / (den*q), the
-    one Fraction built.
+    one Fraction built.  Without symbolic generators the monomial itself
+    is such a remainder, and nothing is reduced.
     """
     _checked_subset(P, (exps,), ())
-    sym = P.symbolic_indices()
     _, lat, ts, m, q, _ = _entry(P)
-    basis = _basis_first(lat.basis, sym, P.n)
-    rem = la.reduce_by_hnf(_columns_first([exps], sym, P.n)[0], basis)
-    if any(rem[: len(sym)]):
-        return None
-    value = sum(e * ts[i] for e, i in zip(rem[len(sym):], P.numeric_indices()))
+    if None in ts:
+        sym = P.symbolic_indices()
+        rem = la.reduce_by_hnf(_columns_first([exps], sym, P.n)[0], _basis_first(lat.basis, sym, P.n))
+        if any(rem[: len(sym)]):
+            return None
+        value = sum(e * ts[i] for e, i in zip(rem[len(sym):], P.numeric_indices()))
+    else:
+        value = _dot(exps, ts)
     return Fraction(value % m if m else value, lat.den * q)

@@ -176,7 +176,7 @@ class PosPoly(SignedPoly):
         return PosPoly(tuple(c or Fraction(0) for c in polys._mul(self.coeffs, other.coeffs)))
 
     def __pow__(self, k: int) -> "PosPoly":
-        return power(self, k, PosPoly.constant(1))
+        return power(self, k, _POS_ONE)
 
     def scale(self, c) -> "PosPoly":
         c = as_fraction(c)
@@ -184,6 +184,8 @@ class PosPoly(SignedPoly):
             raise ValueError("scaling factor must be positive")
         return PosPoly(tuple(c * x for x in self.coeffs))
 
+
+_POS_ONE = PosPoly.constant(1)  # p**0, built once
 
 def _render_terms(terms, var: str) -> str:
     """The sum of the (degree, coefficient) pairs `terms` in their order, c·var^d each; "0" for none.

@@ -559,11 +559,46 @@ class TestSharedQuotient:
         calls.clear()
         exponent_lattice(R.item_10_presentation(48))
         assert calls == []
-        P = numeric("1/2", "1/3", "1/5")
+        # a numeric presentation answers from its congruence; a symbolic generator takes the Hermite path
+        P = BipotentPresentation(Z, (Numeric.of("1/2"), Numeric.of("1/3"), Numeric.of("1/5"), Symbolic("g")))
         extension_rank(P)
         calls.clear()
         assert is_divisibly_dependent(P, (0, 2))
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("base", [Z, ValueLattice.of("1/6"), ValueLattice.of()], ids=["1", "1/6", "trivial"])
+    def test_numeric_queries_run_no_hermite_pass(self, monkeypatch, base):
+        # without symbolic generators every query answers from the build's congruence,
+        # complement-first subsets included
+        calls = []
+        echelon = la._echelon
+
+        def counted(rows, ncols):
+            calls.append(ncols)
+            return echelon(rows, ncols)
+
+        monkeypatch.setattr(la, "_echelon", counted)
+        P = BipotentPresentation(base, tuple(Numeric.of(v) for v in ("1/2", "1/3", "-1/5", "0", "7/4")))
+        x, y = (1, 0, 2, 1, 0), (0, 3, -1, 0, 2)
+        for query, args in [
+            (torsion_degree, (x,)),
+            (torsion_subdomain_contains, (x,)),
+            (linearly_dependent_pair, (x, y)),
+            (canonical_coset_value, (x,)),
+            (extension_rank, ()),
+            (extension_rank, ((0, 2),)),
+            (extension_rank, ((3,),)),
+            (is_bipotent_semifield, ()),
+            (is_divisibly_dependent, ((0, 2),)),
+            (is_divisibly_dependent, ((1,),)),
+            (is_divisibly_dependent, ((3,),)),
+            (divisible_dependence_witness, (x, (0, 2))),
+            (divisible_dependence_witness, (x, (1, 3))),
+            (divisible_dependence_witness, (y, ())),
+            (decompose_extension, ()),
+        ]:
+            query(P, *args)
+        assert calls == []
 
     def test_natural_order_queries_run_no_hermite_pass(self, monkeypatch):
         P = BipotentPresentation(
@@ -602,7 +637,11 @@ class TestSharedQuotient:
         assert extension_rank(P, over=(2,)) == 6
         assert divisible_dependence_witness(P, (1, 0, 0), subset=(1, 2)) == DependenceWitness(3, (1, 0), F(0))
         assert calls == []
-        assert divisible_dependence_witness(P, (0, 1, 0), subset=(0,)) == DependenceWitness(1, (3,), F(0))
+        # with a symbolic generator a subset that leaves no prefix of the natural order runs one pass
+        S = BipotentPresentation(Z, P.generators + (Symbolic("g"),))
+        extension_rank(S)
+        calls.clear()
+        assert divisible_dependence_witness(S, (0, 1, 0, 0), subset=(0,)) == DependenceWitness(1, (3,), F(0))
         assert len(calls) == 1
 
     def test_complement_queries_run_one_pass_as_wide_as_the_complement(self, monkeypatch):
@@ -990,6 +1029,57 @@ class TestClosedFormDecomposition:
     )
     def test_hypothesis_presentations(self, base, values):
         check_closed_form(BipotentPresentation.from_values(base, *values))
+
+
+class TestClosedFormQueries:
+    """Queries on presentations without symbolic generators agree with the Hermite path.
+
+    P plus a symbolic generator s with the relation s = 0 has P's lattice
+    plus the vector e_s, and its symbol sends every query down the Hermite
+    path; each query that leaves s out must answer alike on the two, the
+    witness's exponents and beta included.
+    """
+
+    @staticmethod
+    def _answers(P, draws):
+        out = [is_bipotent_semifield(P)]
+        for x, y, subset in draws:
+            out += [
+                torsion_degree(P, x),
+                torsion_subdomain_contains(P, x),
+                linearly_dependent_pair(P, x, y),
+                canonical_coset_value(P, x),
+                extension_rank(P, subset),
+                divisible_dependence_witness(P, x, subset),
+            ]
+            if subset:
+                out.append(is_divisibly_dependent(P, subset))
+        dec = decompose_extension(P)
+        return out + [dec.free_rank, dec.torsion_orders, dec.rank()]
+
+    def test_seeded_presentations_agree_with_the_hermite_path(self):
+        rng = random.Random(30)
+        compared = 0
+        for _ in range(700):
+            n = rng.randint(1, 7)
+            if rng.randrange(6):
+                base = ValueLattice.of(*rng.sample(BASES, rng.randint(1, 2)))
+            else:
+                base = ValueLattice.of()
+            values = [F(0) if rng.random() < 0.15 else F(rng.randint(-30, 30), rng.choice((1, 2, 3, 4, 5, 6, 9, 35)))
+                      for _ in range(n)]
+            P = BipotentPresentation(base, tuple(Numeric(v) for v in values))
+            S = BipotentPresentation(base, P.generators + (Symbolic("s"),), (Relation((0,) * n + (1,), F(0)),))
+            draws = []
+            for j in range(12):
+                x = tuple(rng.randint(-6, 6) for _ in range(n))
+                y = tuple(rng.randint(-6, 6) for _ in range(n))
+                subset = () if j == 0 else tuple(range(n)) if j == 1 else tuple(rng.sample(range(n), rng.randint(1, n)))
+                draws.append((x, y, subset))
+            want = self._answers(S, [(x + (0,), y + (0,), subset) for x, y, subset in draws])
+            assert self._answers(P, draws) == want, P
+            compared += len(want)
+        assert compared > 50000
 
 
 class TestDecompositionGrowth:

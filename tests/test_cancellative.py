@@ -7,7 +7,7 @@ import threading
 import time
 from decimal import Decimal, localcontext
 from fractions import Fraction as F
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import pytest
 from hypothesis import given, strategies as st
@@ -36,7 +36,7 @@ from layext.errors import (
     ZeroElement,
 )
 from layext.cancellative import _REFINE_STEPS
-from layext.uniform import ExtScalar
+from layext.uniform import ExtScalar, FreeLayer
 
 SQRT2 = validate_generator(SignedPoly.of({2: 1, 0: -2}), (1, 2))
 CBRT2 = validate_generator(SignedPoly.of({3: 1, 0: -2}), (1, 2))
@@ -704,6 +704,9 @@ class TestPosPoly:
             assert total.coeffs == R.add(a.coeffs, b.coeffs)
             assert product.coeffs == R.mul(a.coeffs, b.coeffs)
             assert all(type(x) is F for x in total.coeffs + product.coeffs)
+        for k in range(4):
+            assert (pairs[0][0] ** k).coeffs == reduce(R.mul, [pairs[0][0].coeffs] * k, (F(1),))
+            assert FreeLayer("x", pairs[1][0]) ** k == FreeLayer("x", pairs[1][0] ** k)
         assert calls == []
 
 
