@@ -15,19 +15,20 @@ quotient group Z^n / lattice classifies the extension: free coordinates give
 divisibly independent generators, torsion coordinates give generators with a
 power in the base.
 
-Queries run on integers.  The lattice build clears the numeric values and
-the declared betas once, to integers over one denominator `den`, and the
-queries on a presentation share its lattice and the congruence the build
-solved; the one Fraction a query builds is the rational part of its answer.
+Queries run on integers and share what a presentation derives, in two
+stages: the values and declared betas cleared once to integers over one
+denominator `den`, with the congruence sum k_i*t_i ≡ 0 (mod m) they give,
+then the Hermite basis (`exponent_lattice`), only once a query reads it.
+The one Fraction a query builds is the rational part of its answer.
 Without symbolic generators a monomial lies in the base exactly when the
-build's congruence sum k_i*t_i ≡ 0 (mod m) holds, so every query answers
-from t, m and the denominators in closed form, with no Hermite pass: an
-order of V = sum e_i*t_i modulo m or modulo a gcd of m and some t_i, and a
-witness reduced by `la.congruence_hnf`.  With symbolic generators the
-queries read the Hermite basis; one that reads only the columns outside a
-subset (`extension_rank` over it, `is_divisibly_dependent`, the witness)
-runs its one Hermite pass on the basis projected onto those columns, and
-none when they are a prefix of the natural order.
+congruence holds, so every query but `decompose_extension` answers from
+t, m and the denominators in closed form, with no basis: an order of
+V = sum e_i*t_i modulo m or modulo a gcd of m and some t_i, and a witness
+reduced by `la.congruence_hnf`.  With symbolic generators the queries read
+the Hermite basis; one that reads only the columns outside a subset
+(`extension_rank` over it, `is_divisibly_dependent`, the witness) runs its
+one Hermite pass on the basis projected onto those columns, and none when
+they are a prefix of the natural order.
 
 Only `decompose_extension` may build a Smith form, and only for a
 presentation with symbolic generators.  Without them the quotient is cyclic
@@ -216,12 +217,36 @@ def _check_relations(P: BipotentPresentation, num, scaled):
         raise InconsistentRelations("declared relations give a numeric monomial a value other than its own")
 
 
-# The last presentation built, [P, lattice, t, m, q, decomposition or None]:
-# t holds each generator's t_i (None for a symbolic one), and
-# `decompose_extension` fills in the last slot.  One entry keeps no
-# presentation alive beyond the next one; a build replaces it whole, so
-# concurrent callers at worst rebuild it, never mix two presentations' data.
+# The last presentation queried, [P, t, m, q, den, lattice or None,
+# decomposition or None]: t holds each generator's t_i (None for a symbolic
+# one), and `exponent_lattice` and `decompose_extension` fill in the last two
+# slots when a query first reads them.  One entry keeps no presentation alive
+# beyond the next one.  `_entry` replaces it whole, so concurrent callers at
+# worst derive it again, never mix two presentations' data; two that fill one
+# slot at once store equal values.
 _last = [None]
+
+
+def _entry(P: BipotentPresentation) -> list:
+    """P's cache entry, its congruence derived once per run of queries on P, with no Hermite pass.
+
+    The numeric values s_i and the declared betas are cleared over one `den`;
+    with the base generator g = p/q, t_i = s_i*q and m = den*p (m = 0 over a
+    trivial base), and a numeric monomial k lies in the base exactly when
+    sum k_i*t_i ≡ 0 (mod m).  `exponent_lattice` checks the relations.
+    """
+    global _last
+    entry = _last
+    if entry[0] is not P:
+        num = P.numeric_indices()
+        scaled, den = _cleared([P.generators[i].value for i in num] + [r.beta for r in P.relations])
+        g = P.base.single_generator()
+        q = g.denominator
+        ts = [None] * P.n
+        for i, s in zip(num, scaled):
+            ts[i] = s * q
+        entry = _last = [P, ts, den * g.numerator, q, den, None, None]
+    return entry
 
 
 def exponent_lattice(P: BipotentPresentation) -> ExponentLattice:
@@ -232,52 +257,39 @@ def exponent_lattice(P: BipotentPresentation) -> ExponentLattice:
     InconsistentRelations when a combination of declared relations
     contradicts the numeric values.
 
-    The numeric values and the declared betas are cleared once, to integers
-    s_i over one denominator `den`; every later step works on those ints.
-    With the base generator g = p/q, t_i = s_i*q and m = den*p (m = 0 over a
-    trivial base), a numeric monomial lies in the base exactly when
-    sum k_i*t_i = 0 modulo m, so the numeric part of the lattice is
-    `la.congruence_hnf` of them, placed in the numeric columns.  A row's
-    beta is its value over `den`, sum k_i*s_i.  Without declared relations
-    these rows are the Hermite basis; with them one `la.hnf` merges the
-    relation rows in, their betas riding along.  The build stores P's cache
-    entry, with t, m and q, for the queries that follow.
+    The second stage of P's cache entry, built from the congruence `_entry`
+    derived when a query first reads the basis (`decompose_extension`, or
+    any query on a presentation with a symbolic generator) and kept in the
+    entry.  The numeric part of the lattice is `la.congruence_hnf` of
+    t and m, placed in the numeric columns; a row's beta is its value over
+    `den`, sum k_i*s_i with s_i = t_i/q.  Without declared relations these
+    rows are the Hermite basis; with them, once they are checked, one
+    `la.hnf` merges the relation rows in, their betas riding along.
     """
-    global _last
-    num = P.numeric_indices()
-    scaled, den = _cleared([P.generators[i].value for i in num] + [r.beta for r in P.relations])
-    if P.relations:
-        _check_relations(P, num, scaled)
-    g = P.base.single_generator()
-    q, m = g.denominator, den * g.numerator
-    ts = [None] * P.n
-    for i, s in zip(num, scaled):
-        ts[i] = s * q
-    rows = []
-    for k in la.congruence_hnf([ts[i] for i in num], m):
-        row = [0] * P.n
-        for i, x in zip(num, k):
-            row[i] = x
-        rows.append(row + [sum(x * a for x, a in zip(k, scaled))])
-    if P.relations:
-        rows += [[*r.exps, b] for r, b in zip(P.relations, scaled[len(num):])]
-        rows = la.hnf(rows, P.n)
-    lat = ExponentLattice(tuple(tuple(row[:-1]) for row in rows), tuple(row[-1] for row in rows), den)
-    _last = [P, lat, ts, m, q, None]
+    _, ts, m, q, den, lat, _ = entry = _entry(P)
+    if lat is None:
+        num = P.numeric_indices()
+        scaled = [ts[i] // q for i in num] + [r.beta.numerator * (den // r.beta.denominator) for r in P.relations]
+        if P.relations:
+            _check_relations(P, num, scaled)
+        rows = []
+        for k in la.congruence_hnf([ts[i] for i in num], m):
+            row = [0] * P.n
+            for i, x in zip(num, k):
+                row[i] = x
+            rows.append(row + [sum(x * a for x, a in zip(k, scaled))])
+        if P.relations:
+            rows += [[*r.exps, b] for r, b in zip(P.relations, scaled[len(num):])]
+            rows = la.hnf(rows, P.n)
+        lat = entry[5] = ExponentLattice(tuple(tuple(row[:-1]) for row in rows), tuple(row[-1] for row in rows), den)
     return lat
 
 
-def _entry(P: BipotentPresentation) -> list:
-    """P's cache entry, built once per run of queries on P.
-
-    Another thread's build may replace the entry before it is read back;
-    the loop then builds P's again.
-    """
-    entry = _last
-    while entry[0] is not P:
-        exponent_lattice(P)
-        entry = _last
-    return entry
+def _in_value_group(P: BipotentPresentation, v: Fraction) -> bool:
+    """Whether v lies in the group the base and the numeric values span, the multiples of G/(den*q), G = gcd(m, t_i)."""
+    _, ts, m, q, den, _, _ = _entry(P)
+    g = math.gcd(m, *(t for t in ts if t is not None))
+    return not v.numerator * den * q % (v.denominator * g) if g else not v
 
 
 def _checked_subset(P: BipotentPresentation, vectors, subset) -> list[int]:
@@ -351,7 +363,7 @@ def _order(basis, vec):
 
 
 def _dot(exps, ts) -> int:
-    """sum e_i*t_i: the value of the monomial `exps` over den*q, on the build's integers."""
+    """sum e_i*t_i: the value of the monomial `exps` over den*q, on the entry's integers."""
     return sum(e * t for e, t in zip(exps, ts))
 
 
@@ -425,10 +437,10 @@ def _bezout(us, c):
     return k
 
 
-def _cyclic_decomposition(lat: ExponentLattice, ts, m: int) -> ExtDecomposition:
+def _cyclic_decomposition(basis, ts, m: int) -> ExtDecomposition:
     """The decomposition of a presentation without symbolic generators, in closed form.
 
-    With the build's congruence (`exponent_lattice`), a monomial k lies in
+    With the entry's congruence (`_entry`), a monomial k lies in
     the base exactly when sum k_i*t_i ≡ 0 modulo m, so k ↦ sum k_i*t_i maps
     Z^n modulo the lattice onto the multiples of G = gcd(m, t_1, ..., t_n)
     modulo m: a cyclic group of order D = m/G.  Its monomial maps to G, and
@@ -444,12 +456,12 @@ def _cyclic_decomposition(lat: ExponentLattice, ts, m: int) -> ExtDecomposition:
         D = m // G
         if D > 1:
             us = [t // G % D for t in ts]
-            mono = la.reduce_by_hnf(_bezout(us, D), lat.basis)
+            mono = la.reduce_by_hnf(_bezout(us, D), basis)
             return ExtDecomposition((), (mono,), (D,), tuple(((), (u - D if 2 * u > D else u,)) for u in us))
     else:
         h = math.gcd(*ts)
         if h:
-            mono = la.reduce_by_hnf(_bezout(ts, 0), lat.basis)
+            mono = la.reduce_by_hnf(_bezout(ts, 0), basis)
             return ExtDecomposition((mono,), (), (), tuple(((t // h,), ()) for t in ts))
     return ExtDecomposition((), (), (), (((), ()),) * len(ts))  # the quotient is trivial
 
@@ -488,22 +500,22 @@ def decompose_extension(P: BipotentPresentation) -> ExtDecomposition:
     object.
     """
     entry = _entry(P)
-    if entry[5] is None:
-        _, lat, ts, m, _, _ = entry
-        entry[5] = _smith_decomposition(lat.basis, P.n) if None in ts else _cyclic_decomposition(lat, ts, m)
-    return entry[5]
+    if entry[6] is None:
+        ts, basis = entry[1], exponent_lattice(P).basis
+        entry[6] = _smith_decomposition(basis, P.n) if None in ts else _cyclic_decomposition(basis, ts, entry[2])
+    return entry[6]
 
 
 def torsion_degree(P: BipotentPresentation, exps):
     """Minimal k >= 1 with k times the monomial landing in the base, else INFINITE.
 
     Without symbolic generators it is the order of V = sum e_i*t_i modulo
-    the build's m; with them, an order modulo the Hermite basis.
+    the entry's m; with them, an order modulo the Hermite basis.
     """
     _checked_subset(P, (exps,), ())
-    _, lat, ts, m, _, _ = _entry(P)
+    _, ts, m, _, _, _, _ = _entry(P)
     if None in ts:
-        return _order(lat.basis, exps)
+        return _order(exponent_lattice(P).basis, exps)
     return _order_mod(_dot(exps, ts), m)
 
 
@@ -525,10 +537,11 @@ def is_divisibly_dependent(P: BipotentPresentation, subset) -> bool:
     subset = _checked_subset(P, (), subset)
     if not subset:
         raise ValueError("subset must be non-empty")
-    _, lat, ts, m, _, _ = _entry(P)
+    _, ts, m, _, _, _, _ = _entry(P)
     if None not in ts:
         return bool(m) or len(subset) > 1 or not ts[subset[0]]
-    return len(_projected(lat.basis, [j for j in range(P.n) if j not in subset])) < len(lat.basis)
+    basis = exponent_lattice(P).basis
+    return len(_projected(basis, [j for j in range(P.n) if j not in subset])) < len(basis)
 
 
 @record
@@ -548,18 +561,19 @@ def divisible_dependence_witness(P: BipotentPresentation, exps, subset=()) -> De
     power*exps = sum over subset of exponents*e_i + (lattice vector of value beta).
     The exponents are the Hermite-reduced representative of their coset of
     the lattice vectors supported on the subset, so the witness is unique.
-    Without symbolic generators it is written from the build's congruence
+    Without symbolic generators it is written from the entry's congruence
     (`_cyclic_witness`).  With them, the power is an order modulo the
     Hermite rows, complement columns first, that reach into the complement;
     reducing by all rows gives the rest.  Everything runs on integers: the
     betas over the lattice's `den`, and the check that the removed lattice
-    vector has value beta on the build's t_i, over den*q.  beta is the one
+    vector has value beta on the entry's t_i, over den*q.  beta is the one
     Fraction built.
     """
     subset = _checked_subset(P, (exps,), subset)
-    _, lat, ts, m, q, _ = _entry(P)
+    _, ts, m, q, den, _, _ = _entry(P)
     if None not in ts:
-        return _cyclic_witness(ts, m, lat.den * q, exps, subset)
+        return _cyclic_witness(ts, m, den * q, exps, subset)
+    lat = exponent_lattice(P)
     complement = [j for j in range(P.n) if j not in subset]
     c = len(complement)
     rows = _basis_first([(*row, b) for row, b in zip(lat.basis, lat.betas)], complement, P.n)
@@ -569,7 +583,7 @@ def divisible_dependence_witness(P: BipotentPresentation, exps, subset=()) -> De
     target = [k * e for e in exps]
     rem = la.reduce_by_hnf(_columns_first([target + [0]], complement, P.n)[0], rows)
     assert not any(rem[:c])
-    beta = Fraction(-rem[-1], lat.den)
+    beta = Fraction(-rem[-1], den)
     sub_exps = rem[c:-1]
     for x, i in zip(sub_exps, subset):
         target[i] -= x
@@ -610,17 +624,17 @@ def extension_rank(P: BipotentPresentation, over=()):
     It is the index of the lattice's projection onto the complement columns:
     the product of that projection's Hermite pivots, INFINITE when it has
     fewer rows than columns.  Without symbolic generators the quotient is
-    the multiples of G = gcd(m, t_1, ..., t_n) modulo m (`exponent_lattice`)
+    the multiples of G = gcd(m, t_1, ..., t_n) modulo m (`_entry`)
     and the subset's image those of G_over = gcd(m, t_i : i in over), so the
     rank is the order of G modulo G_over: G_over/G, 1 when G = 0, and
     INFINITE when G_over = 0 < G.
     """
     over = _checked_subset(P, (), over)
-    _, lat, ts, m, _, _ = _entry(P)
+    _, ts, m, _, _, _, _ = _entry(P)
     if None not in ts:
         return _order_mod(math.gcd(m, *ts), math.gcd(m, *(ts[i] for i in over)))
     complement = [j for j in range(P.n) if j not in over]
-    basis = _projected(lat.basis, complement)
+    basis = _projected(exponent_lattice(P).basis, complement)
     if len(basis) < len(complement):
         return INFINITE
     return math.prod(row[i] for i, row in enumerate(basis))
@@ -644,10 +658,10 @@ def linearly_dependent_pair(P: BipotentPresentation, x_exps, y_exps) -> bool:
     Without symbolic generators: whether sum (x_i - y_i)*t_i = 0 modulo m.
     """
     _checked_subset(P, (x_exps, y_exps), ())
-    _, lat, ts, m, _, _ = _entry(P)
+    _, ts, m, _, _, _, _ = _entry(P)
     diff = tuple(a - b for a, b in zip(x_exps, y_exps))
     if None in ts:
-        return lat.contains(diff)
+        return exponent_lattice(P).contains(diff)
     return _order_mod(_dot(diff, ts), m) == 1
 
 
@@ -659,19 +673,19 @@ def canonical_coset_value(P: BipotentPresentation, exps) -> Fraction | None:
     finds such a vector whenever there is one.  Its beta lies in the base (it
     is 0 over a trivial base), so the class's value modulo the base generator
     is the remainder's numeric value modulo it.  Returns None when symbolic
-    coordinates remain.  With the build's t_i, m and q, the remainder's
+    coordinates remain.  With the entry's t_i, m and q, the remainder's
     value is V/(den*q), V = sum e_i*t_i, so that is (V mod m) / (den*q), the
     one Fraction built.  Without symbolic generators the monomial itself
     is such a remainder, and nothing is reduced.
     """
     _checked_subset(P, (exps,), ())
-    _, lat, ts, m, q, _ = _entry(P)
+    _, ts, m, q, den, _, _ = _entry(P)
     if None in ts:
         sym = P.symbolic_indices()
-        rem = la.reduce_by_hnf(_columns_first([exps], sym, P.n)[0], _basis_first(lat.basis, sym, P.n))
+        rem = la.reduce_by_hnf(_columns_first([exps], sym, P.n)[0], _basis_first(exponent_lattice(P).basis, sym, P.n))
         if any(rem[: len(sym)]):
             return None
         value = sum(e * ts[i] for e, i in zip(rem[len(sym):], P.numeric_indices()))
     else:
         value = _dot(exps, ts)
-    return Fraction(value % m if m else value, lat.den * q)
+    return Fraction(value % m if m else value, den * q)

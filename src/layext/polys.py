@@ -108,6 +108,18 @@ def _divmod_mod(a, b, m) -> tuple[list[int], list[int]]:
     return _mod(q, m), _mod(r[:db], m)
 
 
+def _rem_mod(a, b, m) -> list[int]:
+    """The remainder of a by b modulo m, building no quotient; lc(b) must be a unit mod m, inverted unless 1."""
+    r, db, low = list(a), len(b) - 1, b[:-1]
+    inv = 1 if b[-1] % m == 1 else pow(b[-1], -1, m)
+    for k in range(len(r) - 1, db - 1, -1):
+        c = r[k] * inv % m
+        if c:
+            for i, y in enumerate(low, k - db):
+                r[i] -= c * y
+    return _mod(r[:db], m)
+
+
 def _monic_mod(a, m) -> list[int]:
     inv = pow(a[-1], -1, m)
     return [c * inv % m for c in a]
@@ -115,7 +127,7 @@ def _monic_mod(a, m) -> list[int]:
 
 def _gcd_mod(a, b, p) -> list[int]:
     while b:
-        a, b = b, _divmod_mod(a, b, p)[1]
+        a, b = b, _rem_mod(a, b, p)
     return _monic_mod(a, p)
 
 
@@ -134,13 +146,13 @@ def _xgcd_mod(a, b, p) -> tuple[list[int], list[int]]:
 def _powmod(a, e, f, m) -> list[int]:
     """a^e modulo f and m, by repeated squaring."""
     out = [1]
-    a = _divmod_mod(a, f, m)[1]
+    a = _rem_mod(a, f, m)
     while e:
         if e & 1:
-            out = _divmod_mod(_mul(out, a), f, m)[1]
+            out = _rem_mod(_mul(out, a), f, m)
         e >>= 1
         if e:
-            a = _divmod_mod(_mul(a, a), f, m)[1]
+            a = _rem_mod(_mul(a, a), f, m)
     return out
 
 
@@ -222,7 +234,7 @@ def _distinct_degree(f, p) -> list[tuple[int, list[int]]]:
         if len(g) > 1:
             out.append((d, g))
             f = _divmod_mod(f, g, p)[0]
-            h = _divmod_mod(h, f, p)[1]
+            h = _rem_mod(h, f, p)
         d += 1
     if len(f) > 1:
         out.append((len(f) - 1, f))

@@ -33,6 +33,7 @@ from .bipotent import (
     Numeric,
     Symbolic,
     _check_name,
+    _in_value_group,
     is_bipotent_semifield,
 )
 from .errors import DescriptorMismatch, LayerNotInBase, ValueNotInBase
@@ -231,15 +232,15 @@ def value_group_contains(P: BipotentPresentation, value) -> bool:
     """Whether a value lies in the value group generated by the presentation.
 
     For rationals this is membership in the subgroup spanned by the base
-    lattice together with the numeric generator values; a symbolic value is
-    contained exactly when a symbolic generator of the same name is present
-    (declared relations that would identify symbolic values with rationals
-    are not chased here).
+    lattice together with the numeric generator values, one gcd on P's
+    congruence (`bipotent._in_value_group`); a symbolic value is contained
+    exactly when a symbolic generator of the same name is present (declared
+    relations that would identify symbolic values with rationals are not
+    chased here).
     """
     if isinstance(value, str):
         return any(isinstance(g, Symbolic) and g.name == value for g in P.generators)
-    numeric = [g.value for g in P.generators if isinstance(g, Numeric)]
-    return P.base.join(*numeric).contains(value)
+    return _in_value_group(P, as_fraction(value))
 
 
 def extend_value(P: BipotentPresentation, value) -> BipotentPresentation:
@@ -309,6 +310,9 @@ def is_uniform_semifield(H: UniformDescriptor) -> bool:
     return is_bipotent_semifield(H.value_part) and sort_is_semifield(H.sort_part)
 
 
+_BASE = UniformDescriptor(BaseSort(), BipotentPresentation(ValueLattice.of(1), ()))
+
+
 def base_descriptor() -> UniformDescriptor:
-    """The unextended uniform semifield: positive-rational layers over the value lattice <1>."""
-    return UniformDescriptor(BaseSort(), BipotentPresentation(ValueLattice.of(1), ()))
+    """The unextended uniform semifield, positive-rational layers over the value lattice <1>: one object."""
+    return _BASE

@@ -424,22 +424,22 @@ class TestSmith:
 
 
 class TestSharedQuotient:
-    """Queries on one presentation share its lattice and its Smith form."""
+    """Queries on one presentation share its congruence, its Hermite basis and its Smith form."""
 
     def _counting(self, monkeypatch):
-        calls = {"lattice": 0, "smith": 0}
-        lattice, smith = bipotent.exponent_lattice, la.smith
+        # an entry's congruence is one `_cleared` pass, and its Hermite basis one `ExponentLattice`
+        calls = {"congruence": 0, "lattice": 0, "smith": 0}
 
-        def counted_lattice(P):
-            calls["lattice"] += 1
-            return lattice(P)
+        def counted(key, fn):
+            def wrapped(*args):
+                calls[key] += 1
+                return fn(*args)
 
-        def counted_smith(rows, ncols):
-            calls["smith"] += 1
-            return smith(rows, ncols)
+            return wrapped
 
-        monkeypatch.setattr(bipotent, "exponent_lattice", counted_lattice)
-        monkeypatch.setattr(la, "smith", counted_smith)
+        monkeypatch.setattr(bipotent, "_cleared", counted("congruence", bipotent._cleared))
+        monkeypatch.setattr(bipotent, "ExponentLattice", counted("lattice", bipotent.ExponentLattice))
+        monkeypatch.setattr(la, "smith", counted("smith", la.smith))
         return calls
 
     def test_queries_build_lattice_and_smith_once(self, monkeypatch):
@@ -454,20 +454,22 @@ class TestSharedQuotient:
             assert divisible_dependence_witness(P, (1, 0, 0)).power == 2
             assert linearly_dependent_pair(P, (2, 0, 1), (0, 3, 1))
             assert canonical_coset_value(P, (1, 1, 0)) == F(5, 6)
-        assert calls == {"lattice": 1, "smith": 1}
+        assert calls == {"congruence": 1, "lattice": 1, "smith": 1}
 
     def test_threads_querying_two_presentations_agree_with_one_thread(self, monkeypatch):
-        # each build replaces the one cache entry whole, without a lock; a build that lets
-        # another thread run before it returns makes the other presentation's entry likely
-        # to be the one found when the cache is read back
-        lattice = bipotent.exponent_lattice
+        # each congruence replaces the one cache entry whole, without a lock; a stage that lets
+        # another thread run before it returns makes the other presentation's entry likely to
+        # replace it between the two stages, and between two reads of one query
+        def yielding(fn):
+            def wrapped(*args):
+                out = fn(*args)
+                time.sleep(0)
+                return out
 
-        def yielding(P):
-            out = lattice(P)
-            time.sleep(0)
-            return out
+            return wrapped
 
-        monkeypatch.setattr(bipotent, "exponent_lattice", yielding)
+        monkeypatch.setattr(bipotent, "_cleared", yielding(bipotent._cleared))
+        monkeypatch.setattr(bipotent, "exponent_lattice", yielding(bipotent.exponent_lattice))
         P = BipotentPresentation(Z, (Numeric.of("1/2"), Numeric.of("1/3"), Symbolic("g")))
         Q = numeric("1/4", "3/10")
 
@@ -501,7 +503,7 @@ class TestSharedQuotient:
         P = BipotentPresentation(Z, (Numeric.of("1/2"), Numeric.of("1/3"), Symbolic("g")))
         first = decompose_extension(P)
         assert decompose_extension(P) is first
-        assert calls == {"lattice": 1, "smith": 1}
+        assert calls == {"congruence": 1, "lattice": 1, "smith": 1}
 
     def test_decomposition_is_rebuilt_after_another_presentation(self, monkeypatch):
         calls = self._counting(monkeypatch)
@@ -511,7 +513,7 @@ class TestSharedQuotient:
         again = decompose_extension(P)
         assert again is not first
         assert again == first
-        assert calls == {"lattice": 3, "smith": 2}
+        assert calls == {"congruence": 3, "lattice": 2, "smith": 2}
 
     def test_only_decompose_runs_a_smith_form(self, monkeypatch):
         # and only with a symbolic generator: a numeric presentation decomposes in closed form
@@ -522,14 +524,46 @@ class TestSharedQuotient:
         assert extension_rank(P) == 6
         assert torsion_degree(P, (0, 1)) == 6
         assert is_bipotent_semifield(P)
-        assert calls == {"lattice": 1, "smith": 0}
-        assert decompose_extension(P).torsion_orders == (6,)
-        assert calls == {"lattice": 1, "smith": 0}
+        assert calls == {"congruence": 1, "lattice": 0, "smith": 0}
+        assert decompose_extension(P).torsion_orders == (6,)  # the one numeric query that reads the basis
+        assert calls == {"congruence": 1, "lattice": 1, "smith": 0}
         S = BipotentPresentation(Z, (Numeric.of("1/2"), Symbolic("g")), (Relation.of((0, 3), 1),))
         assert extension_rank(S) == 6
-        assert calls == {"lattice": 2, "smith": 0}
+        assert calls == {"congruence": 2, "lattice": 2, "smith": 0}
         assert decompose_extension(S).torsion_orders == (6,)
-        assert calls == {"lattice": 2, "smith": 1}
+        assert calls == {"congruence": 2, "lattice": 2, "smith": 1}
+
+    def test_two_threads_racing_to_fill_one_basis_agree(self, monkeypatch):
+        # both threads find the entry's basis slot empty and are inside its build at once;
+        # each stores an equal basis, and the queries after them build none
+        gens, rels = (Numeric.of("1/2"), Numeric.of("1/3"), Symbolic("g")), (Relation.of((0, 2, 2), 1),)
+        twin = BipotentPresentation(Z, gens, rels)  # equal, with an entry of its own
+        want = (exponent_lattice(twin), extension_rank(twin), decompose_extension(twin))
+        calls = self._counting(monkeypatch)
+        barrier, counted = threading.Barrier(2, timeout=30), bipotent.ExponentLattice
+
+        def meeting(*args):
+            barrier.wait()
+            return counted(*args)
+
+        monkeypatch.setattr(bipotent, "ExponentLattice", meeting)
+        P = BipotentPresentation(Z, gens, rels)
+        bipotent._entry(P)  # the entry both threads find
+        results = [None, None]
+
+        def work(t):
+            results[t] = extension_rank(P) if t == 0 else decompose_extension(P)
+
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert results == list(want[1:])
+        assert calls == {"congruence": 1, "lattice": 2, "smith": 1}
+        assert (exponent_lattice(P), extension_rank(P), decompose_extension(P)) == want
+        assert calls == {"congruence": 1, "lattice": 2, "smith": 1}
 
     def test_echelon_calls_of_lattice_builds_and_dependence_queries(self, monkeypatch):
         # the numeric part of a lattice is solved in closed form: a Hermite
@@ -629,16 +663,18 @@ class TestSharedQuotient:
             calls.append(ncols)
             return echelon(rows, ncols)
 
-        P = numeric("1/6", "1/2", "1/5")
-        assert extension_rank(P) == 30  # builds the lattice
+        # the symbolic generator comes first, with 2g in the base, so every complement below is a prefix
+        gens = (Symbolic("g"), Numeric.of("1/6"), Numeric.of("1/2"), Numeric.of("1/5"))
+        P = BipotentPresentation(Z, gens, (Relation.of((2, 0, 0, 0), 1),))
+        assert extension_rank(P) == 60  # builds the Hermite basis
         monkeypatch.setattr(la, "_echelon", counted)
-        assert canonical_coset_value(P, (1, 1, 1)) == F(13, 15)  # no symbolic columns to move
-        assert extension_rank(P, over=(1, 2)) == 3
-        assert extension_rank(P, over=(2,)) == 6
-        assert divisible_dependence_witness(P, (1, 0, 0), subset=(1, 2)) == DependenceWitness(3, (1, 0), F(0))
+        assert canonical_coset_value(P, (0, 1, 1, 1)) == F(13, 15)  # the symbolic column is the prefix [0]
+        assert extension_rank(P, over=(1, 2, 3)) == 2
+        assert extension_rank(P, over=(2, 3)) == 6
+        assert divisible_dependence_witness(P, (0, 1, 0, 0), subset=(2, 3)) == DependenceWitness(3, (1, 0), F(0))
         assert calls == []
-        # with a symbolic generator a subset that leaves no prefix of the natural order runs one pass
-        S = BipotentPresentation(Z, P.generators + (Symbolic("g"),))
+        # a subset that leaves no prefix of the natural order runs one pass
+        S = BipotentPresentation(Z, gens[1:] + (Symbolic("g"),))
         extension_rank(S)
         calls.clear()
         assert divisible_dependence_witness(S, (0, 1, 0, 0), subset=(0,)) == DependenceWitness(1, (3,), F(0))

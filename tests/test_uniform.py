@@ -6,6 +6,8 @@ from hypothesis import given, strategies as st
 
 import reference as R
 from conftest import positive_rationals, rationals
+from layext import bipotent
+from layext import intlinalg as la
 from layext.bipotent import BipotentPresentation, Numeric, Relation, Symbolic, extension_rank
 from layext.cancellative import PosPoly, SignedPoly, validate_generator
 from layext.errors import DescriptorMismatch, LayerNotInBase, ValueNotInBase
@@ -27,6 +29,7 @@ from layext.uniform import (
     pure_value_ext,
     sort_contains,
     uniform_closure,
+    value_group_contains,
 )
 
 SQRT2 = validate_generator(SignedPoly.of({2: 1, 0: -2}), (1, 2))
@@ -305,6 +308,55 @@ class TestUniformSemifield:
         without = UniformDescriptor(FreeSort("y", with_fractions=False), H.value_part)
         assert is_uniform_semifield(with_frac)
         assert not is_uniform_semifield(without)
+
+
+class TestValueGroup:
+    @given(
+        st.lists(positive_rationals(), max_size=2),
+        st.lists(st.one_of(rationals(), st.sampled_from(["g", "h"])), max_size=4, unique=True),
+        st.one_of(rationals(), st.sampled_from(["g", "h"])),
+    )
+    def test_membership_agrees_with_the_joined_lattice(self, base, gens, value):
+        P = BipotentPresentation(
+            ValueLattice(tuple(base)), tuple(Symbolic(g) if isinstance(g, str) else Numeric(g) for g in gens))
+        if isinstance(value, str):
+            want = value in gens
+        else:
+            want = ValueLattice(tuple(base)).join(*(g for g in gens if not isinstance(g, str))).contains(value)
+        assert value_group_contains(P, value) is want
+
+    def test_base_descriptor_is_one_immutable_value(self):
+        assert base_descriptor() is base_descriptor()
+        assert base_descriptor() == UniformDescriptor(BaseSort(), BipotentPresentation(ValueLattice.of(1), ()))
+        with pytest.raises(AttributeError):
+            base_descriptor().value_part = None
+
+    def test_numeric_tower_derives_one_congruence_per_step_and_no_basis(self, monkeypatch):
+        # each closure reads the entry its value part's semifield and rank queries left
+        calls = {"echelon": 0, "congruence_hnf": 0, "exponent_lattice": 0, "congruence": 0}
+
+        def count(module, name, key):
+            fn = getattr(module, name)
+
+            def counted(*args):
+                calls[key] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(module, name, counted)
+
+        extension_rank(BipotentPresentation(Z, ()))  # the cached entry is some other presentation's
+        count(la, "_echelon", "echelon")
+        count(la, "congruence_hnf", "congruence_hnf")
+        count(bipotent, "exponent_lattice", "exponent_lattice")
+        count(bipotent, "_cleared", "congruence")
+        D, parts = base_descriptor(), [base_descriptor().value_part]
+        for value, rank in [("1/2", 2), ("1/3", 6), ("-2/5", 30), ("3/7", 210)]:
+            D = uniform_closure(D, R.scalar(2, value))
+            parts.append(D.value_part)
+            assert is_uniform_semifield(D)
+            assert extension_rank(D.value_part) == rank
+        assert len({id(P) for P in parts}) == 5
+        assert calls == {"echelon": 0, "congruence_hnf": 0, "exponent_lattice": 0, "congruence": 5}
 
 
 class TestNuIdentity:
