@@ -15,22 +15,23 @@ quotient group Z^n / lattice classifies the extension: free coordinates give
 divisibly independent generators, torsion coordinates give generators with a
 power in the base.
 
-Queries run on integers and share what a presentation derives, in two
-stages: the values and declared betas cleared once to integers over one
-denominator `den`, with the congruence sum k_i*t_i ≡ 0 (mod m) they give,
-then the Hermite basis (`exponent_lattice`), only once a query reads it.
-The one Fraction a query builds is the rational part of its answer.
-Without symbolic generators a monomial lies in the base exactly when the
-congruence holds, so every query but `decompose_extension` answers from
-t, m and the denominators in closed form, with no basis: an order of
-V = sum e_i*t_i modulo m or modulo a gcd of m and some t_i, and a witness
-reduced by `la.congruence_hnf`.  With symbolic generators the queries read
-the Hermite basis; one that reads only the columns outside a subset
-(`extension_rank` over it, `is_divisibly_dependent`, the witness) runs its
-one Hermite pass on the basis projected onto those columns, and none when
-they are a prefix of the natural order.
+Queries run on integers and share what a presentation derives once, its
+cache entry (`_entry`).  The values and declared betas are cleared over one
+denominator `den`, which gives each numeric generator an integer t_i and the
+base a modulus m.  With s symbolic generators a monomial k maps to
+pi(k) = (k on the symbolic columns, V(k)) in Z^(s+1), V(k) = sum k_i*t_i
+over the numeric generators, and k lies in the lattice exactly when pi(k)
+lies in the span of H and the row (0, ..., 0, m): H is the Hermite form of
+one row [symbolic exponents | defect] per declared relation.  Every query
+but `decompose_extension` reads that (s+1)-wide quotient: an order modulo
+its rows, a reduction by them, or one Hermite pass over the symbolic
+columns a subset leaves out and the value column.  Without declared
+relations H is empty and no pass runs: each query is a closed form on t
+and m (an order of V modulo m or modulo a gcd, a witness reduced by
+`la.congruence_hnf`), through which symbolic coordinates pass.
 
-Only `decompose_extension` may build a Smith form, and only for a
+Only `decompose_extension` reads the n-wide Hermite basis
+(`exponent_lattice`), and only it may build a Smith form, for a
 presentation with symbolic generators.  Without them the quotient is cyclic
 (free of rank 1 over a trivial base), and its decomposition follows in
 closed form from one gcd on the same integers: one monomial, reduced by the
@@ -169,83 +170,58 @@ class BipotentPresentation:
 
 @record
 class ExponentLattice:
-    """Hermite basis of the monomial-relation lattice, with base values attached.
-
-    `basis` is the lattice's Hermite basis as `la.hnf` gives it, unique for
-    the lattice.  `betas[i] / den` is the base element equal to the monomial
-    with exponents `basis[i]`: the betas are integers over `den`, the least
-    common denominator of the numeric values and the declared betas, and a
-    payload column beside the basis in every later row operation.
-    """
+    """Hermite basis of the monomial-relation lattice, as `la.hnf` gives it, unique for the lattice."""
 
     basis: tuple
-    betas: tuple
-    den: int
 
     def contains(self, exps) -> bool:
         return not any(la.reduce_by_hnf(exps, self.basis))
 
 
-def _columns_first(rows, first, ncols):
-    """The rows with the columns `first` moved, in that order, in front of the others of range(ncols).
-
-    Columns past `ncols` stay at the end.  A Hermite basis of the result
-    starts with the rows that reach into those columns; the rows after them
-    span the lattice vectors that vanish there.
-    """
-    order = list(first) + [j for j in range(ncols) if j not in first]
-    return [[row[j] for j in order] + list(row[ncols:]) for row in rows]
-
-
-def _check_relations(P: BipotentPresentation, num, scaled):
-    """Raise InconsistentRelations unless the declared relations fit the numeric values.
-
-    `scaled` holds the values of the numeric generators `num`, then the
-    relations' betas, as integers over one denominator.  A relation's defect
-    is the value of its numeric part minus its beta, over that denominator.
-    The relations are consistent exactly when every integer combination of
-    them with no symbolic exponent left has defect 0, that is when the
-    Hermite form of the rows [symbolic exponents | defect] has no row that
-    is zero on the symbolic columns.
-    """
-    sym = P.symbolic_indices()
-    rows = [
-        [r.exps[i] for i in sym] + [sum(r.exps[i] * s for i, s in zip(num, scaled)) - b]
-        for r, b in zip(P.relations, scaled[len(num):])
-    ]
-    if any(not any(row[: len(sym)]) for row in la.hnf(rows, len(sym) + 1)):
-        raise InconsistentRelations("declared relations give a numeric monomial a value other than its own")
-
-
-# The last presentation queried, [P, t, m, q, den, lattice or None,
-# decomposition or None]: t holds each generator's t_i (None for a symbolic
-# one), and `exponent_lattice` and `decompose_extension` fill in the last two
-# slots when a query first reads them.  One entry keeps no presentation alive
+# The last presentation queried, [P, t, m, q, den, sym, rels, G, lattice or
+# None, decomposition or None]: t holds each generator's t_i (0 for a symbolic
+# one), sym the symbolic positions, rels the quotient's rows (H, then
+# (0, ..., 0, m) when m > 0; none when H is empty) and G = gcd(m, t_i).
+# `exponent_lattice` and `decompose_extension` fill in the last two slots
+# when a query first reads them.  One entry keeps no presentation alive
 # beyond the next one.  `_entry` replaces it whole, so concurrent callers at
-# worst derive it again, never mix two presentations' data; two that fill one
-# slot at once store equal values.
+# worst derive it again, never mix two presentations' data; two that fill
+# one slot at once store equal values.
 _last = [None]
 
 
 def _entry(P: BipotentPresentation) -> list:
-    """P's cache entry, its congruence derived once per run of queries on P, with no Hermite pass.
+    """P's cache entry, derived once per run of queries on P.
 
     The numeric values s_i and the declared betas are cleared over one `den`;
     with the base generator g = p/q, t_i = s_i*q and m = den*p (m = 0 over a
-    trivial base), and a numeric monomial k lies in the base exactly when
-    sum k_i*t_i ≡ 0 (mod m).  `exponent_lattice` checks the relations.
+    trivial base).  A relation's defect d = sum r_i*t_i - beta*den*q is its
+    numeric value minus its beta, over den*q; as beta*den*q is a multiple of
+    m, H and m span pi of the lattice.  The relations are consistent exactly
+    when every combination of them with no symbolic exponent left has defect
+    0, that is when no row of H is zero on the symbolic columns; otherwise
+    this raises InconsistentRelations.
     """
     global _last
     entry = _last
     if entry[0] is not P:
-        num = P.numeric_indices()
+        num, sym = P.numeric_indices(), P.symbolic_indices()
         scaled, den = _cleared([P.generators[i].value for i in num] + [r.beta for r in P.relations])
         g = P.base.single_generator()
-        q = g.denominator
-        ts = [None] * P.n
-        for i, s in zip(num, scaled):
-            ts[i] = s * q
-        entry = _last = [P, ts, den * g.numerator, q, den, None, None]
+        q, m = g.denominator, den * g.numerator
+        ts = [0] * P.n
+        for i, x in zip(num, scaled):
+            ts[i] = x * q
+        rels = ()
+        if P.relations:
+            s = len(sym)
+            rels = la.hnf([[r.exps[j] for j in sym] + [_dot(r.exps, ts) - b * q]
+                           for r, b in zip(P.relations, scaled[len(num):])], s + 1)
+            if any(not any(row[:s]) for row in rels):
+                raise InconsistentRelations("declared relations give a numeric monomial a value other than its own")
+            if rels and m:
+                rels += ((0,) * s + (m,),)
+        entry = _last = [P, ts, m, q, den, sym, rels, math.gcd(m, *ts), None, None]
     return entry
 
 
@@ -257,39 +233,38 @@ def exponent_lattice(P: BipotentPresentation) -> ExponentLattice:
     InconsistentRelations when a combination of declared relations
     contradicts the numeric values.
 
-    The second stage of P's cache entry, built from the congruence `_entry`
-    derived when a query first reads the basis (`decompose_extension`, or
-    any query on a presentation with a symbolic generator) and kept in the
-    entry.  The numeric part of the lattice is `la.congruence_hnf` of
-    t and m, placed in the numeric columns; a row's beta is its value over
-    `den`, sum k_i*s_i with s_i = t_i/q.  Without declared relations these
-    rows are the Hermite basis; with them, once they are checked, one
-    `la.hnf` merges the relation rows in, their betas riding along.
+    Read by `decompose_extension` only, and kept in P's cache entry: the
+    rows of `la.congruence_hnf` of the entry's t and m, placed in the numeric
+    columns, with the relation rows merged in by one `la.hnf`.
     """
-    _, ts, m, q, den, lat, _ = entry = _entry(P)
+    entry = _entry(P)
+    lat = entry[8]
     if lat is None:
+        ts, m = entry[1], entry[2]
         num = P.numeric_indices()
-        scaled = [ts[i] // q for i in num] + [r.beta.numerator * (den // r.beta.denominator) for r in P.relations]
-        if P.relations:
-            _check_relations(P, num, scaled)
         rows = []
         for k in la.congruence_hnf([ts[i] for i in num], m):
             row = [0] * P.n
             for i, x in zip(num, k):
                 row[i] = x
-            rows.append(row + [sum(x * a for x, a in zip(k, scaled))])
+            rows.append(row)
         if P.relations:
-            rows += [[*r.exps, b] for r, b in zip(P.relations, scaled[len(num):])]
-            rows = la.hnf(rows, P.n)
-        lat = entry[5] = ExponentLattice(tuple(tuple(row[:-1]) for row in rows), tuple(row[-1] for row in rows), den)
+            rows = la.hnf(rows + [r.exps for r in P.relations], P.n)
+        lat = entry[8] = ExponentLattice(tuple(tuple(row) for row in rows))
     return lat
 
 
-def _in_value_group(P: BipotentPresentation, v: Fraction) -> bool:
-    """Whether v lies in the group the base and the numeric values span, the multiples of G/(den*q), G = gcd(m, t_i)."""
-    _, ts, m, q, den, _, _ = _entry(P)
-    g = math.gcd(m, *(t for t in ts if t is not None))
-    return not v.numerator * den * q % (v.denominator * g) if g else not v
+def _in_value_group(P: BipotentPresentation, v) -> bool:
+    """Whether v lies in P's value group, once P's entry has checked the relations.
+
+    A name v when P has a symbolic generator of that name; a rational v when
+    it lies in the group the base and the numeric values span, the multiples
+    of G/(den*q), G = gcd(m, t_i).
+    """
+    _, _, _, q, den, sym, _, G, _, _ = _entry(P)
+    if isinstance(v, str):
+        return any(P.generators[j].name == v for j in sym)
+    return not v.numerator * den * q % (v.denominator * G) if G else not v
 
 
 def _checked_subset(P: BipotentPresentation, vectors, subset) -> list[int]:
@@ -313,35 +288,8 @@ def _checked_subset(P: BipotentPresentation, vectors, subset) -> list[int]:
     return subset
 
 
-def _is_prefix(cols) -> bool:
-    return cols == list(range(len(cols)))
-
-
-def _basis_first(rows, cols, ncols):
-    """The Hermite basis `rows` redone with the columns `cols` first; later columns ride along.
-
-    A prefix of range(ncols) keeps the natural order, whose Hermite basis `rows` already is.
-    """
-    if _is_prefix(cols):
-        return rows
-    return la.hnf(_columns_first(rows, cols, ncols), ncols)
-
-
-def _projected(basis, cols):
-    """The Hermite basis of the lattice's projection onto the columns `cols`, in that order.
-
-    One Hermite pass over rows as wide as `cols`.  A prefix of the natural
-    order runs none: the Hermite rows that reach into it, cut to it, are
-    that basis already.
-    """
-    c = len(cols)
-    if _is_prefix(cols):
-        return [row[:c] for row in basis if any(row[:c])]
-    return la.hnf([[row[j] for j in cols] for row in basis], c)
-
-
 def _order(basis, vec):
-    """Order of the class of `vec` modulo the lattice of a Hermite basis, INFINITE if none.
+    """Order of the class of `vec` modulo the lattice of an echelon basis, INFINITE if none.
 
     Row by row: scale by the least factor making the pivot divide the entry, then
     clear it; the rows from a pivot on span the lattice vectors zero before it.
@@ -363,8 +311,13 @@ def _order(basis, vec):
 
 
 def _dot(exps, ts) -> int:
-    """sum e_i*t_i: the value of the monomial `exps` over den*q, on the entry's integers."""
+    """V = sum e_i*t_i: the value of the monomial's numeric part over den*q, on the entry's integers."""
     return sum(e * t for e, t in zip(exps, ts))
+
+
+def _image(exps, ts, sym) -> list:
+    """pi(k): the exponents on the symbolic columns, then V(k)."""
+    return [exps[j] for j in sym] + [_dot(exps, ts)]
 
 
 def _order_mod(v: int, g: int):
@@ -372,6 +325,39 @@ def _order_mod(v: int, g: int):
     if g:
         return g // math.gcd(g, v)
     return INFINITE if v else 1
+
+
+def _class_order(entry, exps):
+    """Order of the monomial's class: of pi(exps) modulo the quotient's rows.
+
+    Without declared relations the symbolic generators are free, so it is
+    INFINITE for a symbolic exponent and otherwise the order of V modulo m.
+    """
+    _, ts, m, _, _, sym, rels, _, _, _ = entry
+    if rels:
+        return _order(rels, _image(exps, ts, sym))
+    if sym and any(exps[j] for j in sym):
+        return INFINITE
+    return _order_mod(_dot(exps, ts), m)
+
+
+def _without(entry, subset):
+    """The quotient modulo the generators of a non-empty `subset`, as (c, Hermite rows over c + 1 columns).
+
+    Its columns are the c symbolic columns outside the subset and the value
+    column, and its rows the quotient's rows cut to them and (0, t_i) for
+    each numeric i in the subset: one Hermite pass, or a gcd when c = 0.
+    """
+    _, ts, _, _, _, sym, rels, _, _, _ = entry
+    keep = [c for c, j in enumerate(sym) if j not in subset]
+    c = len(keep)
+    vals = [ts[i] for i in subset if ts[i]]
+    if not c:
+        g = math.gcd(*(row[-1] for row in rels), *vals)
+        return 0, ((g,),) if g else ()
+    keep.append(len(sym))
+    rows = [[row[j] for j in keep] for row in rels] + [[0] * c + [t] for t in vals]
+    return c, la.hnf(rows, c + 1)
 
 
 @record
@@ -500,23 +486,21 @@ def decompose_extension(P: BipotentPresentation) -> ExtDecomposition:
     object.
     """
     entry = _entry(P)
-    if entry[6] is None:
-        ts, basis = entry[1], exponent_lattice(P).basis
-        entry[6] = _smith_decomposition(basis, P.n) if None in ts else _cyclic_decomposition(basis, ts, entry[2])
-    return entry[6]
+    if entry[9] is None:
+        basis = exponent_lattice(P).basis
+        entry[9] = _smith_decomposition(basis, P.n) if entry[5] else _cyclic_decomposition(basis, entry[1], entry[2])
+    return entry[9]
 
 
 def torsion_degree(P: BipotentPresentation, exps):
     """Minimal k >= 1 with k times the monomial landing in the base, else INFINITE.
 
-    Without symbolic generators it is the order of V = sum e_i*t_i modulo
-    the entry's m; with them, an order modulo the Hermite basis.
+    The order of pi(exps) modulo the quotient's rows; without declared
+    relations, INFINITE for a symbolic exponent and otherwise the order of
+    V = sum e_i*t_i modulo the entry's m.
     """
     _checked_subset(P, (exps,), ())
-    _, ts, m, _, _, _, _ = _entry(P)
-    if None in ts:
-        return _order(exponent_lattice(P).basis, exps)
-    return _order_mod(_dot(exps, ts), m)
+    return _class_order(_entry(P), exps)
 
 
 def torsion_subdomain_contains(P: BipotentPresentation, exps) -> bool:
@@ -527,21 +511,23 @@ def torsion_subdomain_contains(P: BipotentPresentation, exps) -> bool:
 def is_divisibly_dependent(P: BipotentPresentation, subset) -> bool:
     """Whether the generators indexed by `subset` admit a monomial relation.
 
-    Equivalent to the exponent lattice having a nonzero vector supported on
-    those coordinates, that is to its projection onto the complement having
-    lower rank than the lattice: one Hermite pass over the complement columns.
-    Without symbolic generators no pass runs: m*e_i lies in the lattice when
-    m > 0, t_j*e_i - t_i*e_j (or e_i, when both are 0) for two indices, and
-    e_i alone exactly when t_i = 0.
+    Equivalent to |subset| + rank(lattice) > rank(lattice + Z^subset).
+    Through pi those ranks are r + |H| + [m > 0] and r plus the subset's
+    symbolic columns plus the rank of `_without`'s rows, for one r.  Without
+    declared relations only the subset's numeric generators can be
+    dependent: m*e_i lies in the lattice when m > 0, t_j*e_i - t_i*e_j (or
+    e_i, when both are 0) for two indices, and e_i alone when t_i = 0.
     """
     subset = _checked_subset(P, (), subset)
     if not subset:
         raise ValueError("subset must be non-empty")
-    _, ts, m, _, _, _, _ = _entry(P)
-    if None not in ts:
-        return bool(m) or len(subset) > 1 or not ts[subset[0]]
-    basis = exponent_lattice(P).basis
-    return len(_projected(basis, [j for j in range(P.n) if j not in subset])) < len(basis)
+    entry = _entry(P)
+    _, ts, m, _, _, sym, rels, _, _, _ = entry
+    if not rels:
+        nums = [i for i in subset if i not in sym] if sym else subset
+        return bool(nums) and (bool(m) or len(nums) > 1 or not ts[nums[0]])
+    c, rows = _without(entry, subset)
+    return len(subset) + len(rels) > len(sym) - c + len(rows)
 
 
 @record
@@ -561,50 +547,62 @@ def divisible_dependence_witness(P: BipotentPresentation, exps, subset=()) -> De
     power*exps = sum over subset of exponents*e_i + (lattice vector of value beta).
     The exponents are the Hermite-reduced representative of their coset of
     the lattice vectors supported on the subset, so the witness is unique.
-    Without symbolic generators it is written from the entry's congruence
-    (`_cyclic_witness`).  With them, the power is an order modulo the
-    Hermite rows, complement columns first, that reach into the complement;
-    reducing by all rows gives the rest.  Everything runs on integers: the
-    betas over the lattice's `den`, and the check that the removed lattice
-    vector has value beta on the entry's t_i, over den*q.  beta is the one
-    Fraction built.
+    Without declared relations it is written from the entry's congruence
+    (`_cyclic_witness`).  With them, one Hermite pass over the symbolic
+    columns C outside the subset, the value column and the subset's columns
+    carries a beta column.  Its rows: the quotient's, with their entries on
+    the subset's symbolic columns (the m row with beta m), and (0, -t_i | e_i)
+    for each numeric i in the subset.  The power is the order of (exps on C,
+    V) modulo the rows that reach into C or the value column; reducing
+    [k*exps on C | k*V | k*exps on the subset's symbolic columns | 0] by all
+    rows leaves the exponents and -beta*den*q.  Over the empty subset the
+    quotient's rows are that Hermite form already.  beta is the one Fraction.
     """
     subset = _checked_subset(P, (exps,), subset)
-    _, ts, m, q, den, _, _ = _entry(P)
-    if None not in ts:
-        return _cyclic_witness(ts, m, den * q, exps, subset)
-    lat = exponent_lattice(P)
-    complement = [j for j in range(P.n) if j not in subset]
-    c = len(complement)
-    rows = _basis_first([(*row, b) for row, b in zip(lat.basis, lat.betas)], complement, P.n)
-    k = _order([row[:c] for row in rows if any(row[:c])], [exps[j] for j in complement])
+    _, ts, m, q, den, sym, rels, _, _, _ = _entry(P)
+    if not rels:
+        return _cyclic_witness(ts, m, den * q, sym, exps, subset)
+    pos = {j: c for c, j in enumerate(sym)}
+    keep = [c for c, j in enumerate(sym) if j not in subset] + [len(sym)]
+    w = len(keep)
+    rows = [[row[c] for c in keep] + [row[pos[i]] if i in pos else 0 for i in subset] + [0]
+            for row in (rels[:-1] if m else rels)]
+    rows += [[0] * (w - 1) + [-ts[i]] + [int(i == j) for j in subset] + [0] for i in subset if i not in pos]
+    if m:
+        rows.append([0] * (w - 1) + [m] + [0] * len(subset) + [m])
+    if subset:
+        rows = la.hnf(rows, w + len(subset))
+    head = [exps[sym[c]] for c in keep[:-1]] + [_dot(exps, ts)]
+    k = _order([row[:w] for row in rows if any(row[:w])], head)
     if k == INFINITE:
         return None
-    target = [k * e for e in exps]
-    rem = la.reduce_by_hnf(_columns_first([target + [0]], complement, P.n)[0], rows)
-    assert not any(rem[:c])
-    beta = Fraction(-rem[-1], den)
-    sub_exps = rem[c:-1]
-    for x, i in zip(sub_exps, subset):
-        target[i] -= x
-    # target is now the removed lattice vector: unless it touches a symbolic generator, its value is beta
-    assert any(e and t is None for e, t in zip(target, ts)) or sum(
-        e * t for e, t in zip(target, ts) if e) == -rem[-1] * q
-    return DependenceWitness(k, tuple(sub_exps), beta)
+    target = [k * e for e in head] + [k * exps[i] if i in pos else 0 for i in subset] + [0]
+    rem = la.reduce_by_hnf(target, rows)
+    assert not any(rem[:w])
+    sub_exps = rem[w:-1]
+    removed = [k * e for e in exps]
+    for i, x in zip(subset, sub_exps):
+        removed[i] -= x
+    # unless the removed lattice vector touches a symbolic generator, its value is beta
+    assert any(removed[j] for j in sym) or _dot(removed, ts) == -rem[-1]
+    return DependenceWitness(k, tuple(sub_exps), Fraction(-rem[-1], den * q))
 
 
-def _cyclic_witness(ts, m: int, den_q: int, exps, subset) -> DependenceWitness | None:
-    """`divisible_dependence_witness` for a presentation without symbolic generators, from its congruence.
+def _cyclic_witness(ts, m: int, den_q: int, sym, exps, subset) -> DependenceWitness | None:
+    """`divisible_dependence_witness` without declared relations, from the entry's congruence.
 
-    With V = sum e_i*t_i and G = gcd(m, t_i : i in subset), a power k of the
-    monomial is a base multiple of a subset monomial exactly when k*V is a
-    multiple of G modulo m, so the least is the order of V modulo G.  The
-    subset's Bézout coefficients, scaled by k*V/G, give exponents x with
-    sum x_i*t_i ≡ k*V (mod m); they are reduced by `la.congruence_hnf`, the
-    Hermite basis of the lattice vectors supported on the subset.  The
-    removed lattice vector has value beta = (k*V - sum x_i*t_i)/(den*q).
+    The symbolic generators are free: a symbolic exponent outside the subset
+    leaves no power, and those in it pass through, times the power.  With
+    V = sum e_i*t_i and G = gcd(m, t_i : i numeric in the subset), the least
+    power is the order of V modulo G.  The Bézout coefficients of those t_i,
+    scaled by k*V/G, give exponents x with sum x_i*t_i ≡ k*V (mod m), reduced
+    by `la.congruence_hnf`, the Hermite basis of the lattice vectors on the
+    subset; the removed vector has value beta = (k*V - sum x_i*t_i)/(den*q).
     """
-    t_sub = [ts[i] for i in subset]
+    if sym and any(exps[j] for j in sym if j not in subset):
+        return None
+    num = [i for i in subset if i not in sym] if sym else subset
+    t_sub = [ts[i] for i in num]
     g = math.gcd(m, *t_sub)
     v = _dot(exps, ts)
     k = _order_mod(v, g)
@@ -614,30 +612,36 @@ def _cyclic_witness(ts, m: int, den_q: int, exps, subset) -> DependenceWitness |
     x = la.reduce_by_hnf([b * scale for b in _bezout(t_sub, m)], la.congruence_hnf(t_sub, m))
     removed = k * v - _dot(x, t_sub)
     assert not (removed % m if m else removed)  # the removed vector lies in the base
+    if sym:
+        rest = iter(x)
+        x = tuple(k * exps[i] if i in sym else next(rest) for i in subset)
     return DependenceWitness(k, x, Fraction(removed, den_q))
 
 
 def extension_rank(P: BipotentPresentation, over=()):
     """[extension : sub-extension generated by the subset]; INFINITE if not torsion.
 
-    With an empty subset this is the rank of the whole extension over the base.
-    It is the index of the lattice's projection onto the complement columns:
-    the product of that projection's Hermite pivots, INFINITE when it has
-    fewer rows than columns.  Without symbolic generators the quotient is
-    the multiples of G = gcd(m, t_1, ..., t_n) modulo m (`_entry`)
-    and the subset's image those of G_over = gcd(m, t_i : i in over), so the
-    rank is the order of G modulo G_over: G_over/G, 1 when G = 0, and
-    INFINITE when G_over = 0 < G.
+    With an empty subset this is the rank of the whole extension over the
+    base.  It is the index of the lattice plus the subset's unit vectors,
+    that is of `_without`'s rows (the quotient's own over the empty subset)
+    in Z^C x G*Z, G = gcd(m, t_i): the product of their pivots on C times
+    the order of G modulo their value pivot (0 when there is none), and
+    INFINITE when fewer than |C| of them pivot on C.  Without declared
+    relations it is INFINITE when a symbolic generator lies outside the
+    subset, and otherwise the order of G modulo gcd(m, t_i : i in over).
     """
     over = _checked_subset(P, (), over)
-    _, ts, m, _, _, _, _ = _entry(P)
-    if None not in ts:
-        return _order_mod(math.gcd(m, *ts), math.gcd(m, *(ts[i] for i in over)))
-    complement = [j for j in range(P.n) if j not in over]
-    basis = _projected(exponent_lattice(P).basis, complement)
-    if len(basis) < len(complement):
+    entry = _entry(P)
+    _, ts, m, _, _, sym, rels, G, _, _ = entry
+    if not rels:
+        if sym and any(j not in over for j in sym):
+            return INFINITE
+        return _order_mod(G, math.gcd(m, *(ts[i] for i in over)))
+    c, rows = _without(entry, over) if over else (len(sym), rels)
+    if len(rows) < c or c and not rows[c - 1][c - 1]:
         return INFINITE
-    return math.prod(row[i] for i, row in enumerate(basis))
+    order = _order_mod(G, rows[c][c] if len(rows) > c else 0)
+    return order if order == INFINITE else math.prod(rows[i][i] for i in range(c)) * order
 
 
 def is_bipotent_semifield(P: BipotentPresentation) -> bool:
@@ -653,39 +657,29 @@ def is_bipotent_semifield(P: BipotentPresentation) -> bool:
 
 
 def linearly_dependent_pair(P: BipotentPresentation, x_exps, y_exps) -> bool:
-    """Whether the two monomials differ by a base factor (equal classes).
-
-    Without symbolic generators: whether sum (x_i - y_i)*t_i = 0 modulo m.
-    """
+    """Whether the two monomials differ by a base factor (equal classes): the difference's order is 1."""
     _checked_subset(P, (x_exps, y_exps), ())
-    _, ts, m, _, _, _, _ = _entry(P)
-    diff = tuple(a - b for a, b in zip(x_exps, y_exps))
-    if None in ts:
-        return exponent_lattice(P).contains(diff)
-    return _order_mod(_dot(diff, ts), m) == 1
+    return _class_order(_entry(P), [a - b for a, b in zip(x_exps, y_exps)]) == 1
 
 
 def canonical_coset_value(P: BipotentPresentation, exps) -> Fraction | None:
     """Smallest non-negative value in the monomial's base coset, if it has a rational value.
 
     The class has one exactly when a lattice vector removes every symbolic
-    coordinate.  Reducing by the Hermite basis with the symbolic columns first
-    finds such a vector whenever there is one.  Its beta lies in the base (it
-    is 0 over a trivial base), so the class's value modulo the base generator
-    is the remainder's numeric value modulo it.  Returns None when symbolic
-    coordinates remain.  With the entry's t_i, m and q, the remainder's
-    value is V/(den*q), V = sum e_i*t_i, so that is (V mod m) / (den*q), the
-    one Fraction built.  Without symbolic generators the monomial itself
-    is such a remainder, and nothing is reduced.
+    coordinate, that is when reducing pi(exps) by the quotient's rows leaves
+    no symbolic entry (without declared relations, when it has none); the
+    value entry V left is the class's value over den*q.  Returns None when
+    symbolic entries remain, and otherwise (V mod m) / (den*q), the one
+    Fraction built.
     """
     _checked_subset(P, (exps,), ())
-    _, ts, m, q, den, _, _ = _entry(P)
-    if None in ts:
-        sym = P.symbolic_indices()
-        rem = la.reduce_by_hnf(_columns_first([exps], sym, P.n)[0], _basis_first(exponent_lattice(P).basis, sym, P.n))
-        if any(rem[: len(sym)]):
+    _, ts, m, q, den, sym, rels, _, _, _ = _entry(P)
+    if rels:
+        *rest, value = la.reduce_by_hnf(_image(exps, ts, sym), rels)
+        if any(rest):
             return None
-        value = sum(e * ts[i] for e, i in zip(rem[len(sym):], P.numeric_indices()))
+    elif sym and any(exps[j] for j in sym):
+        return None
     else:
         value = _dot(exps, ts)
     return Fraction(value % m if m else value, den * q)

@@ -236,11 +236,10 @@ def value_group_contains(P: BipotentPresentation, value) -> bool:
     congruence (`bipotent._in_value_group`); a symbolic value is contained
     exactly when a symbolic generator of the same name is present (declared
     relations that would identify symbolic values with rationals are not
-    chased here).
+    chased here).  Either way P's cache entry is read, so inconsistent
+    declared relations raise InconsistentRelations.
     """
-    if isinstance(value, str):
-        return any(isinstance(g, Symbolic) and g.name == value for g in P.generators)
-    return _in_value_group(P, as_fraction(value))
+    return _in_value_group(P, value if isinstance(value, str) else as_fraction(value))
 
 
 def extend_value(P: BipotentPresentation, value) -> BipotentPresentation:

@@ -17,11 +17,13 @@ value of an exponent-lattice vector.  The extension arithmetic of
 for the integer operators that replaced it.  The Hermite, reduction and
 Smith kernels as they were when their operations ran over whole rows, and
 the exponent-lattice build as the one Hermite pass over [t | exponents | beta]
-rows that `intlinalg.congruence_hnf` replaced.  The `bipotent` formulas that
-ran on Fractions or on Hermite passes over all n columns before the queries
-moved to the lattice's integers and to passes over the complement columns:
-a monomial's value, the relation check, the witness's value check, the
-canonical coset value, `extension_rank` and `is_divisibly_dependent`.
+rows that `intlinalg.congruence_hnf` replaced, with the base value ("beta")
+of each basis row.  The `bipotent` formulas that ran on Fractions or on
+Hermite passes over all n columns, complement columns first, before the
+queries moved to the (s+1)-wide quotient of the symbolic columns and the
+value: a monomial's value, the relation check, the witness (exact, and its
+value check), the canonical coset value, `extension_rank` and
+`is_divisibly_dependent`.
 """
 
 import math
@@ -31,10 +33,10 @@ from fractions import Fraction
 from layext.bipotent import (
     INFINITE,
     BipotentPresentation,
-    ExponentLattice,
+    DependenceWitness,
     Relation,
     Symbolic,
-    _columns_first,
+    _order,
     exponent_lattice,
 )
 from layext.errors import InconsistentRelations
@@ -295,12 +297,13 @@ def pair_matvec(rows, v) -> list:
     return out
 
 
-def beta_of(lat, exps) -> Fraction:
-    """The base value of a vector of the exponent lattice `lat`; ValueError if it is not in the lattice."""
-    rem = reduce_by_hnf((*exps, 0), [(*row, b) for row, b in zip(lat.basis, lat.betas)])
+def beta_of(P: BipotentPresentation, exps) -> Fraction:
+    """The base value of a vector of P's exponent lattice; ValueError if it is not in the lattice."""
+    basis, betas, den = reference_exponent_lattice(P)
+    rem = reduce_by_hnf((*exps, 0), [(*row, b) for row, b in zip(basis, betas)])
     if any(rem[:-1]):
         raise ValueError("vector is not in the exponent lattice")
-    return Fraction(-rem[-1], lat.den)
+    return Fraction(-rem[-1], den)
 
 
 def permuted(P: BipotentPresentation, perm) -> BipotentPresentation:
@@ -499,15 +502,15 @@ def reference_smith(rows, ncols: int):
     return [r[ncols:] for r in a[:m]], diag, [r[:ncols] for r in a[m:]], vinv
 
 
-def reference_exponent_lattice(P: BipotentPresentation) -> ExponentLattice:
-    """`bipotent.exponent_lattice` as one Hermite pass over rows [t | exponents | beta].
+def reference_exponent_lattice(P: BipotentPresentation) -> tuple:
+    """`bipotent.exponent_lattice` as one Hermite pass over rows [t | exponents | beta]: (basis, betas, den).
 
     t is a value scaled to an integer by the base generator and beta a payload
     column: a unit row per numeric generator (t and beta its value), one row
     for the base generator (beta 0; none for a trivial base) and the declared
     relations (t = 0, beta theirs).  The rows left with t = 0 span the
     combinations whose value lands in the base: their exponents are the
-    lattice's Hermite basis, their betas its betas.
+    lattice's Hermite basis, their betas its betas, integers over `den`.
     """
     if P.relations:
         check_relations(P)
@@ -522,7 +525,7 @@ def reference_exponent_lattice(P: BipotentPresentation) -> ExponentLattice:
     betas, den = _cleared([row[-1] for row in rows])
     rows = [row[:-1] + [b] for row, b in zip(rows, betas)]
     kept = [row for row in reference_echelon(rows, P.n + 1) if row[0] == 0]
-    return ExponentLattice(tuple(row[1:-1] for row in kept), tuple(row[-1] for row in kept), den)
+    return tuple(row[1:-1] for row in kept), tuple(row[-1] for row in kept), den
 
 
 def value_of(P: BipotentPresentation, exps) -> Fraction | None:
@@ -570,9 +573,41 @@ def coset_value(P: BipotentPresentation, exps) -> Fraction | None:
     return value - math.floor(value / g) * g
 
 
+def _columns_first(rows, first, ncols):
+    """The rows with the columns `first` moved, in that order, in front of the others of range(ncols).
+
+    Columns past `ncols` stay at the end.  A Hermite basis of the result
+    starts with the rows that reach into those columns; the rows after them
+    span the lattice vectors that vanish there.
+    """
+    order = list(first) + [j for j in range(ncols) if j not in first]
+    return [[row[j] for j in order] + list(row[ncols:]) for row in rows]
+
+
 def _basis_first(rows, cols, ncols):
     """The Hermite basis `rows` redone over all `ncols` columns with `cols` first."""
     return hnf(_columns_first(rows, cols, ncols), ncols)
+
+
+def witness(P: BipotentPresentation, exps, subset=()) -> DependenceWitness | None:
+    """`divisible_dependence_witness` on the n-wide Hermite basis, complement columns first, betas riding along.
+
+    The power is the order of the monomial's complement part modulo the
+    rows that reach into the complement; reducing by all rows leaves the
+    Hermite-reduced exponents on the subset and minus the removed vector's
+    beta.  Raises InconsistentRelations as the lattice build does.
+    """
+    subset = sorted(set(subset))
+    basis, betas, den = reference_exponent_lattice(P)
+    complement = [j for j in range(P.n) if j not in subset]
+    c = len(complement)
+    rows = _basis_first([(*row, b) for row, b in zip(basis, betas)], complement, P.n)
+    k = _order([row[:c] for row in rows if any(row[:c])], [exps[j] for j in complement])
+    if k == INFINITE:
+        return None
+    rem = reduce_by_hnf(_columns_first([[k * e for e in exps] + [0]], complement, P.n)[0], rows)
+    assert not any(rem[:c])
+    return DependenceWitness(k, tuple(rem[c:-1]), Fraction(-rem[-1], den))
 
 
 def extension_rank(P: BipotentPresentation, over=()):

@@ -31,6 +31,7 @@ from layext.bipotent import (
 )
 from layext.errors import InconsistentRelations
 from layext.tropical import ValueLattice
+from layext.uniform import ExtScalar, base_descriptor, is_uniform_semifield, uniform_closure
 
 Z = ValueLattice.of(1)
 
@@ -72,12 +73,6 @@ class TestExponentLattice:
         assert lat.basis == ((2, 0),)
         for k in range(-6, 7):
             assert lat.contains((k, 0)) == ((k * F(1, 2)).denominator == 1)
-
-    def test_betas_match_values(self):
-        P = numeric("1/2", "1/3")
-        lat = exponent_lattice(P)
-        for row, beta in zip(lat.basis, lat.betas):
-            assert R.value_of(P, row) == F(beta, lat.den)
 
     def test_declared_relation_gives_torsion(self):
         P = BipotentPresentation(Z, (Symbolic("g"),), (Relation.of((2,), 1),))
@@ -139,7 +134,7 @@ class TestExponentLattice:
 def reference_lattice(P):
     """The exponent lattice the long way: R.kernel of the value column, then la.hnf.
 
-    Returns (basis, betas), or None when the declared relations are inconsistent.
+    Returns its basis, or None when the declared relations are inconsistent.
     """
     num, sym = P.numeric_indices(), P.symbolic_indices()
     g = P.base.single_generator()
@@ -160,11 +155,7 @@ def reference_lattice(P):
         vec = [sum(ci * v[j] for ci, v in zip(c, vecs)) for j in range(P.n)]
         if R.value_of(P, vec) != sum(ci * b for ci, (_, b) in zip(c, spanning)):
             return None
-    basis = la.hnf(vecs, P.n)
-    betas = tuple(
-        sum(x * b for x, (_, b) in zip(R.solve_left(vecs, P.n, row), spanning)) for row in basis
-    )
-    return basis, betas
+    return la.hnf(vecs, P.n)
 
 
 def reference_dependent(basis, n, subset):
@@ -211,10 +202,7 @@ class TestAgainstKernelReference:
             seen["trivial_base"] += P.base.single_generator() == 0
             seen["mixed"] += bool(P.numeric_indices() and P.symbolic_indices())
             lat = exponent_lattice(P)
-            assert (lat.basis, tuple(F(b, lat.den) for b in lat.betas)) == want
-            # a Hermite pass in the natural order leaves the basis as it is, so queries skip it
-            rows = la.hnf([(*row, b) for row, b in zip(lat.basis, lat.betas)], P.n)
-            assert (tuple(row[:-1] for row in rows), tuple(row[-1] for row in rows)) == (lat.basis, lat.betas)
+            assert lat.basis == want
             for _ in range(3):
                 subset = [i for i in range(P.n) if rng.random() < 0.5] or [rng.randrange(P.n)]
                 assert is_divisibly_dependent(P, subset) == reference_dependent(lat.basis, P.n, subset)
@@ -222,17 +210,15 @@ class TestAgainstKernelReference:
 
 
 def lattice_fields(P):
-    lat = exponent_lattice(P)
-    return lat.basis, lat.betas, lat.den
+    return exponent_lattice(P).basis
 
 
 def reference_fields(P):
-    lat = R.reference_exponent_lattice(P)
-    return lat.basis, lat.betas, lat.den
+    return R.reference_exponent_lattice(P)[0]
 
 
 class TestAgainstOnePassReference:
-    """The closed-form lattice build against the one Hermite pass over [t | exponents | beta] rows."""
+    """The closed-form lattice basis against the one Hermite pass over [t | exponents | beta] rows."""
 
     BASES = [(), (1,), (F(1, 2),), (6,), (F(1, 6), F(1, 4))]
 
@@ -287,7 +273,7 @@ class TestAgainstOnePassReference:
 
 
 class TestIntegerBetas:
-    """The lattice keeps its betas as integers over one denominator; queries return Fractions."""
+    """Queries carry betas as integers over one denominator; their answers are exact Fractions."""
 
     # base (1/6)Z, a = 1/4, b = 1/9 and a symbolic s with a + 2s = 1/6, so s = -1/24 in a model
     P = BipotentPresentation(
@@ -297,12 +283,6 @@ class TestIntegerBetas:
     )
 
     def test_a_denominator_above_one_gives_exact_values(self):
-        lat = exponent_lattice(self.P)
-        assert lat.den > 1
-        for exps, beta in [((1, 0, 2), F(1, 6)), ((2, 0, 0), F(1, 2)), ((0, 3, 0), F(1, 3)),
-                           ((1, 3, 2), F(1, 2)), ((0, 0, 4), F(-1, 6))]:
-            got = R.beta_of(lat, exps)
-            assert type(got) is F and got == beta
         cases = [((0, 0, 1), (), (4, (), F(-1, 6))),
                  ((0, 0, 1), (0,), (2, (1,), F(-1, 3))),
                  ((0, 1, 0), (0,), (3, (0,), F(1, 3))),
@@ -314,25 +294,6 @@ class TestIntegerBetas:
                             ((3, -2, 6), F(1, 9)), ((0, 0, 1), None)]:
             got = canonical_coset_value(self.P, exps)
             assert got == value and (got is None or type(got) is F)
-
-    def test_betas_are_ints_over_a_positive_denominator(self):
-        rng = random.Random(20261020)
-        checked = 0
-        for _ in range(200):
-            P = random_presentation(rng)
-            try:
-                lat = exponent_lattice(P)
-            except InconsistentRelations:
-                continue
-            checked += 1
-            assert type(lat.den) is int and lat.den > 0
-            assert all(type(b) is int for b in lat.betas)
-            cols = list(range(P.n))
-            rng.shuffle(cols)
-            rows = [(*row, b) for row, b in zip(lat.basis, lat.betas)]
-            rows = la.hnf(bipotent._columns_first(rows, cols, P.n), P.n)
-            assert all(type(row[-1]) is int for row in rows)
-        assert checked >= 100
 
 
 def smith_order(diag, V, vec):
@@ -385,7 +346,7 @@ class TestAgainstSmithReference:
                 vec = [power * e for e in exps]
                 for x, i in zip(w.exponents, subset):
                     vec[i] -= x
-                assert R.beta_of(lat, vec) == w.beta
+                assert R.beta_of(P, vec) == w.beta
         assert all(count >= 30 for count in seen.values()), seen
 
 
@@ -528,14 +489,15 @@ class TestSharedQuotient:
         assert decompose_extension(P).torsion_orders == (6,)  # the one numeric query that reads the basis
         assert calls == {"congruence": 1, "lattice": 1, "smith": 0}
         S = BipotentPresentation(Z, (Numeric.of("1/2"), Symbolic("g")), (Relation.of((0, 3), 1),))
-        assert extension_rank(S) == 6
-        assert calls == {"congruence": 2, "lattice": 2, "smith": 0}
+        assert extension_rank(S) == 6  # from the quotient, with no basis
+        assert calls == {"congruence": 2, "lattice": 1, "smith": 0}
         assert decompose_extension(S).torsion_orders == (6,)
         assert calls == {"congruence": 2, "lattice": 2, "smith": 1}
 
     def test_two_threads_racing_to_fill_one_basis_agree(self, monkeypatch):
-        # both threads find the entry's basis slot empty and are inside its build at once;
-        # each stores an equal basis, and the queries after them build none
+        # both threads find the entry's basis slot empty and are inside its build at once, one
+        # reading the basis itself and one decomposing; each stores an equal basis, and the
+        # queries after them build none
         gens, rels = (Numeric.of("1/2"), Numeric.of("1/3"), Symbolic("g")), (Relation.of((0, 2, 2), 1),)
         twin = BipotentPresentation(Z, gens, rels)  # equal, with an entry of its own
         want = (exponent_lattice(twin), extension_rank(twin), decompose_extension(twin))
@@ -552,7 +514,7 @@ class TestSharedQuotient:
         results = [None, None]
 
         def work(t):
-            results[t] = extension_rank(P) if t == 0 else decompose_extension(P)
+            results[t] = exponent_lattice(P) if t == 0 else decompose_extension(P)
 
         threads = [threading.Thread(target=work, args=(t,)) for t in range(2)]
         for t in threads:
@@ -560,7 +522,7 @@ class TestSharedQuotient:
         for t in threads:
             t.join(timeout=60)
         assert not any(t.is_alive() for t in threads)
-        assert results == list(want[1:])
+        assert results == [want[0], want[2]]
         assert calls == {"congruence": 1, "lattice": 2, "smith": 1}
         assert (exponent_lattice(P), extension_rank(P), decompose_extension(P)) == want
         assert calls == {"congruence": 1, "lattice": 2, "smith": 1}
@@ -593,26 +555,60 @@ class TestSharedQuotient:
         calls.clear()
         exponent_lattice(R.item_10_presentation(48))
         assert calls == []
-        # a numeric presentation answers from its congruence; a symbolic generator takes the Hermite path
+        # without declared relations a query answers from the congruence, a symbolic generator or not
         P = BipotentPresentation(Z, (Numeric.of("1/2"), Numeric.of("1/3"), Numeric.of("1/5"), Symbolic("g")))
         extension_rank(P)
         calls.clear()
         assert is_divisibly_dependent(P, (0, 2))
-        assert len(calls) == 1
+        assert calls == []
 
-    @pytest.mark.parametrize("base", [Z, ValueLattice.of("1/6"), ValueLattice.of()], ids=["1", "1/6", "trivial"])
-    def test_numeric_queries_run_no_hermite_pass(self, monkeypatch, base):
-        # without symbolic generators every query answers from the build's congruence,
-        # complement-first subsets included
-        calls = []
-        echelon = la._echelon
+    @staticmethod
+    def _count_echelon_and_bases(monkeypatch):
+        """The `la._echelon` widths and the presentations of the library's `exponent_lattice` calls, as two lists.
+
+        The references in `tests/reference.py` call the unpatched `exponent_lattice`.
+        """
+        passes, bases = [], []
+        echelon, lattice = la._echelon, bipotent.exponent_lattice
 
         def counted(rows, ncols):
-            calls.append(ncols)
+            passes.append(ncols)
             return echelon(rows, ncols)
 
+        def read(P):
+            bases.append(P)
+            return lattice(P)
+
         monkeypatch.setattr(la, "_echelon", counted)
-        P = BipotentPresentation(base, tuple(Numeric.of(v) for v in ("1/2", "1/3", "-1/5", "0", "7/4")))
+        monkeypatch.setattr(bipotent, "exponent_lattice", read)
+        return passes, bases
+
+    @pytest.mark.parametrize("case", ["1", "1/6", "trivial", "free-symbolic", "tower"])
+    def test_numeric_queries_run_no_hermite_pass(self, monkeypatch, case):
+        # without symbolic generators every query answers from the build's congruence,
+        # complement-first subsets included; without declared relations so does every
+        # query on symbolic generators, and none but `decompose_extension` builds a basis
+        calls, bases = self._count_echelon_and_bases(monkeypatch)
+        if case == "tower":
+            D = base_descriptor()
+            # the rank over the base, and over the symbolic generators
+            for value, rank, over_symbols in [("1/2", 2, 2), ("g", INFINITE, 2), ("1/3", INFINITE, 6),
+                                              ("h", INFINITE, 6)]:
+                D = uniform_closure(D, ExtScalar(F(2), value if value.isidentifier() else F(value)))
+                P = D.value_part
+                assert is_uniform_semifield(D) == (rank != INFINITE)
+                assert extension_rank(P) == rank
+                assert extension_rank(P, P.symbolic_indices()) == over_symbols
+            assert D.value_part.n == 4
+            assert (calls, bases) == ([], [])
+            return
+        values = ("1/2", "1/3", "-1/5", "0", "7/4")
+        if case == "free-symbolic":
+            P = BipotentPresentation(Z, tuple(Symbolic(f"g{i}") if i in (1, 4) else Numeric.of(v)
+                                              for i, v in enumerate(values)))
+        else:
+            base = {"1": Z, "1/6": ValueLattice.of("1/6"), "trivial": ValueLattice.of()}[case]
+            P = BipotentPresentation(base, tuple(Numeric.of(v) for v in values))
         x, y = (1, 0, 2, 1, 0), (0, 3, -1, 0, 2)
         for query, args in [
             (torsion_degree, (x,)),
@@ -629,9 +625,11 @@ class TestSharedQuotient:
             (divisible_dependence_witness, (x, (0, 2))),
             (divisible_dependence_witness, (x, (1, 3))),
             (divisible_dependence_witness, (y, ())),
-            (decompose_extension, ()),
         ]:
             query(P, *args)
+        if case == "free-symbolic":
+            assert bases == []
+        decompose_extension(P)
         assert calls == []
 
     def test_natural_order_queries_run_no_hermite_pass(self, monkeypatch):
@@ -655,54 +653,58 @@ class TestSharedQuotient:
         assert extension_rank(P, over=(0,)) == 6
         assert len(calls) == 1
 
-    def test_prefix_orders_run_no_hermite_pass(self, monkeypatch):
-        calls = []
-        echelon = la._echelon
-
-        def counted(rows, ncols):
-            calls.append(ncols)
-            return echelon(rows, ncols)
-
-        # the symbolic generator comes first, with 2g in the base, so every complement below is a prefix
-        gens = (Symbolic("g"), Numeric.of("1/6"), Numeric.of("1/2"), Numeric.of("1/5"))
-        P = BipotentPresentation(Z, gens, (Relation.of((2, 0, 0, 0), 1),))
-        assert extension_rank(P) == 60  # builds the Hermite basis
-        monkeypatch.setattr(la, "_echelon", counted)
-        assert canonical_coset_value(P, (0, 1, 1, 1)) == F(13, 15)  # the symbolic column is the prefix [0]
-        assert extension_rank(P, over=(1, 2, 3)) == 2
-        assert extension_rank(P, over=(2, 3)) == 6
-        assert divisible_dependence_witness(P, (0, 1, 0, 0), subset=(2, 3)) == DependenceWitness(3, (1, 0), F(0))
-        assert calls == []
-        # a subset that leaves no prefix of the natural order runs one pass
-        S = BipotentPresentation(Z, gens[1:] + (Symbolic("g"),))
-        extension_rank(S)
-        calls.clear()
-        assert divisible_dependence_witness(S, (0, 1, 0, 0), subset=(0,)) == DependenceWitness(1, (3,), F(0))
-        assert len(calls) == 1
-
-    def test_complement_queries_run_one_pass_as_wide_as_the_complement(self, monkeypatch):
-        calls = []
-        echelon = la._echelon
-
-        def counted(rows, ncols):
-            rows = [tuple(row) for row in rows]
-            calls.append((ncols, {len(row) for row in rows}))
-            return echelon(rows, ncols)
-
-        gens = (Numeric.of("1/6"), Symbolic("g"), Numeric.of("1/2"), Numeric.of("1/5"))
-        P = BipotentPresentation(Z, gens, (Relation.of((1, 2, 0, 0), 1),))
-        extension_rank(P)  # builds the lattice
-        monkeypatch.setattr(la, "_echelon", counted)
-        for query, arg, complement in [
-            (extension_rank, (0,), [1, 2, 3]),
-            (extension_rank, (1, 3), [0, 2]),
-            (is_divisibly_dependent, (0, 2), [1, 3]),
-            (is_divisibly_dependent, (1,), [0, 2, 3]),
+    def test_queries_with_relations_run_at_most_one_pass_over_the_columns_they_read(self, monkeypatch):
+        # the quotient's rows answer orders, classes, coset values and the rank over the base;
+        # a subset's query runs one pass over the symbolic columns C it leaves out and the value
+        # column, the witness's also over the subset's columns; only a decomposition builds a basis
+        calls, bases = self._count_echelon_and_bases(monkeypatch)
+        P = BipotentPresentation(Z, (Symbolic("g"), Numeric.of("1/6"), Numeric.of("1/2"), Numeric.of("1/5")),
+                                 (Relation.of((2, 0, 0, 0), 1),))
+        assert extension_rank(P) == 60
+        assert calls == [2]  # the relation check, once per entry
+        for query, args, want, width in [
+            (canonical_coset_value, ((0, 1, 1, 1),), F(13, 15), []),
+            (extension_rank, ((1, 2, 3),), 2, [2]),  # C = [g], then the value column
+            (extension_rank, ((2, 3),), 6, [2]),
+            (extension_rank, ((0, 3),), 6, []),  # no symbolic column left: a gcd
+            (divisible_dependence_witness, ((0, 1, 0, 0), (2, 3)), DependenceWitness(3, (1, 0), F(0)), [4]),
         ]:
             calls.clear()
-            got = query(P, arg)
-            assert calls == [(len(complement), {len(complement)})]
-            assert got == getattr(R, query.__name__)(P, arg)
+            assert query(P, *args) == want
+            assert calls == width
+        rng = random.Random(32)
+        seen = {"no_pass": 0, "one_pass": 0, "gcd": 0}
+        checked = 0
+        while checked < 150:
+            n = rng.randint(2, 7)
+            P = lattice_style_presentation(rng, n, True)
+            if not P.relations:
+                continue
+            checked += 1
+            x = tuple(rng.randint(-4, 4) for _ in range(n))
+            y = tuple(rng.randint(-4, 4) for _ in range(n))
+            subset = tuple(sorted(rng.sample(range(n), rng.randint(1, n))))
+            c = sum(1 for j in P.symbolic_indices() if j not in subset)
+            wants = [R.coset_value(P, x), R.extension_rank(P), R.witness(P, x), R.extension_rank(P, subset),
+                     R.is_divisibly_dependent(P, subset), R.witness(P, x, subset)]
+            torsion_degree(P, x)  # derives the entry, with its one pass over the relations
+            calls.clear()
+            linearly_dependent_pair(P, x, y)
+            assert [canonical_coset_value(P, x), extension_rank(P), divisible_dependence_witness(P, x)] == wants[:3]
+            assert calls == []
+            seen["no_pass"] += 1
+            for query, args, width, want in zip(
+                (extension_rank, is_divisibly_dependent, divisible_dependence_witness),
+                ((subset,), (subset,), (x, subset)),
+                (c + 1, c + 1, c + 1 + len(subset)),
+                wants[3:],
+            ):
+                calls.clear()
+                assert query(P, *args) == want
+                assert calls in ([], [width])
+                seen["one_pass" if calls else "gcd"] += 1
+            assert bases == []
+        assert all(count >= 50 for count in seen.values()), seen
 
     def test_alternating_presentations_keep_their_answers(self):
         P1, P2 = numeric("1/2", "1/3"), numeric("1/4", "1/6")
@@ -1118,6 +1120,45 @@ class TestClosedFormQueries:
         assert compared > 50000
 
 
+class TestWitnessAgainstTheBasis:
+    """The witness from the (s+1)-wide quotient against the n-wide, complement-first one of `tests/reference.py`.
+
+    Both give the Hermite-reduced exponents of their coset, so power, exponents and beta agree
+    exactly; the relation check in `_entry` raises where `R.check_relations` does.
+    """
+
+    def test_seeded_presentations_match_exactly(self):
+        rng = random.Random(3201)
+        seen = {"numeric": 0, "free": 0, "relations": 0, "extra": 0, "inconsistent": 0, "none": 0, "found": 0}
+        for i in range(1200):
+            n = rng.randint(2, 7)
+            kind = ("numeric", "free", "relations")[i % 3]
+            P = lattice_style_presentation(rng, n, kind != "numeric")
+            if kind == "free":
+                P = BipotentPresentation(P.base, P.generators)
+            elif kind == "relations" and rng.random() < 0.4:
+                g = P.base.single_generator()
+                extra = tuple(Relation(tuple(rng.randint(-3, 3) for _ in range(n)), g * rng.randint(-3, 3))
+                              for _ in range(rng.randint(1, 2)))
+                P = BipotentPresentation(P.base, P.generators, P.relations + extra)
+                seen["extra"] += 1
+            seen[kind] += 1
+            try:
+                R.check_relations(P)
+            except InconsistentRelations:
+                seen["inconsistent"] += 1
+                with pytest.raises(InconsistentRelations):
+                    divisible_dependence_witness(P, (0,) * n)
+                continue
+            for _ in range(4):
+                x = tuple(rng.randint(-5, 5) for _ in range(n))
+                subset = tuple(sorted(rng.sample(range(n), rng.randint(0, n))))
+                want = R.witness(P, x, subset)
+                assert divisible_dependence_witness(P, x, subset) == want
+                seen["none" if want is None else "found"] += 1
+        assert all(count >= 100 for count in seen.values()), seen
+
+
 class TestDecompositionGrowth:
     """Entry sizes and time of a numeric decomposition on many 6-digit values (ROADMAP item 10)."""
 
@@ -1376,16 +1417,18 @@ class TestCosetValues:
         assert canonical_coset_value(P, (0, 1)) == F(2, 3)
 
     @staticmethod
-    def _brute_force_offsets(P, lat, box=5):
+    def _brute_force_offsets(P, box=5):
         """Oracle: symbolic part of a lattice vector -> its beta minus the value of its numeric part.
 
-        Enumerates the lattice combinations with coefficients in [-box, box].
+        Enumerates the lattice combinations with coefficients in [-box, box], on the reference
+        basis and betas.
         """
         sym = P.symbolic_indices()
+        basis, betas, den = R.reference_exponent_lattice(P)
         table = {}
-        for c in product(range(-box, box + 1), repeat=len(lat.basis)):
-            vec = [sum(ci * row[j] for ci, row in zip(c, lat.basis)) for j in range(P.n)]
-            beta = sum((ci * F(b, lat.den) for ci, b in zip(c, lat.betas)), F(0))
+        for c in product(range(-box, box + 1), repeat=len(basis)):
+            vec = [sum(ci * row[j] for ci, row in zip(c, basis)) for j in range(P.n)]
+            beta = sum((ci * F(b, den) for ci, b in zip(c, betas)), F(0))
             numeric_part = [0 if i in sym else x for i, x in enumerate(vec)]
             table.setdefault(tuple(vec[i] for i in sym), beta - R.value_of(P, numeric_part))
         return table
@@ -1396,12 +1439,11 @@ class TestCosetValues:
         for _ in range(80):
             P = random_presentation(rng, max_n=3)
             try:
-                lat = exponent_lattice(P)
+                offsets = self._brute_force_offsets(P)
             except InconsistentRelations:
                 continue
             sym = P.symbolic_indices()
             g = P.base.single_generator()
-            offsets = self._brute_force_offsets(P, lat)
             for _ in range(5):
                 exps = tuple(rng.randint(-3, 3) for _ in range(P.n))
                 got = canonical_coset_value(P, exps)
@@ -1419,10 +1461,10 @@ class TestCosetValues:
         assert answered >= 50 and unanswered >= 50
 
     def test_beta_of_rejects_non_members(self):
-        lat = exponent_lattice(numeric("1/2"))
-        assert R.beta_of(lat, (2,)) == 1
+        P = numeric("1/2")
+        assert R.beta_of(P, (2,)) == 1
         with pytest.raises(ValueError):
-            R.beta_of(lat, (1,))
+            R.beta_of(P, (1,))
 
 
 def brute_force_dependent(P, subset, bound=8):
@@ -1444,7 +1486,7 @@ def brute_force_dependent(P, subset, bound=8):
 def test_mixed_lattice_is_sound_for_a_hidden_model(hidden, data):
     # build a presentation whose symbolic generators secretly carry rational
     # values and whose declared relations are true in that model; then every
-    # lattice member must evaluate into the base with the recorded beta
+    # lattice member must evaluate into the base, with the beta its witness over () records
     n = len(hidden)
     gens = []
     for i, h in enumerate(hidden):
@@ -1464,9 +1506,9 @@ def test_mixed_lattice_is_sound_for_a_hidden_model(hidden, data):
         rels = []
     P = BipotentPresentation(Z, tuple(gens), tuple(rels))
     lat = exponent_lattice(P)
-    for row, beta in zip(lat.basis, lat.betas):
+    for row in lat.basis:
         value = sum(r * h for r, h in zip(row, hidden))
-        assert value == F(beta, lat.den)
+        assert divisible_dependence_witness(P, row) == DependenceWitness(1, (), value)
         assert P.base.contains(value)
     for _ in range(5):
         k = tuple(data.draw(st.integers(-3, 3)) for _ in range(n))

@@ -488,6 +488,12 @@ MALFORMED = {
     "rational_exponent": (["decompose", "p.json"], {
         "p.json": {"base": ["1"], "generators": [{"num": "1e3"}]}}),
     "missing_file": (["decompose", "no-such-dir/p.json"], {}),
+    # 2g = 1 and 1/2 + g = 0 give g two values; `semifield` on the same file already refused it
+    "closure_inconsistent_relations": (["closure", "h.json", "a.json"], {
+        "h.json": {"sort": {"kind": "base"}, "value": {
+            "base": ["1"], "generators": [{"num": "1/2"}, {"sym": "g"}],
+            "relations": [{"exps": [0, 2], "beta": "1"}, {"exps": [1, 1], "beta": "0"}]}},
+        "a.json": {"layer": "2", "value": {"sym": "g"}}}, "InconsistentRelations"),
 }
 
 
@@ -543,12 +549,12 @@ def test_fuzzed_generators_give_a_result_or_one_error_line(tmp_path_factory, deg
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))
 def test_malformed_input_is_one_error_line(tmp_path, name):
-    argv, files = MALFORMED[name]
+    argv, files, *kind = MALFORMED[name]  # a ParseError unless the entry names another error
     paths = {f: write(tmp_path, f, doc) for f, doc in files.items()}
     rc, out, err = run([paths.get(a, a) for a in argv])
     assert rc == 1 and out == ""
     lines = err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ParseError: ")
+    assert len(lines) == 1 and lines[0].startswith(f"error: {kind[0] if kind else 'ParseError'}: ")
 
 
 @pytest.mark.parametrize("argv, files, key", [

@@ -61,9 +61,9 @@ CASES = [
     (Relation((2,), F(1)), ("exps", "beta"), "Relation(exps=(2,), beta=Fraction(1, 1))"),
     (P, ("base", "generators", "relations", "monoid_exponents"), P_REPR),
     (
-        ExponentLattice(((2,),), (1,), 3),
-        ("basis", "betas", "den"),
-        "ExponentLattice(basis=((2,),), betas=(1,), den=3)",
+        ExponentLattice(((2,),)),
+        ("basis",),
+        "ExponentLattice(basis=((2,),))",
     ),
     (
         ExtDecomposition(((1,),), (), (), ((1,),)),

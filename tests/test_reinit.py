@@ -40,7 +40,7 @@ OTHERS = [
     Symbolic("h"),
     Relation((3,), F(2)),
     Q,
-    ExponentLattice(((3,),), (2,), 5),
+    ExponentLattice(((3,),)),
     ExtDecomposition(((2,),), (), (), ((2,),)),
     DependenceWitness(3, (2,), F(1, 5)),
     SignedPoly((F(1), F(2))),
