@@ -60,7 +60,7 @@ def record(cls):
     It gets no `__init__`, so a second `__init__` call on a built value is
     `object.__init__`, which ignores its arguments.  A body `__slots__`
     names extra slots outside the fields, for `__post_init__` to fill with
-    `object.__setattr__`.
+    `object.__setattr__`; a cache slot may be filled again later.
     """
     body = cls.__dict__
     own, extra = tuple(body.get("__annotations__", ())), tuple(body.get("__slots__", ()))

@@ -16,10 +16,11 @@ divisibly independent generators, torsion coordinates give generators with a
 power in the base.
 
 Queries run on integers and share what a presentation derives once, its
-cache entry (`_entry`).  The values and declared betas are cleared over one
-denominator `den`, which gives each numeric generator an integer t_i and the
-base a modulus m.  With s symbolic generators a monomial k maps to
-pi(k) = (k on the symbolic columns, V(k)) in Z^(s+1), V(k) = sum k_i*t_i
+cache entry (`_entry`), which P keeps in a slot outside its equality, hash
+and repr from its first query on.  The values and declared betas are
+cleared over one denominator, which gives each numeric generator an integer
+t_i and the base a modulus m.  With s symbolic generators a monomial k maps
+to pi(k) = (k on the symbolic columns, V(k)) in Z^(s+1), V(k) = sum k_i*t_i
 over the numeric generators, and k lies in the lattice exactly when pi(k)
 lies in the span of H and the row (0, ..., 0, m): H is the Hermite form of
 one row [symbolic exponents | defect] per declared relation.  Every query
@@ -31,12 +32,12 @@ and m (an order of V modulo m or modulo a gcd, a witness reduced by
 `la.congruence_hnf`), through which symbolic coordinates pass.
 
 Only `decompose_extension` reads the n-wide Hermite basis
-(`exponent_lattice`), and only it may build a Smith form, for a
-presentation with symbolic generators.  Without them the quotient is cyclic
-(free of rank 1 over a trivial base), and its decomposition follows in
-closed form from one gcd on the same integers: one monomial, reduced by the
-Hermite basis, and one coordinate per generator, a symmetric residue modulo
-the order.
+(`exponent_lattice`), and only for a presentation with symbolic
+generators, whose decomposition it reads off a Smith form and keeps in P's
+entry.  Without them the quotient is cyclic (free of rank 1 over a trivial
+base), and its decomposition follows in closed form from one gcd on the
+same integers: one monomial, reduced by `la.congruence_hnf`, and one
+coordinate per generator, a symmetric residue modulo the order.
 
 >>> P = BipotentPresentation.from_values(ValueLattice.of(1), "1/2", "1/3")
 >>> dec = decompose_extension(P)
@@ -126,6 +127,7 @@ class BipotentPresentation:
     generators: tuple
     relations: tuple = ()
     monoid_exponents: bool = False
+    __slots__ = ("_derived",)  # the cache entry, None until `_entry` fills it
 
     def __post_init__(self):
         for field in ("generators", "relations"):
@@ -148,6 +150,7 @@ class BipotentPresentation:
                 raise ValueError("relation exponent vector length does not match the generators")
             if not self.base.contains(rel.beta):
                 raise InconsistentRelations(f"relation value {rel.beta} is not in the base lattice")
+        object.__setattr__(self, "_derived", None)
 
     @classmethod
     def from_values(cls, base: ValueLattice, *values) -> "BipotentPresentation":
@@ -174,37 +177,27 @@ class ExponentLattice:
 
     basis: tuple
 
-    def contains(self, exps) -> bool:
-        return not any(la.reduce_by_hnf(exps, self.basis))
 
+def _entry(P: BipotentPresentation) -> tuple:
+    """P's cache entry (t, m, dq, sym, rels, G, decomposition), derived on P's first query and kept in P.
 
-# The last presentation queried, [P, t, m, q, den, sym, rels, G, lattice or
-# None, decomposition or None]: t holds each generator's t_i (0 for a symbolic
-# one), sym the symbolic positions, rels the quotient's rows (H, then
-# (0, ..., 0, m) when m > 0; none when H is empty) and G = gcd(m, t_i).
-# `exponent_lattice` and `decompose_extension` fill in the last two slots
-# when a query first reads them.  One entry keeps no presentation alive
-# beyond the next one.  `_entry` replaces it whole, so concurrent callers at
-# worst derive it again, never mix two presentations' data; two that fill
-# one slot at once store equal values.
-_last = [None]
-
-
-def _entry(P: BipotentPresentation) -> list:
-    """P's cache entry, derived once per run of queries on P.
-
-    The numeric values s_i and the declared betas are cleared over one `den`;
-    with the base generator g = p/q, t_i = s_i*q and m = den*p (m = 0 over a
-    trivial base).  A relation's defect d = sum r_i*t_i - beta*den*q is its
-    numeric value minus its beta, over den*q; as beta*den*q is a multiple of
-    m, H and m span pi of the lattice.  The relations are consistent exactly
-    when every combination of them with no symbolic exponent left has defect
-    0, that is when no row of H is zero on the symbolic columns; otherwise
-    this raises InconsistentRelations.
+    The numeric values s_i and the declared betas are cleared over one
+    `den`; with the base generator g = p/q, t_i = s_i*q (0 at a symbolic
+    position), m = den*p (0 over a trivial base) and dq = den*q.  `sym`
+    holds the symbolic positions, `rels` the quotient's rows (H, then
+    (0, ..., 0, m) when m > 0; none when H is empty) and G = gcd(m, t_i).
+    A relation's defect d = sum r_i*t_i - beta*dq is its numeric value
+    minus its beta, over dq; as beta*dq is a multiple of m, H and m span pi
+    of the lattice.  The relations are consistent exactly when every
+    combination of them with no symbolic exponent left has defect 0, that
+    is when no row of H is zero on the symbolic columns; otherwise this
+    raises InconsistentRelations.  The entry is a tuple of integers and
+    tuples, which the cyclic collector stops tracking; `decompose_extension`
+    replaces it by one holding a symbolic P's decomposition.  Concurrent
+    first queries derive equal entries.
     """
-    global _last
-    entry = _last
-    if entry[0] is not P:
+    entry = P._derived
+    if entry is None:
         num, sym = P.numeric_indices(), P.symbolic_indices()
         scaled, den = _cleared([P.generators[i].value for i in num] + [r.beta for r in P.relations])
         g = P.base.single_generator()
@@ -221,7 +214,8 @@ def _entry(P: BipotentPresentation) -> list:
                 raise InconsistentRelations("declared relations give a numeric monomial a value other than its own")
             if rels and m:
                 rels += ((0,) * s + (m,),)
-        entry = _last = [P, ts, m, q, den, sym, rels, math.gcd(m, *ts), None, None]
+        entry = (tuple(ts), m, den * q, tuple(sym), rels, math.gcd(m, *ts), None)
+        object.__setattr__(P, "_derived", entry)
     return entry
 
 
@@ -233,25 +227,22 @@ def exponent_lattice(P: BipotentPresentation) -> ExponentLattice:
     InconsistentRelations when a combination of declared relations
     contradicts the numeric values.
 
-    Read by `decompose_extension` only, and kept in P's cache entry: the
-    rows of `la.congruence_hnf` of the entry's t and m, placed in the numeric
-    columns, with the relation rows merged in by one `la.hnf`.
+    Built on each call from P's entry: the rows of `la.congruence_hnf` of
+    its t and m, placed in the numeric columns, with the relation rows
+    merged in by one `la.hnf`.  `decompose_extension` reads it once per
+    presentation with symbolic generators.
     """
-    entry = _entry(P)
-    lat = entry[8]
-    if lat is None:
-        ts, m = entry[1], entry[2]
-        num = P.numeric_indices()
-        rows = []
-        for k in la.congruence_hnf([ts[i] for i in num], m):
-            row = [0] * P.n
-            for i, x in zip(num, k):
-                row[i] = x
-            rows.append(row)
-        if P.relations:
-            rows = la.hnf(rows + [r.exps for r in P.relations], P.n)
-        lat = entry[8] = ExponentLattice(tuple(tuple(row) for row in rows))
-    return lat
+    ts, m = _entry(P)[:2]
+    num = P.numeric_indices()
+    rows = []
+    for k in la.congruence_hnf([ts[i] for i in num], m):
+        row = [0] * P.n
+        for i, x in zip(num, k):
+            row[i] = x
+        rows.append(row)
+    if P.relations:
+        rows = la.hnf(rows + [r.exps for r in P.relations], P.n)
+    return ExponentLattice(tuple(tuple(row) for row in rows))
 
 
 def _in_value_group(P: BipotentPresentation, v) -> bool:
@@ -259,12 +250,12 @@ def _in_value_group(P: BipotentPresentation, v) -> bool:
 
     A name v when P has a symbolic generator of that name; a rational v when
     it lies in the group the base and the numeric values span, the multiples
-    of G/(den*q), G = gcd(m, t_i).
+    of G/dq, G = gcd(m, t_i).
     """
-    _, _, _, q, den, sym, _, G, _, _ = _entry(P)
+    _, _, dq, sym, _, G, _ = _entry(P)
     if isinstance(v, str):
         return any(P.generators[j].name == v for j in sym)
-    return not v.numerator * den * q % (v.denominator * G) if G else not v
+    return not v.numerator * dq % (v.denominator * G) if G else not v
 
 
 def _checked_subset(P: BipotentPresentation, vectors, subset) -> list[int]:
@@ -311,7 +302,7 @@ def _order(basis, vec):
 
 
 def _dot(exps, ts) -> int:
-    """V = sum e_i*t_i: the value of the monomial's numeric part over den*q, on the entry's integers."""
+    """V = sum e_i*t_i: the value of the monomial's numeric part over dq, on the entry's integers."""
     return sum(e * t for e, t in zip(exps, ts))
 
 
@@ -333,7 +324,7 @@ def _class_order(entry, exps):
     Without declared relations the symbolic generators are free, so it is
     INFINITE for a symbolic exponent and otherwise the order of V modulo m.
     """
-    _, ts, m, _, _, sym, rels, _, _, _ = entry
+    ts, m, _, sym, rels, _, _ = entry
     if rels:
         return _order(rels, _image(exps, ts, sym))
     if sym and any(exps[j] for j in sym):
@@ -348,7 +339,7 @@ def _without(entry, subset):
     column, and its rows the quotient's rows cut to them and (0, t_i) for
     each numeric i in the subset: one Hermite pass, or a gcd when c = 0.
     """
-    _, ts, _, _, _, sym, rels, _, _, _ = entry
+    ts, _, _, sym, rels, _, _ = entry
     keep = [c for c, j in enumerate(sym) if j not in subset]
     c = len(keep)
     vals = [ts[i] for i in subset if ts[i]]
@@ -423,7 +414,7 @@ def _bezout(us, c):
     return k
 
 
-def _cyclic_decomposition(basis, ts, m: int) -> ExtDecomposition:
+def _cyclic_decomposition(ts, m: int) -> ExtDecomposition:
     """The decomposition of a presentation without symbolic generators, in closed form.
 
     With the entry's congruence (`_entry`), a monomial k lies in
@@ -431,23 +422,23 @@ def _cyclic_decomposition(basis, ts, m: int) -> ExtDecomposition:
     Z^n modulo the lattice onto the multiples of G = gcd(m, t_1, ..., t_n)
     modulo m: a cyclic group of order D = m/G.  Its monomial maps to G, and
     so has value g/D modulo the base; generator j's coordinate is t_j/G
-    modulo D.  Over the trivial base (m = 0, q = 1, so t_i is the value
-    times `den`) the map is onto the multiples of h = gcd(t_1, ..., t_n),
-    which are free; its monomial has value h/den and generator j the
-    coordinate t_j/h.  Each monomial is a Bézout chain reduced by the
-    Hermite basis, the one Hermite-reduced vector of its class.
+    modulo D.  Over the trivial base (m = 0, so t_i is the value times dq)
+    the map is onto the multiples of h = gcd(t_1, ..., t_n), which are
+    free; its monomial has value h/dq and generator j the coordinate t_j/h.
+    Each monomial is a Bézout chain reduced by the lattice's Hermite basis,
+    `la.congruence_hnf(t, m)`, the one Hermite-reduced vector of its class.
     """
     if m:
         G = math.gcd(m, *ts)
         D = m // G
         if D > 1:
             us = [t // G % D for t in ts]
-            mono = la.reduce_by_hnf(_bezout(us, D), basis)
+            mono = la.reduce_by_hnf(_bezout(us, D), la.congruence_hnf(ts, m))
             return ExtDecomposition((), (mono,), (D,), tuple(((), (u - D if 2 * u > D else u,)) for u in us))
     else:
         h = math.gcd(*ts)
         if h:
-            mono = la.reduce_by_hnf(_bezout(ts, 0), basis)
+            mono = la.reduce_by_hnf(_bezout(ts, 0), la.congruence_hnf(ts, 0))
             return ExtDecomposition((mono,), (), (), tuple(((t // h,), ()) for t in ts))
     return ExtDecomposition((), (), (), (((), ()),) * len(ts))  # the quotient is trivial
 
@@ -481,15 +472,19 @@ def decompose_extension(P: BipotentPresentation) -> ExtDecomposition:
     coordinates the symmetric residues in (-D/2, D/2]; over the trivial
     base, at most one free monomial, whose value h is the gcd of the values,
     with generator j's coordinate a_j/h.  With symbolic generators it is
-    read off the Smith form of the lattice's basis (`_smith_decomposition`).
-    Built once per run of queries on P; repeated calls return the same
-    object.
+    read off the Smith form of the lattice's basis (`_smith_decomposition`),
+    once per presentation: P's entry keeps it, and repeated calls return
+    the same object.  The closed form is written again on each call, so
+    repeated calls return equal objects.
     """
     entry = _entry(P)
-    if entry[9] is None:
-        basis = exponent_lattice(P).basis
-        entry[9] = _smith_decomposition(basis, P.n) if entry[5] else _cyclic_decomposition(basis, entry[1], entry[2])
-    return entry[9]
+    ts, m, _, sym, _, _, dec = entry
+    if not sym:
+        return _cyclic_decomposition(ts, m)
+    if dec is None:
+        dec = _smith_decomposition(exponent_lattice(P).basis, P.n)
+        object.__setattr__(P, "_derived", entry[:6] + (dec,))
+    return dec
 
 
 def torsion_degree(P: BipotentPresentation, exps):
@@ -522,7 +517,7 @@ def is_divisibly_dependent(P: BipotentPresentation, subset) -> bool:
     if not subset:
         raise ValueError("subset must be non-empty")
     entry = _entry(P)
-    _, ts, m, _, _, sym, rels, _, _, _ = entry
+    ts, m, _, sym, rels, _, _ = entry
     if not rels:
         nums = [i for i in subset if i not in sym] if sym else subset
         return bool(nums) and (bool(m) or len(nums) > 1 or not ts[nums[0]])
@@ -555,13 +550,13 @@ def divisible_dependence_witness(P: BipotentPresentation, exps, subset=()) -> De
     for each numeric i in the subset.  The power is the order of (exps on C,
     V) modulo the rows that reach into C or the value column; reducing
     [k*exps on C | k*V | k*exps on the subset's symbolic columns | 0] by all
-    rows leaves the exponents and -beta*den*q.  Over the empty subset the
+    rows leaves the exponents and -beta*dq.  Over the empty subset the
     quotient's rows are that Hermite form already.  beta is the one Fraction.
     """
     subset = _checked_subset(P, (exps,), subset)
-    _, ts, m, q, den, sym, rels, _, _, _ = _entry(P)
+    ts, m, dq, sym, rels, _, _ = _entry(P)
     if not rels:
-        return _cyclic_witness(ts, m, den * q, sym, exps, subset)
+        return _cyclic_witness(ts, m, dq, sym, exps, subset)
     pos = {j: c for c, j in enumerate(sym)}
     keep = [c for c, j in enumerate(sym) if j not in subset] + [len(sym)]
     w = len(keep)
@@ -585,10 +580,10 @@ def divisible_dependence_witness(P: BipotentPresentation, exps, subset=()) -> De
         removed[i] -= x
     # unless the removed lattice vector touches a symbolic generator, its value is beta
     assert any(removed[j] for j in sym) or _dot(removed, ts) == -rem[-1]
-    return DependenceWitness(k, tuple(sub_exps), Fraction(-rem[-1], den * q))
+    return DependenceWitness(k, tuple(sub_exps), Fraction(-rem[-1], dq))
 
 
-def _cyclic_witness(ts, m: int, den_q: int, sym, exps, subset) -> DependenceWitness | None:
+def _cyclic_witness(ts, m: int, dq: int, sym, exps, subset) -> DependenceWitness | None:
     """`divisible_dependence_witness` without declared relations, from the entry's congruence.
 
     The symbolic generators are free: a symbolic exponent outside the subset
@@ -597,7 +592,7 @@ def _cyclic_witness(ts, m: int, den_q: int, sym, exps, subset) -> DependenceWitn
     power is the order of V modulo G.  The Bézout coefficients of those t_i,
     scaled by k*V/G, give exponents x with sum x_i*t_i ≡ k*V (mod m), reduced
     by `la.congruence_hnf`, the Hermite basis of the lattice vectors on the
-    subset; the removed vector has value beta = (k*V - sum x_i*t_i)/(den*q).
+    subset; the removed vector has value beta = (k*V - sum x_i*t_i)/dq.
     """
     if sym and any(exps[j] for j in sym if j not in subset):
         return None
@@ -615,7 +610,7 @@ def _cyclic_witness(ts, m: int, den_q: int, sym, exps, subset) -> DependenceWitn
     if sym:
         rest = iter(x)
         x = tuple(k * exps[i] if i in sym else next(rest) for i in subset)
-    return DependenceWitness(k, x, Fraction(removed, den_q))
+    return DependenceWitness(k, x, Fraction(removed, dq))
 
 
 def extension_rank(P: BipotentPresentation, over=()):
@@ -632,7 +627,7 @@ def extension_rank(P: BipotentPresentation, over=()):
     """
     over = _checked_subset(P, (), over)
     entry = _entry(P)
-    _, ts, m, _, _, sym, rels, G, _, _ = entry
+    ts, m, _, sym, rels, G, _ = entry
     if not rels:
         if sym and any(j not in over for j in sym):
             return INFINITE
@@ -668,12 +663,12 @@ def canonical_coset_value(P: BipotentPresentation, exps) -> Fraction | None:
     The class has one exactly when a lattice vector removes every symbolic
     coordinate, that is when reducing pi(exps) by the quotient's rows leaves
     no symbolic entry (without declared relations, when it has none); the
-    value entry V left is the class's value over den*q.  Returns None when
-    symbolic entries remain, and otherwise (V mod m) / (den*q), the one
+    value entry V left is the class's value over dq.  Returns None when
+    symbolic entries remain, and otherwise (V mod m) / dq, the one
     Fraction built.
     """
     _checked_subset(P, (exps,), ())
-    _, ts, m, q, den, sym, rels, _, _, _ = _entry(P)
+    ts, m, dq, sym, rels, _, _ = _entry(P)
     if rels:
         *rest, value = la.reduce_by_hnf(_image(exps, ts, sym), rels)
         if any(rest):
@@ -682,4 +677,4 @@ def canonical_coset_value(P: BipotentPresentation, exps) -> Fraction | None:
         return None
     else:
         value = _dot(exps, ts)
-    return Fraction(value % m if m else value, den * q)
+    return Fraction(value % m if m else value, dq)

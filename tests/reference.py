@@ -11,8 +11,8 @@ is checked against, built from the sign split of a minimal polynomial, and
 the coefficient cone of an extension element.  The layer polynomial
 behind an evaluation in `layext.uniform`.  Max-plus arithmetic on plain
 (layer, value) pairs, for `layext.tropical`.  And the shorthand constructors
-the tests build presentations, monomials and scalars with, and the base
-value of an exponent-lattice vector.  The extension arithmetic of
+the tests build presentations, monomials and scalars with, membership in
+an exponent lattice, and the base value of an exponent-lattice vector.  The extension arithmetic of
 `layext.cancellative` as it was when elements stored Fraction coefficients,
 for the integer operators that replaced it.  The Hermite, reduction and
 Smith kernels as they were when their operations ran over whole rows, and
@@ -295,6 +295,11 @@ def pair_matvec(rows, v) -> list:
             acc = pair_add(acc, pair_mul(a, b))
         out.append(acc)
     return out
+
+
+def in_lattice(lat, exps) -> bool:
+    """Whether an exponent vector lies in an `ExponentLattice`: it reduces to zero by the Hermite basis."""
+    return not any(reduce_by_hnf(exps, lat.basis))
 
 
 def beta_of(P: BipotentPresentation, exps) -> Fraction:

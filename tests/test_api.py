@@ -3,7 +3,8 @@
 Adding or removing an export changes this list, so the change shows in review.
 So does library code that no program reads: every function, class and method
 of `src/layext` needs a caller in the library, in `scripts/` or in
-`perfbench/`, or a pinned reason to exist without one.
+`perfbench/`, or a pinned reason to exist without one.  And no module keeps
+state in a `global`: what a value derives lives in a slot of that value.
 """
 
 import ast
@@ -121,3 +122,16 @@ def test_names_without_a_program_caller_are_pinned():
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 used.add(node.value)
     assert sorted(defined - used) == sorted(WITHOUT_PROGRAM_CALLER)
+
+
+def test_library_has_no_global_statement():
+    # a module-global cache is shared by every value, so a query on one evicts another's entry;
+    # derived data lives in a slot of its value, as `ValueLattice._single` and
+    # `BipotentPresentation._derived` do
+    found = [
+        f"{p.name}:{node.lineno}"
+        for p in sorted((ROOT / "src" / "layext").glob("*.py"))
+        for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Global)
+    ]
+    assert found == []

@@ -61,7 +61,7 @@ class TestExponentLattice:
         assert lat.basis == ((2, 0), (0, 3))
         for k in product(range(-6, 7), repeat=2):
             in_base = (k[0] * F(1, 2) + k[1] * F(1, 3)).denominator == 1
-            assert lat.contains(k) == in_base
+            assert R.in_lattice(lat, k) == in_base
 
     def test_symbolic_without_relations_is_free(self):
         P = BipotentPresentation(Z, (Symbolic("g"),))
@@ -72,7 +72,7 @@ class TestExponentLattice:
         lat = exponent_lattice(P)
         assert lat.basis == ((2, 0),)
         for k in range(-6, 7):
-            assert lat.contains((k, 0)) == ((k * F(1, 2)).denominator == 1)
+            assert R.in_lattice(lat, (k, 0)) == ((k * F(1, 2)).denominator == 1)
 
     def test_declared_relation_gives_torsion(self):
         P = BipotentPresentation(Z, (Symbolic("g"),), (Relation.of((2,), 1),))
@@ -385,7 +385,7 @@ class TestSmith:
 
 
 class TestSharedQuotient:
-    """Queries on one presentation share its congruence, its Hermite basis and its Smith form."""
+    """Queries on one presentation share its congruence and its Smith form, whatever is queried between them."""
 
     def _counting(self, monkeypatch):
         # an entry's congruence is one `_cleared` pass, and its Hermite basis one `ExponentLattice`
@@ -417,10 +417,9 @@ class TestSharedQuotient:
             assert canonical_coset_value(P, (1, 1, 0)) == F(5, 6)
         assert calls == {"congruence": 1, "lattice": 1, "smith": 1}
 
-    def test_threads_querying_two_presentations_agree_with_one_thread(self, monkeypatch):
-        # each congruence replaces the one cache entry whole, without a lock; a stage that lets
-        # another thread run before it returns makes the other presentation's entry likely to
-        # replace it between the two stages, and between two reads of one query
+    @staticmethod
+    def _yielding(monkeypatch):
+        """Let another thread run after each congruence and each basis build."""
         def yielding(fn):
             def wrapped(*args):
                 out = fn(*args)
@@ -431,6 +430,26 @@ class TestSharedQuotient:
 
         monkeypatch.setattr(bipotent, "_cleared", yielding(bipotent._cleared))
         monkeypatch.setattr(bipotent, "exponent_lattice", yielding(bipotent.exponent_lattice))
+
+    @staticmethod
+    def _run_threads(work, count):
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(count)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+
+    def test_threads_querying_two_presentations_agree_with_one_thread(self, monkeypatch):
+        # each presentation fills its own entry, without a lock; a stage that lets another thread
+        # run before it returns makes a second first query on a presentation likely to run
+        # between the two stages of the first one
+        self._yielding(monkeypatch)
         P = BipotentPresentation(Z, (Numeric.of("1/2"), Numeric.of("1/3"), Symbolic("g")))
         Q = numeric("1/4", "3/10")
 
@@ -445,19 +464,40 @@ class TestSharedQuotient:
         def work(t):
             results[t] = [answers((P, Q)[(t + k) % 2]) for k in range(60)]
 
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=work, args=(t,)) for t in range(len(results))]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(old)
-        assert not any(t.is_alive() for t in threads)
+        self._run_threads(work, len(results))
         for t, got in enumerate(results):
             assert got == [expected[(t + k) % 2] for k in range(60)]
+
+    def test_threads_interleaving_presentations_agree_with_one_thread(self, monkeypatch):
+        # six threads step through eight presentations, one query at a time, each from its own
+        # start: consecutive queries of a thread read different entries, and first queries on one
+        # presentation race.  Racing first queries may each derive an entry, but the presentation
+        # keeps one, whose decomposition slot a later call fills, so a further round derives none
+        queries = [
+            decompose_extension,
+            extension_rank,
+            lambda S: torsion_degree(S, (1, 1) + (0,) * (S.n - 2)),
+            lambda S: canonical_coset_value(S, (1, 1) + (0,) * (S.n - 2)),
+            lambda S: divisible_dependence_witness(S, (1, 1) + (0,) * (S.n - 2), (0,)),
+            lambda S: is_divisibly_dependent(S, (1,)),
+        ]
+        expected = [[query(T) for T in self._interleaved()] for query in queries]
+        Ps = self._interleaved()
+        self._yielding(monkeypatch)
+        results = [None] * 6
+
+        def order(t):
+            return [(q, (t + i) % len(Ps)) for q in range(len(queries)) for i in range(len(Ps))]
+
+        def work(t):
+            results[t] = [queries[q](Ps[j]) for q, j in order(t)]
+
+        self._run_threads(work, len(results))
+        for t, got in enumerate(results):
+            assert got == [expected[q][j] for q, j in order(t)]
+        calls = self._counting(monkeypatch)
+        assert [[query(P) for P in Ps] for query in queries] == expected
+        assert calls == {"congruence": 0, "lattice": 0, "smith": 0}
 
     def test_repeated_decomposition_is_the_cached_object(self, monkeypatch):
         calls = self._counting(monkeypatch)
@@ -466,18 +506,18 @@ class TestSharedQuotient:
         assert decompose_extension(P) is first
         assert calls == {"congruence": 1, "lattice": 1, "smith": 1}
 
-    def test_decomposition_is_rebuilt_after_another_presentation(self, monkeypatch):
+    def test_decomposition_is_kept_after_another_presentation(self, monkeypatch):
         calls = self._counting(monkeypatch)
         P = BipotentPresentation(Z, (Numeric.of("1/2"), Numeric.of("1/3"), Symbolic("g")))
         first = decompose_extension(P)
         assert extension_rank(numeric("1/4")) == 4
         again = decompose_extension(P)
-        assert again is not first
-        assert again == first
-        assert calls == {"congruence": 3, "lattice": 2, "smith": 2}
+        assert again is first
+        assert calls == {"congruence": 2, "lattice": 1, "smith": 1}
 
     def test_only_decompose_runs_a_smith_form(self, monkeypatch):
-        # and only with a symbolic generator: a numeric presentation decomposes in closed form
+        # and only with a symbolic generator: a numeric presentation decomposes in closed form,
+        # with no `ExponentLattice`, and writes it again on each call
         calls = self._counting(monkeypatch)
         P = numeric("1/2", "1/6")
         assert divisible_dependence_witness(P, (0, 1), subset=(0,)).power == 3
@@ -486,21 +526,24 @@ class TestSharedQuotient:
         assert torsion_degree(P, (0, 1)) == 6
         assert is_bipotent_semifield(P)
         assert calls == {"congruence": 1, "lattice": 0, "smith": 0}
-        assert decompose_extension(P).torsion_orders == (6,)  # the one numeric query that reads the basis
-        assert calls == {"congruence": 1, "lattice": 1, "smith": 0}
+        first = decompose_extension(P)
+        assert first.torsion_orders == (6,)
+        again = decompose_extension(P)
+        assert again == first and again is not first
+        assert calls == {"congruence": 1, "lattice": 0, "smith": 0}
         S = BipotentPresentation(Z, (Numeric.of("1/2"), Symbolic("g")), (Relation.of((0, 3), 1),))
         assert extension_rank(S) == 6  # from the quotient, with no basis
-        assert calls == {"congruence": 2, "lattice": 1, "smith": 0}
+        assert calls == {"congruence": 2, "lattice": 0, "smith": 0}
         assert decompose_extension(S).torsion_orders == (6,)
-        assert calls == {"congruence": 2, "lattice": 2, "smith": 1}
+        assert calls == {"congruence": 2, "lattice": 1, "smith": 1}
 
-    def test_two_threads_racing_to_fill_one_basis_agree(self, monkeypatch):
-        # both threads find the entry's basis slot empty and are inside its build at once, one
-        # reading the basis itself and one decomposing; each stores an equal basis, and the
-        # queries after them build none
+    def test_two_threads_racing_to_fill_one_decomposition_agree(self, monkeypatch):
+        # both threads find the entry's decomposition slot empty and are inside its basis build
+        # at once; each stores an entry with an equal decomposition, and the queries after them
+        # run no Smith form
         gens, rels = (Numeric.of("1/2"), Numeric.of("1/3"), Symbolic("g")), (Relation.of((0, 2, 2), 1),)
         twin = BipotentPresentation(Z, gens, rels)  # equal, with an entry of its own
-        want = (exponent_lattice(twin), extension_rank(twin), decompose_extension(twin))
+        want = (extension_rank(twin), decompose_extension(twin))
         calls = self._counting(monkeypatch)
         barrier, counted = threading.Barrier(2, timeout=30), bipotent.ExponentLattice
 
@@ -514,18 +557,44 @@ class TestSharedQuotient:
         results = [None, None]
 
         def work(t):
-            results[t] = exponent_lattice(P) if t == 0 else decompose_extension(P)
+            results[t] = decompose_extension(P)
 
-        threads = [threading.Thread(target=work, args=(t,)) for t in range(2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-        assert not any(t.is_alive() for t in threads)
-        assert results == [want[0], want[2]]
-        assert calls == {"congruence": 1, "lattice": 2, "smith": 1}
-        assert (exponent_lattice(P), extension_rank(P), decompose_extension(P)) == want
-        assert calls == {"congruence": 1, "lattice": 2, "smith": 1}
+        self._run_threads(work, 2)
+        assert results == [want[1], want[1]]
+        assert calls == {"congruence": 1, "lattice": 2, "smith": 2}
+        assert (extension_rank(P), decompose_extension(P)) == want
+        assert any(decompose_extension(P) is r for r in results)
+        assert calls == {"congruence": 1, "lattice": 2, "smith": 2}
+
+    @staticmethod
+    def _interleaved():
+        """Eight presentations, each kind twice: numeric over <1> and over the trivial base, symbolic
+        without declared relations, and symbolic with one."""
+        return [
+            R.item_10_presentation(64), R.item_10_presentation(48),
+            BipotentPresentation(ValueLattice.of(), (Numeric.of("1/2"), Numeric.of("-1/3"))),
+            BipotentPresentation(ValueLattice.of(), (Numeric.of("3/4"), Numeric.of("5/6"), Numeric.of(0))),
+            BipotentPresentation(Z, (Numeric.of("1/2"), Symbolic("g"))),
+            BipotentPresentation(Z, (Symbolic("g"), Numeric.of("1/5"), Symbolic("h"))),
+            BipotentPresentation(Z, (Numeric.of("1/2"), Numeric.of("1/3"), Symbolic("g")),
+                                 (Relation.of((0, 2, 2), 1),)),
+            BipotentPresentation(Z, (Numeric.of("1/2"), Symbolic("g")), (Relation.of((0, 3), 1),)),
+        ]
+
+    @pytest.mark.parametrize("k", [2, 8])
+    def test_alternating_queries_derive_one_entry_per_presentation(self, monkeypatch, k):
+        # a query on another presentation leaves each entry where it is: 200 queries alternating
+        # over k presentations derive k entries and run one Smith form per presentation with a
+        # symbolic generator, and answer as fresh equal presentations do
+        Ps = self._interleaved()[:k]
+        xs = [(1,) + (0,) * (P.n - 1) for P in Ps]
+        want = [(torsion_degree(T, x), decompose_extension(T)) for T, x in zip(self._interleaved(), xs)]
+        calls = self._counting(monkeypatch)
+        for i in range(200):
+            j = i % k
+            assert (torsion_degree(Ps[j], xs[j]), decompose_extension(Ps[j])) == want[j]
+        symbolic = sum(1 for P in Ps if P.symbolic_indices())
+        assert calls == {"congruence": k, "lattice": symbolic, "smith": symbolic}
 
     def test_echelon_calls_of_lattice_builds_and_dependence_queries(self, monkeypatch):
         # the numeric part of a lattice is solved in closed form: a Hermite
@@ -925,7 +994,7 @@ class TestDecompose:
             for c, m in list(zip(fc, dec.free_monomials)) + list(zip(tc, dec.torsion_monomials)):
                 combo = [a + c * b for a, b in zip(combo, m)]
             diff = tuple(a - b for a, b in zip(unit(n, j), combo))
-            assert lat.contains(diff)
+            assert R.in_lattice(lat, diff)
         return dec
 
     def test_roundtrip_and_permutation_invariance(self):
@@ -1242,7 +1311,7 @@ class TestDegreesAndRanks:
         for exps in [(1, 0), (0, 1), (1, 1), (2, 1)]:
             d = torsion_degree(P, exps)
             for k in range(1, 25):
-                if lat.contains(tuple(k * e for e in exps)):
+                if R.in_lattice(lat, tuple(k * e for e in exps)):
                     assert k % d == 0
 
     def test_rank_of_sixth(self):
@@ -1512,7 +1581,7 @@ def test_mixed_lattice_is_sound_for_a_hidden_model(hidden, data):
         assert P.base.contains(value)
     for _ in range(5):
         k = tuple(data.draw(st.integers(-3, 3)) for _ in range(n))
-        if lat.contains(k):
+        if R.in_lattice(lat, k):
             assert P.base.contains(sum(ki * hi for ki, hi in zip(k, hidden)))
 
 

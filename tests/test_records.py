@@ -14,6 +14,8 @@ from layext.bipotent import (
     Numeric,
     Relation,
     Symbolic,
+    decompose_extension,
+    extension_rank,
 )
 from layext.cancellative import (
     AlgebraicGenerator,
@@ -171,6 +173,18 @@ def test_refined_intervals_stay_out_of_equality_hash_and_repr():
     for twin in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
         assert twin is not g and twin == g and twin.intervals == fresh
         assert answers(twin) == expected
+
+
+def test_a_presentations_entry_stays_out_of_equality_hash_and_repr():
+    # a query fills the presentation's cache entry; copies and pickles start with none
+    gens, rels = (Numeric(F(1, 2)), Numeric(F(1, 3)), Symbolic("g")), (Relation((0, 2, 2), F(1)),)
+    queried, fresh = BipotentPresentation(Z, gens, rels), BipotentPresentation(Z, gens, rels)
+    expected = (extension_rank(queried), decompose_extension(queried))
+    assert queried._derived is not None and fresh._derived is None
+    assert queried == fresh and hash(queried) == hash(fresh) and repr(queried) == repr(fresh)
+    for twin in (copy.copy(queried), copy.deepcopy(queried), pickle.loads(pickle.dumps(queried))):
+        assert twin is not queried and twin == queried and twin._derived is None
+        assert (extension_rank(twin), decompose_extension(twin)) == expected
 
 
 @pytest.mark.parametrize(
