@@ -24,20 +24,14 @@ to pi(k) = (k on the symbolic columns, V(k)) in Z^(s+1), V(k) = sum k_i*t_i
 over the numeric generators, and k lies in the lattice exactly when pi(k)
 lies in the span of H and the row (0, ..., 0, m): H is the Hermite form of
 one row [symbolic exponents | defect] per declared relation.  Every query
-but `decompose_extension` reads that (s+1)-wide quotient: an order modulo
-its rows, a reduction by them, or one Hermite pass over the symbolic
-columns a subset leaves out and the value column.  Without declared
-relations H is empty and no pass runs: each query is a closed form on t
-and m (an order of V modulo m or modulo a gcd, a witness reduced by
-`la.congruence_hnf`), through which symbolic coordinates pass.
-
-Only `decompose_extension` reads the n-wide Hermite basis
-(`exponent_lattice`), and only for a presentation with symbolic
-generators, whose decomposition it reads off a Smith form and keeps in P's
-entry.  Without them the quotient is cyclic (free of rank 1 over a trivial
-base), and its decomposition follows in closed form from one gcd on the
-same integers: one monomial, reduced by `la.congruence_hnf`, and one
-coordinate per generator, a symmetric residue modulo the order.
+reads that (s+1)-wide quotient: an order modulo its rows, a reduction by
+them, one Hermite pass over the symbolic columns a subset leaves out and
+the value column, or, for `decompose_extension`, one Smith form of its
+rows.  Without declared relations H is empty and no Hermite pass runs:
+each other query is a closed form on t and m (an order of V modulo m or
+modulo a gcd, a witness reduced by `la.congruence_hnf`), through which
+symbolic coordinates pass.  No query reads the n-wide Hermite basis
+(`exponent_lattice`), and the entry keeps no decomposition.
 
 >>> P = BipotentPresentation.from_values(ValueLattice.of(1), "1/2", "1/3")
 >>> dec = decompose_extension(P)
@@ -53,7 +47,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 
 from . import intlinalg as la
 from ._record import record
@@ -127,7 +121,7 @@ class BipotentPresentation:
     generators: tuple
     relations: tuple = ()
     monoid_exponents: bool = False
-    __slots__ = ("_derived",)  # the cache entry, None until `_entry` fills it
+    __slots__ = ("_derived",)  # the cache entry or a refusal, None until `_entry` fills it
 
     def __post_init__(self):
         for field in ("generators", "relations"):
@@ -173,13 +167,16 @@ class BipotentPresentation:
 
 @record
 class ExponentLattice:
-    """Hermite basis of the monomial-relation lattice, as `la.hnf` gives it, unique for the lattice."""
+    """Hermite basis of the monomial-relation lattice, as `la.hnf` gives it, unique for the lattice.
+
+    Public for callers and tests that want the n-wide basis; no query reads it.
+    """
 
     basis: tuple
 
 
 def _entry(P: BipotentPresentation) -> tuple:
-    """P's cache entry (t, m, dq, sym, rels, G, decomposition), derived on P's first query and kept in P.
+    """P's cache entry (t, m, dq, sym, rels, G), derived on P's first query and kept in P.
 
     The numeric values s_i and the declared betas are cleared over one
     `den`; with the base generator g = p/q, t_i = s_i*q (0 at a symbolic
@@ -190,11 +187,11 @@ def _entry(P: BipotentPresentation) -> tuple:
     minus its beta, over dq; as beta*dq is a multiple of m, H and m span pi
     of the lattice.  The relations are consistent exactly when every
     combination of them with no symbolic exponent left has defect 0, that
-    is when no row of H is zero on the symbolic columns; otherwise this
-    raises InconsistentRelations.  The entry is a tuple of integers and
-    tuples, which the cyclic collector stops tracking; `decompose_extension`
-    replaces it by one holding a symbolic P's decomposition.  Concurrent
-    first queries derive equal entries.
+    is when no row of H is zero on the symbolic columns; otherwise P keeps
+    the refusal's message, and this and every later call raise a fresh
+    InconsistentRelations.  The entry is a tuple of integers and tuples,
+    which the cyclic collector stops tracking; this is the one writer of
+    P's slot.  Concurrent first queries derive equal entries.
     """
     entry = P._derived
     if entry is None:
@@ -205,17 +202,19 @@ def _entry(P: BipotentPresentation) -> tuple:
         ts = [0] * P.n
         for i, x in zip(num, scaled):
             ts[i] = x * q
-        rels = ()
+        rels, refusal = (), None
         if P.relations:
             s = len(sym)
             rels = la.hnf([[r.exps[j] for j in sym] + [_dot(r.exps, ts) - b * q]
                            for r, b in zip(P.relations, scaled[len(num):])], s + 1)
             if any(not any(row[:s]) for row in rels):
-                raise InconsistentRelations("declared relations give a numeric monomial a value other than its own")
+                refusal = "declared relations give a numeric monomial a value other than its own"
             if rels and m:
                 rels += ((0,) * s + (m,),)
-        entry = (tuple(ts), m, den * q, tuple(sym), rels, math.gcd(m, *ts), None)
+        entry = refusal or (tuple(ts), m, den * q, tuple(sym), rels, math.gcd(m, *ts))
         object.__setattr__(P, "_derived", entry)
+    if type(entry) is str:
+        raise InconsistentRelations(entry)
     return entry
 
 
@@ -229,8 +228,8 @@ def exponent_lattice(P: BipotentPresentation) -> ExponentLattice:
 
     Built on each call from P's entry: the rows of `la.congruence_hnf` of
     its t and m, placed in the numeric columns, with the relation rows
-    merged in by one `la.hnf`.  `decompose_extension` reads it once per
-    presentation with symbolic generators.
+    merged in by one `la.hnf`.  No query reads it: each reads the entry's
+    (s+1)-wide quotient instead.
     """
     ts, m = _entry(P)[:2]
     num = P.numeric_indices()
@@ -252,7 +251,7 @@ def _in_value_group(P: BipotentPresentation, v) -> bool:
     it lies in the group the base and the numeric values span, the multiples
     of G/dq, G = gcd(m, t_i).
     """
-    _, _, dq, sym, _, G, _ = _entry(P)
+    _, _, dq, sym, _, G = _entry(P)
     if isinstance(v, str):
         return any(P.generators[j].name == v for j in sym)
     return not v.numerator * dq % (v.denominator * G) if G else not v
@@ -324,7 +323,7 @@ def _class_order(entry, exps):
     Without declared relations the symbolic generators are free, so it is
     INFINITE for a symbolic exponent and otherwise the order of V modulo m.
     """
-    ts, m, _, sym, rels, _, _ = entry
+    ts, m, _, sym, rels, _ = entry
     if rels:
         return _order(rels, _image(exps, ts, sym))
     if sym and any(exps[j] for j in sym):
@@ -339,7 +338,7 @@ def _without(entry, subset):
     column, and its rows the quotient's rows cut to them and (0, t_i) for
     each numeric i in the subset: one Hermite pass, or a gcd when c = 0.
     """
-    ts, _, _, sym, rels, _, _ = entry
+    ts, _, _, sym, rels, _ = entry
     keep = [c for c, j in enumerate(sym) if j not in subset]
     c = len(keep)
     vals = [ts[i] for i in subset if ts[i]]
@@ -361,14 +360,15 @@ class ExtDecomposition:
     `generator_coords[j]` expresses generator j as an integer combination of
     (free monomials, torsion monomials) modulo the exponent lattice.
 
-    Without symbolic generators the output is canonical: over a base <g>,
-    at most one torsion monomial, of order D and value g/D modulo the base,
-    reduced by the lattice's Hermite basis (so every entry is below D), and
-    coordinates the symmetric residues in (-D/2, D/2]; over the trivial
-    base, at most one free monomial, Hermite-reduced, whose value is the
-    gcd h > 0 of the values, and coordinates a_j/h.  With symbolic
-    generators the monomials are a basis read off the Smith form, valid but
-    dependent on its pivot order.
+    Every torsion coordinate is a residue in (-d/2, d/2] modulo its order,
+    and the numeric exponents of a monomial are reduced by the Hermite basis
+    of the numeric lattice.  Without symbolic generators the output is
+    canonical: over a base <g>, at most one torsion monomial, of order D and
+    value g/D modulo the base (so every entry is below D); over the trivial
+    base, at most one free monomial, whose value is the gcd h > 0 of the
+    values, and coordinates a_j/h.  With symbolic generators the monomials
+    are a basis read off the Smith form of the (s+1)-wide quotient, valid
+    but dependent on its pivot order.
     """
 
     free_monomials: tuple
@@ -414,77 +414,65 @@ def _bezout(us, c):
     return k
 
 
-def _cyclic_decomposition(ts, m: int) -> ExtDecomposition:
-    """The decomposition of a presentation without symbolic generators, in closed form.
-
-    With the entry's congruence (`_entry`), a monomial k lies in
-    the base exactly when sum k_i*t_i ≡ 0 modulo m, so k ↦ sum k_i*t_i maps
-    Z^n modulo the lattice onto the multiples of G = gcd(m, t_1, ..., t_n)
-    modulo m: a cyclic group of order D = m/G.  Its monomial maps to G, and
-    so has value g/D modulo the base; generator j's coordinate is t_j/G
-    modulo D.  Over the trivial base (m = 0, so t_i is the value times dq)
-    the map is onto the multiples of h = gcd(t_1, ..., t_n), which are
-    free; its monomial has value h/dq and generator j the coordinate t_j/h.
-    Each monomial is a Bézout chain reduced by the lattice's Hermite basis,
-    `la.congruence_hnf(t, m)`, the one Hermite-reduced vector of its class.
-    """
-    if m:
-        G = math.gcd(m, *ts)
-        D = m // G
-        if D > 1:
-            us = [t // G % D for t in ts]
-            mono = la.reduce_by_hnf(_bezout(us, D), la.congruence_hnf(ts, m))
-            return ExtDecomposition((), (mono,), (D,), tuple(((), (u - D if 2 * u > D else u,)) for u in us))
-    else:
-        h = math.gcd(*ts)
-        if h:
-            mono = la.reduce_by_hnf(_bezout(ts, 0), la.congruence_hnf(ts, 0))
-            return ExtDecomposition((mono,), (), (), tuple(((t // h,), ()) for t in ts))
-    return ExtDecomposition((), (), (), (((), ()),) * len(ts))  # the quotient is trivial
-
-
-def _smith_decomposition(basis, n: int) -> ExtDecomposition:
-    """The decomposition read off the Smith form U·B·V = diag(d1, ..., dr) of the lattice's basis B.
-
-    The rows of V⁻¹ with d > 1 are torsion monomials of order d, those
-    beyond the lattice rank r the free monomials, and the rows of V the
-    generators' coordinates.
-    """
-    _, diag, v, vinv = la.smith(basis, n)
-    torsion_idx = [i for i, d in enumerate(diag) if d > 1]
-    free_idx = list(range(len(diag), n))
-    return ExtDecomposition(
-        tuple(tuple(vinv[i]) for i in free_idx),
-        tuple(tuple(vinv[i]) for i in torsion_idx),
-        tuple(diag[i] for i in torsion_idx),
-        tuple((tuple(row[i] for i in free_idx), tuple(row[i] for i in torsion_idx)) for row in v),
-    )
-
-
 def decompose_extension(P: BipotentPresentation) -> ExtDecomposition:
     """Split the extension into a divisibly free part and a torsion part.
 
-    Without symbolic generators the quotient Z^n / lattice is cyclic, and
-    its decomposition is written in closed form from one gcd, with no Smith
-    form (`_cyclic_decomposition`): over a base <g>, at most one torsion
-    monomial, of order D and value g/D modulo the base, reduced by the
-    Hermite basis so that every entry is below D, with generator
-    coordinates the symmetric residues in (-D/2, D/2]; over the trivial
-    base, at most one free monomial, whose value h is the gcd of the values,
-    with generator j's coordinate a_j/h.  With symbolic generators it is
-    read off the Smith form of the lattice's basis (`_smith_decomposition`),
-    once per presentation: P's entry keeps it, and repeated calls return
-    the same object.  The closed form is written again on each call, so
-    repeated calls return equal objects.
+    Read off one Smith form of P's quotient, which every other query reads
+    too (`_entry`).  With G = gcd(m, t_i), k ↦ (k on the symbolic columns,
+    V(k)/G) maps Z^n modulo the lattice onto Z^w modulo the quotient's rows
+    with their value column divided by G (or, without declared relations,
+    the row (0, ..., 0, m/G) over a base <g> and no row over the trivial
+    one): w = s + 1, or s when G = 0 and the value column is 0.  Its Smith
+    form U·A·V = diag(d_1, ..., d_r) gives the torsion orders, the d_i > 1,
+    and the free rank w - r.  Row i of V⁻¹ lifts to a monomial: its
+    symbolic entries are copied, and its value entry y gives the numeric
+    exponents y times the Bézout exponents of the t_i/G (`_bezout`, modulo
+    m/G), reduced by `la.congruence_hnf(t, m)`, so over a base <g> each
+    lies below m/G.  Generator j's coordinates are its image times V, the
+    torsion ones as residues in (-d/2, d/2].  Without symbolic generators
+    the quotient is cyclic, Z/(m/G) or, over the trivial base, Z, and this
+    is the closed form of one gcd.  Written on each call, so repeated calls
+    return equal objects.
     """
-    entry = _entry(P)
-    ts, m, _, sym, _, _, dec = entry
-    if not sym:
-        return _cyclic_decomposition(ts, m)
-    if dec is None:
-        dec = _smith_decomposition(exponent_lattice(P).basis, P.n)
-        object.__setattr__(P, "_derived", entry[:6] + (dec,))
-    return dec
+    ts, m, _, sym, rels, G = _entry(P)
+    n, s = P.n, len(sym)
+    D = m // G if m else 0
+    if rels:
+        rows = [row[:s] + (row[s] // G,) for row in rels] if G else [row[:s] for row in rels]
+    else:
+        rows = [(0,) * s + (D,)] if m else []
+    _, diag, v, vinv = la.smith(rows, s + 1 if G else s)
+    r = len(diag)  # the rows are independent, so every d_i > 0
+    k = diag.count(1)  # the chain d_1 | d_2 | ... puts the 1s first
+    orders = tuple(diag[k:])
+    us = [t // G for t in ts] if G else ts  # the value column's entry of each generator, 0 at a symbol
+    hermite = None
+    monomials = []
+    for y in vinv[r:] + vinv[k:r]:
+        if G and y[s]:
+            if hermite is None:  # t_i = 0 at a symbolic position, so these leave it 0
+                bezout = _bezout([u % D for u in us] if D else us, D)
+                hermite = la.congruence_hnf(ts, m)
+            mono = list(la.reduce_by_hnf([y[s] * b for b in bezout], hermite))
+        else:
+            mono = [0] * n
+        for c, j in enumerate(sym):
+            mono[j] = y[c]
+        monomials.append(tuple(mono))
+    # coordinate i of every generator: column i of V at its symbolic row, or t_j/G times the value row's
+    columns = []
+    for i in range(k, len(v)):
+        a = v[s][i] if G else 0
+        column = [u * a for u in us]
+        for c, j in enumerate(sym):
+            column[j] = v[c][i]
+        if i < r:
+            d = diag[i]
+            column = [x - d if 2 * x > d else x for x in [x % d for x in column]]
+        columns.append(column)
+    f = len(v) - r
+    coords = zip(zip(*columns[r - k:]) if f else repeat((), n), zip(*columns[:r - k]) if r > k else repeat((), n))
+    return ExtDecomposition(tuple(monomials[:f]), tuple(monomials[f:]), orders, tuple(coords))
 
 
 def torsion_degree(P: BipotentPresentation, exps):
@@ -517,7 +505,7 @@ def is_divisibly_dependent(P: BipotentPresentation, subset) -> bool:
     if not subset:
         raise ValueError("subset must be non-empty")
     entry = _entry(P)
-    ts, m, _, sym, rels, _, _ = entry
+    ts, m, _, sym, rels, _ = entry
     if not rels:
         nums = [i for i in subset if i not in sym] if sym else subset
         return bool(nums) and (bool(m) or len(nums) > 1 or not ts[nums[0]])
@@ -554,7 +542,7 @@ def divisible_dependence_witness(P: BipotentPresentation, exps, subset=()) -> De
     quotient's rows are that Hermite form already.  beta is the one Fraction.
     """
     subset = _checked_subset(P, (exps,), subset)
-    ts, m, dq, sym, rels, _, _ = _entry(P)
+    ts, m, dq, sym, rels, _ = _entry(P)
     if not rels:
         return _cyclic_witness(ts, m, dq, sym, exps, subset)
     pos = {j: c for c, j in enumerate(sym)}
@@ -627,7 +615,7 @@ def extension_rank(P: BipotentPresentation, over=()):
     """
     over = _checked_subset(P, (), over)
     entry = _entry(P)
-    ts, m, _, sym, rels, G, _ = entry
+    ts, m, _, sym, rels, G = entry
     if not rels:
         if sym and any(j not in over for j in sym):
             return INFINITE
@@ -668,7 +656,7 @@ def canonical_coset_value(P: BipotentPresentation, exps) -> Fraction | None:
     Fraction built.
     """
     _checked_subset(P, (exps,), ())
-    ts, m, dq, sym, rels, _, _ = _entry(P)
+    ts, m, dq, sym, rels, _ = _entry(P)
     if rels:
         *rest, value = la.reduce_by_hnf(_image(exps, ts, sym), rels)
         if any(rest):

@@ -68,8 +68,9 @@ def cmd_decompose(args) -> tuple:
     }
     if P.symbolic_indices():
         notes = [
-            "free_rank and torsion_orders come from the Smith normal form of the exponent lattice",
-            "monomials are rows of the inverse column transform, one per invariant factor > 1 or free column",
+            "free_rank and torsion_orders come from the Smith normal form of the value-group quotient, "
+            "one column per symbolic generator and one for the numeric values",
+            "monomials lift rows of the inverse column transform; torsion coefficients are residues in (-d/2, d/2]",
         ]
     else:
         notes = [

@@ -326,6 +326,19 @@ def item_10_presentation(n: int, seed: int = 1) -> BipotentPresentation:
     return BipotentPresentation.from_values(ValueLattice.of(1), *values)
 
 
+def item_10_symbolic_presentation(n: int, seed: int = 1) -> BipotentPresentation:
+    """`item_10_presentation(n)` plus symbolic g and h bound by 2g + a_1 = 1 and g + 3h + 3a_3 - a_2 = -2.
+
+    Both relations carry numeric exponents, so their defects are as large as the base's modulus.
+    """
+    P = item_10_presentation(n, seed)
+    first, second = [0] * (n + 2), [0] * (n + 2)
+    first[0], first[n] = 1, 2
+    second[1], second[2], second[n], second[n + 1] = -1, 3, 1, 3
+    return BipotentPresentation(P.base, P.generators + (Symbolic("g"), Symbolic("h")),
+                                (Relation.of(first, 1), Relation.of(second, -2)))
+
+
 def monomial(k: int = 1, coeff=1) -> PosPoly:
     """coeff * x^k."""
     return PosPoly.of({k: coeff})

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import sys
@@ -385,10 +386,13 @@ class TestSmith:
 
 
 class TestSharedQuotient:
-    """Queries on one presentation share its congruence and its Smith form, whatever is queried between them."""
+    """Queries on one presentation share its entry, whatever is queried between them.
+
+    Each decomposition runs one Smith form of the entry's quotient, and keeps nothing.
+    """
 
     def _counting(self, monkeypatch):
-        # an entry's congruence is one `_cleared` pass, and its Hermite basis one `ExponentLattice`
+        # an entry's congruence is one `_cleared` pass, and an n-wide Hermite basis one `ExponentLattice`
         calls = {"congruence": 0, "lattice": 0, "smith": 0}
 
         def counted(key, fn):
@@ -403,7 +407,7 @@ class TestSharedQuotient:
         monkeypatch.setattr(la, "smith", counted("smith", la.smith))
         return calls
 
-    def test_queries_build_lattice_and_smith_once(self, monkeypatch):
+    def test_queries_share_one_entry_and_each_decomposition_runs_one_smith_form(self, monkeypatch):
         calls = self._counting(monkeypatch)
         P = BipotentPresentation(Z, (Numeric.of("1/2"), Numeric.of("1/3"), Symbolic("g")))
         for _ in range(3):
@@ -415,11 +419,11 @@ class TestSharedQuotient:
             assert divisible_dependence_witness(P, (1, 0, 0)).power == 2
             assert linearly_dependent_pair(P, (2, 0, 1), (0, 3, 1))
             assert canonical_coset_value(P, (1, 1, 0)) == F(5, 6)
-        assert calls == {"congruence": 1, "lattice": 1, "smith": 1}
+        assert calls == {"congruence": 1, "lattice": 0, "smith": 3}
 
     @staticmethod
     def _yielding(monkeypatch):
-        """Let another thread run after each congruence and each basis build."""
+        """Let another thread run after each congruence and each Smith form."""
         def yielding(fn):
             def wrapped(*args):
                 out = fn(*args)
@@ -429,7 +433,7 @@ class TestSharedQuotient:
             return wrapped
 
         monkeypatch.setattr(bipotent, "_cleared", yielding(bipotent._cleared))
-        monkeypatch.setattr(bipotent, "exponent_lattice", yielding(bipotent.exponent_lattice))
+        monkeypatch.setattr(la, "smith", yielding(la.smith))
 
     @staticmethod
     def _run_threads(work, count):
@@ -472,7 +476,7 @@ class TestSharedQuotient:
         # six threads step through eight presentations, one query at a time, each from its own
         # start: consecutive queries of a thread read different entries, and first queries on one
         # presentation race.  Racing first queries may each derive an entry, but the presentation
-        # keeps one, whose decomposition slot a later call fills, so a further round derives none
+        # keeps one, so a further round derives none and runs one Smith form per decomposition
         queries = [
             decompose_extension,
             extension_rank,
@@ -497,27 +501,30 @@ class TestSharedQuotient:
             assert got == [expected[q][j] for q, j in order(t)]
         calls = self._counting(monkeypatch)
         assert [[query(P) for P in Ps] for query in queries] == expected
-        assert calls == {"congruence": 0, "lattice": 0, "smith": 0}
+        assert calls == {"congruence": 0, "lattice": 0, "smith": len(Ps)}
 
-    def test_repeated_decomposition_is_the_cached_object(self, monkeypatch):
+    def test_repeated_decompositions_are_equal_and_keep_nothing(self, monkeypatch):
         calls = self._counting(monkeypatch)
         P = BipotentPresentation(Z, (Numeric.of("1/2"), Numeric.of("1/3"), Symbolic("g")))
         first = decompose_extension(P)
-        assert decompose_extension(P) is first
-        assert calls == {"congruence": 1, "lattice": 1, "smith": 1}
+        entry = P._derived
+        again = decompose_extension(P)
+        assert again == first and again is not first
+        assert P._derived is entry and len(entry) == 6
+        assert calls == {"congruence": 1, "lattice": 0, "smith": 2}
 
-    def test_decomposition_is_kept_after_another_presentation(self, monkeypatch):
+    def test_decomposition_is_equal_after_another_presentation(self, monkeypatch):
         calls = self._counting(monkeypatch)
         P = BipotentPresentation(Z, (Numeric.of("1/2"), Numeric.of("1/3"), Symbolic("g")))
         first = decompose_extension(P)
         assert extension_rank(numeric("1/4")) == 4
         again = decompose_extension(P)
-        assert again is first
-        assert calls == {"congruence": 2, "lattice": 1, "smith": 1}
+        assert again == first
+        assert calls == {"congruence": 2, "lattice": 0, "smith": 2}
 
     def test_only_decompose_runs_a_smith_form(self, monkeypatch):
-        # and only with a symbolic generator: a numeric presentation decomposes in closed form,
-        # with no `ExponentLattice`, and writes it again on each call
+        # one per call, on the entry's quotient, with no `ExponentLattice`, whether or not
+        # the presentation has a symbolic generator
         calls = self._counting(monkeypatch)
         P = numeric("1/2", "1/6")
         assert divisible_dependence_witness(P, (0, 1), subset=(0,)).power == 3
@@ -530,30 +537,29 @@ class TestSharedQuotient:
         assert first.torsion_orders == (6,)
         again = decompose_extension(P)
         assert again == first and again is not first
-        assert calls == {"congruence": 1, "lattice": 0, "smith": 0}
+        assert calls == {"congruence": 1, "lattice": 0, "smith": 2}
         S = BipotentPresentation(Z, (Numeric.of("1/2"), Symbolic("g")), (Relation.of((0, 3), 1),))
         assert extension_rank(S) == 6  # from the quotient, with no basis
-        assert calls == {"congruence": 2, "lattice": 0, "smith": 0}
+        assert calls == {"congruence": 2, "lattice": 0, "smith": 2}
         assert decompose_extension(S).torsion_orders == (6,)
-        assert calls == {"congruence": 2, "lattice": 1, "smith": 1}
+        assert calls == {"congruence": 2, "lattice": 0, "smith": 3}
 
-    def test_two_threads_racing_to_fill_one_decomposition_agree(self, monkeypatch):
-        # both threads find the entry's decomposition slot empty and are inside its basis build
-        # at once; each stores an entry with an equal decomposition, and the queries after them
-        # run no Smith form
+    def test_two_threads_decomposing_one_presentation_agree(self, monkeypatch):
+        # both threads are inside their Smith forms at once; neither writes the entry, so each
+        # returns the same answer as a lone call, and the entry is the one derived before them
         gens, rels = (Numeric.of("1/2"), Numeric.of("1/3"), Symbolic("g")), (Relation.of((0, 2, 2), 1),)
         twin = BipotentPresentation(Z, gens, rels)  # equal, with an entry of its own
         want = (extension_rank(twin), decompose_extension(twin))
         calls = self._counting(monkeypatch)
-        barrier, counted = threading.Barrier(2, timeout=30), bipotent.ExponentLattice
+        barrier, counted = threading.Barrier(2, timeout=30), la.smith
 
         def meeting(*args):
             barrier.wait()
             return counted(*args)
 
-        monkeypatch.setattr(bipotent, "ExponentLattice", meeting)
+        monkeypatch.setattr(la, "smith", meeting)
         P = BipotentPresentation(Z, gens, rels)
-        bipotent._entry(P)  # the entry both threads find
+        entry = bipotent._entry(P)  # the entry both threads find
         results = [None, None]
 
         def work(t):
@@ -561,10 +567,11 @@ class TestSharedQuotient:
 
         self._run_threads(work, 2)
         assert results == [want[1], want[1]]
-        assert calls == {"congruence": 1, "lattice": 2, "smith": 2}
+        assert P._derived is entry
+        assert calls == {"congruence": 1, "lattice": 0, "smith": 2}
+        monkeypatch.setattr(la, "smith", counted)
         assert (extension_rank(P), decompose_extension(P)) == want
-        assert any(decompose_extension(P) is r for r in results)
-        assert calls == {"congruence": 1, "lattice": 2, "smith": 2}
+        assert calls == {"congruence": 1, "lattice": 0, "smith": 3}
 
     @staticmethod
     def _interleaved():
@@ -584,8 +591,8 @@ class TestSharedQuotient:
     @pytest.mark.parametrize("k", [2, 8])
     def test_alternating_queries_derive_one_entry_per_presentation(self, monkeypatch, k):
         # a query on another presentation leaves each entry where it is: 200 queries alternating
-        # over k presentations derive k entries and run one Smith form per presentation with a
-        # symbolic generator, and answer as fresh equal presentations do
+        # over k presentations derive k entries, run one Smith form per decomposition, and answer
+        # as fresh equal presentations do
         Ps = self._interleaved()[:k]
         xs = [(1,) + (0,) * (P.n - 1) for P in Ps]
         want = [(torsion_degree(T, x), decompose_extension(T)) for T, x in zip(self._interleaved(), xs)]
@@ -593,8 +600,7 @@ class TestSharedQuotient:
         for i in range(200):
             j = i % k
             assert (torsion_degree(Ps[j], xs[j]), decompose_extension(Ps[j])) == want[j]
-        symbolic = sum(1 for P in Ps if P.symbolic_indices())
-        assert calls == {"congruence": k, "lattice": symbolic, "smith": symbolic}
+        assert calls == {"congruence": k, "lattice": 0, "smith": 200}
 
     def test_echelon_calls_of_lattice_builds_and_dependence_queries(self, monkeypatch):
         # the numeric part of a lattice is solved in closed form: a Hermite
@@ -801,6 +807,21 @@ class TestSharedQuotient:
         for query in queries + queries:
             with pytest.raises(InconsistentRelations):
                 query()
+
+    def test_inconsistent_relations_are_refused_from_the_entry(self, monkeypatch):
+        # <1>[1/2, g | g = 0, 1/2 + g = 0]: P keeps the refusal, so three queries clear the values
+        # once, and each raises an error of its own
+        calls = self._counting(monkeypatch)
+        P = BipotentPresentation(Z, (Numeric.of("1/2"), Symbolic("g")),
+                                 (Relation.of((0, 1), 0), Relation.of((1, 1), 0)))
+        raised = []
+        for _ in range(3):
+            with pytest.raises(InconsistentRelations) as info:
+                extension_rank(P)
+            raised.append(info.value)
+        assert calls == {"congruence": 1, "lattice": 0, "smith": 0}
+        assert len({id(e) for e in raised}) == 3
+        assert len({str(e) for e in raised}) == 1
 
 
 PRIMES = (2, 3, 5, 7)
@@ -1016,6 +1037,42 @@ class TestDecompose:
                 assert dp.free_rank == t
                 assert dp.torsion_orders == orders
 
+    def test_roundtrip_with_declared_relations(self):
+        # drawn like the `lattice` benchmark's mixed sessions: 1-4 symbolic generators and
+        # relations with numeric exponents, a third of them with extra random relations (some
+        # inconsistent), over the trivial base one time in six
+        rng = random.Random(3403)
+        seen = {"trivial_base": 0, "extra": 0, "inconsistent": 0, "free": 0, "torsion": 0, "symbols_2+": 0}
+        for i in range(360):
+            n = rng.randint(3, 7)
+            P = lattice_style_presentation(rng, n, True)
+            base, rels = P.base, P.relations
+            if i % 6 == 0:
+                base, rels = ValueLattice.of(), tuple(Relation(r.exps, F(0)) for r in rels)
+            if i % 3 == 1:
+                g = base.single_generator()
+                rels += tuple(Relation(tuple(rng.randint(-3, 3) for _ in range(n)), g * rng.randint(-3, 3))
+                              for _ in range(rng.randint(1, 2)))
+                seen["extra"] += 1
+            P = BipotentPresentation(base, P.generators, rels)
+            seen["trivial_base"] += base.single_generator() == 0
+            try:
+                R.check_relations(P)
+            except InconsistentRelations:
+                seen["inconsistent"] += 1
+                with pytest.raises(InconsistentRelations):
+                    decompose_extension(P)
+                continue
+            dec = self._check_roundtrip(P)
+            assert dec.free_rank == R.smith_invariants(exponent_lattice(P).basis, n)[1]
+            assert dec.rank() == extension_rank(P)
+            for _, tc in dec.generator_coords:
+                assert all(-d < 2 * c <= d for c, d in zip(tc, dec.torsion_orders))
+            seen["free"] += dec.free_rank > 0
+            seen["torsion"] += bool(dec.torsion_orders)
+            seen["symbols_2+"] += len(P.symbolic_indices()) >= 2
+        assert all(count >= 30 for count in seen.values()), seen
+
 
 def check_closed_form(P):
     """The closed-form decomposition of a numeric presentation, with Smith's invariants as the oracle.
@@ -1067,7 +1124,10 @@ CLOSED_FORM_BASES = [
 
 
 class TestClosedFormDecomposition:
-    """Presentations without symbolic generators decompose by one gcd, with no Smith form."""
+    """Presentations without symbolic generators have a canonical decomposition: one gcd's closed form.
+
+    The Smith form of their one-column quotient (m/G) reads exactly that form.
+    """
 
     @pytest.mark.parametrize("base", CLOSED_FORM_BASES, ids=str)
     @pytest.mark.parametrize("values, shape", [
@@ -1136,6 +1196,32 @@ class TestClosedFormDecomposition:
     )
     def test_hypothesis_presentations(self, base, values):
         check_closed_form(BipotentPresentation.from_values(base, *values))
+
+
+def _numeric_pin_inputs():
+    """2,000 seeded numeric presentations over CLOSED_FORM_BASES (the trivial one among them), some values 0."""
+    rng = random.Random(3402)
+    for _ in range(2000):
+        base = rng.choice(CLOSED_FORM_BASES)
+        values = [F(0) if rng.random() < 0.15 else
+                  F(rng.randint(-10 ** rng.randint(1, 6), 10 ** 6), rng.choice((1, 2, 3, 4, 6, 9, 10, 12, 35, 49, 720)))
+                  for _ in range(rng.randint(0, 8))]
+        yield BipotentPresentation(base, tuple(Numeric(v) for v in values))
+
+
+def test_numeric_decompositions_are_pinned():
+    # SHA-256 of repr(decompose_extension(P)) plus a newline per input of `_numeric_pin_inputs`,
+    # computed with the closed form that decomposed numeric presentations before every
+    # presentation read its quotient's Smith form.  Any change to a numeric decomposition's
+    # monomial, order or coordinates changes the digest.
+    h = hashlib.sha256()
+    seen = {"trivial_base": 0, "zero_value": 0}
+    for P in _numeric_pin_inputs():
+        h.update((repr(decompose_extension(P)) + "\n").encode())
+        seen["trivial_base"] += P.base.single_generator() == 0
+        seen["zero_value"] += any(g.value == 0 for g in P.generators)
+    assert seen == {"trivial_base": 402, "zero_value": 833}
+    assert h.hexdigest() == "29b789d9bfbc39bedaf68c83a30dd607068a2d393425dd9c6541d7aad0870012"
 
 
 class TestClosedFormQueries:
@@ -1229,7 +1315,11 @@ class TestWitnessAgainstTheBasis:
 
 
 class TestDecompositionGrowth:
-    """Entry sizes and time of a numeric decomposition on many 6-digit values (ROADMAP item 10)."""
+    """Entry sizes and time of decompositions on many 6-digit values (ROADMAP items 10 and 25).
+
+    The symbolic case adds two symbolic generators bound by two relations with numeric
+    exponents (`R.item_10_symbolic_presentation`).
+    """
 
     @pytest.mark.parametrize("n", [8, 16, 32, 48, 64])
     def test_entries_have_at_most_the_bits_of_the_order(self, n):
@@ -1240,9 +1330,32 @@ class TestDecompositionGrowth:
         entries += [c for _, tc in dec.generator_coords for c in tc]
         assert max(abs(x).bit_length() for x in entries) <= order.bit_length()
 
+    @pytest.mark.parametrize("n", [8, 16, 32, 48, 64])
+    def test_symbolic_entries_have_at_most_the_bits_of_the_order(self, n):
+        # a Smith form of the n-wide basis gave 3041-bit monomial entries against a 506-bit
+        # order at n = 32, and 6107 bits against 946 at n = 64
+        P = R.item_10_symbolic_presentation(n)
+        dec = decompose_extension(P)
+        assert dec.free_rank == 0 and len(dec.torsion_orders) == 2
+        order = math.prod(dec.torsion_orders)
+        assert extension_rank(P) == order
+        entries = [x for mono in dec.torsion_monomials for x in mono]
+        assert max(abs(x).bit_length() for x in entries) <= order.bit_length()
+        for _, tc in dec.generator_coords:
+            assert all(-d < 2 * c <= d for c, d in zip(tc, dec.torsion_orders))
+        for mono, d in zip(dec.torsion_monomials, dec.torsion_orders):
+            assert torsion_degree(P, mono) == d
+
     def test_64_generators_decompose_in_under_a_quarter_second(self):
         # process time of the lattice build and the decomposition; under Smith it was ~1.6 s
         P = R.item_10_presentation(64)
+        start = time.process_time()
+        decompose_extension(P)
+        assert time.process_time() - start < 0.25
+
+    def test_64_generators_and_two_symbols_decompose_in_under_a_quarter_second(self):
+        # process time of the entry and the decomposition; a Smith form of the n-wide basis took ~1.6 s
+        P = R.item_10_symbolic_presentation(64)
         start = time.process_time()
         decompose_extension(P)
         assert time.process_time() - start < 0.25

@@ -61,9 +61,9 @@ def test_benchmark_oracles_accept_every_layered_answer():
 
 
 def test_benchmark_traced_pass_finds_the_lattice_layers():
-    # the traced pass counts `intlinalg._echelon`, `intlinalg.smith` and
-    # `bipotent.exponent_lattice` by name, so a rename of any would make its counter read 0;
-    # only `decompose_extension` runs a Smith form, at most once per lattice
+    # the traced pass counts `intlinalg._echelon` and `intlinalg.smith` by name, so a rename of
+    # either would make its counter read 0; every `decompose_extension` runs one Smith form.  No
+    # query builds the n-wide basis, so `bipotent.lattice_builds` reads 0 and is not checked
     proc = run_script(["perfbench/run.py", "--workload", "lattice", "--seed", "1", "--seconds", "1", "--trace", "1"])
     assert proc.returncode == 0, proc.stderr
     details, result = (json.loads(line) for line in proc.stdout.splitlines()[-2:])
@@ -71,8 +71,7 @@ def test_benchmark_traced_pass_finds_the_lattice_layers():
     assert details["answers_match_untraced"] is True and details["self_within_wall"] is True
     metrics = result["metrics"]
     assert metrics["intlinalg.echelon_calls"]["value"] > 0
-    assert metrics["bipotent.lattice_builds"]["value"] > 0
-    assert 0 < metrics["intlinalg.smith_calls"]["value"] <= metrics["bipotent.lattice_builds"]["value"]
+    assert metrics["intlinalg.smith_calls"]["value"] > 0
 
 
 def test_benchmark_traced_pass_finds_the_cancellative_layers():
