@@ -16,7 +16,6 @@ from layext import (
     canonical_coset_value,
     decompose_extension,
     divisible_dependence_witness,
-    exponent_lattice,
     extension_rank,
     torsion_degree,
 )
@@ -26,8 +25,6 @@ Z = ValueLattice.of(1)
 
 def show(title, P):
     print(f"== {title}")
-    lat = exponent_lattice(P)
-    print(f"  relation lattice basis: {list(lat.basis)}")
     dec = decompose_extension(P)
     print(f"  free rank t = {dec.free_rank}")
     for mono, order in zip(dec.torsion_monomials, dec.torsion_orders):

@@ -24,7 +24,6 @@ _EXPORTS = {
         "INFINITE",
         "BipotentPresentation",
         "DependenceWitness",
-        "ExponentLattice",
         "ExtDecomposition",
         "Numeric",
         "Relation",
@@ -32,7 +31,6 @@ _EXPORTS = {
         "canonical_coset_value",
         "decompose_extension",
         "divisible_dependence_witness",
-        "exponent_lattice",
         "extension_rank",
         "is_bipotent_semifield",
         "is_divisibly_dependent",

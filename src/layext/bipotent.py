@@ -30,8 +30,7 @@ the value column, or, for `decompose_extension`, one Smith form of its
 rows.  Without declared relations H is empty and no Hermite pass runs:
 each other query is a closed form on t and m (an order of V modulo m or
 modulo a gcd, a witness reduced by `la.congruence_hnf`), through which
-symbolic coordinates pass.  No query reads the n-wide Hermite basis
-(`exponent_lattice`), and the entry keeps no decomposition.
+symbolic coordinates pass.
 
 >>> P = BipotentPresentation.from_values(ValueLattice.of(1), "1/2", "1/3")
 >>> dec = decompose_extension(P)
@@ -165,16 +164,6 @@ class BipotentPresentation:
         return BipotentPresentation(self.base, self.generators + (gen,), rels, self.monoid_exponents)
 
 
-@record
-class ExponentLattice:
-    """Hermite basis of the monomial-relation lattice, as `la.hnf` gives it, unique for the lattice.
-
-    Public for callers and tests that want the n-wide basis; no query reads it.
-    """
-
-    basis: tuple
-
-
 def _entry(P: BipotentPresentation) -> tuple:
     """P's cache entry (t, m, dq, sym, rels, G), derived on P's first query and kept in P.
 
@@ -216,32 +205,6 @@ def _entry(P: BipotentPresentation) -> tuple:
     if type(entry) is str:
         raise InconsistentRelations(entry)
     return entry
-
-
-def exponent_lattice(P: BipotentPresentation) -> ExponentLattice:
-    """The lattice of exponent vectors whose monomial lies in the base.
-
-    Numeric generators contribute every relation implied by their values;
-    symbolic generators contribute only the declared relations.  Raises
-    InconsistentRelations when a combination of declared relations
-    contradicts the numeric values.
-
-    Built on each call from P's entry: the rows of `la.congruence_hnf` of
-    its t and m, placed in the numeric columns, with the relation rows
-    merged in by one `la.hnf`.  No query reads it: each reads the entry's
-    (s+1)-wide quotient instead.
-    """
-    ts, m = _entry(P)[:2]
-    num = P.numeric_indices()
-    rows = []
-    for k in la.congruence_hnf([ts[i] for i in num], m):
-        row = [0] * P.n
-        for i, x in zip(num, k):
-            row[i] = x
-        rows.append(row)
-    if P.relations:
-        rows = la.hnf(rows + [r.exps for r in P.relations], P.n)
-    return ExponentLattice(tuple(tuple(row) for row in rows))
 
 
 def _in_value_group(P: BipotentPresentation, v) -> bool:

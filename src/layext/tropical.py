@@ -243,7 +243,3 @@ class ValueLattice:
         if not g:
             return q == 0
         return not q.numerator * g.denominator % (q.denominator * g.numerator)
-
-    def join(self, *extra) -> "ValueLattice":
-        """The subgroup generated by this lattice together with extra rationals."""
-        return ValueLattice(self.generators + tuple(as_fraction(x) for x in extra))

@@ -16,9 +16,9 @@ an exponent lattice, and the base value of an exponent-lattice vector.  The exte
 `layext.cancellative` as it was when elements stored Fraction coefficients,
 for the integer operators that replaced it.  The Hermite, reduction and
 Smith kernels as they were when their operations ran over whole rows, and
-the exponent-lattice build as the one Hermite pass over [t | exponents | beta]
-rows that `intlinalg.congruence_hnf` replaced, with the base value ("beta")
-of each basis row.  The `bipotent` formulas that ran on Fractions or on
+the exponent lattice as one Hermite pass over [t | exponents | beta] rows,
+with the base value ("beta") of each basis row: the library keeps no n-wide
+basis, so this is the lattice the oracles here read.  The `bipotent` formulas that ran on Fractions or on
 Hermite passes over all n columns, complement columns first, before the
 queries moved to the (s+1)-wide quotient of the symbolic columns and the
 value: a monomial's value, the relation check, the witness (exact, and its
@@ -37,7 +37,6 @@ from layext.bipotent import (
     Relation,
     Symbolic,
     _order,
-    exponent_lattice,
 )
 from layext.errors import InconsistentRelations
 from layext.cancellative import PosPoly, SignedPoly
@@ -297,9 +296,9 @@ def pair_matvec(rows, v) -> list:
     return out
 
 
-def in_lattice(lat, exps) -> bool:
-    """Whether an exponent vector lies in an `ExponentLattice`: it reduces to zero by the Hermite basis."""
-    return not any(reduce_by_hnf(exps, lat.basis))
+def in_lattice(basis, exps) -> bool:
+    """Whether an exponent vector lies in the lattice of a Hermite basis: it reduces to zero by the basis."""
+    return not any(reduce_by_hnf(exps, basis))
 
 
 def beta_of(P: BipotentPresentation, exps) -> Fraction:
@@ -521,7 +520,7 @@ def reference_smith(rows, ncols: int):
 
 
 def reference_exponent_lattice(P: BipotentPresentation) -> tuple:
-    """`bipotent.exponent_lattice` as one Hermite pass over rows [t | exponents | beta]: (basis, betas, den).
+    """P's exponent lattice as one Hermite pass over rows [t | exponents | beta]: (basis, betas, den).
 
     t is a value scaled to an integer by the base generator and beta a payload
     column: a unit row per numeric generator (t and beta its value), one row
@@ -529,6 +528,7 @@ def reference_exponent_lattice(P: BipotentPresentation) -> tuple:
     relations (t = 0, beta theirs).  The rows left with t = 0 span the
     combinations whose value lands in the base: their exponents are the
     lattice's Hermite basis, their betas its betas, integers over `den`.
+    Nothing here reads the library's cache entry.
     """
     if P.relations:
         check_relations(P)
@@ -580,7 +580,7 @@ def witness_value_holds(P: BipotentPresentation, exps, subset, witness) -> bool:
 def coset_value(P: BipotentPresentation, exps) -> Fraction | None:
     """`canonical_coset_value` summing Fraction values and reducing modulo the base generator as a Fraction."""
     sym, num = P.symbolic_indices(), P.numeric_indices()
-    basis = _basis_first(exponent_lattice(P).basis, sym, P.n)
+    basis = _basis_first(reference_exponent_lattice(P)[0], sym, P.n)
     rem = reduce_by_hnf(_columns_first([exps], sym, P.n)[0], basis)
     if any(rem[: len(sym)]):
         return None
@@ -631,12 +631,12 @@ def witness(P: BipotentPresentation, exps, subset=()) -> DependenceWitness | Non
 def extension_rank(P: BipotentPresentation, over=()):
     """`bipotent.extension_rank` as the Hermite diagonal of the whole basis, complement columns first."""
     complement = [j for j in range(P.n) if j not in over]
-    basis = _basis_first(exponent_lattice(P).basis, complement, P.n)
+    basis = _basis_first(reference_exponent_lattice(P)[0], complement, P.n)
     return math.prod(basis[i][i] if i < len(basis) else 0 for i in range(len(complement))) or INFINITE
 
 
 def is_divisibly_dependent(P: BipotentPresentation, subset) -> bool:
     """`bipotent.is_divisibly_dependent` as a whole-basis Hermite row, complement first, zero on the complement."""
     complement = [j for j in range(P.n) if j not in subset]
-    basis = _basis_first(exponent_lattice(P).basis, complement, P.n)
+    basis = _basis_first(reference_exponent_lattice(P)[0], complement, P.n)
     return any(not any(row[: len(complement)]) for row in basis)

@@ -20,7 +20,6 @@ PUBLIC = [
     "BaseSort",
     "BipotentPresentation",
     "DependenceWitness",
-    "ExponentLattice",
     "ExtDecomposition",
     "ExtElem",
     "ExtScalar",
@@ -44,7 +43,6 @@ PUBLIC = [
     "divisible_dependence_witness",
     "essential_indices",
     "eval_layered_poly",
-    "exponent_lattice",
     "extension_rank",
     "is_bipotent_semifield",
     "is_divisibly_dependent",

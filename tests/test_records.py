@@ -1,4 +1,4 @@
-"""Parity of the 20 value classes: fields, construction, equality, hash, repr, immutability."""
+"""Parity of the 19 value classes: fields, construction, equality, hash, repr, immutability."""
 
 import copy
 import pickle
@@ -9,7 +9,6 @@ import pytest
 from layext.bipotent import (
     BipotentPresentation,
     DependenceWitness,
-    ExponentLattice,
     ExtDecomposition,
     Numeric,
     Relation,
@@ -63,11 +62,6 @@ CASES = [
     (Relation((2,), F(1)), ("exps", "beta"), "Relation(exps=(2,), beta=Fraction(1, 1))"),
     (P, ("base", "generators", "relations", "monoid_exponents"), P_REPR),
     (
-        ExponentLattice(((2,),)),
-        ("basis",),
-        "ExponentLattice(basis=((2,),))",
-    ),
-    (
         ExtDecomposition(((1,),), (), (), ((1,),)),
         ("free_monomials", "torsion_monomials", "torsion_orders", "generator_coords"),
         "ExtDecomposition(free_monomials=((1,),), torsion_monomials=(), torsion_orders=(), "
@@ -104,7 +98,7 @@ def _values(x, names):
 
 
 def test_every_value_class_has_a_case():
-    assert len({type(x) for x, _, _ in CASES}) == len(CASES) == 20
+    assert len({type(x) for x, _, _ in CASES}) == len(CASES) == 19
 
 
 @pytest.mark.parametrize("x, names, text", CASES, ids=[type(x).__name__ for x, _, _ in CASES])

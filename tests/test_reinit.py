@@ -9,7 +9,6 @@ from layext import tropical
 from layext.bipotent import (
     BipotentPresentation,
     DependenceWitness,
-    ExponentLattice,
     ExtDecomposition,
     Numeric,
     Relation,
@@ -40,7 +39,6 @@ OTHERS = [
     Symbolic("h"),
     Relation((3,), F(2)),
     Q,
-    ExponentLattice(((3,),)),
     ExtDecomposition(((2,),), (), (), ((2,),)),
     DependenceWitness(3, (2,), F(1, 5)),
     SignedPoly((F(1), F(2))),
