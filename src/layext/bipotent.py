@@ -29,7 +29,7 @@ them, one Hermite pass over the symbolic columns a subset leaves out and
 the value column, or, for `decompose_extension`, one Smith form of its
 rows.  Without declared relations H is empty and no Hermite pass runs:
 each other query is a closed form on t and m (an order of V modulo m or
-modulo a gcd, a witness reduced by `la.congruence_hnf`), through which
+modulo a gcd, a witness from one `la.congruence_solve`), through which
 symbolic coordinates pass.
 
 >>> P = BipotentPresentation.from_values(ValueLattice.of(1), "1/2", "1/3")
@@ -350,33 +350,6 @@ class ExtDecomposition:
         return math.prod(self.torsion_orders) if self.torsion_orders else 1
 
 
-def _bezout(us, c):
-    """Integers k with k1*u1 + ... + kn*un ≡ gcd(c, u1, ..., un) modulo c, and equal to it when c = 0.
-
-    One gcd chain that starts from c: a u_i that lowers the running gcd r
-    to r' = x*r + y*u_i scales the earlier coefficients by x and takes y as
-    its own.  Over c > 0 the coefficients are kept modulo c.  Starting from
-    c matters: the u_i alone may share a factor that c does not.
-    """
-    k = [0] * len(us)
-    r = c
-    for i, u in enumerate(us):
-        if r == 1:
-            break
-        g = math.gcd(r, u)
-        if g == r:
-            continue
-        if r:
-            y = pow(u // g, -1, r // g)
-            x = (g - y * u) // r
-            k = [e * x % c if c else e * x for e in k]
-        else:  # the first nonzero u over c = 0; every earlier coefficient is 0
-            y = 1 if u > 0 else -1
-        k[i] = y
-        r = g
-    return k
-
-
 def decompose_extension(P: BipotentPresentation) -> ExtDecomposition:
     """Split the extension into a divisibly free part and a torsion part.
 
@@ -389,34 +362,29 @@ def decompose_extension(P: BipotentPresentation) -> ExtDecomposition:
     form U·A·V = diag(d_1, ..., d_r) gives the torsion orders, the d_i > 1,
     and the free rank w - r.  Row i of V⁻¹ lifts to a monomial: its
     symbolic entries are copied, and its value entry y gives the numeric
-    exponents y times the Bézout exponents of the t_i/G (`_bezout`, modulo
-    m/G), reduced by `la.congruence_hnf(t, m)`, so over a base <g> each
-    lies below m/G.  Generator j's coordinates are its image times V, the
-    torsion ones as residues in (-d/2, d/2].  Without symbolic generators
-    the quotient is cyclic, Z/(m/G) or, over the trivial base, Z, and this
-    is the closed form of one gcd.  Written on each call, so repeated calls
-    return equal objects.
+    exponents, the Hermite-reduced solution of sum k_i*t_i ≡ y*G modulo m
+    (exactly, over the trivial base) from one `la.congruence_solve`, so
+    over a base <g> each lies below m/G.  Generator j's coordinates are its
+    image times V, the torsion ones as residues in (-d/2, d/2].  Without
+    symbolic generators the quotient is cyclic, Z/(m/G) or, over the
+    trivial base, Z, and this is the closed form of one gcd.  Written on
+    each call, so repeated calls return equal objects.
     """
     ts, m, _, sym, rels, G = _entry(P)
     n, s = P.n, len(sym)
-    D = m // G if m else 0
     if rels:
         rows = [row[:s] + (row[s] // G,) for row in rels] if G else [row[:s] for row in rels]
     else:
-        rows = [(0,) * s + (D,)] if m else []
+        rows = [(0,) * s + (m // G,)] if m else []
     _, diag, v, vinv = la.smith(rows, s + 1 if G else s)
     r = len(diag)  # the rows are independent, so every d_i > 0
     k = diag.count(1)  # the chain d_1 | d_2 | ... puts the 1s first
     orders = tuple(diag[k:])
     us = [t // G for t in ts] if G else ts  # the value column's entry of each generator, 0 at a symbol
-    hermite = None
     monomials = []
     for y in vinv[r:] + vinv[k:r]:
-        if G and y[s]:
-            if hermite is None:  # t_i = 0 at a symbolic position, so these leave it 0
-                bezout = _bezout([u % D for u in us] if D else us, D)
-                hermite = la.congruence_hnf(ts, m)
-            mono = list(la.reduce_by_hnf([y[s] * b for b in bezout], hermite))
+        if G and y[s]:  # t_i = 0 at a symbolic position, so the solve leaves it 0
+            mono = list(la.congruence_solve(ts, m, y[s] * G))
         else:
             mono = [0] * n
         for c, j in enumerate(sym):
@@ -540,10 +508,10 @@ def _cyclic_witness(ts, m: int, dq: int, sym, exps, subset) -> DependenceWitness
     The symbolic generators are free: a symbolic exponent outside the subset
     leaves no power, and those in it pass through, times the power.  With
     V = sum e_i*t_i and G = gcd(m, t_i : i numeric in the subset), the least
-    power is the order of V modulo G.  The Bézout coefficients of those t_i,
-    scaled by k*V/G, give exponents x with sum x_i*t_i ≡ k*V (mod m), reduced
-    by `la.congruence_hnf`, the Hermite basis of the lattice vectors on the
-    subset; the removed vector has value beta = (k*V - sum x_i*t_i)/dq.
+    power is the order of V modulo G.  The exponents x are the solution of
+    sum x_i*t_i ≡ k*V (mod m) reduced by the Hermite basis of the lattice
+    vectors on the subset, from one `la.congruence_solve`; the removed
+    vector has value beta = (k*V - sum x_i*t_i)/dq.
     """
     if sym and any(exps[j] for j in sym if j not in subset):
         return None
@@ -554,8 +522,7 @@ def _cyclic_witness(ts, m: int, dq: int, sym, exps, subset) -> DependenceWitness
     k = _order_mod(v, g)
     if k == INFINITE:
         return None
-    scale = k * v // g if g else 0  # g = 0 leaves only v = 0, and every t_i in the subset is 0
-    x = la.reduce_by_hnf([b * scale for b in _bezout(t_sub, m)], la.congruence_hnf(t_sub, m))
+    x = la.congruence_solve(t_sub, m, k * v)
     removed = k * v - _dot(x, t_sub)
     assert not (removed % m if m else removed)  # the removed vector lies in the base
     if sym:

@@ -4,8 +4,9 @@ Matrices are lists of rows of Python ints; vectors are row vectors.  The
 routines here back the lattice computations: Hermite form for lattice bases,
 with any columns past the pivoted ones carried through the row operations as
 integer payload (the caller keeps their denominator), membership by
-reduction, and Smith form with unimodular transforms for the free/torsion
-basis of a quotient group.
+reduction, Smith form with unimodular transforms for the free/torsion
+basis of a quotient group, and the reduced solution of one linear
+congruence.
 Each reduction works on one matrix, and whatever must follow its operations
 rides along in it: payload columns past the pivots in `hnf` and
 `reduce_by_hnf`, and U and V beside and below A in `smith`.
@@ -13,9 +14,9 @@ Every row an operation combines is zero left of its pivot column, so the
 row operations of `hnf` and `reduce_by_hnf`, and the row and column
 operations of `smith`, touch only the entries from the pivot column on; the
 entries they skip would change by q·0.
-`congruence_hnf` needs no reduction: the Hermite basis of the solutions of
-one linear congruence follows in closed form from one gcd chain, with no
-entry above the modulus.
+`congruence_solve` builds no basis and reduces nothing: the solution of
+sum x_i*t_i ≡ c (mod m) reduced by the Hermite basis of the congruence's
+lattice is read off one gcd chain, one entry per column, in O(n) steps.
 Everything is deterministic: pivots are chosen as the smallest absolute
 nonzero entry, scanning top-to-bottom then left-to-right, and diagonal
 entries are normalized positive.
@@ -26,10 +27,6 @@ from __future__ import annotations
 from math import gcd
 
 Vec = tuple[int, ...]
-
-
-def identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def _echelon(rows, ncols):
@@ -94,43 +91,41 @@ def hnf(rows, ncols: int) -> tuple[Vec, ...]:
     return _echelon(rows, ncols)
 
 
-def congruence_hnf(ts, m: int) -> tuple[Vec, ...]:
-    """Hermite basis, as `hnf` gives it, of {k : k1*t1 + ... + kn*tn ≡ 0 (mod m)}; m = 0 asks for = 0.
+def congruence_solve(ts, m: int, c: int) -> Vec:
+    """The Hermite-reduced x with x1*t1 + ... + xn*tn ≡ c (mod m); m = 0 asks for = c.
 
+    The solutions form one coset of L = {k : sum k_i*t_i ≡ 0 (mod m)}, and x
+    is the representative `reduce_by_hnf` leaves modulo L's Hermite basis.
     One right-to-left gcd chain G_j = gcd(m, t_j, ..., t_n), G_{n+1} = m,
-    gives the pivots: column j has pivot d_j = G_{j+1}/G_j, the least k_j
-    with k_j·t_j in G_{j+1}·Z, and a row of its own (d_j = 1 when both are
-    0, no row when only G_{j+1} is).  Each row's tail is then solved column
-    by column: entry i is the unique residue in [0, d_i) that leaves the
-    rest of the sum in G_{i+1}·Z, so the rows come out reduced above every
-    pivot, and every running sum is kept modulo m.
+    gives that basis's pivots d_j = G_{j+1}/G_j; one pass left to right then
+    takes x_j as the unique residue in [0, d_j) that leaves the rest of c,
+    kept modulo m, in G_{j+1}·Z, so x_j = 0 where d_j = 1.  Over m = 0 the
+    last column with t_j != 0 takes no pivot, and x_j = c/t_j there, exactly.
+    Raises ValueError when c is not a multiple of gcd(m, t_1, ..., t_n).
     """
     n = len(ts)
     chain = [m] * (n + 1)
     for j in range(n - 1, -1, -1):
         chain[j] = gcd(chain[j + 1], ts[j])
-    steps = []  # (pivot, t, G, inverse of t/G modulo the pivot) per column
-    for t, g, g1 in zip(ts, chain, chain[1:]):
-        d = g1 // g if g else 1  # 0: the column takes no pivot
-        steps.append((d, t, g, pow(t // g, -1, d) if d > 1 else 0))
-    basis = []
-    for j, (d, t, _, _) in enumerate(steps):
-        if not d:
-            continue
-        row = [0] * j + [d]
-        c = -d * t % m if m else -d * t  # what the tail must add up to, modulo m
-        for di, ti, gi, inv in steps[j + 1:]:
-            if di > 1:
-                k = c // gi * inv % di
-            elif di:
-                k = 0
-            else:  # the last column with t != 0 over m = 0: the sum must be exact
-                k = c // ti
-            row.append(k)
+    if c % chain[0] if chain[0] else c:
+        raise ValueError(f"{c} is not a multiple of gcd(m, t) = {chain[0]}")
+    x = [0] * n
+    if m:
+        c %= m
+    for j, t in enumerate(ts):
+        if not c:
+            break
+        g, g1 = chain[j], chain[j + 1]
+        if not g1:  # the pivot-free column: every later t is 0
+            x[j] = c // t
+            break
+        if g1 != g:
+            d = g1 // g
+            k = c // g * pow(t // g, -1, d) % d
             if k:
-                c = (c - k * ti) % m if m else c - k * ti
-        basis.append(tuple(row))
-    return tuple(basis)
+                x[j] = k
+                c = (c - k * t) % m if m else c - k * t
+    return tuple(x)
 
 
 def reduce_by_hnf(vec, rows) -> Vec:
@@ -165,9 +160,13 @@ def smith(rows, ncols: int):
     the diagonal, so operations at step t start at row and column t.
     """
     m = len(rows)
-    a = [list(r) + e for r, e in zip(rows, identity(m))] + [e + [0] * m for e in identity(ncols)]
-    vinv = identity(ncols)
     width = ncols + m
+    a = [list(r) + [0] * m for r in rows] + [[0] * width for _ in range(ncols)]
+    vinv = [[0] * ncols for _ in range(ncols)]
+    for i in range(m):
+        a[i][ncols + i] = 1
+    for j in range(ncols):
+        a[m + j][j] = vinv[j][j] = 1
 
     def row_sub(i, j, q):  # row_i -= q * row_j, both zero before column t
         ri, rj = a[i], a[j]

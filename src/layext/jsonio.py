@@ -22,17 +22,30 @@ from fractions import Fraction
 from .errors import ParseError
 
 
+ECHO_CHARS = 40  # of a rejected number's repr, the most an error line shows
+
+
+def _echo(x) -> str:
+    """repr(x), cut after ECHO_CHARS characters with a count of the rest, so an error line stays short."""
+    text = repr(x)
+    if len(text) <= ECHO_CHARS:
+        return text
+    return f"{text[:ECHO_CHARS]}... ({len(text) - ECHO_CHARS} more characters)"
+
+
 def _parse_number(s, kind, what: str):
     """A JSON integer, or a string `s` with `str(kind(s)) == s`; bools and floats are refused."""
     if isinstance(s, int) and not isinstance(s, bool):
         return kind(s)
-    _require(isinstance(s, str), f"expected {what} text or a JSON integer, got {s!r}")
+    if not isinstance(s, str):
+        raise ParseError(f"expected {what} text or a JSON integer, got {_echo(s)}")
     try:
         # characters first: kind() would expand an exponent ("1e999999999") before str() could refuse it
         x = kind(s) if set(s) <= set("-/0123456789") else None
     except (ValueError, ZeroDivisionError):
         x = None
-    _require(x is not None and str(x) == s, f"bad {what} {s!r}")
+    if x is None or str(x) != s:
+        raise ParseError(f"bad {what} {_echo(s)}")
     return x
 
 

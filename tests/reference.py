@@ -40,7 +40,7 @@ from layext.bipotent import (
 )
 from layext.errors import InconsistentRelations
 from layext.cancellative import PosPoly, SignedPoly
-from layext.intlinalg import Vec, _echelon, hnf, identity, reduce_by_hnf, smith
+from layext.intlinalg import Vec, _echelon, hnf, reduce_by_hnf, smith
 from layext.polys import _mul
 from layext.tropical import ValueLattice, _cleared, as_fraction
 from layext.uniform import ExtScalar, essential_indices
@@ -457,6 +457,10 @@ def reference_reduce_by_hnf(vec, rows) -> Vec:
         if q:
             v = [x - q * y for x, y in zip(v, row)]
     return tuple(v)
+
+
+def identity(n: int) -> list[list[int]]:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def reference_smith(rows, ncols: int):

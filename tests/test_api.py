@@ -8,7 +8,9 @@ state in a `global`: what a value derives lives in a slot of that value.
 """
 
 import ast
+import builtins
 import importlib
+import sys
 from types import ModuleType
 
 import layext
@@ -96,6 +98,39 @@ def _trees(paths):
     return [ast.parse(p.read_text(encoding="utf-8")) for p in paths]
 
 
+# `"".join`, `str.join` or `os.pathsep.join` reads a method of the standard library, not a library name
+LITERALS = (ast.Constant, ast.JoinedStr, ast.List, ast.Tuple, ast.Dict, ast.Set,
+            ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+BUILTIN_TYPES = {name for name, v in vars(builtins).items() if isinstance(v, type)}
+
+
+def _used_names(trees) -> set:
+    """Every name the trees read: names, imports, strings, and attributes of receivers that may be ours.
+
+    A receiver is foreign when it is a literal, or when its attribute chain
+    starts at a builtin type or at a module of the standard library that
+    the tree imports.
+    """
+    used = set()
+    for tree in trees:
+        stdlib = {a.asname or a.name.partition(".")[0] for node in ast.walk(tree) if isinstance(node, ast.Import)
+                  for a in node.names if a.name.partition(".")[0] in sys.stdlib_module_names}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                root = node.value
+                while isinstance(root, ast.Attribute):
+                    root = root.value
+                if not (isinstance(root, LITERALS) or isinstance(root, ast.Name) and root.id in BUILTIN_TYPES | stdlib):
+                    used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.update((node.name.rpartition(".")[2], node.asname))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.add(node.value)
+    return used
+
+
 def test_names_without_a_program_caller_are_pinned():
     package = ROOT / "src" / "layext"
     defined = {
@@ -108,18 +143,15 @@ def test_names_without_a_program_caller_are_pinned():
     # __init__.py only re-exports; perfbench also calls queries by name, through getattr on strings
     programs = [p for p in package.glob("*.py") if p.name != "__init__.py"]
     programs += sorted((ROOT / "scripts").rglob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
-    used = set()
-    for tree in _trees(programs):
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.alias):
-                used.update((node.name.rpartition(".")[2], node.asname))
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                used.add(node.value)
-    assert sorted(defined - used) == sorted(WITHOUT_PROGRAM_CALLER)
+    assert sorted(defined - _used_names(_trees(programs))) == sorted(WITHOUT_PROGRAM_CALLER)
+
+
+def test_a_method_of_the_standard_library_is_no_caller():
+    foreign = ast.parse('import os\n", ".join(xs)\nstr.join("", xs)\nos.pathsep.join(xs)\nos.path.join(a, b)\n'
+                        'f"{x}".count("-")\n[1, 2].index(2)\n{}.items()')
+    assert not {"join", "count", "index", "items"} & _used_names([foreign])
+    ours = ast.parse("lat.join(other)\nself.count()\nla.smith(rows, 1)\nstr(x).index(y)")
+    assert {"join", "count", "smith", "index"} <= _used_names([ours])
 
 
 def test_library_has_no_global_statement():

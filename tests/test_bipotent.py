@@ -431,7 +431,7 @@ class TestSmith:
             for j in range(3):
                 want = diag[i] if i == j and i < len(diag) else 0
                 assert d[i][j] == want
-        assert R.mat_mul(v, vinv) == la.identity(3)
+        assert R.mat_mul(v, vinv) == R.identity(3)
 
 
 class TestSharedQuotient:

@@ -225,6 +225,18 @@ class TestDegreeAndRank:
         rc, _, err = run(["torsion-degree", one, "--exps", "1,1"])
         assert (rc, err) == (1, "error: ParseError: an exponent vector needs 1 entry, one per generator\n")
 
+    def test_a_long_rejected_number_is_cut_in_its_error_line(self, tmp_path):
+        # the echo keeps the first 40 characters of the repr and counts the rest; a short one is whole
+        p = write(tmp_path, "p.json", PRES_SIXTHS)
+        rc, out, err = run(["torsion-degree", p, "--exps", "9" * 5000 + "x,0"])
+        assert (rc, out) == (1, "")
+        assert err == f"error: ParseError: bad integer '{'9' * 39}... (4963 more characters)\n"
+        rc, out, err = run(["rank", write(tmp_path, "q.json", {"base": ["1"], "generators": [{"num": [1] * 5000}]})])
+        assert (rc, out) == (1, "")
+        assert err == f"error: ParseError: expected rational text or a JSON integer, got [{'1, ' * 13}... (14960 more characters)\n"
+        rc, out, err = run(["torsion-degree", p, "--exps", "1x,0"])
+        assert (rc, out, err) == (1, "", "error: ParseError: bad integer '1x'\n")
+
 
 class TestOutputContract:
     def test_deterministic_bytes(self, tmp_path):

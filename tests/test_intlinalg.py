@@ -220,12 +220,18 @@ def test_smith_matches_the_whole_row_reference(mat):
 
 
 @given(st.lists(st.one_of(st.integers(-3, 3), st.integers(-60, 60)), max_size=7),
-       st.one_of(st.just(0), st.integers(1, 4), st.integers(1, 720)))
-def test_congruence_hnf_is_the_hermite_basis_of_the_congruence(ts, m):
+       st.one_of(st.just(0), st.integers(1, 4), st.integers(1, 720)), st.data())
+def test_congruence_solve_is_the_reduced_solution_of_the_congruence(ts, m, data):
     # the lattice by elimination: rows [t_i | e_i] and [m | 0], Hermite form, rows with t = 0
     n = len(ts)
     rows = [[t] + [int(j == i) for j in range(n)] for i, t in enumerate(ts)] + ([[m] + [0] * n] if m else [])
-    want = tuple(row[1:] for row in R.reference_echelon(rows, n + 1) if row[0] == 0)
-    basis = la.congruence_hnf(ts, m)
-    assert basis == want
-    assert not m or all(0 <= x <= m for row in basis for x in row)
+    basis = tuple(row[1:] for row in R.reference_echelon(rows, n + 1) if row[0] == 0)
+    v = data.draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n))
+    c = sum(x * t for x, t in zip(v, ts))
+    x = la.congruence_solve(ts, m, c)
+    assert x == la.reduce_by_hnf(v, basis)
+    assert not m or all(0 <= e < m for e in x)
+    g = math.gcd(m, *ts)
+    if g != 1:  # a c outside gcd(m, t)·Z has no solution
+        with pytest.raises(ValueError):
+            la.congruence_solve(ts, m, c + data.draw(st.integers(1, g - 1) if g else st.integers(-9, 9).filter(bool)))

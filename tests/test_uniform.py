@@ -334,7 +334,7 @@ class TestValueGroup:
     def test_numeric_tower_derives_one_congruence_per_step_and_no_basis(self, monkeypatch):
         # each closure reads the entry its value part's semifield and rank queries left; the base
         # descriptor's value part keeps its entry for the process, so it is derived before counting
-        calls = {"echelon": 0, "congruence_hnf": 0, "congruence": 0}
+        calls = {"echelon": 0, "congruence_solve": 0, "congruence": 0}
 
         def count(module, name, key):
             fn = getattr(module, name)
@@ -347,7 +347,7 @@ class TestValueGroup:
 
         extension_rank(base_descriptor().value_part)
         count(la, "_echelon", "echelon")
-        count(la, "congruence_hnf", "congruence_hnf")
+        count(la, "congruence_solve", "congruence_solve")
         count(bipotent, "_cleared", "congruence")
         D, parts = base_descriptor(), [base_descriptor().value_part]
         for value, rank in [("1/2", 2), ("1/3", 6), ("-2/5", 30), ("3/7", 210)]:
@@ -356,7 +356,7 @@ class TestValueGroup:
             assert is_uniform_semifield(D)
             assert extension_rank(D.value_part) == rank
         assert len({id(P) for P in parts}) == 5
-        assert calls == {"echelon": 0, "congruence_hnf": 0, "congruence": 4}
+        assert calls == {"echelon": 0, "congruence_solve": 0, "congruence": 4}
 
 
 class TestNuIdentity:
