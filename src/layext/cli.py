@@ -11,15 +11,19 @@ Each `cmd_*` imports the layers it calls once its inputs have parsed, so a
 process loads only those: `rank`, `decompose` and `torsion-degree` load `bipotent` and
 not `polys`, `cancellative` or `uniform`; `kernel` loads `cancellative` and
 not `bipotent`; and input that fails as JSON loads no layer.
+
+A command line is read from the `COMMANDS` table by `_parse_args`, which
+accepts the plain grammar only; argparse, with gettext and locale, is loaded
+for help and usage errors alone, and `build_parser` reads the same table.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import jsonio
 from .errors import LayextError, ParseError, ResultTooLarge
@@ -169,26 +173,32 @@ def cmd_rank(args) -> tuple:
     return payload, notes
 
 
+# (name, function, positionals, options, help); an option is (flag, default, help),
+# required when its default is None
 COMMANDS = (
-    ("decompose", cmd_decompose, ("presentation",), "free/torsion decomposition of a bipotent presentation"),
-    ("eval", cmd_eval, ("poly", "scalar"), "evaluate a layered polynomial at a scalar"),
-    ("closure", cmd_closure, ("descriptor", "scalar"), "uniform closure of a descriptor by a scalar"),
-    ("kernel", cmd_kernel, ("numerator", "denominator", "generator"),
+    ("decompose", cmd_decompose, ("presentation",), (), "free/torsion decomposition of a bipotent presentation"),
+    ("eval", cmd_eval, ("poly", "scalar"), (), "evaluate a layered polynomial at a scalar"),
+    ("closure", cmd_closure, ("descriptor", "scalar"), (), "uniform closure of a descriptor by a scalar"),
+    ("kernel", cmd_kernel, ("numerator", "denominator", "generator"), (),
      "kernel membership of a quotient of positive polynomials"),
-    ("semifield", cmd_semifield, ("descriptor",), "semifield test for a uniform descriptor"),
-    ("torsion-degree", cmd_torsion_degree, ("presentation",), "minimal power of a monomial landing in the base"),
-    ("rank", cmd_rank, ("presentation",), "extension rank over a sub-presentation"),
+    ("semifield", cmd_semifield, ("descriptor",), (), "semifield test for a uniform descriptor"),
+    ("torsion-degree", cmd_torsion_degree, ("presentation",), (("--exps", None, "comma-separated exponent vector"),),
+     "minimal power of a monomial landing in the base"),
+    ("rank", cmd_rank, ("presentation",), (("--over", "", "comma-separated generator indices of the sub-extension"),),
+     "extension rank over a sub-presentation"),
 )
+# the flags every subcommand takes, with their help
+FLAGS = {"--json": "emit the machine-readable report", "--notes": "include derivation notes"}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     common = argparse.ArgumentParser(add_help=False)
-    # SUPPRESS keeps a flag given before the subcommand from being reset by
-    # the subparser's own defaults
-    common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
-                        help="emit the machine-readable report")
-    common.add_argument("--notes", action="store_true", default=argparse.SUPPRESS,
-                        help="include derivation notes")
+    for flag, flag_help in FLAGS.items():
+        # SUPPRESS keeps a flag given before the subcommand from being reset by
+        # the subparser's own defaults
+        common.add_argument(flag, action="store_true", default=argparse.SUPPRESS, help=flag_help)
 
     ap = argparse.ArgumentParser(
         prog="layext",
@@ -196,15 +206,57 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, run, inputs, help_text in COMMANDS:
+    for name, run, inputs, options, help_text in COMMANDS:
         p = sub.add_parser(name, parents=[common], help=help_text)
         for arg in inputs:
             p.add_argument(arg)
+        for flag, default, option_help in options:
+            p.add_argument(flag, required=default is None, default=default, help=option_help)
         p.set_defaults(run=run)
-    sub.choices["torsion-degree"].add_argument("--exps", required=True, help="comma-separated exponent vector")
-    sub.choices["rank"].add_argument("--over", default="",
-                                     help="comma-separated generator indices of the sub-extension")
     return ap
+
+
+def _parse_args(argv) -> SimpleNamespace | None:
+    """The namespace `build_parser().parse_args(argv)` returns, or None when argparse must read argv.
+
+    Reads one plain grammar: the subcommand; its positionals in order, each
+    "-" or not starting with "-"; FLAGS before or after the subcommand; and
+    the subcommand's options as `--opt=V`, or `--opt V` with V not starting
+    with "-".  A flag or option given twice, help, `--`, an abbreviation and
+    every unknown or missing argument give None, so that argparse alone
+    prints help and usage errors.
+    """
+    given, positionals, command = {}, [], None
+    tokens = iter(argv)
+    for token in tokens:
+        if token in FLAGS:
+            key, value = token[2:], True
+        elif command is None:
+            command = next((c for c in COMMANDS if c[0] == token), None)
+            if command is None:
+                return None
+            dests = {flag: flag[2:].replace("-", "_") for flag, _, _ in command[3]}
+            continue
+        elif token == "-" or not token.startswith("-"):
+            positionals.append(token)
+            continue
+        else:
+            flag, eq, value = token.partition("=")
+            key = dests.get(flag)
+            if not eq:
+                value = next(tokens, "-")  # a missing value is refused as one starting with "-"
+            if key is None or (not eq and value.startswith("-")):
+                return None
+        if key in given:
+            return None
+        given[key] = value
+    if command is None:
+        return None
+    name, run, inputs, options, _ = command
+    args = {dests[flag]: default for flag, default, _ in options} | given
+    if len(positionals) != len(inputs) or None in args.values():
+        return None
+    return SimpleNamespace(command=name, run=run, **dict(zip(inputs, positionals)), **args)
 
 
 def _render(payload: dict, notes: list, args) -> str:
@@ -231,7 +283,10 @@ def _render(payload: dict, notes: list, args) -> str:
 def main(argv=None, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parse_args(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     for name in ("json", "notes"):
         vars(args).setdefault(name, False)
     try:

@@ -17,6 +17,10 @@ class DegreeTooLarge(LayextError):
     """The factoriser (and so the irreducibility test) is complete up to degree 31 and refuses larger ones."""
 
 
+class SplitNotFound(LayextError):
+    """The factoriser's Cantor-Zassenhaus step drew `polys.SPLIT_TRIES` elements and none split a factor."""
+
+
 class NoPositiveRoot(LayextError):
     """The candidate minimal polynomial has no positive real root."""
 

@@ -61,7 +61,7 @@ def parse_int(s) -> int:
 
 def parse_bool(s) -> bool:
     """A JSON true or false; strings and numbers are refused."""
-    _require(isinstance(s, bool), f"expected true or false, got {s!r}")
+    _require(isinstance(s, bool), "expected true or false, got {}", s)
     return s
 
 
@@ -85,9 +85,10 @@ def load_document(text: str, source: str = "<input>") -> object:
         raise ParseError(f"{source}: {e}") from None
 
 
-def _require(cond: bool, msg: str):
+def _require(cond: bool, msg: str, *values):
+    """Raise ParseError unless `cond`; each `{}` in `msg` becomes the `_echo` of the next value, built only then."""
     if not cond:
-        raise ParseError(msg)
+        raise ParseError(msg.format(*map(_echo, values)))
 
 
 def _built(make, *args):
@@ -111,16 +112,16 @@ def parse_presentation(doc) -> BipotentPresentation:
     base = ValueLattice.of(*[parse_rational(g) for g in base])
     gens = []
     for g in generators:
-        _require(isinstance(g, dict) and len(g) == 1, f"bad generator {g!r}")
+        _require(isinstance(g, dict) and len(g) == 1, "bad generator {}", g)
         if "num" in g:
             gens.append(Numeric(parse_rational(g["num"])))
         elif "sym" in g:
             gens.append(_built(Symbolic, g["sym"]))
         else:
-            raise ParseError(f"generator must have 'num' or 'sym': {g!r}")
+            raise ParseError(f"generator must have 'num' or 'sym': {_echo(g)}")
     rels = []
     for r in relations:
-        _require(isinstance(r, dict) and isinstance(r.get("exps"), list) and "beta" in r, f"bad relation {r!r}")
+        _require(isinstance(r, dict) and isinstance(r.get("exps"), list) and "beta" in r, "bad relation {}", r)
         rels.append(Relation(tuple(parse_int(e) for e in r["exps"]), parse_rational(r["beta"])))
     return _built(BipotentPresentation, base, tuple(gens), tuple(rels), parse_bool(doc.get("monoid", False)))
 
@@ -197,7 +198,7 @@ def parse_descriptor(doc) -> UniformDescriptor:
     elif kind == "free":
         sort = _built(FreeSort, sort_doc.get("name"), parse_bool(sort_doc.get("fractions", True)))
     else:
-        raise ParseError(f"unknown sort kind {kind!r}")
+        raise ParseError(f"unknown sort kind {_echo(kind)}")
     return UniformDescriptor(sort, parse_presentation(doc["value"]))
 
 
@@ -220,7 +221,7 @@ def parse_layered_poly(doc) -> LayeredPoly:
     _require(isinstance(doc, list) and doc, "layered polynomial must be a non-empty list of terms")
     triples = []
     for t in doc:
-        _require(isinstance(t, dict) and {"layer", "value", "exp"} <= t.keys(), f"bad term {t!r}")
+        _require(isinstance(t, dict) and {"layer", "value", "exp"} <= t.keys(), "bad term {}", t)
         triples.append((parse_rational(t["layer"]), parse_rational(t["value"]), parse_int(t["exp"])))
     return _built(LayeredPoly.from_triples, triples)
 
@@ -233,7 +234,7 @@ def parse_scalar(doc) -> ExtScalar:
     if isinstance(lay_doc, (str, int)):
         layer = parse_rational(lay_doc)
     else:
-        _require(isinstance(lay_doc, dict), f"scalar layer must be a rational or an object, got {lay_doc!r}")
+        _require(isinstance(lay_doc, dict), "scalar layer must be a rational or an object, got {}", lay_doc)
         kind = lay_doc.get("kind")
         if kind == "rational":
             _require("value" in lay_doc, "rational layer needs a value")
@@ -246,10 +247,10 @@ def parse_scalar(doc) -> ExtScalar:
         elif kind == "free":
             layer = _built(FreeLayer, lay_doc.get("name"), parse_pos_poly(lay_doc.get("poly", {"1": "1"})))
         else:
-            raise ParseError(f"unknown layer kind {kind!r}")
+            raise ParseError(f"unknown layer kind {_echo(kind)}")
     val_doc = doc["value"]
     if isinstance(val_doc, dict):
-        _require("sym" in val_doc, f"bad scalar value {val_doc!r}")
+        _require("sym" in val_doc, "bad scalar value {}", val_doc)
         value = val_doc["sym"]
     else:
         value = parse_rational(val_doc)

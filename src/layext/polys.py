@@ -24,13 +24,16 @@ import math
 import random
 from itertools import combinations, islice
 
-from .errors import DegreeTooLarge
+from .errors import DegreeTooLarge, SplitNotFound
 
 # Recombination is exponential in the number of modular factors, which
 # Swinnerton-Dyer polynomials make as large as the degree allows: degree 16
 # takes milliseconds, degree 32 seconds, so `factor` stops at 31.
 MAX_DEGREE = 31
 _PRIMES_TRIED = 5
+# A random try of Cantor-Zassenhaus leaves f unsplit with probability at most
+# 1/2, so a correct run fails this many tries in a row with probability at most 2^-300.
+SPLIT_TRIES = 300
 
 
 # Factorisation over Q.  Modulo m, coefficients lie in [0, m).
@@ -249,11 +252,14 @@ def _subset_sums(degrees) -> set[int]:
 
 
 def _equal_degree(f, d, p, rng) -> list[list[int]]:
-    """Cantor-Zassenhaus: the monic factors of f, all irreducible of degree d, mod an odd prime p."""
+    """Cantor-Zassenhaus: the monic factors of f, all irreducible of degree d, mod an odd prime p.
+
+    Raises SplitNotFound when SPLIT_TRIES random tries leave f unsplit.
+    """
     n = len(f) - 1
     if n == d:
         return [f]
-    while True:
+    for _ in range(SPLIT_TRIES):
         a = _mod([rng.randrange(p) for _ in range(n)], p)
         if len(a) < 2:
             continue
@@ -262,6 +268,7 @@ def _equal_degree(f, d, p, rng) -> list[list[int]]:
             g = _gcd_mod(f, _mod(_sub(_powmod(a, (p**d - 1) // 2, f, p), [1]), p), p)
         if 1 < len(g) < len(f):
             return _equal_degree(g, d, p, rng) + _equal_degree(_divmod_mod(f, g, p)[0], d, p, rng)
+    raise SplitNotFound(f"{SPLIT_TRIES} random tries left a product of degree-{d} factors mod {p} unsplit")
 
 
 def _hensel_lift(f, factors, p, modulus) -> list[list[int]]:

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import subprocess
@@ -14,7 +15,7 @@ import reference as R
 from conftest import src_env
 from layext import jsonio
 from layext.bipotent import extension_rank
-from layext.cli import COMMANDS, main
+from layext.cli import COMMANDS, FLAGS, _parse_args, build_parser, main
 from layext.cancellative import PosPoly
 from layext.errors import ParseError
 from layext.tropical import LayeredElem
@@ -237,6 +238,16 @@ class TestDegreeAndRank:
         rc, out, err = run(["torsion-degree", p, "--exps", "1x,0"])
         assert (rc, out, err) == (1, "", "error: ParseError: bad integer '1x'\n")
 
+    def test_a_long_rejected_document_is_cut_in_its_error_line(self, tmp_path):
+        # an extra 5000-element key in one generator printed a 15,055-character line
+        doc = {"base": ["1"], "generators": [{"num": "1/2", "x": [1] * 5000}]}
+        rc, out, err = run(["rank", write(tmp_path, "p.json", doc)])
+        assert (rc, out) == (1, "")
+        assert err == f"error: ParseError: bad generator {{'num': '1/2', 'x': [{'1, ' * 6}1... (14981 more characters)\n"
+        doc = {"base": ["1"], "generators": [{"num": "1/2", "x": 1}]}
+        rc, out, err = run(["rank", write(tmp_path, "q.json", doc)])
+        assert (rc, out, err) == (1, "", "error: ParseError: bad generator {'num': '1/2', 'x': 1}\n")
+
 
 class TestOutputContract:
     def test_deterministic_bytes(self, tmp_path):
@@ -273,6 +284,26 @@ class TestOutputContract:
         doc = json.loads(out)
         again = json.dumps(doc, sort_keys=True, separators=(", ", ": ")) + "\n"
         assert again == out
+
+
+class Watched(dict):
+    """A JSON object that counts the calls of its repr."""
+
+    reprs = 0
+
+    def __repr__(self):
+        Watched.reprs += 1
+        return super().__repr__()
+
+
+def test_a_valid_document_builds_no_error_message(monkeypatch):
+    # a check formats its message only when it fails, so a valid parse takes no repr of its values
+    monkeypatch.setattr(Watched, "reprs", 0)
+    jsonio.parse_presentation({"base": ["1"], "generators": [Watched(num="1/2"), Watched(sym="g")],
+                               "relations": [Watched(exps=[0, 2], beta="1")]})
+    jsonio.parse_layered_poly([Watched(layer="1", value="0", exp=0)])
+    jsonio.parse_scalar(Watched(layer=Watched(kind="rational", value="3"), value=Watched(sym="w")))
+    assert Watched.reprs == 0
 
 
 class TestJsonRoundTrips:
@@ -418,6 +449,90 @@ class TestSessionAndStdin:
         with pytest.raises(SystemExit) as exc:
             run(["--bound", "5", "decompose", path])
         assert exc.value.code == 2
+
+
+def parsed_by_argparse(argv):
+    """(vars of the namespace or None, exit code or None, stdout, stderr) of `build_parser().parse_args(argv)`."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(build_parser().parse_args(argv)), None
+        except SystemExit as e:
+            result = None, e.code
+    return *result, out.getvalue(), err.getvalue()
+
+
+VALUES = st.sampled_from(["0", "1,0", "", "p.json", "a=b", "x y", "-", "-1", "-1,0", "--json", "-h"])
+NOISE = st.sampled_from(["-h", "--help", "--", "--js", "--no", "--exp=1", "--over", "--exps", "--bound", "-x",
+                         "--json=1", "-", "extra", *(name for name, *_ in COMMANDS)]) | VALUES
+
+
+@st.composite
+def command_lines(draw):
+    """(argv, plain): a subcommand's tokens in any order, perhaps changed; plain when nothing was changed."""
+    name, _, inputs, options, _ = draw(st.sampled_from(COMMANDS))
+    units = [[draw(VALUES.filter(lambda v: v == "-" or not v.startswith("-")))] for _ in inputs]
+    plain = True
+    for flag, default, _ in options:
+        if default is None or draw(st.booleans()):
+            value = draw(VALUES)
+            if draw(st.booleans()):
+                units.append([f"{flag}={value}"])
+            else:
+                units.append([flag, value])
+                plain = plain and not value.startswith("-")
+    before = []
+    for flag in FLAGS:
+        where = draw(st.sampled_from(["absent", "before", "after"]))
+        (before if where == "before" else units if where == "after" else []).append([flag])
+    argv = [token for unit in [*before, [name], *draw(st.permutations(units))] for token in unit]
+    for _ in range(draw(st.integers(0, 2))):
+        plain = False
+        if argv and draw(st.booleans()):
+            del argv[draw(st.integers(0, len(argv) - 1))]
+        else:
+            argv.insert(draw(st.integers(0, len(argv))), draw(NOISE))
+    return argv, plain
+
+
+class TestCommandLine:
+    @settings(max_examples=600)
+    @given(command_lines())
+    def test_an_accepted_command_line_parses_as_argparse_parses_it(self, case):
+        argv, plain = case
+        fast = _parse_args(argv)
+        assert fast is not None or not plain
+        if fast is not None:
+            assert parsed_by_argparse(argv) == (vars(fast), None, "", "")
+
+    def test_every_golden_command_line_skips_argparse(self):
+        for case in CASES:
+            for argv in (case, ["--json", "--notes", *case], [*case, "--notes"]):
+                fast = _parse_args(argv)
+                assert fast is not None and parsed_by_argparse(argv)[0] == vars(fast), argv
+
+    @pytest.mark.parametrize("argv, code", [
+        ([], 2),
+        (["decompose"], 2),
+        (["torsion-degree", "p.json", "--exps", "-1,0"], 2),
+        (["--bound", "5", "decompose", "p.json"], 2),
+        (["--js"], 2),
+        (["rank", "--help"], 0),
+    ], ids=["no-arguments", "missing-positional", "dash-value", "unknown-flag", "abbreviation", "help"])
+    def test_a_refused_command_line_prints_what_argparse_prints(self, monkeypatch, argv, code):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert _parse_args(argv) is None
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code
+        assert parsed_by_argparse(argv) == (None, code, out.getvalue(), err.getvalue())
+        assert (out.getvalue() if code == 0 else err.getvalue()).startswith("usage: layext")
+
+    def test_an_abbreviation_runs_through_argparse(self, tmp_path):
+        path = write(tmp_path, "p.json", PRES_SIXTHS)
+        assert _parse_args(["--js", "decompose", path]) is None
+        assert run(["--js", "decompose", path]) == run(["--json", "decompose", path])
 
 
 MALFORMED = {
@@ -624,11 +739,10 @@ def assert_result_or_one_error_line(argv):
 @settings(max_examples=150, deadline=None)
 @given(command=st.sampled_from(COMMANDS), data=st.data(), indices=st.text("0123456789,-", max_size=5))
 def test_fuzzed_documents_give_a_result_or_one_error_line(tmp_path_factory, command, data, indices):
-    name, _, inputs, _ = command
+    name, _, inputs, options, _ = command
     base = tmp_path_factory.mktemp("fuzz")
     argv = [name] + [write(base, f"{arg}.json", data.draw(json_values)) for arg in inputs]
-    flag = {"torsion-degree": "--exps", "rank": "--over"}.get(name)
-    assert_result_or_one_error_line(argv + ([f"{flag}={indices}"] if flag else []))
+    assert_result_or_one_error_line(argv + [f"{flag}={indices}" for flag, _, _ in options])
 
 
 def json_paths(doc, path=()):
@@ -705,6 +819,8 @@ def test_cli_imports_only_the_standard_library(tmp_path, argv, layers):
     assert "layext" in tops
     assert [m for m in tops if m not in sys.stdlib_module_names and m != "layext"] == []
     assert {"dataclasses", "inspect"} & tops == set()
+    # every one of these command lines parses without argparse, and so without gettext and locale
+    assert {"argparse", "gettext", "locale"} & tops == set()
     assert {m.partition(".")[2] for m in loaded if m.startswith("layext.")} & LAYERS == layers
     if layers:
         assert (out.returncode, errors, out.stdout) == (0, [], golden_output(argv))

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 import reference as R
 from layext import polys as P
-from layext.errors import DegreeTooLarge
+from layext.errors import DegreeTooLarge, SplitNotFound
 
 
 def polys_st(max_deg=5, zero_ok=True):
@@ -317,6 +317,23 @@ class TestFactor:
         # (x/2 - 1/3)(2/5·x^2 - 4/5) = (1/15)·(3x - 2)(x^2 - 2), cleared to integers
         f = R.mul(R.poly([F(-1, 3), F(1, 2)]), R.poly([F(-4, 5), 0, F(2, 5)]))
         assert P.factor(R.integer_form(f)) == [(-2, 3), x_n_minus(2, 2)]
+
+    def test_equal_degree_split_raises_after_its_bound(self):
+        # (x - 1)(x - 2) mod 5.  A source that draws only zeros never splits it, and the
+        # loop had no bound, so a broken split hung until the test's time limit
+        class Zeros:
+            draws = 0
+
+            def randrange(self, n):
+                self.draws += 1
+                return 0
+
+        f = [2, 2, 1]
+        assert sorted(P._equal_degree(f, 1, 5, random.Random(0))) == [[3, 1], [4, 1]]
+        zeros = Zeros()
+        with pytest.raises(SplitNotFound):
+            P._equal_degree(f, 1, 5, zeros)
+        assert zeros.draws == P.SPLIT_TRIES * 2
 
     def test_constants_have_no_factors_and_zero_is_refused(self):
         assert P.factor([-3]) == []

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from conftest import ROOT, src_env
+from layext.cli import COMMANDS
 
 
 def run_script(argv):
@@ -20,6 +21,24 @@ def run_script(argv):
 def test_script_exits_0(argv):
     proc = run_script(argv)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_bench_sweep_writes_a_row_per_subcommand(tmp_path):
+    out = tmp_path / "bench.json"
+    proc = run_script(["scripts/bench_sweep.py", "--runs", "1", "--out", str(out)])
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert doc["runs"] == 1
+    assert set(doc["host"]) == {"python", "platform", "cpus", "PYTHONDONTWRITEBYTECODE"}
+    [(name, checkout)] = doc["checkouts"].items()
+    assert set(checkout) == {"commit", "uncommitted_changes", "bytecode_cached"}
+    rows = doc["rows"]
+    assert [(r["layer"], r["operation"], r["checkout"]) for r in rows] == [
+        ("interpreter", "python -c pass", None), ("interpreter", "python -S -c pass", None),
+        ("cli", "import layext.cli", name), *(("cli", command[0], name) for command in COMMANDS)]
+    for row in rows:
+        assert len(row["runs_ms"]) == 1 and row["cpu_ms"] == row["runs_ms"][0] > 0
+    assert [row["argv"][0] for row in rows[3:]] == [command[0] for command in COMMANDS]
 
 
 def test_readme_quick_start_runs():
